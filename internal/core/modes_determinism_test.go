@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/provenance"
 )
 
 func movieLens(t *testing.T) *datasets.Workload {
@@ -205,4 +207,113 @@ func TestMovieLensSampledParallelIdentical(t *testing.T) {
 			t.Fatalf("legacy-eval workers=%d diverged from delta sampled run:\n%s\n--- want ---\n%s", workers, got, want)
 		}
 	}
+}
+
+func ddpWorkload(t *testing.T) *datasets.Workload {
+	t.Helper()
+	return datasets.DDP(datasets.DefaultDDPConfig(), rand.New(rand.NewSource(13)))
+}
+
+// ddpScoringMode is one row of the DDP determinism matrix.
+type ddpScoringMode struct {
+	name             string
+	seq, full, delta bool
+	workers, samples int
+}
+
+// runDDP summarizes (or, with prior groups, extends) the seeded DDP
+// workload under one scoring mode and returns the summary key. A delta
+// mode must score every cohort on the DDP block plan: no DistanceBatch
+// fallback at all.
+func runDDP(t *testing.T, m ddpScoringMode, prior provenance.Groups) string {
+	t.Helper()
+	w := ddpWorkload(t)
+	est := w.Estimator(datasets.CancelSingleAttribute)
+	if m.samples > 0 {
+		est.Samples = m.samples
+		est.Rand = rand.New(rand.NewSource(5))
+	}
+	s, err := core.New(core.Config{
+		Policy:            w.Policy,
+		Estimator:         est,
+		WDist:             0.5,
+		WSize:             0.5,
+		MaxSteps:          8,
+		SequentialScoring: m.seq,
+		FullEvalScoring:   m.full,
+		Parallelism:       m.workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum *core.Summary
+	if prior != nil {
+		sum, err = s.Extend(context.Background(), w.Prov, prior)
+	} else {
+		sum, err = s.Summarize(w.Prov)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := est.Stats()
+	if m.delta && (st.BatchCalls != 0 || st.DeltaCalls == 0 || st.DeltaSkips == 0) {
+		t.Fatalf("%s: DDP run fell back to batch scoring: BatchCalls=%d DeltaCalls=%d DeltaSkips=%d", m.name, st.BatchCalls, st.DeltaCalls, st.DeltaSkips)
+	}
+	if !m.delta && st.DeltaCalls != 0 {
+		t.Fatalf("%s: non-delta run made %d delta calls", m.name, st.DeltaCalls)
+	}
+	return mlSummaryKey(t, sum)
+}
+
+// TestDDPScoringModesIdentical is the determinism matrix's DDP row: the
+// seeded DDP workload summarized under the default delta engine (the
+// tropical block plan), materialized batch scoring (FullEvalScoring) and
+// candidate-major SequentialScoring, at Parallelism 1 and 2, must give
+// byte-identical summaries — and so must the sampling-mode runs among
+// themselves, and an Extend run warm-started from a prior summary's
+// groups. The default runs must never fall back to DistanceBatch.
+func TestDDPScoringModesIdentical(t *testing.T) {
+	check := func(rows []ddpScoringMode, prior provenance.Groups) {
+		t.Helper()
+		want := runDDP(t, rows[0], prior)
+		for _, m := range rows[1:] {
+			if got := runDDP(t, m, prior); got != want {
+				t.Fatalf("%s diverged from %s:\n%s\n--- want ---\n%s", m.name, rows[0].name, got, want)
+			}
+		}
+	}
+	check([]ddpScoringMode{
+		{name: "delta", delta: true, workers: 1},
+		{name: "delta-parallel", delta: true, workers: 2},
+		{name: "full-eval-batch", full: true, workers: 1},
+		{name: "full-eval-batch-parallel", full: true, workers: 2},
+		{name: "sequential", seq: true, workers: 1},
+		{name: "sequential-parallel", seq: true, workers: 2},
+	}, nil)
+	check([]ddpScoringMode{
+		{name: "sampled-delta", delta: true, workers: 1, samples: 80},
+		{name: "sampled-delta-parallel", delta: true, workers: 2, samples: 80},
+		{name: "sampled-full-eval-batch", full: true, workers: 1, samples: 80},
+		{name: "sampled-full-eval-batch-parallel", full: true, workers: 2, samples: 80},
+	}, nil)
+
+	// Extend: warm-start from the groups of a short default run.
+	w := ddpWorkload(t)
+	s, err := core.New(core.Config{Policy: w.Policy, Estimator: w.Estimator(datasets.CancelSingleAttribute), WDist: 0.5, WSize: 0.5, MaxSteps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := s.Summarize(w.Prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prior.Groups) == 0 {
+		t.Fatal("prior run produced no groups")
+	}
+	check([]ddpScoringMode{
+		{name: "extend-delta", delta: true, workers: 1},
+		{name: "extend-delta-parallel", delta: true, workers: 2},
+		{name: "extend-full-eval-batch", full: true, workers: 1},
+		{name: "extend-sequential", seq: true, workers: 1},
+	}, prior.Groups)
 }

@@ -21,8 +21,11 @@
 package ddp
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/provenance"
@@ -66,17 +69,26 @@ func (t Transition) String() string {
 	return fmt.Sprintf("⟨0,[%s·%s]%s0⟩", t.D1, t.D2, op)
 }
 
-// key is a canonical form for congruence detection. DB variables within a
-// condition commute.
-func (t Transition) key() string {
+// appendKey appends t's canonical form for congruence detection. DB
+// variables within a condition commute. Costs render in strconv's
+// shortest 'g' form, byte-identical to fmt's %g.
+func (t Transition) appendKey(b []byte) []byte {
 	if t.IsUser() {
-		return fmt.Sprintf("u:%s:%g", t.CostVar, t.Cost)
+		b = append(b, "u:"...)
+		b = append(b, t.CostVar...)
+		b = append(b, ':')
+		return strconv.AppendFloat(b, t.Cost, 'g', -1, 64)
 	}
-	a, b := string(t.D1), string(t.D2)
-	if a > b {
-		a, b = b, a
+	a, c := t.D1, t.D2
+	if a > c {
+		a, c = c, a
 	}
-	return fmt.Sprintf("d:%s:%s:%v", a, b, t.NonZero)
+	b = append(b, "d:"...)
+	b = append(b, a...)
+	b = append(b, ':')
+	b = append(b, c...)
+	b = append(b, ':')
+	return strconv.AppendBool(b, t.NonZero)
 }
 
 // Execution is a product of transitions (one run of the DDP).
@@ -90,24 +102,48 @@ func (e Execution) String() string {
 	return strings.Join(parts, "·")
 }
 
-// key is the canonical form of the execution: transitions commute, and
-// duplicate condition transitions are idempotent (AND), while duplicate
-// user transitions accumulate cost and must be kept.
-func (e Execution) key() string {
-	keys := make([]string, 0, len(e))
-	seen := make(map[string]bool)
+// canonical applies the in-execution congruence and returns the
+// execution's canonical key. Duplicate condition transitions are
+// idempotent (AND): only the first occurrence stays in slim, a fresh
+// slice in transition order. Duplicate user transitions accumulate cost
+// and are kept. The key is the sorted transition keys joined by "*"
+// (transitions commute), so congruent executions share it.
+func (e Execution) canonical() (slim Execution, key string) {
+	// All transition keys render into one buffer; spans index them.
+	// Executions hold a handful of transitions, so both live on the
+	// stack and the key string is the only allocation besides slim.
+	var bufArr [256]byte
+	var spanArr [16][2]int
+	buf, spans := bufArr[:0], spanArr[:0]
+	slim = make(Execution, 0, len(e))
 	for _, t := range e {
-		k := t.key()
-		if !t.IsUser() {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+		start := len(buf)
+		buf = t.appendKey(buf)
+		// A condition key never equals a user key ("d:" vs "u:"
+		// prefixes), so scanning every kept key finds exactly the
+		// duplicate conditions; for a handful of transitions the scan
+		// beats hashing.
+		if !t.IsUser() && slices.ContainsFunc(spans, func(sp [2]int) bool {
+			return bytes.Equal(buf[sp[0]:sp[1]], buf[start:])
+		}) {
+			buf = buf[:start]
+			continue
 		}
-		keys = append(keys, k)
+		spans = append(spans, [2]int{start, len(buf)})
+		slim = append(slim, t)
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "*")
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
+	var outArr [256]byte
+	out := outArr[:0]
+	for i, sp := range spans {
+		if i > 0 {
+			out = append(out, '*')
+		}
+		out = append(out, buf[sp[0]:sp[1]]...)
+	}
+	return slim, string(out)
 }
 
 // CostTruth is the value of a DDP expression under a valuation: the least
@@ -156,29 +192,29 @@ func (e *Expr) Penalty() float64 { return e.MaxCost * float64(e.MaxTransitions) 
 // receiver is unchanged.
 func (e *Expr) Simplify() *Expr {
 	out := &Expr{MaxCost: e.MaxCost, MaxTransitions: e.MaxTransitions}
-	seen := make(map[string]bool)
+	type keyed struct {
+		key string
+		ex  Execution
+	}
+	kept := make([]keyed, 0, len(e.Execs))
+	seen := make(map[string]struct{}, len(e.Execs))
 	for _, ex := range e.Execs {
-		// drop duplicate condition transitions within the execution
-		var slim Execution
-		dup := make(map[string]bool)
-		for _, t := range ex {
-			k := t.key()
-			if !t.IsUser() {
-				if dup[k] {
-					continue
-				}
-				dup[k] = true
-			}
-			slim = append(slim, t)
-		}
-		k := Execution(slim).key()
-		if seen[k] {
+		slim, k := ex.canonical()
+		if _, dup := seen[k]; dup {
 			continue
 		}
-		seen[k] = true
-		out.Execs = append(out.Execs, slim)
+		seen[k] = struct{}{}
+		kept = append(kept, keyed{key: k, ex: slim})
 	}
-	sort.Slice(out.Execs, func(i, j int) bool { return out.Execs[i].key() < out.Execs[j].key() })
+	// Keys are unique after the dedup, so the order is total and the
+	// unstable sort deterministic.
+	sort.Slice(kept, func(i, j int) bool { return kept[i].key < kept[j].key })
+	if len(kept) > 0 {
+		out.Execs = make([]Execution, len(kept))
+		for i, k := range kept {
+			out.Execs[i] = k.ex
+		}
+	}
 	return out
 }
 

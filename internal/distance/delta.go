@@ -8,13 +8,16 @@ import (
 	"repro/internal/provenance"
 )
 
-// deltaProbe pairs a compiled provenance.Probe with the per-candidate
-// metadata the sweep needs: the flattened original members of the merged
-// group (for the φ-truth), whether the candidate touches result
-// alignment, and — only then — the composed cumulative mapping.
+// deltaProbe holds the per-candidate metadata the sweep needs: the
+// probed members, the flattened original members of the merged group
+// (for the φ-truth), whether the candidate touches result alignment, and
+// — only then — the composed cumulative mapping. pr is the compiled
+// arena probe of an aggregation's plan; a BlockPlan's probes ride in
+// the sweep's laneEval instead.
 type deltaProbe struct {
-	pr *provenance.Probe
-	// memberIDs are the dense arena ids of pr.Members (-1 when a member
+	pr      *provenance.Probe
+	members []provenance.Annotation
+	// memberIDs are the dense plan ids of members (-1 when a member
 	// does not occur in the planned expression).
 	memberIDs []int32
 	// memberCols and memberRaw back the blocked sweep's truth columns for
@@ -29,8 +32,9 @@ type deltaProbe struct {
 	// truth the merged group gets.
 	flatIDs []int32
 	// noSkip blocks the truth-delta short-circuit: the candidate renames
-	// a vector coordinate or an aligned original coordinate, so its
-	// result differs from the base even when no truth changes.
+	// a vector coordinate or an aligned original coordinate, or reshapes
+	// a block plan's expression, so its result can differ from the base
+	// even when no truth changes.
 	noSkip bool
 	// alignTouched marks candidates whose merge renames original result
 	// coordinates; they align with composed instead of reusing the base
@@ -68,8 +72,7 @@ type deltaTruths struct {
 	extra     map[provenance.Annotation]int8 // memo for non-interned annotations
 }
 
-func newDeltaTruths(plan *provenance.Plan, base provenance.Groups, phi provenance.Combiner) *deltaTruths {
-	names := plan.Annotations()
+func newDeltaTruths(names []provenance.Annotation, base provenance.Groups, phi provenance.Combiner) *deltaTruths {
 	baseIn := provenance.NewInternerSize(len(names))
 	members := make([][]int32, len(names))
 	rawID := make([]int32, len(names))
@@ -205,25 +208,28 @@ func (d *deltaTruths) truthOf(m provenance.Annotation, id int32) int {
 // compiled plan. base must be the step's inverse view
 // (GroupsOf(origAnns, cum)), and cum the mapping with cur = cum(p0).
 //
-// The default sweep is valuation-blocked: up to 64 valuations evaluate
-// per arena pass (provenance.Arena.EvalBlock), member-vs-merged truth
-// deltas compare as single word operations, and workers partition the
-// valuation blocks. On top of the blocking, the sweep keeps the delta
-// savings: (1) candidates evaluate through the homomorphism identity
-// Eval(h(p), v') = Eval(p, v'∘h) on the shared plan instead of a
-// per-candidate Apply + Eval; (2) a candidate whose merged φ-truth equals
-// every member's pre-merge truth reuses the base evaluation's VAL-FUNC
-// value outright (counted in Stats.DeltaSkips); (3) when truths do
-// change, only the dirty subtrees re-evaluate, lanes in bulk
-// (Stats.DeltaSubtreeEvals). ScalarEval — or a non-blockable arena —
-// falls back to the per-valuation scalar sweep; the two are
-// bit-identical.
+// An aggregation compiles into the arena's plan (provenance.NewPlan);
+// any other expression implementing BlockPlanner (the DDP tropical sum)
+// compiles its own BlockPlan, and both drive the same blocked sweep.
+// The sweep is valuation-blocked: up to 64
+// valuations evaluate per plan pass (provenance.Arena.EvalBlock),
+// member-vs-merged truth deltas compare as single word operations, and
+// workers partition the valuation blocks. On top of the blocking, the
+// sweep keeps the delta savings: (1) candidates evaluate through the
+// homomorphism identity Eval(h(p), v') = Eval(p, v'∘h) on the shared
+// plan instead of a per-candidate Apply + Eval; (2) a candidate whose
+// merged φ-truth equals every member's pre-merge truth reuses the base
+// evaluation's VAL-FUNC value outright (counted in Stats.DeltaSkips);
+// (3) when truths do change, only the dirty subtrees re-evaluate, lanes
+// in bulk (Stats.DeltaSubtreeEvals). For an aggregation, ScalarEval — or
+// a non-blockable arena — falls back to the per-valuation scalar sweep;
+// the two are bit-identical. A block plan is always swept blocked.
 //
 // It returns the per-candidate distances and candidate sizes, computed
 // incrementally (equal to Apply(...).Size()). ok is false — and the
 // caller must fall back to DistanceBatch — when cur cannot be planned
-// (e.g. it is not an aggregated expression) or a probe cannot be
-// compiled soundly (newAnn occurs in cur, reserved annotations).
+// or a probe cannot be compiled soundly (newAnn occurs in cur, reserved
+// annotations).
 //
 // Distances are bit-identical to DistanceBatch and, in enumeration mode,
 // to per-candidate Distance calls; per-candidate sums accumulate in
@@ -231,42 +237,67 @@ func (d *deltaTruths) truthOf(m provenance.Annotation, id int32) int {
 // sample set up front (common random numbers), exactly like
 // DistanceBatch.
 func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation) (dists []float64, sizes []int, ok bool) {
-	plan := e.planOf(cur)
-	if plan == nil {
+	plan, bplan := e.planOf(cur)
+	var names []provenance.Annotation
+	var annID func(provenance.Annotation) (int32, bool)
+	switch {
+	case plan != nil:
+		names, annID = plan.Annotations(), plan.AnnID
+	case bplan != nil:
+		names, annID = bplan.Annotations(), bplan.AnnID
+	default:
 		return nil, nil, false
 	}
-	blocked := !e.ScalarEval && plan.Arena().Blockable()
-	truths := newDeltaTruths(plan, base, e.Phi)
+	blocked := bplan != nil || (!e.ScalarEval && plan.Arena().Blockable())
+	truths := newDeltaTruths(names, base, e.Phi)
 	probes := make([]*deltaProbe, len(cohort))
+	var bprobes []BlockProbe
+	if bplan != nil {
+		bprobes = make([]BlockProbe, len(cohort))
+	}
+	sizes = make([]int, len(cohort))
 	for i, ms := range cohort {
-		pr := plan.Probe(ms, newAnn)
-		if pr == nil {
-			return nil, nil, false
+		dp := &deltaProbe{}
+		if plan != nil {
+			pr := plan.Probe(ms, newAnn)
+			if pr == nil {
+				return nil, nil, false
+			}
+			dp.pr, dp.members, dp.noSkip = pr, pr.Members, pr.RenamesGroup
+			sizes[i] = pr.Size
+		} else {
+			bp := bplan.Probe(ms, newAnn)
+			if bp == nil {
+				return nil, nil, false
+			}
+			bprobes[i] = bp
+			dp.members, dp.noSkip = ms, bp.Reshapes()
+			sizes[i] = bp.Size()
 		}
 		var flat []provenance.Annotation
 		for _, m := range ms {
 			flat = append(flat, base.Members(m)...)
 		}
-		ids := make([]int32, len(pr.Members))
-		for k, m := range pr.Members {
-			id, ok := plan.AnnID(m)
+		dp.flatIDs = truths.internFlat(flat)
+		dp.memberIDs = make([]int32, len(dp.members))
+		for k, m := range dp.members {
+			id, ok := annID(m)
 			if !ok {
 				id = -1
 			}
-			ids[k] = id
+			dp.memberIDs[k] = id
 		}
-		dp := &deltaProbe{pr: pr, memberIDs: ids, flatIDs: truths.internFlat(flat)}
 		if blocked {
 			// Truth columns for uninterned members, mirroring truthOf's
 			// fallback. Built only for the blocked sweep so the scalar
 			// path's raw-truth reads stay untouched.
-			for k, m := range pr.Members {
-				if ids[k] >= 0 {
+			for k, m := range dp.members {
+				if dp.memberIDs[k] >= 0 {
 					continue
 				}
 				if dp.memberCols == nil {
-					dp.memberCols = make([][]int32, len(ids))
-					dp.memberRaw = make([]int32, len(ids))
+					dp.memberCols = make([][]int32, len(dp.members))
+					dp.memberRaw = make([]int32, len(dp.members))
 					for r := range dp.memberRaw {
 						dp.memberRaw[r] = -1
 					}
@@ -289,10 +320,6 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	}()
 
 	out := make([]float64, len(cohort))
-	sizes = make([]int, len(cohort))
-	for i, dp := range probes {
-		sizes[i] = dp.pr.Size
-	}
 	if len(cohort) == 0 {
 		return out, sizes, true
 	}
@@ -306,44 +333,29 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		e.evalOriginal(v, p0)
 	}
 
-	// Alignment metadata. For an aggregated original the result keys are
-	// the same under every valuation, so one evaluation determines which
-	// candidates rename aligned coordinates and whether they need an
-	// AlignResult at all; non-vector results align unconditionally, like
-	// needsAlign.
-	origVec, origIsVec := e.evalOriginal(vals[0], p0).(provenance.Vector)
-	baseNeedsAlign := needsAlign(e.evalOriginal(vals[0], p0), cum)
-	var renamedKeys map[provenance.Annotation]struct{}
-	if origIsVec {
-		renamedKeys = make(map[provenance.Annotation]struct{}, len(origVec))
-		for k := range origVec {
-			if k != "" {
-				renamedKeys[cum.Rename(k)] = struct{}{}
-			}
-		}
-	}
-	for _, dp := range probes {
-		touched := !origIsVec
-		if origIsVec {
-			for _, m := range dp.pr.Members {
-				if _, hit := renamedKeys[m]; hit {
-					touched = true
-					break
-				}
-			}
-		}
-		dp.alignTouched = touched
-		dp.noSkip = dp.pr.RenamesGroup || (origIsVec && touched)
-		if touched {
-			step := provenance.MergeMapping(newAnn, dp.pr.Members...)
-			dp.composed = cum.Compose(step)
-			dp.needsAlign = needsAlign(e.evalOriginal(vals[0], p0), dp.composed)
-		}
+	// Alignment metadata. A block plan's results carry no keys, so
+	// nothing ever aligns. For an aggregated original the result keys
+	// are the same under every valuation, so one evaluation determines
+	// which candidates rename aligned coordinates and whether they need
+	// an AlignResult at all; non-vector results align unconditionally,
+	// like needsAlign.
+	baseNeedsAlign := false
+	if plan != nil {
+		e.alignProbes(p0, cum, probes, vals[0], newAnn)
+		baseNeedsAlign = needsAlign(e.evalOriginal(vals[0], p0), cum)
 	}
 
-	if blocked {
-		e.deltaBlocked(p0, cur, cum, truths, plan, probes, vals, baseNeedsAlign, out)
-	} else {
+	switch {
+	case bplan != nil:
+		deltaBlocked(e, p0, cur, cum, truths, probes, vals, baseNeedsAlign, out, func() laneEval[provenance.Result] {
+			return &blockPlanEval{ev: bplan.NewEvaluator(), probes: bprobes}
+		})
+	case blocked:
+		ar := plan.Arena()
+		deltaBlocked(e, p0, cur, cum, truths, probes, vals, baseNeedsAlign, out, func() laneEval[provenance.Vector] {
+			return &arenaEval{ar: ar, bs: ar.GetBlockScratch(), probes: probes}
+		})
+	default:
 		workers := e.Parallelism
 		if workers > len(cohort) {
 			workers = len(cohort)
@@ -379,6 +391,43 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	return out, sizes, true
 }
 
+// alignProbes fills the alignment metadata of an aggregation's probes:
+// which candidates rename original result coordinates (and so must align
+// with their composed mapping), and which of those need an AlignResult
+// at all. v is any valuation: an aggregated original's result keys do
+// not depend on it.
+func (e *Estimator) alignProbes(p0 provenance.Expression, cum provenance.Mapping, probes []*deltaProbe, v provenance.Valuation, newAnn provenance.Annotation) {
+	orig := e.evalOriginal(v, p0)
+	origVec, origIsVec := orig.(provenance.Vector)
+	var renamedKeys map[provenance.Annotation]struct{}
+	if origIsVec {
+		renamedKeys = make(map[provenance.Annotation]struct{}, len(origVec))
+		for k := range origVec {
+			if k != "" {
+				renamedKeys[cum.Rename(k)] = struct{}{}
+			}
+		}
+	}
+	for _, dp := range probes {
+		touched := !origIsVec
+		if origIsVec {
+			for _, m := range dp.members {
+				if _, hit := renamedKeys[m]; hit {
+					touched = true
+					break
+				}
+			}
+		}
+		dp.alignTouched = touched
+		dp.noSkip = dp.noSkip || (origIsVec && touched)
+		if touched {
+			step := provenance.MergeMapping(newAnn, dp.members...)
+			dp.composed = cum.Compose(step)
+			dp.needsAlign = needsAlign(orig, dp.composed)
+		}
+	}
+}
+
 // deltaSweep scores probes[lo:hi] against every valuation: the scalar
 // fallback of the blocked sweep (ScalarEval, non-blockable arenas). Each
 // call takes a pooled truth fork and arena scratch, so concurrent sweeps
@@ -402,7 +451,7 @@ func (e *Estimator) deltaSweep(p0, cur provenance.Expression, cum provenance.Map
 			dp := probes[ci]
 			mergedN := truths.combineIDs(dp.flatIDs)
 			changed := false
-			for k, m := range dp.pr.Members {
+			for k, m := range dp.members {
 				if truths.truthOf(m, dp.memberIDs[k]) != mergedN {
 					changed = true
 					break
@@ -438,15 +487,66 @@ func (e *Estimator) deltaSweep(p0, cur provenance.Expression, cum provenance.Map
 	e.putTruths(truths)
 }
 
+// laneEval is one blocked-sweep worker's evaluator over the step plan,
+// generic over the per-lane result type R: provenance.Vector lanes for an
+// aggregation's arena plan, provenance.Result lanes for a BlockPlan.
+// evalBlock evaluates the base expression on every lane of a truth
+// block; candEvalBlock then evaluates probe ci's
+// candidate on the changed lanes, reading the base pass. release returns
+// the dirty re-evaluation count and recycles the worker's scratch.
+type laneEval[R any] interface {
+	evalBlock(tb *provenance.TruthBlock, out []R)
+	candEvalBlock(ci int, merged, changed uint64, base, out []R)
+	release() (subtreeEvals uint64)
+}
+
+// arenaEval drives an aggregation's plan: the arena's blocked kernel and
+// the compiled probes.
+type arenaEval struct {
+	ar     *provenance.Arena
+	bs     *provenance.BlockScratch
+	probes []*deltaProbe
+}
+
+func (a *arenaEval) evalBlock(tb *provenance.TruthBlock, out []provenance.Vector) {
+	a.ar.EvalBlock(tb, a.bs, out)
+}
+
+func (a *arenaEval) candEvalBlock(ci int, merged, changed uint64, base, out []provenance.Vector) {
+	a.probes[ci].pr.CandEvalBlock(merged, changed, base, a.bs, out)
+}
+
+func (a *arenaEval) release() uint64 {
+	n := a.bs.SubtreeEvals
+	a.ar.PutBlockScratch(a.bs)
+	return n
+}
+
+// blockPlanEval drives a BlockPlan through its evaluator.
+type blockPlanEval struct {
+	ev     BlockEvaluator
+	probes []BlockProbe
+}
+
+func (b *blockPlanEval) evalBlock(tb *provenance.TruthBlock, out []provenance.Result) {
+	b.ev.EvalBlock(tb, out)
+}
+
+func (b *blockPlanEval) candEvalBlock(ci int, merged, changed uint64, _, out []provenance.Result) {
+	b.ev.CandEvalBlock(b.probes[ci], merged, changed, out)
+}
+
+func (b *blockPlanEval) release() uint64 { return b.ev.Release() }
+
 // deltaBlockState is the worker-private state of one blocked delta
 // sweep: the packed raw-truth columns of the current block, the truth
-// block handed to the arena, and the per-lane evaluation vectors and
+// block handed to the plan, and the per-lane evaluation results and
 // VAL-FUNC caches. It is pooled on the estimator.
-type deltaBlockState struct {
+type deltaBlockState[R any] struct {
 	baseTruthW []uint64 // per baseIn id: packed raw truths of the block
 	tb         *provenance.TruthBlock
-	base       []provenance.Vector // per lane: base evaluation
-	cand       []provenance.Vector // per lane: candidate evaluation
+	base       []R                 // per lane: base evaluation
+	cand       []R                 // per lane: candidate evaluation
 	aligned    []provenance.Result // per lane: base-aligned original
 	origs      []provenance.Result // per lane: original evaluation
 	baseVF     []float64           // per lane: cached base VAL-FUNC value
@@ -454,13 +554,16 @@ type deltaBlockState struct {
 	bscratch   []bool
 }
 
-func (e *Estimator) getBlockState() *deltaBlockState {
-	st, ok := e.blockStatePool.Get().(*deltaBlockState)
+// getBlockState takes a pooled block state for lanes of type R. An
+// estimator scores one kind of expression in practice, so a pooled state
+// of the other lane type is simply dropped.
+func getBlockState[R any](e *Estimator) *deltaBlockState[R] {
+	st, ok := e.blockStatePool.Get().(*deltaBlockState[R])
 	if !ok {
-		st = &deltaBlockState{
+		st = &deltaBlockState[R]{
 			tb:      provenance.NewTruthBlock(),
-			base:    make([]provenance.Vector, 64),
-			cand:    make([]provenance.Vector, 64),
+			base:    make([]R, 64),
+			cand:    make([]R, 64),
 			aligned: make([]provenance.Result, 64),
 			origs:   make([]provenance.Result, 64),
 			baseVF:  make([]float64, 64),
@@ -469,13 +572,18 @@ func (e *Estimator) getBlockState() *deltaBlockState {
 	return st
 }
 
-// putBlockState recycles a block state. The lane vectors stay (their
-// reuse is the point of the pool); result references are dropped so the
-// pool never pins evaluation results alive.
-func (e *Estimator) putBlockState(st *deltaBlockState) {
+// putBlockState recycles a block state. Vector lanes stay (their reuse
+// is the point of the pool: EvalBlock refills them in place); result
+// references are dropped so the pool never pins evaluation results
+// alive.
+func putBlockState[R any](e *Estimator, st *deltaBlockState[R]) {
 	for i := range st.aligned {
 		st.aligned[i] = nil
 		st.origs[i] = nil
+	}
+	if _, vec := any(st.base).([]provenance.Vector); !vec {
+		clear(st.base)
+		clear(st.cand)
 	}
 	e.blockStatePool.Put(st)
 }
@@ -485,7 +593,7 @@ func (e *Estimator) putBlockState(st *deltaBlockState) {
 // provenance.WordCombiner (φ = OR, AND) combine whole words; others fall
 // back to a per-lane bool column, bit-identical by the WordCombiner
 // contract.
-func (st *deltaBlockState) combineW(ids []int32, phi provenance.Combiner, mask uint64, lanes int) uint64 {
+func (st *deltaBlockState[R]) combineW(ids []int32, phi provenance.Combiner, mask uint64, lanes int) uint64 {
 	if wc, ok := phi.(provenance.WordCombiner); ok {
 		ws := st.wscratch[:0]
 		for _, id := range ids {
@@ -511,13 +619,13 @@ func (st *deltaBlockState) combineW(ids []int32, phi provenance.Combiner, mask u
 }
 
 // deltaBlocked runs the valuation-blocked sweep: workers partition the
-// 64-lane valuation blocks (not the candidates), each writing disjoint
-// lane columns of a candidate × valuation summand matrix. The final
-// per-candidate sum is a sequential left-fold over that matrix in
-// valuation order, so results are bit-identical to the scalar sweep at
-// any worker count. Candidates are chunked when the matrix would
-// otherwise outgrow a fixed cell budget.
-func (e *Estimator) deltaBlocked(p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, plan *provenance.Plan, probes []*deltaProbe, vals []provenance.Valuation, baseNeedsAlign bool, out []float64) {
+// 64-lane valuation blocks (not the candidates), each with its own
+// laneEval from newEval, writing disjoint lane columns of a candidate ×
+// valuation summand matrix. The final per-candidate sum is a sequential
+// left-fold over that matrix in valuation order, so results are
+// bit-identical to the scalar sweep at any worker count. Candidates are
+// chunked when the matrix would otherwise outgrow a fixed cell budget.
+func deltaBlocked[R provenance.Result](e *Estimator, p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, baseNeedsAlign bool, out []float64, newEval func() laneEval[R]) {
 	V := len(vals)
 	nBlocks := (V + 63) / 64
 	workers := e.Parallelism
@@ -543,7 +651,7 @@ func (e *Estimator) deltaBlocked(p0, cur provenance.Expression, cum provenance.M
 	for cLo := 0; cLo < len(probes); cLo += chunk {
 		cHi := min(len(probes), cLo+chunk)
 		if workers <= 1 {
-			e.deltaBlockSweep(p0, cur, cum, shared, plan, probes, vals, cols, baseNeedsAlign, vf, cLo, cHi, 0, nBlocks)
+			deltaBlockSweep(e, p0, cur, cum, shared, probes, vals, cols, baseNeedsAlign, vf, cLo, cHi, 0, nBlocks, newEval())
 		} else {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -552,7 +660,7 @@ func (e *Estimator) deltaBlocked(p0, cur provenance.Expression, cum provenance.M
 				wg.Add(1)
 				go func(bLo, bHi int) {
 					defer wg.Done()
-					e.deltaBlockSweep(p0, cur, cum, shared, plan, probes, vals, cols, baseNeedsAlign, vf, cLo, cHi, bLo, bHi)
+					deltaBlockSweep(e, p0, cur, cum, shared, probes, vals, cols, baseNeedsAlign, vf, cLo, cHi, bLo, bHi, newEval())
 				}(bLo, bHi)
 			}
 			wg.Wait()
@@ -573,14 +681,12 @@ func (e *Estimator) deltaBlocked(p0, cur provenance.Expression, cum provenance.M
 // its vf matrix cell. Per block it loads the prewarmed raw truth words
 // (cols[i][b] is annotation i's packed column word for block b),
 // φ-combines extended truth columns word-wise, evaluates the base
-// through Arena.EvalBlock, and per candidate compares member columns
-// against the merged column with XORs: the changed-lane word drives
-// both the skip accounting and the one CandEvalBlock call that
-// re-evaluates all changed lanes of the dirty subtree together.
-func (e *Estimator) deltaBlockSweep(p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, plan *provenance.Plan, probes []*deltaProbe, vals []provenance.Valuation, cols [][]uint64, baseNeedsAlign bool, vf []float64, cLo, cHi, bLo, bHi int) {
-	ar := plan.Arena()
-	st := e.getBlockState()
-	bs := ar.GetBlockScratch()
+// through ev, and per candidate compares member columns against the
+// merged column with XORs: the changed-lane word drives both the skip
+// accounting and the one candEvalBlock call that re-evaluates all
+// changed lanes together.
+func deltaBlockSweep[R provenance.Result](e *Estimator, p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, cols [][]uint64, baseNeedsAlign bool, vf []float64, cLo, cHi, bLo, bHi int, ev laneEval[R]) {
+	st := getBlockState[R](e)
 	names := shared.names
 	V := len(vals)
 	var skips, fulls uint64
@@ -603,7 +709,7 @@ func (e *Estimator) deltaBlockSweep(p0, cur provenance.Expression, cum provenanc
 			}
 			st.tb.SetWord(int32(id), w)
 		}
-		ar.EvalBlock(st.tb, bs, st.base[:lanes])
+		ev.evalBlock(st.tb, st.base[:lanes])
 		for j, v := range block {
 			orig := e.evalOriginal(v, p0) // cache hit after the prewarm
 			st.origs[j] = orig
@@ -648,7 +754,7 @@ func (e *Estimator) deltaBlockSweep(p0, cur provenance.Expression, cum provenanc
 				skips += uint64(bits.OnesCount64(skipW))
 			}
 			if changedW != 0 {
-				dp.pr.CandEvalBlock(mergedW, changedW, st.base[:lanes], bs, st.cand[:lanes])
+				ev.candEvalBlock(ci, mergedW, changedW, st.base[:lanes], st.cand[:lanes])
 				for w := changedW; w != 0; w &= w - 1 {
 					j := bits.TrailingZeros64(w)
 					aligned := st.aligned[j]
@@ -668,9 +774,8 @@ func (e *Estimator) deltaBlockSweep(p0, cur provenance.Expression, cum provenanc
 	e.stats.deltaSkips.Add(skips)
 	e.stats.deltaFullEvals.Add(fulls)
 	e.stats.evaluations.Add(fulls)
-	e.stats.deltaSubtreeEvals.Add(bs.SubtreeEvals)
-	ar.PutBlockScratch(bs)
-	e.putBlockState(st)
+	e.stats.deltaSubtreeEvals.Add(ev.release())
+	putBlockState(e, st)
 }
 
 // fitBools, fitInt8s, and fitUint64s grow (or re-slice) pooled slabs to

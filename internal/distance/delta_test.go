@@ -369,7 +369,7 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 	}
 	base := provenance.GroupsOf(p0.Annotations(), cum)
 	plan := provenance.NewPlan(cur)
-	shared := newDeltaTruths(plan, base, provenance.CombineOr)
+	shared := newDeltaTruths(plan.Annotations(), base, provenance.CombineOr)
 	if want := 4; shared.baseIn.Len() != want {
 		t.Fatalf("interned %d base annotations, want %d (members a,c plus raw b and group key u)", shared.baseIn.Len(), want)
 	}

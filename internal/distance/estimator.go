@@ -58,7 +58,8 @@ type Estimator struct {
 	// the flat arena (provenance.CompileArena). Results are
 	// bit-identical either way; the flag exists as an A/B switch and for
 	// the arena-vs-legacy differential tests. DistanceDelta is
-	// unaffected: the plan/probe engine is arena-native.
+	// unaffected: its plans (the arena's, or an expression's own
+	// BlockPlan) are compiled by construction.
 	LegacyEval bool
 	// ScalarEval forces per-valuation scalar arena evaluation instead of
 	// the valuation-blocked kernel (provenance.Arena.EvalBlock) in
@@ -66,7 +67,8 @@ type Estimator struct {
 	// bit-identical either way; the flag exists as an A/B switch and for
 	// the block-vs-scalar differential tests. Arenas that are not
 	// Blockable (negative compiled constants) take the scalar path
-	// regardless of the flag.
+	// regardless of the flag; a BlockPlan (DDP) has no scalar path and
+	// ignores it.
 	ScalarEval bool
 	// NoMergePatch disables CommitMerge's in-place plan patching
 	// (provenance.Plan.ApplyMerge), so every summarization step
@@ -85,10 +87,13 @@ type Estimator struct {
 	// deltaBlocked's prewarm, read concurrently by its sweep workers.
 	truthCols map[provenance.Annotation][]uint64
 
-	// plan caches the compiled evaluation plan of the current expression
-	// for DistanceDelta, keyed by expression identity like origCache.
-	plan    *provenance.Plan
-	planFor provenance.Expression
+	// plan and blockPlan cache the compiled evaluation plan of the
+	// current expression for DistanceDelta (at most one is set), keyed
+	// by expression identity like origCache. A block plan is recompiled
+	// every step; only an arena plan is patched by CommitMerge.
+	plan      *provenance.Plan
+	blockPlan BlockPlan
+	planFor   provenance.Expression
 
 	// forkPool recycles the per-worker valuation state of scalar delta
 	// sweeps (deltaTruths), and blockStatePool the per-worker state of
@@ -161,7 +166,8 @@ type Stats struct {
 	// that did need a candidate evaluation (their VAL-FUNC summands are
 	// also in Evaluations); DeltaSubtreeEvals counts the expression nodes
 	// those evaluations recomputed — the rest came from the per-valuation
-	// node-result memo.
+	// node-result memo (for a DDP block plan: the surviving executions a
+	// merge touched, per re-evaluated lane).
 	DeltaSkips, DeltaSubtreeEvals, DeltaFullEvals uint64
 	// MergePatches counts committed merges that CommitMerge patched into
 	// the cached plan's arena in place (provenance.Plan.ApplyMerge);
@@ -320,8 +326,15 @@ func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative pro
 // DistanceDelta reuses the compiled arena instead of recompiling the
 // whole expression. ApplyMerge self-verifies against next; a refused
 // patch (or NoMergePatch) just drops the cached plan and the next step
-// recompiles — either way results are unchanged.
+// recompiles — either way results are unchanged. A block plan is never
+// patched: the commit drops it, so an estimator between runs pins no
+// plan.
 func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) {
+	if e.blockPlan != nil {
+		e.blockPlan = nil
+		e.planFor = nil
+		return
+	}
 	if e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
 		return
 	}
@@ -448,6 +461,7 @@ func (e *Estimator) ResetCache() {
 	e.cachedFor = nil
 	e.truthCols = nil
 	e.plan = nil
+	e.blockPlan = nil
 	e.planFor = nil
 }
 
@@ -480,16 +494,22 @@ func (e *Estimator) truthColumn(a provenance.Annotation, vals []provenance.Valua
 // planOf returns the compiled evaluation plan for cur, cached by
 // expression identity across the calls of one summarization step (a step
 // scores its pair cohort and any k-ary growth rounds against the same
-// cur). Returns nil when cur cannot be planned.
-func (e *Estimator) planOf(cur provenance.Expression) *provenance.Plan {
-	if !comparableExpr(cur) {
-		return provenance.NewPlan(cur)
+// cur): the arena plan of an aggregation, or the block plan of an
+// expression implementing BlockPlanner. Both are nil when cur
+// cannot be planned.
+func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan) {
+	if comparableExpr(cur) && e.planFor == cur {
+		return e.plan, e.blockPlan
 	}
-	if e.planFor != cur {
-		e.plan = provenance.NewPlan(cur)
-		e.planFor = cur
+	plan := provenance.NewPlan(cur)
+	var bplan BlockPlan
+	if bp, ok := cur.(BlockPlanner); ok && plan == nil {
+		bplan = bp.BlockPlan()
 	}
-	return e.plan
+	if comparableExpr(cur) {
+		e.plan, e.blockPlan, e.planFor = plan, bplan, cur
+	}
+	return plan, bplan
 }
 
 // Prewarm fills the original-expression cache with the evaluation of p0

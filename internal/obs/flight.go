@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -33,8 +34,9 @@ type FlightRecorderConfig struct {
 // job failure). Captures are rate-limited so a failure storm produces
 // one bundle, not thousands. A nil *FlightRecorder is a valid no-op.
 type FlightRecorder struct {
-	cfg      FlightRecorderConfig
-	captures *Counter
+	cfg         FlightRecorderConfig
+	captures    *Counter
+	writeErrors *Counter
 
 	mu   sync.Mutex
 	last time.Time
@@ -59,8 +61,9 @@ func NewFlightRecorder(reg *Registry, cfg FlightRecorderConfig) (*FlightRecorder
 		cfg.Clock = time.Now
 	}
 	return &FlightRecorder{
-		cfg:      cfg,
-		captures: reg.Counter("prox_flight_captures_total", "Flight-recorder bundles written.", nil),
+		cfg:         cfg,
+		captures:    reg.Counter("prox_flight_captures_total", "Flight-recorder bundles written.", nil),
+		writeErrors: reg.Counter("prox_flight_write_errors_total", "Flight-recorder writes that failed; a failed capture publishes no bundle.", nil),
 	}, nil
 }
 
@@ -75,8 +78,17 @@ type flightMeta struct {
 // Capture writes a bundle for reason (annotated with trace when
 // non-zero) and returns its directory. Rate-limited captures return
 // ("", nil). The bundle holds meta.json, goroutines.txt, trace.json
-// (the span tree, or all retained traces when no trace id is given) and
-// optionally cpu.pprof, completed asynchronously.
+// (the span tree, or all retained traces when no trace id is given)
+// when a Tracer is configured, and optionally cpu.pprof, completed
+// asynchronously.
+//
+// A bundle is published atomically: it is filled in a hidden temporary
+// directory under Dir (".capture-*") and renamed into place, so a
+// bundle directory that is visible under its final name always holds
+// every file above except the asynchronous CPU profile, which appears
+// later by a rename of its own. A failed write is counted in
+// prox_flight_write_errors_total, the temporary directory is removed,
+// and the error is returned: nothing is published.
 func (f *FlightRecorder) Capture(reason string, trace TraceID) (string, error) {
 	if f == nil {
 		return "", nil
@@ -92,37 +104,30 @@ func (f *FlightRecorder) Capture(reason string, trace TraceID) (string, error) {
 	seq := f.seq
 	f.mu.Unlock()
 
-	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-%03d-%s",
-		now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason)))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-
 	meta := flightMeta{Reason: reason, CapturedAt: now, CPUProfile: f.cfg.CPUProfile > 0}
 	if !trace.IsZero() {
 		meta.Trace = trace.String()
 	}
-	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
+	tmp, err := os.MkdirTemp(f.cfg.Dir, ".capture-*")
+	if err != nil {
+		f.writeErrors.Inc()
 		return "", err
 	}
-
-	if g, err := os.Create(filepath.Join(dir, "goroutines.txt")); err == nil {
-		_ = pprof.Lookup("goroutine").WriteTo(g, 2)
-		_ = g.Close()
+	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-%03d-%s",
+		now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason)))
+	// MkdirTemp creates the directory private; published bundles keep
+	// the permissions bundles have always had.
+	err = os.Chmod(tmp, 0o755)
+	if err == nil {
+		err = f.fill(tmp, meta, trace)
 	}
-
-	if t := f.cfg.Tracer; t != nil {
-		if !trace.IsZero() {
-			if spans, dropped, ok := t.Spans(trace); ok {
-				_ = writeJSON(filepath.Join(dir, "trace.json"), map[string]any{
-					"id": trace.String(), "dropped": dropped, "spans": spans,
-				})
-			}
-		} else {
-			_ = writeJSON(filepath.Join(dir, "trace.json"), map[string]any{
-				"traces": t.Traces(),
-			})
-		}
+	if err == nil {
+		err = os.Rename(tmp, dir)
+	}
+	if err != nil {
+		f.writeErrors.Inc()
+		_ = os.RemoveAll(tmp)
+		return "", err
 	}
 
 	if f.cfg.CPUProfile > 0 {
@@ -134,21 +139,73 @@ func (f *FlightRecorder) Capture(reason string, trace TraceID) (string, error) {
 	return dir, nil
 }
 
-// cpuProfile records a CPU profile into dir. Errors (e.g. another
-// profile already running) are logged and dropped — the rest of the
-// bundle is already on disk.
+// fill writes the synchronous bundle files into dir.
+func (f *FlightRecorder) fill(dir string, meta flightMeta, trace TraceID) error {
+	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dir, "goroutines.txt"), func(w io.Writer) error {
+		return pprof.Lookup("goroutine").WriteTo(w, 2)
+	}); err != nil {
+		return err
+	}
+	t := f.cfg.Tracer
+	if t == nil {
+		return nil
+	}
+	if trace.IsZero() {
+		return writeJSON(filepath.Join(dir, "trace.json"), map[string]any{
+			"traces": t.Traces(),
+		})
+	}
+	// An evicted (or never recorded) trace still gets a trace.json, so
+	// every bundle has the same files.
+	spans, dropped, ok := t.Spans(trace)
+	return writeJSON(filepath.Join(dir, "trace.json"), map[string]any{
+		"id": trace.String(), "found": ok, "dropped": dropped, "spans": spans,
+	})
+}
+
+// cpuProfile records a CPU profile into dir, through a temporary file
+// renamed into place, so a visible cpu.pprof is always complete. Errors
+// (e.g. another profile already running) are logged and dropped — the
+// rest of the bundle is already published.
 func (f *FlightRecorder) cpuProfile(dir string) {
-	out, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	tmp := filepath.Join(dir, ".cpu.pprof.tmp")
+	out, err := os.Create(tmp)
 	if err != nil {
+		f.writeErrors.Inc()
 		return
 	}
-	defer out.Close()
 	if err := pprof.StartCPUProfile(out); err != nil {
 		f.cfg.Log.Debug("flight recorder cpu profile unavailable", "err", err)
+		_ = out.Close()
+		_ = os.Remove(tmp)
 		return
 	}
 	time.Sleep(f.cfg.CPUProfile)
 	pprof.StopCPUProfile()
+	if err := out.Close(); err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, "cpu.pprof"))
+	}
+	if err != nil {
+		f.writeErrors.Inc()
+		_ = os.Remove(tmp)
+	}
+}
+
+// writeFile creates path, fills it with write and closes it, returning
+// the first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(out); err != nil {
+		_ = out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 func writeJSON(path string, v any) error {

@@ -363,7 +363,9 @@ func TestJobTraceContiguityAcrossRestart(t *testing.T) {
 
 // TestSLOBreachWritesFlightBundle induces an HTTP SLO breach (1ns
 // threshold: every request is a bad event) and asserts the flight
-// recorder lands a bundle on disk.
+// recorder lands a bundle on disk. Bundles are published by renaming a
+// filled hidden directory into place, so every visible bundle directory
+// must already hold all of its files the first time it is seen.
 func TestSLOBreachWritesFlightBundle(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -389,14 +391,21 @@ func TestSLOBreachWritesFlightBundle(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		entries, _ := os.ReadDir(dir)
+		found := false
 		for _, e := range entries {
-			if !e.IsDir() || !strings.Contains(e.Name(), "slo-breach") {
-				continue
+			if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+				continue // in-progress captures are hidden
 			}
 			for _, f := range []string{"meta.json", "goroutines.txt", "trace.json"} {
 				if _, err := os.Stat(filepath.Join(dir, e.Name(), f)); err != nil {
-					t.Fatalf("bundle %s missing %s: %v", e.Name(), f, err)
+					t.Fatalf("visible bundle %s missing %s: %v", e.Name(), f, err)
 				}
+			}
+			found = found || strings.Contains(e.Name(), "slo-breach")
+		}
+		if found {
+			if v := reg.Counter("prox_flight_write_errors_total", "", nil).Value(); v != 0 {
+				t.Fatalf("prox_flight_write_errors_total = %g, want 0", v)
 			}
 			return
 		}

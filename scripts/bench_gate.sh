@@ -44,6 +44,8 @@ run_bench() { # $1 = -bench regexp, $2 = -benchtime, $3 = package
 # the gate's noise budget; single-digit counts measured 2-3x high.
 # -benchmem feeds the allocs/op gate below.
 run_bench 'ArenaEval|AggEval|EvalBlock' 20000x ./internal/provenance/
+# The step pair covers both plan kinds: MovieLens on the arena plan and
+# DDP on its tropical block plan (SummarizeStepScoringDDP{,Batch}).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
 run_bench 'SummarizeScoring(Sequential|Batch|Delta)$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
