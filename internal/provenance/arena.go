@@ -178,8 +178,8 @@ type Arena struct {
 }
 
 // CompileArena compiles g into an arena. It returns nil when g is nil or
-// a polynomial contains an unknown node type; callers must fall back to
-// interface-dispatch evaluation.
+// a polynomial contains an unknown node type or a constant outside
+// int32; callers must fall back to interface-dispatch evaluation.
 func CompileArena(g *Agg) *Arena {
 	if g == nil {
 		return nil
@@ -271,6 +271,9 @@ func (a *Arena) compile(e Expr) int32 {
 	case Var:
 		return a.push(nodeVar, a.in.Intern(n.Ann), 0, nil, 0, 0, 0)
 	case Const:
+		if int(int32(n.N)) != n.N {
+			a.bad = true // the node table holds int32 constants
+		}
 		return a.push(nodeConst, -1, int32(n.N), nil, 0, 0, 0)
 	case Sum:
 		kids := make([]int32, len(n.Terms))
@@ -479,14 +482,16 @@ func (a *Arena) SetTensors(roots []int32, values []float64, groups []Annotation,
 	a.computeCone()
 }
 
-// Appendable reports whether e consists solely of node types the arena
-// can compile (Var/Const/Sum/Prod/Cmp). AppendSpan callers must check it
-// first: compile marks the whole arena bad on an unknown node type,
-// which would poison the live expression.
+// Appendable reports whether e consists solely of nodes the arena can
+// compile (Var/Const/Sum/Prod/Cmp, constants within int32). AppendSpan
+// callers must check it first: compile marks the whole arena bad on
+// anything else, which would poison the live expression.
 func (a *Arena) Appendable(e Expr) bool {
 	switch n := e.(type) {
-	case Var, Const:
+	case Var:
 		return true
+	case Const:
+		return int(int32(n.N)) == n.N
 	case Sum:
 		for _, t := range n.Terms {
 			if !a.Appendable(t) {

@@ -109,6 +109,13 @@ func TestCompileArenaRejects(t *testing.T) {
 	if CompileArena(g) != nil {
 		t.Fatal("CompileArena accepted an expression with an unknown node type")
 	}
+	wide := NewAgg(AggSum, Tensor{Prov: Prod{Factors: []Expr{V("a"), Const{1 << 33}}}, Value: 1, Count: 1, Group: "g"})
+	if CompileArena(wide) != nil {
+		t.Fatal("CompileArena accepted a constant its int32 node table would truncate")
+	}
+	if CompileArena(planFixture(AggSum)).Appendable(Const{1 << 33}) {
+		t.Fatal("Appendable accepted a constant outside int32")
+	}
 }
 
 // TestArenaScratchReuse checks that one scratch gives identical results

@@ -1,8 +1,11 @@
 package provenance
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -152,8 +155,8 @@ func (c Const) EvalNat(func(Annotation) int) int        { return c.N }
 func (c Const) MapAnn(func(Annotation) Annotation) Expr { return c }
 func (c Const) CollectAnns(map[Annotation]struct{})     {}
 func (c Const) Size() int                               { return 0 }
-func (c Const) Key() string                             { return fmt.Sprintf("c:%d", c.N) }
-func (c Const) String() string                          { return fmt.Sprintf("%d", c.N) }
+func (c Const) Key() string                             { return "c:" + strconv.Itoa(c.N) }
+func (c Const) String() string                          { return strconv.Itoa(c.N) }
 
 // --- Sum ---
 
@@ -188,12 +191,7 @@ func (s Sum) Size() int {
 }
 
 func (s Sum) Key() string {
-	keys := make([]string, len(s.Terms))
-	for i, t := range s.Terms {
-		keys[i] = t.Key()
-	}
-	sort.Strings(keys)
-	return "s(" + strings.Join(keys, "+") + ")"
+	return string(appendNaryKey(make([]byte, 0, 128), "s(", '+', s.Terms))
 }
 
 func (s Sum) String() string {
@@ -240,12 +238,7 @@ func (p Prod) Size() int {
 }
 
 func (p Prod) Key() string {
-	keys := make([]string, len(p.Factors))
-	for i, f := range p.Factors {
-		keys[i] = f.Key()
-	}
-	sort.Strings(keys)
-	return "p(" + strings.Join(keys, "*") + ")"
+	return string(appendNaryKey(make([]byte, 0, 128), "p(", '*', p.Factors))
 }
 
 func (p Prod) String() string {
@@ -277,11 +270,76 @@ func (c Cmp) CollectAnns(set map[Annotation]struct{}) { c.Inner.CollectAnns(set)
 func (c Cmp) Size() int                               { return c.Inner.Size() }
 
 func (c Cmp) Key() string {
-	return fmt.Sprintf("q(%s⊗%g%s%g)", c.Inner.Key(), c.Value, c.Op, c.Bound)
+	return string(appendCmpKey(appendKey(append(make([]byte, 0, 128), "q("...), c.Inner), c.Value, c.Op, c.Bound))
 }
 
 func (c Cmp) String() string {
 	return fmt.Sprintf("[%s ⊗ %g %s %g]", c.Inner, c.Value, c.Op, c.Bound)
+}
+
+// appendKey appends e.Key() to dst. The node kinds build their keys
+// with append into one buffer, child keys included, so no per-child
+// string is allocated; other Expr implementations append their own Key.
+func appendKey(dst []byte, e Expr) []byte {
+	switch n := e.(type) {
+	case Var:
+		return append(append(dst, "v:"...), n.Ann...)
+	case Const:
+		return strconv.AppendInt(append(dst, "c:"...), int64(n.N), 10)
+	case Sum:
+		return appendNaryKey(dst, "s(", '+', n.Terms)
+	case Prod:
+		return appendNaryKey(dst, "p(", '*', n.Factors)
+	case Cmp:
+		return appendCmpKey(appendKey(append(dst, "q("...), n.Inner), n.Value, n.Op, n.Bound)
+	}
+	return append(dst, e.Key()...)
+}
+
+// appendNaryKey appends the key of a Sum (open "s(", sep '+') or Prod
+// (open "p(", sep '*') over kids.
+func appendNaryKey(dst []byte, open string, sep byte, kids []Expr) []byte {
+	start := len(dst)
+	var stack [8][2]int
+	spans := stack[:0]
+	for _, k := range kids {
+		lo := len(dst)
+		dst = appendKey(dst, k)
+		spans = append(spans, [2]int{lo, len(dst)})
+	}
+	return joinSortedKeys(dst, start, open, sep, spans)
+}
+
+// joinSortedKeys rewrites dst[start:], which holds child keys at the
+// given spans, into open, the keys in ascending byte order joined by
+// sep, and ")": the Sum/Prod key layout. Building the child keys in
+// place and moving them allocates no per-child string.
+func joinSortedKeys(dst []byte, start int, open string, sep byte, spans [][2]int) []byte {
+	keys := dst
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(keys[a[0]:a[1]], keys[b[0]:b[1]])
+	})
+	mid := len(dst)
+	dst = append(dst, open...)
+	for i, sp := range spans {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = append(dst, dst[sp[0]:sp[1]]...)
+	}
+	dst = append(dst, ')')
+	return dst[:start+copy(dst[start:], dst[mid:])]
+}
+
+// appendCmpKey appends the tail of a guard key after its inner key:
+// "⊗" value op bound ")". strconv's shortest 'g' form is exactly what
+// fmt's %g prints for a float64.
+func appendCmpKey(dst []byte, value float64, op CmpOp, bound float64) []byte {
+	dst = append(dst, "⊗"...)
+	dst = strconv.AppendFloat(dst, value, 'g', -1, 64)
+	dst = append(dst, op.String()...)
+	dst = strconv.AppendFloat(dst, bound, 'g', -1, 64)
+	return append(dst, ')')
 }
 
 // Anns returns the sorted set of annotations occurring in e.

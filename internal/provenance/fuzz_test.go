@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -51,7 +52,8 @@ func buildExpr(data []byte, pos *int, depth int) Expr {
 
 // FuzzSimplifyExpr checks, for arbitrary expressions, that simplification
 // (1) preserves evaluation under arbitrary truth assignments, (2) is
-// idempotent, and (3) never increases the annotation-occurrence size.
+// idempotent, (3) never increases the annotation-occurrence size, and
+// (4) builds the same trees and keys as the oracles of key_oracle_test.go.
 func FuzzSimplifyExpr(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 3, 2, 4}, uint8(5))
 	f.Add([]byte{4, 3, 2, 1, 0, 0, 1, 2, 3, 4}, uint8(0))
@@ -76,6 +78,12 @@ func FuzzSimplifyExpr(f *testing.F) {
 		}
 		if s.Size() > e.Size() {
 			t.Fatalf("simplification grew size: %d > %d", s.Size(), e.Size())
+		}
+		if got, want := fmt.Sprintf("%#v", s), fmt.Sprintf("%#v", oracleSimplify(e)); got != want {
+			t.Fatalf("SimplifyExpr(%s) = %s, oracle %s", e, got, want)
+		}
+		if got, want := e.Key(), oracleKey(e); got != want {
+			t.Fatalf("Key(%s) = %q, oracle %q", e, got, want)
 		}
 	})
 }

@@ -1,8 +1,10 @@
 package provenance
 
 import (
+	"bytes"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -61,6 +63,7 @@ type planTensor struct {
 	value float64
 	count int
 	group Annotation
+	gid   int32  // group's dense id, -1 for the scalar ("") coordinate
 	key   string // prov.Key() + "|" + group, Simplify's merge key
 	size  int    // prov.Size()
 }
@@ -80,7 +83,38 @@ type Plan struct {
 	scalarTensors []int32  // ascending tensor ids of the scalar ("") coordinate
 
 	size int
+
+	// probeable reports whether Probe's id-level rewrite is exact for
+	// the plan: every live span is in SimplifyExpr normal form (see
+	// normalNode), tensor keys ascend strictly, and every interned name
+	// is keySafe. reindex maintains it; namesChecked counts the interned
+	// names already checked (the interner only grows).
+	probeable    bool
+	namesSafe    bool
+	namesChecked int
 }
+
+// probeScratch holds the buffers Probe and compileEval reuse across
+// probes of every plan: canonical forms and their child spans,
+// rewritten-tensor keys, and the per-group bookkeeping of the re-fold
+// plans.
+type probeScratch struct {
+	canonScratch
+	key      []byte
+	keySpans [][2]int
+	outs     []outGroup
+	order    []int32
+}
+
+// outGroup is one coordinate a probe re-folds: its tensors that the
+// merge leaves alone (survivors) and the rewrittens that land in it.
+type outGroup struct {
+	g                         Annotation
+	gid                       int32
+	affected, survivors, rews int32
+}
+
+var probeScratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
 
 // PlanScratch holds the per-evaluator mutable state of plan evaluation:
 // flat node-value tables indexed by arena node id. Each concurrent
@@ -101,10 +135,11 @@ func NewPlan(e Expression) *Plan {
 		return nil
 	}
 	p := &Plan{
-		agg:     g,
-		ar:      ar,
-		tensors: make([]planTensor, len(g.Tensors)),
-		size:    g.Size(),
+		agg:       g,
+		ar:        ar,
+		tensors:   make([]planTensor, len(g.Tensors)),
+		size:      g.Size(),
+		namesSafe: true,
 	}
 	for i, t := range g.Tensors {
 		lo := int32(0)
@@ -125,20 +160,33 @@ func NewPlan(e Expression) *Plan {
 // spans left behind by ApplyMerge never enter future dirty sets) and
 // the annotation→tensor and group→tensor indexes from the tensor
 // polynomials. Per-annotation lists come out ascending, which Probe
-// relies on.
+// relies on. It also re-derives probeable.
 func (p *Plan) reindex() {
 	ar := p.ar
 	numAnns := ar.NumAnns()
+	for ; p.namesChecked < numAnns; p.namesChecked++ {
+		p.namesSafe = p.namesSafe && keySafe(ar.in.anns[p.namesChecked])
+	}
+	p.probeable = p.namesSafe
 	varsBy := make([][]int32, numAnns)
 	spans := make([][2]int32, len(p.tensors))
 	for i := range p.tensors {
-		spans[i] = [2]int32{p.tensors[i].lo, p.tensors[i].root}
+		t := &p.tensors[i]
+		spans[i] = [2]int32{t.lo, t.root}
+		if i > 0 && p.tensors[i-1].key >= t.key {
+			p.probeable = false
+		}
+		if ar.kind[t.root] == nodeConst && ar.constN[t.root] == 0 {
+			p.probeable = false
+		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
 	for _, sp := range spans {
 		for id := sp[0]; id <= sp[1]; id++ {
 			if ar.kind[id] == nodeVar {
 				varsBy[ar.ann[id]] = append(varsBy[ar.ann[id]], id)
+			} else if !ar.normalNode(id) {
+				p.probeable = false
 			}
 		}
 	}
@@ -155,10 +203,11 @@ func (p *Plan) reindex() {
 			tensBy[id] = append(tensBy[id], int32(i))
 		}
 		if t.group == "" {
+			t.gid = -1
 			p.scalarTensors = append(p.scalarTensors, int32(i))
 		} else {
-			id, _ := ar.AnnID(t.group)
-			grpBy[id] = append(grpBy[id], int32(i))
+			t.gid, _ = ar.AnnID(t.group)
+			grpBy[t.gid] = append(grpBy[t.gid], int32(i))
 		}
 	}
 	p.varNodes = buildIndex(varsBy)
@@ -196,149 +245,80 @@ func (p *Plan) FillTruths(bits Bitset, truth func(Annotation) bool) {
 // expression: members are the merged annotations, newAnn the summary
 // annotation they map to, and next the committed candidate expression
 // (cur.Apply(MergeMapping(newAnn, members...)), which the caller has
-// already materialized to commit the step). Member Var nodes are
-// retargeted to newAnn's dense id, affected tensors are rewritten and
-// re-merged exactly the way Apply+Simplify would, and the dependency
-// indexes are rebuilt over the surviving spans — node ids stay stable,
-// so pooled scratches and the arena's compiled structure survive the
-// step.
+// already materialized to commit the step). The affected tensors go
+// through Probe's id-level rewrite, member Var nodes are retargeted to
+// newAnn's dense id, and the dependency indexes are rebuilt over the
+// surviving spans — node ids stay stable, so pooled scratches and the
+// arena's compiled structure survive the step.
 //
-// The patch is self-verifying: the rewritten tensor list is matched
-// one-to-one against next.Tensors (key, value, count, group) before any
-// mutation, so a successful ApplyMerge leaves the plan observationally
-// identical to NewPlan(next) up to garbage spans. On any mismatch, a
-// reserved or already-interned annotation, or a garbage fraction above
-// one half of the arena, it returns false without mutating anything and
-// the caller must recompile.
+// The patch is self-verifying: the unaffected tensors (key-ascending)
+// merged with the rewritten ones in key order are matched one-to-one
+// against next.Tensors (key, value, count, group) before any mutation,
+// so a successful ApplyMerge leaves the plan observationally identical
+// to NewPlan(next) up to garbage spans. On any mismatch, a merge Probe
+// refuses, or a garbage fraction above one half of the arena, it
+// returns false without mutating anything and the caller must
+// recompile.
 func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bool {
-	if next == nil || newAnn == "" || newAnn == Zero || newAnn == One {
+	if next == nil {
 		return false
 	}
-	if _, ok := p.ar.AnnID(newAnn); ok {
+	pr := p.Probe(members, newAnn)
+	if pr == nil {
 		return false
 	}
-	for _, m := range members {
-		if m == Zero || m == One || m == newAnn {
-			return false
-		}
+	rews := pr.rews
+	keys := make([]string, len(rews))
+	for i := range rews {
+		keys[i] = string(pr.appendRewKey(nil, int32(i)))
 	}
-	memberOf := func(a Annotation) bool {
-		for _, m := range members {
-			if a == m {
-				return true
-			}
-		}
-		return false
+	order := make([]int, len(rews))
+	for i := range order {
+		order[i] = i
 	}
-	affectedMark := make([]bool, len(p.tensors))
-	var affected []int32
-	mark := func(tid int32) {
-		if !affectedMark[tid] {
-			affectedMark[tid] = true
-			affected = append(affected, tid)
-		}
-	}
-	for _, m := range members {
-		for _, tid := range p.tensorsOfAnn(m) {
-			mark(tid)
-		}
-		for _, tid := range p.tensorsOfGroup(m) {
-			mark(tid)
-		}
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-
-	// Rewrite the affected tensors exactly as Probe (and Apply+Simplify)
-	// does: rename members, simplify, drop zeros, merge duplicates by
-	// key in tensor order. The representative keeps the first
-	// duplicate's span.
-	rename := func(a Annotation) Annotation {
-		if memberOf(a) {
-			return newAnn
-		}
-		return a
-	}
-	type rewritten struct {
-		root, lo int32
-		value    float64
-		count    int
-		group    Annotation
-	}
-	var rews []rewritten
-	rewIdx := make(map[string]int)
-	for _, tid := range affected {
-		t := &p.tensors[tid]
-		prov := SimplifyExpr(t.prov.MapAnn(rename))
-		if c, ok := prov.(Const); ok && c.N == 0 {
-			continue
-		}
-		group := t.group
-		if group != "" && memberOf(group) {
-			group = newAnn
-		}
-		key := prov.Key() + "|" + string(group)
-		if i, ok := rewIdx[key]; ok {
-			rews[i].value = p.agg.Agg.Combine(rews[i].value, t.value)
-			rews[i].count += t.count
-		} else {
-			rewIdx[key] = len(rews)
-			rews = append(rews, rewritten{root: t.root, lo: t.lo, value: t.value, count: t.count, group: group})
-		}
-	}
-	survivors := make(map[string]int32, len(p.tensors)-len(affected))
-	for tid := range p.tensors {
-		if !affectedMark[tid] {
-			survivors[p.tensors[tid].key] = int32(tid)
-		}
-	}
-	if len(next.Tensors) != len(survivors)+len(rews) {
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
+	if len(next.Tensors) != len(p.tensors)-len(pr.affected)+len(rews) {
 		return false
 	}
 
-	// Match next's (sorted, simplified) tensor list against survivors
-	// and rewrites, building the new plan tensors in next's fold order.
-	// Every entry must be consumed exactly once with identical value,
-	// count and group, or the patch is unsound and we bail untouched.
+	// Build the new plan tensors in next's fold order, consuming the
+	// survivor and rewritten streams in key order. Every entry must match
+	// with identical key, value, count and group, or the patch is unsound
+	// and we bail untouched.
 	newTensors := make([]planTensor, len(next.Tensors))
 	liveNodes := 0
+	tid, ai, ri := 0, 0, 0
 	for i := range next.Tensors {
+		for ai < len(pr.affected) && tid == int(pr.affected[ai]) {
+			tid++
+			ai++
+		}
 		nt := &next.Tensors[i]
 		key := nt.Prov.Key() + "|" + string(nt.Group)
-		if tid, ok := survivors[key]; ok {
+		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < keys[order[ri]]) {
 			src := &p.tensors[tid]
-			if src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
+			if src.key != key || src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
 				return false
 			}
-			newTensors[i] = planTensor{
-				root: src.root, lo: src.lo, prov: nt.Prov, value: nt.Value,
-				count: nt.Count, group: nt.Group, key: key, size: src.size,
-			}
-			delete(survivors, key)
-		} else if ri, ok := rewIdx[key]; ok {
-			r := &rews[ri]
-			if r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
+			newTensors[i] = *src
+			tid++
+		} else if ri < len(order) {
+			r := &rews[order[ri]]
+			if keys[order[ri]] != key || r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
 				return false
 			}
-			newTensors[i] = planTensor{
-				root: r.root, lo: r.lo, prov: nt.Prov, value: nt.Value,
-				count: nt.Count, group: nt.Group, key: key, size: nt.Prov.Size(),
-			}
-			delete(rewIdx, key)
+			newTensors[i] = planTensor{root: r.root, lo: r.lo, value: r.value, count: r.count, group: r.group, size: r.size}
+			ri++
 		} else {
 			return false
 		}
+		newTensors[i].prov, newTensors[i].key = nt.Prov, key
 		liveNodes += int(newTensors[i].root - newTensors[i].lo + 1)
 	}
 	if dead := p.ar.NumNodes() - liveNodes; dead*2 > p.ar.NumNodes() {
 		return false
 	}
 
-	memberIDs := make([]int32, 0, len(members))
-	for _, m := range members {
-		if id, ok := p.ar.AnnID(m); ok {
-			memberIDs = append(memberIDs, id)
-		}
-	}
 	roots := make([]int32, len(newTensors))
 	values := make([]float64, len(newTensors))
 	groups := make([]Annotation, len(newTensors))
@@ -347,7 +327,7 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bo
 		values[i] = newTensors[i].value
 		groups[i] = newTensors[i].group
 	}
-	p.ar.ApplyMerge(memberIDs, newAnn, roots, values, groups, liveNodes)
+	p.ar.ApplyMerge(pr.memberIDs, newAnn, roots, values, groups, liveNodes)
 	p.agg = next
 	p.tensors = newTensors
 	p.size = next.Size()
@@ -485,24 +465,13 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 	return true
 }
 
-// tensorsOfAnn returns the ascending tensor ids whose polynomial
-// mentions a.
-func (p *Plan) tensorsOfAnn(a Annotation) []int32 {
-	if id, ok := p.ar.AnnID(a); ok {
-		return p.annTensors.span(id)
-	}
-	return nil
-}
-
-// tensorsOfGroup returns the ascending tensor ids whose group is g.
-func (p *Plan) tensorsOfGroup(g Annotation) []int32 {
-	if g == "" {
+// tensorsOfGID returns the ascending tensor ids whose group has dense
+// id gid (-1 for the scalar coordinate).
+func (p *Plan) tensorsOfGID(gid int32) []int32 {
+	if gid < 0 {
 		return p.scalarTensors
 	}
-	if id, ok := p.ar.AnnID(g); ok {
-		return p.groupTensors.span(id)
-	}
-	return nil
+	return p.groupTensors.span(gid)
 }
 
 // BaseEval evaluates the planned expression under the truth bitset (the
@@ -521,7 +490,6 @@ func (p *Plan) BaseEval(bits Bitset, s *PlanScratch) Vector {
 // Entries are ordered by the candidate expression's tensor key, so the
 // fold replays the exact combine order of the materialized candidate.
 type foldEntry struct {
-	key   string
 	value float64
 	root  int32
 	sub   bool
@@ -558,12 +526,12 @@ type Probe struct {
 	// CandEvalBlock by compileEval: skip-dominated delta sweeps discard
 	// most probes after the word-level truth comparison, so only probes
 	// that are actually evaluated pay for the dirty closure and re-fold
-	// plans. The compile inputs (affected, affectedMark, rews) are
-	// retained from Probe's eager pass.
-	compileOnce  sync.Once
-	affected     []int32
-	affectedMark []bool
-	rews         []probeRewritten
+	// plans. The compile inputs (memberIDs, affected, rews) are retained
+	// from Probe's eager pass.
+	compileOnce sync.Once
+	memberIDs   []int32 // dense ids of the interned members
+	affected    []int32 // ascending ids of the tensors the merge rewrites
+	rews        []probeRewritten
 
 	dirty      Bitset       // per node: lies on a path to a member occurrence
 	dirtyNodes []int32      // ascending dirty node ids (children before parents)
@@ -571,35 +539,44 @@ type Probe struct {
 	folds      []groupFold  // re-fold programs for the affected coordinates
 }
 
-// probeRewritten is one affected tensor after the merge rewrite: its
-// representative root, simplified polynomial, combined value, and
-// destination group in the candidate expression. The Simplify key is
-// built on demand (lazyKey): most probes never need it — dedup
-// prefilters on (group, size), and fold ordering only happens for
-// probes that are actually evaluated.
+// probeRewritten is one class of affected tensors that the merge
+// rewrites to the same tensor: the first member's span [lo, root]
+// represents the class (its renamed polynomial is every member's), and
+// value/count are combined over the class in tensor order. gid is the
+// destination group's dense id (the plan's NumAnns for NewAnn, -1 for
+// the scalar coordinate). The rename keeps the polynomial's shape, so
+// size is the representative tensor's own.
 type probeRewritten struct {
-	root  int32
-	value float64
-	group Annotation
-	prov  Expr
-	key   string
-	size  int
+	root, lo int32
+	value    float64
+	count    int
+	group    Annotation
+	gid      int32
+	size     int
 }
 
-func (r *probeRewritten) lazyKey() string {
-	if r.key == "" {
-		r.key = r.prov.Key() + "|" + string(r.group)
-	}
-	return r.key
+// appendRewKey appends the candidate's Simplify key of rewritten tensor
+// i, built from its representative span: prov.Key() + "|" + group of the
+// materialized candidate tensor.
+func (pr *Probe) appendRewKey(dst []byte, i int32) []byte {
+	r := &pr.rews[i]
+	dst = pr.plan.ar.appendRenamedKey(dst, r.root, pr.memberIDs, pr.NewAnn)
+	return append(append(dst, '|'), r.group...)
+}
+
+// rewEntry returns the fold entry of rewritten tensor i.
+func (pr *Probe) rewEntry(i int32) foldEntry {
+	return foldEntry{value: pr.rews[i].value, root: pr.rews[i].root, sub: true}
 }
 
 // Probe compiles the candidate that merges members into newAnn. It
 // returns nil when the probe cannot be compiled soundly: newAnn already
 // occurs in the expression (rewritten tensors could merge with existing
-// ones), or a reserved annotation is involved. Callers fall back to
-// materializing the candidate.
+// ones), a reserved annotation is involved, or the plan or newAnn falls
+// outside the id-level rewrite (see Plan.probeable). Callers fall back
+// to materializing the candidate.
 func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
-	if newAnn == "" || newAnn == Zero || newAnn == One {
+	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One || !keySafe(newAnn) {
 		return nil
 	}
 	if _, ok := p.ar.AnnID(newAnn); ok {
@@ -610,114 +587,96 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 			return nil
 		}
 	}
-	// Member sets are merge-arity sized (2-3 annotations), so linear
-	// scans beat hashed sets throughout the compile.
-	memberOf := func(a Annotation) bool {
-		for _, m := range members {
-			if a == m {
-				return true
-			}
+
+	// The probe, its member copies and its interned member ids share one
+	// allocation at merge arity.
+	pa := &probeAlloc{}
+	pr := &pa.Probe
+	pr.Members = append(pa.members[:0:len(pa.members)], members...)
+	pr.memberIDs = pa.ids[:0:len(pa.ids)]
+	affectedLen := 0
+	for _, m := range members {
+		if id, ok := p.ar.AnnID(m); ok {
+			pr.memberIDs = append(pr.memberIDs, id)
+			affectedLen += len(p.annTensors.span(id)) + len(p.groupTensors.span(id))
 		}
-		return false
 	}
+	memberIDs := pr.memberIDs
 
 	// Affected tensors: polynomial mentions a member, or the group is a
 	// member. Ascending tensor ids preserve the expression's tensor order
-	// for value merging below.
-	affectedMark := make([]bool, len(p.tensors))
-	var affected []int32
-	mark := func(tid int32) {
-		if !affectedMark[tid] {
-			affectedMark[tid] = true
-			affected = append(affected, tid)
+	// for value merging below. Coordinates that disappear: member groups
+	// lose all their tensors to NewAnn.
+	affected := make([]int32, 0, affectedLen)
+	var removed []Annotation
+	for _, id := range memberIDs {
+		grp := p.groupTensors.span(id)
+		if len(grp) > 0 {
+			removed = append(removed, p.ar.in.Ann(id))
 		}
-	}
-	for _, m := range members {
-		for _, tid := range p.tensorsOfAnn(m) {
-			mark(tid)
-		}
-		for _, tid := range p.tensorsOfGroup(m) {
-			mark(tid)
-		}
+		affected = append(affected, p.annTensors.span(id)...)
+		affected = append(affected, grp...)
 	}
 	slices.Sort(affected)
+	affected = slices.Compact(affected)
 
 	// Rewrite affected tensors through the merge and re-merge them by
-	// Simplify's key, combining values in tensor order — the exact work
+	// canonical form, combining values in tensor order — the exact work
 	// Apply + Simplify would do, restricted to the affected tensors. The
 	// representative root evaluates a rewritten tensor's polynomial:
-	// Eval(h(q), v') = Eval(q, v'∘h), and merged duplicates share a key,
-	// hence an EvalNat value.
-	rename := func(a Annotation) Annotation {
-		if memberOf(a) {
-			return newAnn
-		}
-		return a
-	}
+	// Eval(h(q), v') = Eval(q, v'∘h), and merged duplicates share a
+	// polynomial, hence an EvalNat value. A rewritten tensor never equals
+	// an unaffected one: it mentions newAnn or lands in newAnn's group.
+	fresh := int32(p.ar.NumAnns())
+	ps := probeScratchPool.Get().(*probeScratch)
+	cs := &ps.canonScratch
+	cs.enc = cs.enc[:0]
+	var encStack [16][2]int32
+	encs := encStack[:0] // canonical-form span of each rewritten tensor
 	rews := make([]probeRewritten, 0, len(affected))
 	size := p.size
 	for _, tid := range affected {
 		t := &p.tensors[tid]
-		size -= t.size
-		prov := SimplifyExpr(t.prov.MapAnn(rename))
-		if c, ok := prov.(Const); ok && c.N == 0 {
-			continue
+		gid, group := t.gid, t.group
+		if gid >= 0 && slices.Contains(memberIDs, gid) {
+			gid, group = fresh, newAnn
 		}
-		group := t.group
-		if group != "" && memberOf(group) {
-			group = newAnn
-		}
-		// Rewritten sets are affected-tensor sized (a handful), so a
-		// linear scan beats a hashed index. Equal keys imply equal
-		// (group, size), so the cheap pair prefilters before any key
-		// string is materialized.
-		sz := prov.Size()
-		key := ""
+		lo := int32(len(cs.enc))
+		p.ar.appendCanon(cs, t.root, memberIDs, fresh)
+		enc := cs.enc[lo:]
 		dup := false
 		for i := range rews {
-			if rews[i].group != group || rews[i].size != sz {
-				continue
-			}
-			if key == "" {
-				key = prov.Key() + "|" + string(group)
-			}
-			if rews[i].lazyKey() == key {
-				rews[i].value = p.agg.Agg.Combine(rews[i].value, t.value)
+			r := &rews[i]
+			if r.gid == gid && r.size == t.size && slices.Equal(cs.enc[encs[i][0]:encs[i][1]], enc) {
+				r.value = p.agg.Agg.Combine(r.value, t.value)
+				r.count += t.count
+				size -= t.size
+				cs.enc = cs.enc[:lo]
 				dup = true
 				break
 			}
 		}
 		if !dup {
+			encs = append(encs, [2]int32{lo, int32(len(cs.enc))})
 			rews = append(rews, probeRewritten{
-				root: t.root, value: t.value,
-				group: group, prov: prov, key: key, size: sz,
+				root: t.root, lo: t.lo, value: t.value, count: t.count,
+				group: group, gid: gid, size: t.size,
 			})
 		}
 	}
-	for i := range rews {
-		size += rews[i].size
-	}
+	probeScratchPool.Put(ps)
 
-	// Coordinates that disappear: member groups lose all their tensors to
-	// NewAnn.
-	var removed []Annotation
-	for _, m := range members {
-		if len(p.tensorsOfGroup(m)) > 0 {
-			removed = append(removed, m)
-		}
-	}
+	pr.NewAnn, pr.Size, pr.RenamesGroup = newAnn, size, len(removed) > 0
+	pr.plan, pr.affected, pr.rews, pr.removed = p, affected, rews, removed
+	return pr
+}
 
-	return &Probe{
-		Members:      append([]Annotation(nil), members...),
-		NewAnn:       newAnn,
-		Size:         size,
-		RenamesGroup: len(removed) > 0,
-		plan:         p,
-		affected:     affected,
-		affectedMark: affectedMark,
-		rews:         rews,
-		removed:      removed,
-	}
+// probeAlloc backs a Probe and, at merge arity up to three, its Members
+// and memberIDs.
+type probeAlloc struct {
+	Probe
+	members [3]Annotation
+	ids     [3]int32
 }
 
 // compileEval builds the probe's evaluation program — the re-fold plans
@@ -730,81 +689,96 @@ func (pr *Probe) compileEval() {
 
 func (pr *Probe) compileEvalSlow() {
 	p := pr.plan
-	memberOf := func(a Annotation) bool {
-		for _, m := range pr.Members {
-			if a == m {
-				return true
-			}
-		}
-		return false
-	}
+	fresh := int32(p.ar.NumAnns())
+	ps := probeScratchPool.Get().(*probeScratch)
+	defer probeScratchPool.Put(ps)
 
 	// Re-fold programs for every affected coordinate: the unaffected
 	// survivors of the group plus the rewrittens that land in it, ordered
 	// by the candidate's tensor key (the materialized candidate's
 	// per-group combine order). Simplify sorts the planned expression's
-	// tensors by that same key, so a group's survivor span arrives
-	// key-ascending and only the appended rewrittens need placing — the
-	// insertion sort below touches survivors not at all and is stable,
-	// preserving key order on the (sound-probe) distinct keys.
-	type outGroup struct {
-		g        Annotation
-		affected int32 // affected tensors with this group (survivor exclusions)
-		rews     int32 // rewrittens landing in this group
-	}
-	var outs []outGroup
-	find := func(g Annotation) *outGroup {
+	// tensors by that same key, so a group's survivors arrive
+	// key-ascending and only the rewrittens need placing: they are
+	// sorted by key and merged in. Keys of a sound probe are distinct.
+	outs := ps.outs[:0]
+	find := func(g Annotation, gid int32) *outGroup {
 		for i := range outs {
-			if outs[i].g == g {
+			if outs[i].gid == gid {
 				return &outs[i]
 			}
 		}
-		outs = append(outs, outGroup{g: g})
+		outs = append(outs, outGroup{g: g, gid: gid})
 		return &outs[len(outs)-1]
 	}
 	for _, tid := range pr.affected {
-		g := p.tensors[tid].group
-		if g != "" && memberOf(g) {
+		t := &p.tensors[tid]
+		if t.gid >= 0 && slices.Contains(pr.memberIDs, t.gid) {
 			continue // coordinate moves to newAnn, covered by its rewrittens
 		}
-		find(g).affected++
+		find(t.group, t.gid).affected++
 	}
 	for i := range pr.rews {
-		find(pr.rews[i].group).rews++
+		find(pr.rews[i].group, pr.rews[i].gid).rews++
 	}
 	total := 0
 	for i := range outs {
-		if outs[i].g != pr.NewAnn {
-			total += len(p.tensorsOfGroup(outs[i].g)) - int(outs[i].affected)
+		if outs[i].gid != fresh {
+			outs[i].survivors = int32(len(p.tensorsOfGID(outs[i].gid))) - outs[i].affected
 		}
-		total += int(outs[i].rews)
+		total += int(outs[i].survivors + outs[i].rews)
 	}
+	ps.outs = outs
+
+	// The rewrittens' keys are built only where a group holds more than
+	// one entry, into one scratch buffer, and only compared: survivor
+	// keys are the plan's strings, and string(b) < s does not allocate.
+	ps.key = ps.key[:0]
+	ps.keySpans = slices.Grow(ps.keySpans[:0], len(pr.rews))[:len(pr.rews)]
+	key := func(i int32) []byte { return ps.key[ps.keySpans[i][0]:ps.keySpans[i][1]] }
 	entriesBuf := make([]foldEntry, 0, total)
 	folds := make([]groupFold, 0, len(outs))
 	for _, og := range outs {
-		g := og.g
 		start := len(entriesBuf)
-		if g != pr.NewAnn {
-			for _, tid := range p.tensorsOfGroup(g) {
-				if pr.affectedMark[tid] {
+		rs := ps.order[:0]
+		for i := range pr.rews {
+			if pr.rews[i].gid == og.gid {
+				rs = append(rs, int32(i))
+			}
+		}
+		ps.order = rs
+		if og.survivors+og.rews > 1 {
+			for _, i := range rs {
+				lo := len(ps.key)
+				ps.key = pr.appendRewKey(ps.key, i)
+				ps.keySpans[i] = [2]int{lo, len(ps.key)}
+			}
+			for i := 1; i < len(rs); i++ {
+				for j := i; j > 0 && bytes.Compare(key(rs[j]), key(rs[j-1])) < 0; j-- {
+					rs[j], rs[j-1] = rs[j-1], rs[j]
+				}
+			}
+		}
+		ri := 0
+		if og.survivors > 0 {
+			aff := pr.affected
+			for _, tid := range p.tensorsOfGID(og.gid) {
+				for len(aff) > 0 && aff[0] < tid {
+					aff = aff[1:]
+				}
+				if len(aff) > 0 && aff[0] == tid {
 					continue
 				}
 				t := &p.tensors[tid]
-				entriesBuf = append(entriesBuf, foldEntry{key: t.key, value: t.value, root: t.root})
+				for ; ri < len(rs) && string(key(rs[ri])) < t.key; ri++ {
+					entriesBuf = append(entriesBuf, pr.rewEntry(rs[ri]))
+				}
+				entriesBuf = append(entriesBuf, foldEntry{value: t.value, root: t.root})
 			}
 		}
-		for i := range pr.rews {
-			if pr.rews[i].group == g {
-				entriesBuf = append(entriesBuf, foldEntry{key: pr.rews[i].lazyKey(), value: pr.rews[i].value, root: pr.rews[i].root, sub: true})
-			}
+		for ; ri < len(rs); ri++ {
+			entriesBuf = append(entriesBuf, pr.rewEntry(rs[ri]))
 		}
-		entries := entriesBuf[start:len(entriesBuf):len(entriesBuf)]
-		for i := int(og.rews); i > 0; i-- {
-			for j := len(entries) - i; j > 0 && entries[j].key < entries[j-1].key; j-- {
-				entries[j], entries[j-1] = entries[j-1], entries[j]
-			}
-		}
-		folds = append(folds, groupFold{group: g, entries: entries})
+		folds = append(folds, groupFold{group: og.g, entries: entriesBuf[start:len(entriesBuf):len(entriesBuf)]})
 	}
 	pr.folds = folds
 
@@ -814,14 +788,16 @@ func (pr *Probe) compileEvalSlow() {
 	// iterative bottom-up re-evaluation (post-order ids put children
 	// before parents).
 	dirty := NewBitset(p.ar.NumNodes())
-	var dirtyNodes []int32
-	for _, m := range pr.Members {
-		if id, ok := p.ar.AnnID(m); ok {
-			for _, nd := range p.varNodes.span(id) {
-				for n := nd; n != -1 && !dirty.Get(n); n = p.ar.parent[n] {
-					dirty.Set(n)
-					dirtyNodes = append(dirtyNodes, n)
-				}
+	live := 0
+	for _, tid := range pr.affected {
+		live += int(p.tensors[tid].root - p.tensors[tid].lo + 1)
+	}
+	dirtyNodes := make([]int32, 0, live) // member occurrences live in affected spans
+	for _, id := range pr.memberIDs {
+		for _, nd := range p.varNodes.span(id) {
+			for n := nd; n != -1 && !dirty.Get(n); n = p.ar.parent[n] {
+				dirty.Set(n)
+				dirtyNodes = append(dirtyNodes, n)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func SimplifyExpr(e Expr) Expr {
 		if len(factors) == 1 {
 			return factors[0]
 		}
-		sort.Slice(factors, func(i, j int) bool { return factors[i].Key() < factors[j].Key() })
+		sortByKey(factors)
 		return Prod{Factors: factors}
 
 	case Sum:
@@ -96,8 +96,26 @@ func SimplifyExpr(e Expr) Expr {
 		if len(terms) == 1 {
 			return terms[0]
 		}
-		sort.Slice(terms, func(i, j int) bool { return terms[i].Key() < terms[j].Key() })
+		sortByKey(terms)
 		return Sum{Terms: terms}
 	}
 	return e
+}
+
+// sortByKey sorts es by Key, computing each key once. sort.Slice sees
+// the same comparisons as it would comparing Key() calls directly, so
+// the resulting permutation is the same too.
+func sortByKey(es []Expr) {
+	type keyed struct {
+		key string
+		e   Expr
+	}
+	ks := make([]keyed, len(es))
+	for i, e := range es {
+		ks[i] = keyed{key: e.Key(), e: e}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		es[i] = ks[i].e
+	}
 }

@@ -44,6 +44,8 @@ run_bench() { # $1 = -bench regexp, $2 = -benchtime, $3 = package
 # the gate's noise budget; single-digit counts measured 2-3x high.
 # -benchmem feeds the allocs/op gate below.
 run_bench 'ArenaEval|AggEval|EvalBlock' 20000x ./internal/provenance/
+# One op of PlanProbe is a whole step's cohort (~250 probes), ~1 ms.
+run_bench 'PlanProbe' 500x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
 # DDP on its tropical block plan (SummarizeStepScoringDDP{,Batch}).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
