@@ -323,25 +323,19 @@ func BenchmarkSummarizeStep(b *testing.B) {
 	}
 }
 
-// --- Scoring layouts: candidate-major vs batched vs delta ---
-// The A/B/C triple behind Config.SequentialScoring / FullEvalScoring:
-// the same multi-step MovieLens run scored candidate-major (one
-// Estimator.Distance call per probe), through the materialized
-// valuation-major Estimator.DistanceBatch sweep, and through the
-// incremental Estimator.DistanceDelta engine (the default).
-
-func benchSummarizeScoring(b *testing.B, mode string) {
-	b.Helper()
+// BenchmarkSummarizeScoringDelta is a multi-step MovieLens run on the
+// default scoring path: every cohort probed by the incremental
+// Estimator.DistanceDelta engine on the shared arena, committed merges
+// patched into the cached plan.
+func BenchmarkSummarizeScoringDelta(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := core.New(core.Config{
-			Policy:            w.Policy,
-			Estimator:         w.Estimator(datasets.CancelSingleAnnotation),
-			WDist:             1,
-			MaxSteps:          3,
-			SequentialScoring: mode == "seq",
-			FullEvalScoring:   mode == "batch",
+			Policy:    w.Policy,
+			Estimator: w.Estimator(datasets.CancelSingleAnnotation),
+			WDist:     1,
+			MaxSteps:  3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -351,12 +345,6 @@ func benchSummarizeScoring(b *testing.B, mode string) {
 		}
 	}
 }
-
-func BenchmarkSummarizeScoringSequential(b *testing.B) { benchSummarizeScoring(b, "seq") }
-
-func BenchmarkSummarizeScoringBatch(b *testing.B) { benchSummarizeScoring(b, "batch") }
-
-func BenchmarkSummarizeScoringDelta(b *testing.B) { benchSummarizeScoring(b, "delta") }
 
 // BenchmarkApplyMapping measures homomorphism application + simplify.
 func BenchmarkApplyMapping(b *testing.B) {

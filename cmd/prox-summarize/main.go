@@ -9,22 +9,13 @@
 //	               [-target-size 1] [-target-dist 1]
 //	               [-scale 1] [-seed 1] [-v]
 //	               [-arity 2] [-parallel 1] [-samples 0]
-//	               [-scoring delta|batch|seq] [-legacy-eval]
-//	               [-block-eval on|off]
 //	               [-save bundle.json] [-load bundle.json] [-json out.json]
 //	               [-extend-from summary.json] [-trace steps.jsonl]
 //
-// -scoring selects the candidate scoring engine: "delta" (default) probes
-// candidates incrementally on the shared current expression, "batch"
-// materializes every candidate and evaluates it in full, "seq" scores
-// candidate-major with one Distance call each. All three choose
-// bit-identical summaries. The deprecated -seq-scoring flag is an alias
-// for -scoring=seq. -legacy-eval scores on the recursive tree evaluator
-// instead of the compiled arena (implies -scoring=batch or seq); it
-// exists for A/B comparison and chooses the same summaries.
-// -block-eval=off disables the valuation-blocked kernel (64 valuations
-// per word-level node op) in favor of one scalar arena pass per
-// valuation — another bit-identical A/B switch.
+// Candidates are scored by the incremental delta engine when the
+// expression can be planned, and by the materialized batch sweep
+// otherwise (annotation names with key separators, negative constants);
+// the input alone decides, and both choose bit-identical summaries.
 //
 // With -trace, every merge step of Algorithm 1 is appended to the given
 // file as one JSON object per line (score, distance, size ratio,
@@ -72,10 +63,6 @@ func main() {
 	arity := flag.Int("arity", 2, "merge arity (>= 2; the Ch. 9 k-ary generalization)")
 	parallel := flag.Int("parallel", 1, "candidate-evaluation goroutines")
 	samples := flag.Int("samples", 0, "Monte-Carlo valuation samples per distance (0 = enumerate the class)")
-	scoring := flag.String("scoring", "delta", "candidate scoring engine: delta (incremental, default) | batch (materialize every candidate) | seq (candidate-major)")
-	seqScoring := flag.Bool("seq-scoring", false, "deprecated alias for -scoring=seq")
-	legacyEval := flag.Bool("legacy-eval", false, "score on the recursive tree evaluator instead of the compiled arena (A/B switch; disables the delta engine)")
-	blockEval := flag.String("block-eval", "on", "valuation-blocked evaluation kernel: on (64 valuations per word op, default) | off (one scalar arena pass per valuation); bit-identical either way")
 	saveBundle := flag.String("save", "", "write the generated workload as a JSON bundle to this file")
 	loadBundle := flag.String("load", "", "summarize a saved JSON bundle instead of generating a dataset")
 	jsonOut := flag.String("json", "", "write the summary trace as JSON to this file (- for stdout)")
@@ -158,26 +145,6 @@ func main() {
 		MaxSteps:    *steps,
 		MergeArity:  *arity,
 		Parallelism: *parallel,
-	}
-	if *seqScoring {
-		*scoring = "seq"
-	}
-	switch *scoring {
-	case "delta", "":
-	case "batch":
-		cfg.FullEvalScoring = true
-	case "seq":
-		cfg.SequentialScoring = true
-	default:
-		fatal("unknown -scoring %q (want delta, batch or seq)", *scoring)
-	}
-	cfg.LegacyEval = *legacyEval
-	switch *blockEval {
-	case "on", "":
-	case "off":
-		cfg.ScalarEval = true
-	default:
-		fatal("unknown -block-eval %q (want on or off)", *blockEval)
 	}
 	var traceClose func()
 	if *traceOut != "" {

@@ -156,17 +156,17 @@ func summaryKey(sum *Summary) string {
 	return b.String()
 }
 
-// TestBatchMatchesSequentialScoring: the valuation-major batch scorer and
-// the candidate-major fallback must choose byte-identical summaries — in
-// enumeration mode their distances are bit-identical (same summands, same
-// addition order).
-func TestBatchMatchesSequentialScoring(t *testing.T) {
-	run := func(seqScoring bool, workers int) string {
+// TestCohortMatchesCandidateMajorScoring: the summarizer's cohort scoring
+// must choose the summary candidate-major reference scoring chooses —
+// every step's merge a minimal-score pair when each candidate is
+// materialized and scored alone by refDistance, with bit-identical
+// distances (same summands, same addition order) — at Parallelism 1
+// and 4.
+func TestCohortMatchesCandidateMajorScoring(t *testing.T) {
+	for _, workers := range []int{1, 4} {
 		p0, pol, est := bigFixture()
-		s, err := New(Config{
-			Policy: pol, Estimator: est, WDist: 0.6, WSize: 0.4,
-			MaxSteps: 4, SequentialScoring: seqScoring, Parallelism: workers,
-		})
+		cfg := Config{Policy: pol, Estimator: est, WDist: 0.6, WSize: 0.4, MaxSteps: 4, Parallelism: workers}
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,16 +177,7 @@ func TestBatchMatchesSequentialScoring(t *testing.T) {
 		if len(sum.Steps) == 0 {
 			t.Fatal("fixture produced no merges")
 		}
-		return summaryKey(sum)
-	}
-	want := run(true, 1)
-	for _, tc := range []struct {
-		seq     bool
-		workers int
-	}{{true, 4}, {false, 1}, {false, 4}} {
-		if got := run(tc.seq, tc.workers); got != want {
-			t.Fatalf("seqScoring=%v workers=%d diverged:\n%s\n--- want ---\n%s", tc.seq, tc.workers, got, want)
-		}
+		checkStepsByRef(t, cfg, p0, sum, est.Class.Valuations)
 	}
 }
 
@@ -224,13 +215,12 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 }
 
 // TestParallelCandidateTimeNotInflated is the regression test for the
-// CandidateTime accounting bug: the parallel fallback used to time each
-// worker's whole lifetime — including idle waits on the unbuffered work
-// channel — so CandidateTime came out near workers × wall time. With
-// GOMAXPROCS pinned to 1, the true summed probe time cannot exceed the
-// run's wall time (probes never overlap), so the fixed per-probe
-// accounting must stay within a small factor of Elapsed while the old
-// accounting sat near the worker count × Elapsed.
+// CandidateTime accounting: a parallel sweep must add its wall time, not
+// the summed lifetimes of its workers (a since-removed candidate-major
+// pool once counted workers idling on its work channel, so CandidateTime
+// came out near workers × wall time). With GOMAXPROCS pinned to 1 the
+// scoring time cannot exceed the run's wall time, so CandidateTime must
+// stay within a small factor of Elapsed.
 func TestParallelCandidateTimeNotInflated(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p0, pol, est := bigFixture()
@@ -247,7 +237,7 @@ func TestParallelCandidateTimeNotInflated(t *testing.T) {
 	}}
 	s, err := New(Config{
 		Policy: pol, Estimator: est, WDist: 1, MaxSteps: 2,
-		Parallelism: 8, SequentialScoring: true,
+		Parallelism: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

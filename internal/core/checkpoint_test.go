@@ -13,24 +13,46 @@ import (
 	"repro/internal/randx"
 )
 
+// scoringRow is one row of the checkpoint and warm-start matrices. The
+// row names predate the single scoring engine and are kept: "seq" rows
+// score on one worker, "delta" rows on four, and "batch" rows summarize
+// the titled MovieLens workload, whose every cohort the DistanceBatch
+// fallback scores. sampled additionally turns on Monte-Carlo sampling
+// and candidate capping, so both random streams are exercised.
+type scoringRow struct {
+	name     string
+	workers  int
+	fallback bool
+	sampled  bool
+}
+
+var scoringRows = []scoringRow{
+	{name: "seq", workers: 1},
+	{name: "batch", workers: 1, fallback: true},
+	{name: "delta", workers: 4},
+	{name: "seq-sampled", workers: 1, sampled: true},
+	{name: "batch-sampled", workers: 1, fallback: true, sampled: true},
+	{name: "delta-sampled", workers: 4, sampled: true},
+}
+
 // checkpointConfig builds a fresh workload + summarizer config for one
-// scoring engine, as a new process resuming from a checkpoint would.
-// sampled additionally turns on Monte-Carlo sampling and candidate
-// capping, so both random streams are exercised.
-func checkpointConfig(t *testing.T, seq, full, sampled bool) (*datasets.Workload, core.Config) {
+// matrix row, as a new process resuming from a checkpoint would.
+func checkpointConfig(t *testing.T, row scoringRow) (*datasets.Workload, core.Config) {
 	t.Helper()
 	w := movieLens(t)
+	if row.fallback {
+		w = titledMovieLens(t)
+	}
 	est := w.Estimator(datasets.CancelSingleAnnotation)
 	cfg := core.Config{
-		Policy:            w.Policy,
-		Estimator:         est,
-		WDist:             0.7,
-		WSize:             0.3,
-		MaxSteps:          6,
-		SequentialScoring: seq,
-		FullEvalScoring:   full,
+		Policy:      w.Policy,
+		Estimator:   est,
+		WDist:       0.7,
+		WSize:       0.3,
+		MaxSteps:    6,
+		Parallelism: row.workers,
 	}
-	if sampled {
+	if row.sampled {
 		est.Samples = 8
 		est.RandSrc = randx.NewSource(21)
 		cfg.CandidateCap = 40
@@ -40,28 +62,17 @@ func checkpointConfig(t *testing.T, seq, full, sampled bool) (*datasets.Workload
 }
 
 // TestResumeDeterminismMatrix is the acceptance criterion for the
-// checkpoint layer: for each scoring engine (candidate-major sequential,
-// materialized batch, incremental delta), a run checkpointed after every
-// step and resumed from each snapshot — in a fresh workload, config and
+// checkpoint layer: for each row (one scoring worker, four, and the
+// DistanceBatch fallback), a run checkpointed after every step and
+// resumed from each snapshot — in a fresh workload, config and
 // summarizer, as after a process restart — produces a byte-identical
 // summary to the uninterrupted run.
 func TestResumeDeterminismMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		seq, full bool
-		sampled   bool
-	}{
-		{name: "seq", seq: true},
-		{name: "batch", full: true},
-		{name: "delta"},
-		{name: "seq-sampled", seq: true, sampled: true},
-		{name: "batch-sampled", full: true, sampled: true},
-		{name: "delta-sampled", sampled: true},
-	} {
+	for _, tc := range scoringRows {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted run, collecting a checkpoint after every step.
 			var cps []core.Checkpoint
-			w, cfg := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
+			w, cfg := checkpointConfig(t, tc)
 			cfg.CheckpointEvery = 1
 			cfg.CheckpointSink = func(cp core.Checkpoint) error {
 				cps = append(cps, cp)
@@ -82,11 +93,14 @@ func TestResumeDeterminismMatrix(t *testing.T) {
 			if cps[0].Step != 0 {
 				t.Fatalf("first checkpoint at step %d, want 0 (pre-first-merge snapshot)", cps[0].Step)
 			}
+			if st := cfg.Estimator.Stats(); tc.fallback != (st.DeltaCalls == 0) {
+				t.Fatalf("fallback=%v but the run made %d delta and %d batch calls", tc.fallback, st.DeltaCalls, st.BatchCalls)
+			}
 
 			for _, cp := range cps {
 				cp := cp
 				t.Run(fmt.Sprintf("resume-at-%d", cp.Step), func(t *testing.T) {
-					w2, cfg2 := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
+					w2, cfg2 := checkpointConfig(t, tc)
 					s2, err := core.New(cfg2)
 					if err != nil {
 						t.Fatal(err)
@@ -107,7 +121,7 @@ func TestResumeDeterminismMatrix(t *testing.T) {
 // TestCheckpointRunMatchesPlain pins that turning checkpointing on does
 // not perturb the run itself (the sink only observes).
 func TestCheckpointRunMatchesPlain(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, true)
+	w, cfg := checkpointConfig(t, scoringRow{sampled: true})
 	s, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +132,7 @@ func TestCheckpointRunMatchesPlain(t *testing.T) {
 	}
 	want := mlSummaryKey(t, sum)
 
-	w2, cfg2 := checkpointConfig(t, false, false, true)
+	w2, cfg2 := checkpointConfig(t, scoringRow{sampled: true})
 	cfg2.CheckpointEvery = 2
 	cfg2.CheckpointSink = func(core.Checkpoint) error { return nil }
 	s2, err := core.New(cfg2)
@@ -138,7 +152,7 @@ func TestCheckpointRunMatchesPlain(t *testing.T) {
 // contract: a canceled context stops the run and surfaces
 // context.Canceled.
 func TestSummarizeContextCancel(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, false)
+	w, cfg := checkpointConfig(t, scoringRow{})
 	ctx, cancel := context.WithCancel(context.Background())
 	steps := 0
 	cfg.StepObserver = func(core.StepEvent) {
@@ -159,7 +173,7 @@ func TestSummarizeContextCancel(t *testing.T) {
 	}
 
 	// An already-expired deadline surfaces DeadlineExceeded before any step.
-	w2, cfg2 := checkpointConfig(t, false, false, false)
+	w2, cfg2 := checkpointConfig(t, scoringRow{})
 	dctx, dcancel := context.WithTimeout(context.Background(), -1)
 	defer dcancel()
 	s2, err := core.New(cfg2)
@@ -174,7 +188,7 @@ func TestSummarizeContextCancel(t *testing.T) {
 // TestCheckpointSinkErrorAborts pins that a failing sink aborts the run
 // (persistence failures must not be silently dropped).
 func TestCheckpointSinkErrorAborts(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, false)
+	w, cfg := checkpointConfig(t, scoringRow{})
 	sinkErr := errors.New("disk full")
 	calls := 0
 	cfg.CheckpointSink = func(cp core.Checkpoint) error {
@@ -201,7 +215,7 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 // captured is rejected up front, and resuming with mismatched RNG
 // configuration is rejected at restore time.
 func TestCheckpointRNGValidation(t *testing.T) {
-	w, cfg := checkpointConfig(t, false, false, true)
+	w, cfg := checkpointConfig(t, scoringRow{sampled: true})
 	cfg.RandSrc = nil
 	cfg.Rand = nil
 	cfg.CandidateCap = 10
@@ -215,7 +229,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 		t.Fatal("checkpointing with an unsnapshotable candidate RNG must be rejected")
 	}
 
-	_, cfg2 := checkpointConfig(t, false, false, true)
+	_, cfg2 := checkpointConfig(t, scoringRow{sampled: true})
 	cfg2.Estimator.RandSrc = nil
 	cfg2.CheckpointEvery = 1
 	cfg2.CheckpointSink = func(core.Checkpoint) error { return nil }
@@ -225,7 +239,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 
 	// A checkpoint from a non-sampled run cannot resume a sampled config.
 	var cps []core.Checkpoint
-	_, cfg3 := checkpointConfig(t, false, false, false)
+	_, cfg3 := checkpointConfig(t, scoringRow{})
 	cfg3.CheckpointEvery = 1
 	cfg3.CheckpointSink = func(cp core.Checkpoint) error { cps = append(cps, cp); return nil }
 	s, err := core.New(cfg3)
@@ -235,7 +249,7 @@ func TestCheckpointRNGValidation(t *testing.T) {
 	if _, err := s.Summarize(w.Prov); err != nil {
 		t.Fatal(err)
 	}
-	w4, cfg4 := checkpointConfig(t, false, false, true)
+	w4, cfg4 := checkpointConfig(t, scoringRow{sampled: true})
 	s4, err := core.New(cfg4)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/constraints"
@@ -69,49 +67,11 @@ type Config struct {
 	RandSrc *randx.Source
 
 	// Parallelism, when > 1, evaluates candidate merges on that many
-	// goroutines. Results are reduced in deterministic pair order, so the
-	// chosen summaries are identical to a sequential run; only wall time
-	// changes. On the default delta and batched scoring paths the workers
-	// run inside the estimator's cohort sweep, where sampling-mode draws
-	// happen up front (common random numbers) — so Samples > 0
-	// parallelizes safely. Only the candidate-major fallback
-	// (SequentialScoring) still requires an enumerating estimator to
-	// parallelize, because each probe would pull fresh draws from the
-	// shared Rand.
+	// goroutines inside the estimator's cohort sweep. Sums accumulate in
+	// fixed valuation order and sampling-mode draws happen up front
+	// (common random numbers), so the chosen summaries are identical to
+	// a sequential run at any Samples; only wall time changes.
 	Parallelism int
-
-	// SequentialScoring disables cohort scoring entirely
-	// (Estimator.DistanceDelta and Estimator.DistanceBatch) and scores
-	// candidates candidate-major, one Estimator.Distance call per
-	// candidate — sequentially, or on Parallelism workers. All scoring
-	// paths choose bit-identical summaries; the flag exists for A/B
-	// benchmarking the scoring layouts.
-	SequentialScoring bool
-
-	// FullEvalScoring disables the incremental delta scorer
-	// (Estimator.DistanceDelta) and scores cohorts by materializing every
-	// candidate and evaluating it in full (Estimator.DistanceBatch) — the
-	// path delta scoring falls back to when the current expression cannot
-	// be planned. Bit-identical to delta scoring; the flag exists for A/B
-	// benchmarking. Mutually exclusive with SequentialScoring, which
-	// already bypasses both cohort scorers.
-	FullEvalScoring bool
-
-	// LegacyEval runs scoring on the recursive interface-dispatch
-	// evaluator instead of the flat arena
-	// (distance.Estimator.LegacyEval). Because the delta scorer is
-	// arena-native, setting it also disables the delta path: cohorts are
-	// scored through the materialized batch sweep (or candidate-major
-	// with SequentialScoring). Bit-identical to arena scoring; the flag
-	// exists for A/B comparison and the arena differential tests.
-	LegacyEval bool
-
-	// ScalarEval runs scoring one valuation at a time on the scalar arena
-	// path instead of the valuation-blocked kernel
-	// (provenance.Arena.EvalBlock; distance.Estimator.ScalarEval).
-	// Bit-identical to blocked scoring; the flag exists for A/B
-	// comparison and the block-vs-scalar differential tests.
-	ScalarEval bool
 
 	// StepObserver, when non-nil, receives a StepEvent after every
 	// committed merge step (and never for the free Prop. 4.2.1
@@ -254,18 +214,8 @@ func New(cfg Config) (*Summarizer, error) {
 	if err := cfg.Estimator.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.SequentialScoring && cfg.FullEvalScoring {
-		return nil, errors.New("core: SequentialScoring and FullEvalScoring are mutually exclusive (SequentialScoring already bypasses the cohort scorers)")
-	}
-	if cfg.SequentialScoring && cfg.Parallelism > 1 && cfg.Estimator.Samples > 0 {
-		return nil, errors.New("core: SequentialScoring with Parallelism requires an enumerating estimator (Samples = 0); batched scoring (the default) parallelizes sampling mode")
-	}
-	if !cfg.SequentialScoring {
-		// The batch path's workers live inside the estimator's sweep.
-		cfg.Estimator.Parallelism = cfg.Parallelism
-	}
-	cfg.Estimator.LegacyEval = cfg.LegacyEval
-	cfg.Estimator.ScalarEval = cfg.ScalarEval
+	// The scoring workers live inside the estimator's sweeps.
+	cfg.Estimator.Parallelism = cfg.Parallelism
 	return &Summarizer{cfg: cfg}, nil
 }
 
@@ -483,7 +433,12 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		pairs = pairs[:cfg.CandidateCap]
 	}
 
-	cands := s.probeAll(p0, cur, cum, origAnns, origSize, pairs, res)
+	members := make([][]provenance.Annotation, len(pairs))
+	for i, pr := range pairs {
+		members[i] = []provenance.Annotation{pr[0], pr[1]}
+	}
+	base := provenance.GroupsOf(origAnns, cum)
+	cands := s.probeCohort(p0, cur, cum, base, origSize, members, res)
 
 	var best candidate
 	var ties []candidate
@@ -505,85 +460,21 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		best = s.breakTies(append(ties, best))
 	}
 	if cfg.MergeArity > 2 {
-		best = s.growCandidate(p0, cur, cum, origAnns, origSize, anns, best, res)
+		best = s.growCandidate(p0, cur, cum, base, origSize, anns, best, res)
 	}
 	return s.commitCandidate(cur, cum, best), true
 }
 
-// probeAll scores every pair. The default path hands the whole cohort to
-// probeCohort (incremental delta scoring, with a materialized-batch
-// fallback); Config.SequentialScoring falls back to candidate-major
-// probes, sequentially or on Config.Parallelism goroutines. The result
-// order matches the pair order, so the downstream reduction is
-// deterministic on every path.
-func (s *Summarizer) probeAll(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, pairs [][2]provenance.Annotation, res *Summary) []candidate {
-	if !s.cfg.SequentialScoring {
-		base := provenance.GroupsOf(origAnns, cum)
-		members := make([][]provenance.Annotation, len(pairs))
-		for i, pr := range pairs {
-			members[i] = []provenance.Annotation{pr[0], pr[1]}
-		}
-		return s.probeCohort(p0, cur, cum, base, origSize, members, res)
-	}
-
-	cands := make([]candidate, len(pairs))
-	if s.cfg.Parallelism <= 1 || len(pairs) < 2 {
-		for i, pr := range pairs {
-			t0 := time.Now()
-			cands[i] = s.probeCandidate(p0, cur, cum, origAnns, origSize, pr[0], pr[1])
-			res.CandidateTime += time.Since(t0)
-			res.CandidatesEvaluated++
-		}
-		return cands
-	}
-
-	// Fill the shared evaluation cache up front so workers only read it.
-	s.cfg.Estimator.Prewarm(p0)
-	workers := s.cfg.Parallelism
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	// Each probe is timed individually and the durations accumulate
-	// atomically, so CandidateTime is the summed probe cost — comparable
-	// to a sequential run — and never counts time a worker spends idle
-	// (blocked on the unbuffered channel or descheduled).
-	var probeNanos atomic.Int64
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pr := pairs[i]
-				t0 := time.Now()
-				cands[i] = s.probeCandidate(p0, cur, cum, origAnns, origSize, pr[0], pr[1])
-				probeNanos.Add(int64(time.Since(t0)))
-			}
-		}()
-	}
-	for i := range pairs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	res.CandidateTime += time.Duration(probeNanos.Load())
-	res.CandidatesEvaluated += len(pairs)
-	return cands
-}
-
-// probeCohort scores one cohort of candidate member sets: by default
-// through the incremental delta engine (Estimator.DistanceDelta), which
-// probes every merge against the shared current expression without
-// materializing candidates; when the expression cannot be planned, or
-// Config.FullEvalScoring or Config.LegacyEval is set, it falls back to
-// materialized batch scoring. All paths produce bit-identical
-// candidates.
+// probeCohort scores one cohort of candidate member sets. The scorer is
+// chosen by the input: a plannable current expression goes through the
+// incremental delta engine (Estimator.DistanceDelta), which probes every
+// merge against the shared current expression without materializing
+// candidates; anything else — names with key separators, negative
+// constants, reserved annotations, plans the engine refuses — falls back
+// to materialized batch scoring. Both produce bit-identical candidates.
 func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) []candidate {
-	if !s.cfg.FullEvalScoring && !s.cfg.LegacyEval {
-		if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, res); ok {
-			return cands
-		}
+	if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, res); ok {
+		return cands
 	}
 	return s.probeBatch(p0, cur, cum, base, origSize, members, res)
 }
@@ -666,63 +557,25 @@ func probeGroups(base provenance.Groups, members []provenance.Annotation) proven
 	return g
 }
 
-// probeCandidate scores the candidate mapping members ↦ probeAnn without
-// registering a summary annotation. The distance and size are invariant
-// under the summary annotation's name, so the probe score equals the
-// committed candidate's score.
-func (s *Summarizer) probeCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, members ...provenance.Annotation) candidate {
-	cfg := s.cfg
-	step := provenance.MergeMapping(probeAnn, members...)
-	nextCum := cum.Compose(step)
-	next := cur.Apply(step)
-
-	d := s.distanceFor(p0, next, nextCum, origAnns)
-	rSize := float64(next.Size()) / float64(origSize)
-	score := cfg.WDist*d + cfg.WSize*rSize
-	return candidate{members: members, expr: next, cum: nextCum, dist: d, score: score}
-}
-
 // growCandidate extends the winning pair towards MergeArity members: at
 // each growth step the constraint-compatible annotation whose absorption
 // yields the lowest candidate score joins the group. Each growth round is
-// one candidate cohort, so the default path scores it with a single
-// cohort sweep (delta, or its batch fallback).
-func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, anns []provenance.Annotation, best candidate, res *Summary) candidate {
-	cfg := s.cfg
-	var base provenance.Groups
-	if !cfg.SequentialScoring {
-		base = provenance.GroupsOf(origAnns, cum)
-	}
-	for len(best.members) < cfg.MergeArity {
+// one candidate cohort, scored with a single cohort sweep.
+func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, res *Summary) candidate {
+	for len(best.members) < s.cfg.MergeArity {
+		var members [][]provenance.Annotation
+		for _, a := range anns {
+			if contains(best.members, a) || !s.compatibleWithAll(a, best.members) {
+				continue
+			}
+			members = append(members, append(append([]provenance.Annotation(nil), best.members...), a))
+		}
 		var grown candidate
 		found := false
-		if !cfg.SequentialScoring {
-			var members [][]provenance.Annotation
-			for _, a := range anns {
-				if contains(best.members, a) || !s.compatibleWithAll(a, best.members) {
-					continue
-				}
-				members = append(members, append(append([]provenance.Annotation(nil), best.members...), a))
-			}
-			for _, cand := range s.probeCohort(p0, cur, cum, base, origSize, members, res) {
-				if !found || cand.score < grown.score-1e-12 {
-					grown = cand
-					found = true
-				}
-			}
-		} else {
-			for _, a := range anns {
-				if contains(best.members, a) || !s.compatibleWithAll(a, best.members) {
-					continue
-				}
-				t0 := time.Now()
-				cand := s.probeCandidate(p0, cur, cum, origAnns, origSize, append(append([]provenance.Annotation(nil), best.members...), a)...)
-				res.CandidateTime += time.Since(t0)
-				res.CandidatesEvaluated++
-				if !found || cand.score < grown.score-1e-12 {
-					grown = cand
-					found = true
-				}
+		for _, cand := range s.probeCohort(p0, cur, cum, base, origSize, members, res) {
+			if !found || cand.score < grown.score-1e-12 {
+				grown = cand
+				found = true
 			}
 		}
 		if !found {

@@ -16,26 +16,16 @@ import (
 
 // TestExtendEmptyPriorMatchesSummarize is the warm-start oracle: Extend
 // with an empty (or all-singleton) prior must be byte-identical to
-// Summarize on every scoring engine, with exact enumeration and with
-// Monte-Carlo sampling alike. Extend delegates to the from-scratch path
-// when the seed trace is empty, so any divergence here means the
-// delegation (or the singleton filtering in SeedSteps) broke.
+// Summarize on every row of the scoring matrix (scoringRows), with exact
+// enumeration and with Monte-Carlo sampling alike. Extend delegates to
+// the from-scratch path when the seed trace is empty, so any divergence
+// here means the delegation (or the singleton filtering in SeedSteps)
+// broke.
 func TestExtendEmptyPriorMatchesSummarize(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		seq, full bool
-		sampled   bool
-	}{
-		{name: "seq", seq: true},
-		{name: "batch", full: true},
-		{name: "delta"},
-		{name: "seq-sampled", seq: true, sampled: true},
-		{name: "batch-sampled", full: true, sampled: true},
-		{name: "delta-sampled", sampled: true},
-	} {
+	for _, tc := range scoringRows {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(prior provenance.Groups, extend bool) string {
-				w, cfg := checkpointConfig(t, tc.seq, tc.full, tc.sampled)
+				w, cfg := checkpointConfig(t, tc)
 				s, err := core.New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -59,7 +49,7 @@ func TestExtendEmptyPriorMatchesSummarize(t *testing.T) {
 				t.Fatalf("Extend(nil prior) diverged from Summarize:\n%s\n--- want ---\n%s", got, want)
 			}
 			// All-singleton priors contribute no seed steps either.
-			w := movieLens(t)
+			w, _ := checkpointConfig(t, tc)
 			singles := make(provenance.Groups)
 			for _, a := range w.Prov.Annotations() {
 				singles[a] = []provenance.Annotation{a}

@@ -148,19 +148,14 @@ func TestParallelismMatchesSequential(t *testing.T) {
 }
 
 // TestParallelismSamplingModes pins the sampling × parallelism matrix:
-// the batched scorer (the default) draws its samples up front, so
-// Samples > 0 with Parallelism is accepted; the candidate-major fallback
-// (SequentialScoring) still rejects the combination because each probe
-// would pull fresh draws from the shared Rand.
+// every sweep draws its samples up front, so Samples > 0 with
+// Parallelism is accepted.
 func TestParallelismSamplingModes(t *testing.T) {
 	_, pol, est := bigFixture()
 	est.Samples = 10
 	est.Rand = rand.New(rand.NewSource(1))
 	if _, err := New(Config{Policy: pol, Estimator: est, WDist: 1, Parallelism: 4}); err != nil {
-		t.Fatalf("batched parallel sampling must be accepted, got %v", err)
-	}
-	if _, err := New(Config{Policy: pol, Estimator: est, WDist: 1, Parallelism: 4, SequentialScoring: true}); err == nil {
-		t.Fatal("sequential-scoring parallel sampling must be rejected")
+		t.Fatalf("parallel sampling must be accepted, got %v", err)
 	}
 }
 

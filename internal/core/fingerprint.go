@@ -15,9 +15,9 @@ import (
 // summary Algorithm 1 produces: the score weights and bounds, the step
 // budget, merge arity, tie-breaking mode, the candidate cap, and the
 // estimator's distance setup (φ, VAL-FUNC, valuation class, sampling).
-// Runtime knobs — Parallelism, the scoring-engine selection flags,
-// observers, checkpointing — are deliberately excluded: all scoring
-// engines choose bit-identical summaries at any worker count.
+// Runtime knobs — Parallelism, observers, checkpointing — are
+// deliberately excluded: the scorers choose bit-identical summaries at
+// any worker count.
 //
 // Two caveats callers must own: a config with CandidateCap > 0 samples
 // its candidate sets from Rand, so equal fingerprints then only mean

@@ -5,6 +5,7 @@ package core_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -36,104 +37,115 @@ func mlSummaryKey(t *testing.T, sum *core.Summary) string {
 	return b.String()
 }
 
-// TestMovieLensScoringModesIdentical runs the same seeded MovieLens
-// workload through every scoring layout — candidate-major sequential,
-// materialized batch (FullEvalScoring), and the default incremental
-// delta engine, each at Parallelism 1 and 4 — and requires byte-identical
-// summaries: same merges, bit-identical scores and distances, same
-// rendered expression. The delta runs must actually exercise the delta
-// engine (counters move), not silently fall back.
-func TestMovieLensScoringModesIdentical(t *testing.T) {
-	run := func(seqScoring, fullEval, legacy, scalar bool, workers int, wantDelta bool) string {
-		w := movieLens(t)
-		est := w.Estimator(datasets.CancelSingleAnnotation)
-		s, err := core.New(core.Config{
-			Policy:            w.Policy,
-			Estimator:         est,
-			WDist:             0.7,
-			WSize:             0.3,
-			MaxSteps:          6,
-			SequentialScoring: seqScoring,
-			FullEvalScoring:   fullEval,
-			LegacyEval:        legacy,
-			ScalarEval:        scalar,
-			Parallelism:       workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := s.Summarize(w.Prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := est.Stats()
-		if wantDelta && st.DeltaCalls == 0 {
-			t.Fatal("delta-mode run never reached the delta engine")
-		}
-		if !wantDelta && st.DeltaCalls != 0 {
-			t.Fatalf("non-delta run made %d delta calls", st.DeltaCalls)
-		}
-		if wantDelta && st.DeltaSkips == 0 {
-			t.Fatal("delta-mode run never short-circuited a truth-stable pair")
-		}
-		return mlSummaryKey(t, sum)
+// titledMovieLens is movieLens with every movie annotation renamed to
+// a "Title (Year)" name, the way real MovieLens titles read. Parentheses
+// are key separators of the canonical tensor form, so the delta
+// engine's probes refuse the expression and every cohort is scored by
+// the DistanceBatch fallback.
+func titledMovieLens(t *testing.T) *datasets.Workload {
+	t.Helper()
+	w := movieLens(t)
+	table := make(map[provenance.Annotation]provenance.Annotation)
+	for _, a := range w.Universe.InTable(datasets.MLMoviesTable) {
+		titled := provenance.Annotation(fmt.Sprintf("%s (%s)", a, w.Universe.Attr(a, "year")))
+		w.Universe.Add(titled, datasets.MLMoviesTable, w.Universe.AttrsOf(a))
+		table[a] = titled
 	}
-	want := run(true, false, false, false, 1, false)
-	for _, tc := range []struct {
-		name                      string
-		seq, full, legacy, scalar bool
-		workers                   int
-	}{
-		{"sequential-parallel", true, false, false, false, 4},
-		{"full-eval-batch", false, true, false, false, 1},
-		{"full-eval-batch-parallel", false, true, false, false, 4},
-		{"delta", false, false, false, false, 1},
-		{"delta-parallel", false, false, false, false, 4},
-		// LegacyEval disables the arena evaluators (and the delta path):
-		// the recursive reference must reproduce the arena runs
-		// byte-for-byte, in both remaining scoring layouts.
-		{"legacy-sequential", true, false, true, false, 1},
-		{"legacy-sequential-parallel", true, false, true, false, 4},
-		{"legacy-batch", false, false, true, false, 1},
-		{"legacy-batch-parallel", false, false, true, false, 4},
-		{"legacy-full-eval-batch", false, true, true, false, 1},
-		// ScalarEval disables only the valuation-blocked kernel: every
-		// scoring layout falls back to per-valuation arena evaluation
-		// and must reproduce the blocked runs byte-for-byte.
-		{"scalar-sequential", true, false, false, true, 1},
-		{"scalar-sequential-parallel", true, false, false, true, 4},
-		{"scalar-full-eval-batch", false, true, false, true, 1},
-		{"scalar-full-eval-batch-parallel", false, true, false, true, 4},
-		{"scalar-delta", false, false, false, true, 1},
-		{"scalar-delta-parallel", false, false, false, true, 4},
-	} {
-		wantDelta := !tc.seq && !tc.full && !tc.legacy
-		if got := run(tc.seq, tc.full, tc.legacy, tc.scalar, tc.workers, wantDelta); got != want {
-			t.Fatalf("%s diverged from candidate-major sequential:\n%s\n--- want ---\n%s", tc.name, got, want)
-		}
+	w.Prov = w.Prov.Apply(provenance.MappingOf(table))
+	return w
+}
+
+// The determinism matrix pins each row's summary to the SHA-256 of its
+// mlSummaryKey. Every reference was produced by, and agreed across, the
+// retired scoring layouts — candidate-major, materialized batch and
+// delta, on the recursive, scalar-arena and blocked evaluators — before
+// they were folded into one engine. Each row runs at Parallelism 1 and 4.
+const (
+	mlEnumKey   = "ab01cd20da177d9339e5b43f3f03c589597bb8ad330951992578ac646bd6ee35"
+	mlSampKey   = "25b207fd17787f4bf94a52c13fc3667c4ae76d9fbf723ad4dfd8614bc444ed58"
+	ddpEnumKey  = "be93d10305ec1a50595f7dce8e55d8c68f8e9b43245f97fd10bfc15e95d51800"
+	ddpSampKey  = "2b4b412f381f7c70d3ff0e259f58fd35f1697d82690e37a1ac2a6edb53d6dfc2"
+	extEnumKey  = "ce30749c460f1995f70edbfd629bdb940f0d0f9c8deb2e10f389fd0934c21ec2"
+	extSampKey  = "d218fabfb2b0753c1d4781e94ccf93a7107e77754f595b98015467786390e808"
+	matrixSteps = 6
+)
+
+var matrixWorkers = []int{1, 4}
+
+// checkMatrixKey fails unless key hashes to want.
+func checkMatrixKey(t *testing.T, row string, key, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(key))); got != want {
+		t.Fatalf("%s: summary hash %s, want %s; summary:\n%s", row, got, want, key)
+	}
+}
+
+// runMovieLens summarizes the seeded MovieLens workload and returns the
+// summary key, requiring that every cohort went through the delta
+// engine.
+func runMovieLens(t *testing.T, workers, samples, steps int) string {
+	t.Helper()
+	w := movieLens(t)
+	est := w.Estimator(datasets.CancelSingleAnnotation)
+	if samples > 0 {
+		est.Samples = samples
+		est.Rand = rand.New(rand.NewSource(21))
+	}
+	s, err := core.New(core.Config{
+		Policy:      w.Policy,
+		Estimator:   est,
+		WDist:       0.7,
+		WSize:       0.3,
+		MaxSteps:    steps,
+		Parallelism: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Summarize(w.Prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := est.Stats(); st.DeltaCalls == 0 || st.DeltaSkips == 0 || st.BatchCalls != 0 {
+		t.Fatalf("run left the delta engine: DeltaCalls=%d DeltaSkips=%d BatchCalls=%d", st.DeltaCalls, st.DeltaSkips, st.BatchCalls)
+	}
+	return mlSummaryKey(t, sum)
+}
+
+// TestMovieLensScoringModesIdentical is the determinism matrix's
+// MovieLens enumeration row: the seeded workload summarized at
+// Parallelism 1 and 4 must reproduce the pinned summary — same merges,
+// bit-identical scores and distances, same rendered expression.
+func TestMovieLensScoringModesIdentical(t *testing.T) {
+	for _, workers := range matrixWorkers {
+		checkMatrixKey(t, fmt.Sprintf("workers=%d", workers), runMovieLens(t, workers, 0, matrixSteps), mlEnumKey)
 	}
 }
 
 // TestMovieLensMergePatchEquivalence is the acceptance test for
 // Plan.ApplyMerge: a full seeded MovieLens run with in-place merge
-// patching (the default) must be byte-identical to the same run with
-// NoMergePatch forcing a plan recompile after every commit — and the
-// default run must actually patch (MergePatches moves). Some commits
-// may still recompile by design: ApplyMerge bails when the patch would
-// be unsound or leave the arena more than half dead.
+// patching must be byte-identical to the same run recompiling its plan
+// every step (the StepObserver resets the estimator after each commit,
+// dropping the patched plan) — and the default run must actually patch
+// (MergePatches moves). Some commits may still recompile by design:
+// ApplyMerge bails when the patch would be unsound or leave the arena
+// more than half dead.
 func TestMovieLensMergePatchEquivalence(t *testing.T) {
-	run := func(noPatch bool, workers int) (string, uint64, uint64) {
+	run := func(recompile bool, workers int) (string, uint64) {
 		w := movieLens(t)
 		est := w.Estimator(datasets.CancelSingleAnnotation)
-		est.NoMergePatch = noPatch
-		s, err := core.New(core.Config{
+		cfg := core.Config{
 			Policy:      w.Policy,
 			Estimator:   est,
 			WDist:       0.7,
 			WSize:       0.3,
-			MaxSteps:    6,
+			MaxSteps:    matrixSteps,
 			Parallelism: workers,
-		})
+		}
+		if recompile {
+			cfg.StepObserver = func(core.StepEvent) { est.ResetCache() }
+		}
+		s, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,71 +153,28 @@ func TestMovieLensMergePatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := est.Stats()
-		return mlSummaryKey(t, sum), st.MergePatches, st.MergeRecompiles
+		return mlSummaryKey(t, sum), est.Stats().MergePatches
 	}
-	want, patches, _ := run(false, 1)
+	want, patches := run(false, 1)
 	if patches == 0 {
 		t.Fatal("default run never patched a plan in place")
 	}
-	got, patches, recompiles := run(true, 1)
-	if got != want {
+	checkMatrixKey(t, "patched", want, mlEnumKey)
+	if got, _ := run(true, 1); got != want {
 		t.Fatalf("recompile-per-step run diverged from patched run:\n%s\n--- want ---\n%s", got, want)
 	}
-	if patches != 0 || recompiles == 0 {
-		t.Fatalf("NoMergePatch run: patches=%d recompiles=%d, want 0/>0", patches, recompiles)
-	}
-	if got, _, _ := run(false, 4); got != want {
+	if got, _ := run(false, 4); got != want {
 		t.Fatalf("patched parallel run diverged:\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
-// TestMovieLensSampledParallelIdentical is the sampling half of the
-// acceptance criterion on a real workload: Samples > 0 with
-// Parallelism > 1 must reproduce the sequential run byte-identically
-// given the same seed, because each step's sample set is drawn once
-// before the candidate fan-out — on the default delta path and on the
-// materialized batch path alike.
+// TestMovieLensSampledParallelIdentical is the determinism matrix's
+// MovieLens sampling row: Samples > 0 at Parallelism 1 and 4 must
+// reproduce the pinned summary given the same seed, because each step's
+// sample set is drawn once before the candidate fan-out.
 func TestMovieLensSampledParallelIdentical(t *testing.T) {
-	run := func(fullEval, legacy bool, workers int) string {
-		w := movieLens(t)
-		est := w.Estimator(datasets.CancelSingleAnnotation)
-		est.Samples = 8
-		est.Rand = rand.New(rand.NewSource(21))
-		s, err := core.New(core.Config{
-			Policy:          w.Policy,
-			Estimator:       est,
-			WDist:           0.7,
-			WSize:           0.3,
-			MaxSteps:        5,
-			FullEvalScoring: fullEval,
-			LegacyEval:      legacy,
-			Parallelism:     workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := s.Summarize(w.Prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mlSummaryKey(t, sum)
-	}
-	want := run(false, false, 1)
-	for _, workers := range []int{2, 6} {
-		if got := run(false, false, workers); got != want {
-			t.Fatalf("delta workers=%d diverged from sequential sampled run:\n%s\n--- want ---\n%s", workers, got, want)
-		}
-	}
-	for _, workers := range []int{1, 6} {
-		if got := run(true, false, workers); got != want {
-			t.Fatalf("full-eval workers=%d diverged from delta sampled run:\n%s\n--- want ---\n%s", workers, got, want)
-		}
-	}
-	for _, workers := range []int{1, 6} {
-		if got := run(false, true, workers); got != want {
-			t.Fatalf("legacy-eval workers=%d diverged from delta sampled run:\n%s\n--- want ---\n%s", workers, got, want)
-		}
+	for _, workers := range matrixWorkers {
+		checkMatrixKey(t, fmt.Sprintf("workers=%d", workers), runMovieLens(t, workers, 8, 5), mlSampKey)
 	}
 }
 
@@ -214,34 +183,24 @@ func ddpWorkload(t *testing.T) *datasets.Workload {
 	return datasets.DDP(datasets.DefaultDDPConfig(), rand.New(rand.NewSource(13)))
 }
 
-// ddpScoringMode is one row of the DDP determinism matrix.
-type ddpScoringMode struct {
-	name             string
-	seq, full, delta bool
-	workers, samples int
-}
-
 // runDDP summarizes (or, with prior groups, extends) the seeded DDP
-// workload under one scoring mode and returns the summary key. A delta
-// mode must score every cohort on the DDP block plan: no DistanceBatch
-// fallback at all.
-func runDDP(t *testing.T, m ddpScoringMode, prior provenance.Groups) string {
+// workload and returns the summary key. Every cohort must be scored on
+// the DDP block plan: no DistanceBatch fallback at all.
+func runDDP(t *testing.T, workers, samples int, prior provenance.Groups) string {
 	t.Helper()
 	w := ddpWorkload(t)
 	est := w.Estimator(datasets.CancelSingleAttribute)
-	if m.samples > 0 {
-		est.Samples = m.samples
+	if samples > 0 {
+		est.Samples = samples
 		est.Rand = rand.New(rand.NewSource(5))
 	}
 	s, err := core.New(core.Config{
-		Policy:            w.Policy,
-		Estimator:         est,
-		WDist:             0.5,
-		WSize:             0.5,
-		MaxSteps:          8,
-		SequentialScoring: m.seq,
-		FullEvalScoring:   m.full,
-		Parallelism:       m.workers,
+		Policy:      w.Policy,
+		Estimator:   est,
+		WDist:       0.5,
+		WSize:       0.5,
+		MaxSteps:    8,
+		Parallelism: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,49 +214,19 @@ func runDDP(t *testing.T, m ddpScoringMode, prior provenance.Groups) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := est.Stats()
-	if m.delta && (st.BatchCalls != 0 || st.DeltaCalls == 0 || st.DeltaSkips == 0) {
-		t.Fatalf("%s: DDP run fell back to batch scoring: BatchCalls=%d DeltaCalls=%d DeltaSkips=%d", m.name, st.BatchCalls, st.DeltaCalls, st.DeltaSkips)
-	}
-	if !m.delta && st.DeltaCalls != 0 {
-		t.Fatalf("%s: non-delta run made %d delta calls", m.name, st.DeltaCalls)
+	if st := est.Stats(); st.BatchCalls != 0 || st.DeltaCalls == 0 || st.DeltaSkips == 0 {
+		t.Fatalf("DDP run fell back to batch scoring: BatchCalls=%d DeltaCalls=%d DeltaSkips=%d", st.BatchCalls, st.DeltaCalls, st.DeltaSkips)
 	}
 	return mlSummaryKey(t, sum)
 }
 
-// TestDDPScoringModesIdentical is the determinism matrix's DDP row: the
-// seeded DDP workload summarized under the default delta engine (the
-// tropical block plan), materialized batch scoring (FullEvalScoring) and
-// candidate-major SequentialScoring, at Parallelism 1 and 2, must give
-// byte-identical summaries — and so must the sampling-mode runs among
-// themselves, and an Extend run warm-started from a prior summary's
-// groups. The default runs must never fall back to DistanceBatch.
+// TestDDPScoringModesIdentical is the determinism matrix's DDP rows: the
+// seeded DDP workload summarized on its tropical block plan, in
+// enumeration and in sampling mode, and an Extend run warm-started from
+// a prior summary's groups (both modes), each at Parallelism 1 and 4,
+// must reproduce the pinned summaries. No run may fall back to
+// DistanceBatch.
 func TestDDPScoringModesIdentical(t *testing.T) {
-	check := func(rows []ddpScoringMode, prior provenance.Groups) {
-		t.Helper()
-		want := runDDP(t, rows[0], prior)
-		for _, m := range rows[1:] {
-			if got := runDDP(t, m, prior); got != want {
-				t.Fatalf("%s diverged from %s:\n%s\n--- want ---\n%s", m.name, rows[0].name, got, want)
-			}
-		}
-	}
-	check([]ddpScoringMode{
-		{name: "delta", delta: true, workers: 1},
-		{name: "delta-parallel", delta: true, workers: 2},
-		{name: "full-eval-batch", full: true, workers: 1},
-		{name: "full-eval-batch-parallel", full: true, workers: 2},
-		{name: "sequential", seq: true, workers: 1},
-		{name: "sequential-parallel", seq: true, workers: 2},
-	}, nil)
-	check([]ddpScoringMode{
-		{name: "sampled-delta", delta: true, workers: 1, samples: 80},
-		{name: "sampled-delta-parallel", delta: true, workers: 2, samples: 80},
-		{name: "sampled-full-eval-batch", full: true, workers: 1, samples: 80},
-		{name: "sampled-full-eval-batch-parallel", full: true, workers: 2, samples: 80},
-	}, nil)
-
-	// Extend: warm-start from the groups of a short default run.
 	w := ddpWorkload(t)
 	s, err := core.New(core.Config{Policy: w.Policy, Estimator: w.Estimator(datasets.CancelSingleAttribute), WDist: 0.5, WSize: 0.5, MaxSteps: 3})
 	if err != nil {
@@ -310,10 +239,19 @@ func TestDDPScoringModesIdentical(t *testing.T) {
 	if len(prior.Groups) == 0 {
 		t.Fatal("prior run produced no groups")
 	}
-	check([]ddpScoringMode{
-		{name: "extend-delta", delta: true, workers: 1},
-		{name: "extend-delta-parallel", delta: true, workers: 2},
-		{name: "extend-full-eval-batch", full: true, workers: 1},
-		{name: "extend-sequential", seq: true, workers: 1},
-	}, prior.Groups)
+	for _, row := range []struct {
+		name    string
+		samples int
+		prior   provenance.Groups
+		want    string
+	}{
+		{"summarize", 0, nil, ddpEnumKey},
+		{"summarize-sampled", 80, nil, ddpSampKey},
+		{"extend", 0, prior.Groups, extEnumKey},
+		{"extend-sampled", 80, prior.Groups, extSampKey},
+	} {
+		for _, workers := range matrixWorkers {
+			checkMatrixKey(t, fmt.Sprintf("%s workers=%d", row.name, workers), runDDP(t, workers, row.samples, row.prior), row.want)
+		}
+	}
 }

@@ -27,7 +27,9 @@ type BatchCandidate struct {
 // inner loop over candidates, so the per-valuation work that does not
 // depend on the candidate — the original expression's evaluation and the
 // φ-combined truth of every group the candidates share — is computed once
-// per valuation instead of once per (candidate, valuation).
+// per valuation instead of once per (candidate, valuation). It is the
+// materialized fallback of DistanceDelta: the scorer for cohorts whose
+// current expression cannot be planned or probed.
 //
 // In sampling mode (Samples > 0) the valuation draws happen once, up
 // front, and every candidate is scored under the same draws (common
@@ -47,7 +49,13 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 		e.stats.batchCandidates.Add(uint64(len(cands)))
 		e.stats.batchNanos.Add(int64(time.Since(t0)))
 	}()
+	return e.scoreCohort(p0, cands)
+}
 
+// scoreCohort is the body of DistanceBatch and Distance: one
+// batchSweepBlock over the cohort, candidates partitioned across
+// Parallelism workers.
+func (e *Estimator) scoreCohort(p0 provenance.Expression, cands []BatchCandidate) []float64 {
 	out := make([]float64, len(cands))
 	if len(cands) == 0 {
 		return out
@@ -56,35 +64,25 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 	if len(vals) == 0 {
 		return out
 	}
-	// Fill the original-expression cache before fanning out so workers
-	// only read it.
-	for _, v := range vals {
-		e.evalOriginal(v, p0)
+	// Evaluate the original once per valuation before fanning out, so
+	// workers share the results without touching the cache.
+	origs := make([]provenance.Result, len(vals))
+	for i, v := range vals {
+		origs[i] = e.evalOriginal(v, p0)
 	}
 	// Compile each candidate into its arena once, amortized over the
-	// whole valuation sweep. A nil entry (non-Agg candidate, unknown
-	// node, or LegacyEval) falls back to interface dispatch per
-	// candidate.
-	var arenas []*provenance.Arena
-	if !e.LegacyEval {
-		arenas = make([]*provenance.Arena, len(cands))
-		for i := range cands {
-			if g, ok := cands[i].Expr.(*provenance.Agg); ok {
-				arenas[i] = provenance.CompileArena(g)
-			}
+	// whole valuation sweep. A nil entry (non-Agg candidate or unknown
+	// node) evaluates through the Expr tree walk.
+	arenas := make([]*provenance.Arena, len(cands))
+	for i := range cands {
+		if g, ok := cands[i].Expr.(*provenance.Agg); ok {
+			arenas[i] = provenance.CompileArena(g)
 		}
 	}
 
-	sweep := e.batchSweep
-	if arenas != nil && !e.ScalarEval {
-		sweep = e.batchSweepBlock
-	}
-	workers := e.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	workers := min(e.Parallelism, len(cands))
 	if workers <= 1 {
-		sweep(p0, cands, arenas, vals, out, 0, len(cands))
+		e.batchSweepBlock(cands, arenas, vals, origs, out, 0, len(cands))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -93,15 +91,20 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				sweep(p0, cands, arenas, vals, out, lo, hi)
+				e.batchSweepBlock(cands, arenas, vals, origs, out, lo, hi)
 			}(lo, hi)
 		}
 		wg.Wait()
 	}
+	e.normalize(out, len(vals))
+	return out
+}
 
-	n := float64(len(vals))
+// normalize turns per-candidate VAL-FUNC sums over n valuations into
+// distances: the mean, divided by MaxError (capped at 1) when set.
+func (e *Estimator) normalize(out []float64, n int) {
 	for i, total := range out {
-		d := total / n
+		d := total / float64(n)
 		if e.MaxError > 0 {
 			d /= e.MaxError
 			if d > 1 {
@@ -110,7 +113,6 @@ func (e *Estimator) DistanceBatch(p0 provenance.Expression, cands []BatchCandida
 		}
 		out[i] = d
 	}
-	return out
 }
 
 // batchValuations returns the sweep's valuation list: the enumerated
@@ -130,64 +132,19 @@ func (e *Estimator) batchValuations() []provenance.Valuation {
 	return vals
 }
 
-// batchSweep scores cands[lo:hi] against every valuation, valuation-major.
-// Within a sweep, the φ-combined truth of each group is memoized by
-// member-slice identity, so groups shared across candidates are combined
-// once per valuation. Candidates with a compiled arena evaluate through
-// a truth-bitset fill (one memoized Truth per interned annotation) and
-// an iterative node pass; the rest fall back to the tree walk. The two
-// paths are bit-identical.
-func (e *Estimator) batchSweep(p0 provenance.Expression, cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, out []float64, lo, hi int) {
-	ext := &memoExtendedValuation{phi: e.Phi}
-	var scratches []*provenance.ArenaScratch
-	var bits []provenance.Bitset
-	if arenas != nil {
-		scratches = make([]*provenance.ArenaScratch, hi-lo)
-		bits = make([]provenance.Bitset, hi-lo)
-		for ci := lo; ci < hi; ci++ {
-			if ar := arenas[ci]; ar != nil {
-				scratches[ci-lo] = ar.NewScratch()
-				bits[ci-lo] = ar.NewTruths()
-			}
-		}
-	}
-	for _, v := range vals {
-		orig := e.evalOriginal(v, p0) // cache hit after the prewarm above
-		ext.reset(v)
-		for ci := lo; ci < hi; ci++ {
-			c := cands[ci]
-			ext.groups = c.Groups
-			aligned := orig
-			if needsAlign(orig, c.Cumulative) {
-				aligned = c.Expr.AlignResult(orig, c.Cumulative)
-			}
-			var summ provenance.Result
-			if arenas != nil && arenas[ci] != nil {
-				ar := arenas[ci]
-				b := bits[ci-lo]
-				ar.FillTruths(b, ext.Truth)
-				summ = ar.Eval(b, scratches[ci-lo])
-			} else {
-				summ = c.Expr.Eval(ext)
-			}
-			out[ci] += e.VF.F(v, aligned, summ)
-			e.stats.evaluations.Add(1)
-		}
-	}
-}
-
-// batchSweepBlock is batchSweep's valuation-blocked variant: the
-// valuations split into blocks of up to 64 lanes, and each blockable
-// candidate packs the block's extended truths into words and evaluates
-// all lanes in one Arena.EvalBlock pass (node-major, word-level truth
-// ops) instead of one scalar arena pass per valuation. Workers still
-// partition candidates (out columns stay disjoint); within a worker the
-// blocks run outermost so the per-lane φ-memos fill once per block and
-// serve every candidate. Per-candidate sums accumulate lane-ascending
-// per block, i.e. in valuation order — bit-identical to batchSweep.
-// Candidates without a blockable arena fall back to the tree walk per
-// lane, which the arena differential tests pin to the same bits.
-func (e *Estimator) batchSweepBlock(p0 provenance.Expression, cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, out []float64, lo, hi int) {
+// batchSweepBlock scores cands[lo:hi] against every valuation,
+// valuation-major: the valuations split into blocks of up to 64 lanes,
+// and each blockable candidate packs the block's extended truths into
+// words and evaluates all lanes in one Arena.EvalBlock pass (node-major,
+// word-level truth ops). Workers partition candidates (out columns stay
+// disjoint); within a worker the blocks run outermost so the per-lane
+// φ-memos — keyed by group member-slice identity — fill once per block
+// and serve every candidate. Per-candidate sums accumulate
+// lane-ascending per block, i.e. in valuation order. Candidates without
+// a blockable arena (negative constants, non-aggregations) evaluate
+// through the Expr tree walk per lane, which the arena differential
+// tests pin to the same bits. origs[i] is p0's result under vals[i].
+func (e *Estimator) batchSweepBlock(cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, origs []provenance.Result, out []float64, lo, hi int) {
 	exts := make([]*memoExtendedValuation, 64)
 	for j := range exts {
 		exts[j] = &memoExtendedValuation{phi: e.Phi}
@@ -207,36 +164,33 @@ func (e *Estimator) batchSweepBlock(p0 provenance.Expression, cands []BatchCandi
 				exts[j].groups = c.Groups
 			}
 			ar := arenas[ci]
-			if ar == nil || !ar.Blockable() {
-				for j, v := range block {
-					orig := e.evalOriginal(v, p0)
-					aligned := orig
-					if needsAlign(orig, c.Cumulative) {
-						aligned = c.Expr.AlignResult(orig, c.Cumulative)
+			blocked := ar != nil && ar.Blockable()
+			if blocked {
+				tb.Reset(ar.NumAnns(), len(block))
+				for id, ann := range ar.Annotations() {
+					var w uint64
+					for j := range block {
+						if exts[j].Truth(ann) {
+							w |= 1 << uint(j)
+						}
 					}
-					out[ci] += e.VF.F(v, aligned, c.Expr.Eval(exts[j]))
-					evals++
+					tb.SetWord(int32(id), w)
 				}
-				continue
+				ar.EvalBlock(tb, bs, summ[:len(block)])
 			}
-			tb.Reset(ar.NumAnns(), len(block))
-			for id, ann := range ar.Annotations() {
-				var w uint64
-				for j := range block {
-					if exts[j].Truth(ann) {
-						w |= 1 << uint(j)
-					}
-				}
-				tb.SetWord(int32(id), w)
-			}
-			ar.EvalBlock(tb, bs, summ[:len(block)])
 			for j, v := range block {
-				orig := e.evalOriginal(v, p0)
+				orig := origs[lo64+j]
 				aligned := orig
 				if needsAlign(orig, c.Cumulative) {
 					aligned = c.Expr.AlignResult(orig, c.Cumulative)
 				}
-				out[ci] += e.VF.F(v, aligned, summ[j])
+				var s provenance.Result
+				if blocked {
+					s = summ[j]
+				} else {
+					s = c.Expr.Eval(exts[j])
+				}
+				out[ci] += e.VF.F(v, aligned, s)
 				evals++
 			}
 		}
@@ -308,10 +262,22 @@ func (m *memoExtendedValuation) Truth(a provenance.Annotation) bool {
 	if !ok || len(members) == 0 {
 		return m.base.Truth(a)
 	}
+	// A singleton group costs one raw truth: combining it is cheaper than
+	// a memo entry.
+	if len(members) == 1 {
+		return m.combine(members)
+	}
 	k := keyOf(members)
 	if t, ok := m.memo[k]; ok {
 		return t
 	}
+	t := m.combine(members)
+	m.memo[k] = t
+	return t
+}
+
+// combine φ-combines the raw truths of members.
+func (m *memoExtendedValuation) combine(members []provenance.Annotation) bool {
 	if cap(m.scratch) < len(members) {
 		m.scratch = make([]bool, len(members))
 	}
@@ -319,9 +285,7 @@ func (m *memoExtendedValuation) Truth(a provenance.Annotation) bool {
 	for i, mm := range members {
 		truths[i] = m.base.Truth(mm)
 	}
-	t := m.phi.Combine(truths)
-	m.memo[k] = t
-	return t
+	return m.phi.Combine(truths)
 }
 
 // Name implements provenance.Valuation.

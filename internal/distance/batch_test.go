@@ -46,21 +46,26 @@ func batchFixture(n int) (*provenance.Agg, []provenance.Annotation, []BatchCandi
 	return p0, anns, cands
 }
 
-// TestDistanceBatchMatchesDistance pins the tentpole's core contract: in
-// enumeration mode the valuation-major sweep is bit-identical to one
-// Distance call per candidate (same summands, same addition order).
+// TestDistanceBatchMatchesDistance pins the fallback's contract: in
+// enumeration mode the valuation-major sweep and a per-candidate
+// Distance call are both bit-identical to refDistance (same summands,
+// same addition order).
 func TestDistanceBatchMatchesDistance(t *testing.T) {
 	p0, anns, cands := batchFixture(8)
 	for _, maxErr := range []float64{0, 25} {
 		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		e.MaxError = maxErr
 		got := e.DistanceBatch(p0, cands)
-		ref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		ref.MaxError = maxErr
+		one := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+		one.MaxError = maxErr
+		vals := e.Class.Valuations()
 		for i, c := range cands {
-			want := ref.Distance(p0, c.Expr, c.Cumulative, c.Groups)
+			want := refDistance(e, vals, p0, c.Expr, c.Cumulative, c.Groups)
 			if got[i] != want {
-				t.Fatalf("maxErr=%g candidate %d: batch %v != distance %v", maxErr, i, got[i], want)
+				t.Fatalf("maxErr=%g candidate %d: batch %v != reference %v", maxErr, i, got[i], want)
+			}
+			if d := one.Distance(p0, c.Expr, c.Cumulative, c.Groups); d != want {
+				t.Fatalf("maxErr=%g candidate %d: distance %v != reference %v", maxErr, i, d, want)
 			}
 		}
 	}
@@ -169,14 +174,14 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// The acceptance benchmark pair: one enumeration-mode step with >= 20
-// candidates, scored candidate-major (one Distance call each) vs through
-// the valuation-major DistanceBatch sweep. The step is a mid-run one —
-// 24 original users already summarized into 8 groups of 3, with the 28
-// group pairs as candidates — because that is where candidate-major
-// scoring repeats the most work: every probe re-combines every shared
-// group's φ truth per valuation, which the sweep computes once per
-// valuation for the whole cohort. Run with
+// The step-scoring benchmarks: one enumeration-mode step with >= 20
+// candidates, scored candidate-major (one Distance call each), through
+// the valuation-major DistanceBatch sweep, and through DistanceDelta.
+// The step is a mid-run one — 24 original users already summarized into
+// 8 groups of 3, with the 28 group pairs as candidates — because that
+// is where candidate-major scoring repeats the most work: every probe
+// re-combines every shared group's φ truth per valuation, which the
+// sweep computes once per valuation for the whole cohort. Run with
 // `go test -bench=SummarizeStepScoring ./internal/distance`.
 
 // stepScenario is the shared mid-run step the scoring benchmarks
@@ -255,20 +260,6 @@ func BenchmarkSummarizeStepScoringPerCandidate(b *testing.B) {
 func BenchmarkSummarizeStepScoringBatch(b *testing.B) {
 	sc := benchStep(b)
 	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.DistanceBatch(sc.p0, sc.cands)
-	}
-}
-
-// BenchmarkSummarizeStepScoringLegacyBatch is the arena A/B partner of
-// BenchmarkSummarizeStepScoringBatch: the same cohort sweep with
-// LegacyEval forcing recursive interface-dispatch evaluation. The gap
-// between the pair is the compiled-arena speedup on the batch path.
-func BenchmarkSummarizeStepScoringLegacyBatch(b *testing.B) {
-	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	e.LegacyEval = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DistanceBatch(sc.p0, sc.cands)

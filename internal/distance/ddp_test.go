@@ -118,10 +118,10 @@ func BenchmarkSummarizeStepScoringDDP(b *testing.B) {
 	}
 }
 
-// BenchmarkSummarizeStepScoringDDPBatch is the A/B partner: the same
-// cohort materialized (Apply + Simplify per candidate) and scored by one
-// DistanceBatch sweep over the Expr tree walker, the path DDP took
-// before it had a block plan.
+// BenchmarkSummarizeStepScoringDDPBatch is the fallback's cost on the
+// same step: the cohort materialized (Apply + Simplify per candidate)
+// and scored by one DistanceBatch sweep over the Expr tree walker — the
+// path a DDP step takes when its block plan refuses a probe.
 func BenchmarkSummarizeStepScoringDDPBatch(b *testing.B) {
 	sc := ddpStep(b)
 	e := ddpEstimator(sc)
@@ -139,7 +139,7 @@ func BenchmarkSummarizeStepScoringDDPBatch(b *testing.B) {
 
 // TestDistanceDeltaDDPMatchesBatch pins the benchmark step itself: the
 // delta engine must take it (no fallback) and agree bit for bit with the
-// batch sweep, sizes included.
+// reference and the batch sweep, sizes included.
 func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 	sc := ddpStep(t)
 	checkDDPScenario(t, sc)
@@ -151,9 +151,10 @@ func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 }
 
 // checkDDPScenario is the differential oracle: DistanceDelta distances
-// are bit-identical to DistanceBatch (enumeration at Parallelism 1 and 3,
-// and seeded sampling with enough draws for several 64-lane blocks), and
-// its sizes equal the materialized candidates'. φ = OR and AND.
+// (Parallelism 1 and 3) and the DistanceBatch fallback's are
+// bit-identical to distance.RefDistance, in enumeration and in seeded
+// sampling with enough draws for several 64-lane blocks, and the delta
+// sizes equal the materialized candidates'. φ = OR and AND.
 func checkDDPScenario(t *testing.T, sc ddpScenario) {
 	t.Helper()
 	for _, phi := range []provenance.Combiner{provenance.CombineOr, provenance.CombineAnd} {
@@ -168,7 +169,13 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 				}
 				return e
 			}
-			want := est(1).DistanceBatch(sc.p0, sc.cands)
+			ref := est(1)
+			vals := distance.RefVals(ref.Class, samples, 7)
+			want := make([]float64, len(sc.cands))
+			for i, c := range sc.cands {
+				want[i] = distance.RefDistance(ref, vals, sc.p0, c.Expr, c.Cumulative, c.Groups)
+			}
+			batch := est(1).DistanceBatch(sc.p0, sc.cands)
 			for _, workers := range []int{1, 3} {
 				got, sizes, ok := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
 				if !ok {
@@ -176,7 +183,10 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 				}
 				for i, c := range sc.cands {
 					if got[i] != want[i] {
-						t.Fatalf("φ=%s samples=%d workers=%d candidate %v: delta %v != batch %v\ncur=%v", phi.Name(), samples, workers, sc.sets[i], got[i], want[i], sc.cur)
+						t.Fatalf("φ=%s samples=%d workers=%d candidate %v: delta %v != reference %v\ncur=%v", phi.Name(), samples, workers, sc.sets[i], got[i], want[i], sc.cur)
+					}
+					if batch[i] != want[i] {
+						t.Fatalf("φ=%s samples=%d candidate %v: batch %v != reference %v\ncur=%v", phi.Name(), samples, sc.sets[i], batch[i], want[i], sc.cur)
 					}
 					if s := c.Expr.Size(); sizes[i] != s {
 						t.Fatalf("candidate %v: delta size %d != Apply size %d\ncur=%v", sc.sets[i], sizes[i], s, sc.cur)

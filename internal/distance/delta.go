@@ -45,31 +45,21 @@ type deltaProbe struct {
 	composed     provenance.Mapping
 }
 
-// deltaTruths holds the step's extended valuation v^{h,φ} in dense form:
-// one int8 truth per interned annotation id plus the matching bitset the
-// arena evaluator reads. The base-group members (original annotations)
-// AND the plan's raw annotations intern into one shared table (rawID maps
-// raw plan ids into it), so per-valuation reset pulls each raw truth
-// exactly once — a raw annotation that is also some group's member is not
-// read twice — and every per-candidate φ-combine is pure array indexing,
-// no string hashing on the hot path. names, members, rawID, and baseIn
-// are shared read-only across workers (built once per DistanceDelta
-// call); the per-valuation state (baseTruth, ext, bits, extra) is per
-// worker.
+// deltaTruths holds the step's truth tables in dense form: the plan's
+// annotations in id order and, per id, how its extended truth under
+// v^{h,φ} is derived. The base-group members (original annotations) AND
+// the plan's raw annotations intern into one shared table (rawID maps
+// raw plan ids into it), so each raw truth column is pulled from the
+// valuations exactly once — a raw annotation that is also some group's
+// member is not read twice — and every per-candidate φ-combine is pure
+// array indexing, no string hashing on the hot path. It is built once
+// per DistanceDelta call and shared read-only across workers.
 type deltaTruths struct {
 	names   []provenance.Annotation // interned annotations in id order
 	members [][]int32               // per id: baseIn ids of its base-group members, nil → raw truth
 	rawID   []int32                 // per id: baseIn id of its raw truth (-1 when grouped)
 	baseIn  *provenance.Interner    // interned base members and raw plan annotations
-	groups  provenance.Groups
 	phi     provenance.Combiner
-
-	v         provenance.Valuation
-	baseTruth []bool // per baseIn id: raw truth under v
-	ext       []int8 // per plan-ann id: 0/1 truth under v^{h,φ}
-	bits      provenance.Bitset
-	scratch   []bool
-	extra     map[provenance.Annotation]int8 // memo for non-interned annotations
 }
 
 func newDeltaTruths(names []provenance.Annotation, base provenance.Groups, phi provenance.Combiner) *deltaTruths {
@@ -88,7 +78,7 @@ func newDeltaTruths(names []provenance.Annotation, base provenance.Groups, phi p
 			rawID[id] = baseIn.Intern(ann)
 		}
 	}
-	return &deltaTruths{names: names, members: members, rawID: rawID, baseIn: baseIn, groups: base, phi: phi}
+	return &deltaTruths{names: names, members: members, rawID: rawID, baseIn: baseIn, phi: phi}
 }
 
 // internFlat interns the flattened member list of one probe.
@@ -98,108 +88,6 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 		ids[i] = d.baseIn.Intern(m)
 	}
 	return ids
-}
-
-// forkTruths returns a worker-private view of shared: the read-only
-// name/member tables are aliased, the valuation state comes from the
-// estimator's fork pool, so steady-state sweeps allocate no per-worker
-// slabs. Return it with putTruths.
-func (e *Estimator) forkTruths(shared *deltaTruths) *deltaTruths {
-	d, ok := e.forkPool.Get().(*deltaTruths)
-	if !ok {
-		d = &deltaTruths{}
-	}
-	d.names, d.members, d.rawID = shared.names, shared.members, shared.rawID
-	d.baseIn, d.groups, d.phi = shared.baseIn, shared.groups, shared.phi
-	d.baseTruth = fitBools(d.baseTruth, shared.baseIn.Len())
-	d.ext = fitInt8s(d.ext, len(shared.names))
-	if words := (len(shared.names) + 63) / 64; cap(d.bits) < words {
-		d.bits = provenance.NewBitset(len(shared.names))
-	} else {
-		d.bits = d.bits[:words]
-	}
-	return d
-}
-
-// putTruths recycles a forked truth table, dropping its valuation
-// reference so pooled slabs never pin a valuation alive.
-func (e *Estimator) putTruths(d *deltaTruths) {
-	d.v = nil
-	e.forkPool.Put(d)
-}
-
-func (d *deltaTruths) reset(v provenance.Valuation) {
-	d.v = v
-	if len(d.extra) > 0 {
-		clear(d.extra)
-	}
-	for i, a := range d.baseIn.Annotations() {
-		d.baseTruth[i] = v.Truth(a)
-	}
-	for id := range d.names {
-		var t int8
-		if ids := d.members[id]; ids != nil {
-			t = int8(d.combineIDs(ids))
-		} else if d.baseTruth[d.rawID[id]] {
-			t = 1
-		}
-		d.ext[id] = t
-	}
-	d.bits.FillWords(d.ext)
-}
-
-// combineIDs φ-combines the precomputed raw truths of interned base
-// members.
-func (d *deltaTruths) combineIDs(ids []int32) int {
-	if cap(d.scratch) < len(ids) {
-		d.scratch = make([]bool, len(ids))
-	}
-	truths := d.scratch[:len(ids)]
-	for i, id := range ids {
-		truths[i] = d.baseTruth[id]
-	}
-	if d.phi.Combine(truths) {
-		return 1
-	}
-	return 0
-}
-
-// combine φ-combines raw truths of arbitrary annotations (the slow
-// fallback for non-interned members).
-func (d *deltaTruths) combine(members []provenance.Annotation) int {
-	if cap(d.scratch) < len(members) {
-		d.scratch = make([]bool, len(members))
-	}
-	truths := d.scratch[:len(members)]
-	for i, m := range members {
-		truths[i] = d.v.Truth(m)
-	}
-	if d.phi.Combine(truths) {
-		return 1
-	}
-	return 0
-}
-
-// truthOf returns the extended truth of m, whose dense id is id (-1 when
-// m is not interned; the rare fallback memoizes in extra).
-func (d *deltaTruths) truthOf(m provenance.Annotation, id int32) int {
-	if id >= 0 {
-		return int(d.ext[id])
-	}
-	if t, ok := d.extra[m]; ok {
-		return int(t)
-	}
-	var t int
-	if members, ok := d.groups[m]; ok && len(members) > 0 {
-		t = d.combine(members)
-	} else if d.v.Truth(m) {
-		t = 1
-	}
-	if d.extra == nil {
-		d.extra = make(map[provenance.Annotation]int8)
-	}
-	d.extra[m] = int8(t)
-	return t
 }
 
 // DistanceDelta scores a cohort of candidate merges over the shared
@@ -221,15 +109,14 @@ func (d *deltaTruths) truthOf(m provenance.Annotation, id int32) int {
 // merged φ-truth equals every member's pre-merge truth reuses the base
 // evaluation's VAL-FUNC value outright (counted in Stats.DeltaSkips);
 // (3) when truths do change, only the dirty subtrees re-evaluate, lanes
-// in bulk (Stats.DeltaSubtreeEvals). For an aggregation, ScalarEval — or
-// a non-blockable arena — falls back to the per-valuation scalar sweep;
-// the two are bit-identical. A block plan is always swept blocked.
+// in bulk (Stats.DeltaSubtreeEvals).
 //
 // It returns the per-candidate distances and candidate sizes, computed
 // incrementally (equal to Apply(...).Size()). ok is false — and the
 // caller must fall back to DistanceBatch — when cur cannot be planned
-// or a probe cannot be compiled soundly (newAnn occurs in cur, reserved
-// annotations).
+// (see planOf: non-aggregations without a BlockPlan, arenas the blocked
+// kernel refuses) or a probe cannot be compiled soundly (newAnn occurs
+// in cur, reserved annotations, names with key separators).
 //
 // Distances are bit-identical to DistanceBatch and, in enumeration mode,
 // to per-candidate Distance calls; per-candidate sums accumulate in
@@ -248,7 +135,6 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	default:
 		return nil, nil, false
 	}
-	blocked := bplan != nil || (!e.ScalarEval && plan.Arena().Blockable())
 	truths := newDeltaTruths(names, base, e.Phi)
 	probes := make([]*deltaProbe, len(cohort))
 	var bprobes []BlockProbe
@@ -281,32 +167,24 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		dp.flatIDs = truths.internFlat(flat)
 		dp.memberIDs = make([]int32, len(dp.members))
 		for k, m := range dp.members {
-			id, ok := annID(m)
-			if !ok {
-				id = -1
+			if id, ok := annID(m); ok {
+				dp.memberIDs[k] = id
+				continue
 			}
-			dp.memberIDs[k] = id
-		}
-		if blocked {
-			// Truth columns for uninterned members, mirroring truthOf's
-			// fallback. Built only for the blocked sweep so the scalar
-			// path's raw-truth reads stay untouched.
-			for k, m := range dp.members {
-				if dp.memberIDs[k] >= 0 {
-					continue
+			// An uninterned member's truth column is the φ-combine of its
+			// base group, or its raw truth.
+			dp.memberIDs[k] = -1
+			if dp.memberCols == nil {
+				dp.memberCols = make([][]int32, len(dp.members))
+				dp.memberRaw = make([]int32, len(dp.members))
+				for r := range dp.memberRaw {
+					dp.memberRaw[r] = -1
 				}
-				if dp.memberCols == nil {
-					dp.memberCols = make([][]int32, len(dp.members))
-					dp.memberRaw = make([]int32, len(dp.members))
-					for r := range dp.memberRaw {
-						dp.memberRaw[r] = -1
-					}
-				}
-				if bm, grouped := base[m]; grouped && len(bm) > 0 {
-					dp.memberCols[k] = truths.internFlat(bm)
-				} else {
-					dp.memberRaw[k] = truths.baseIn.Intern(m)
-				}
+			}
+			if bm, grouped := base[m]; grouped && len(bm) > 0 {
+				dp.memberCols[k] = truths.internFlat(bm)
+			} else {
+				dp.memberRaw[k] = truths.baseIn.Intern(m)
 			}
 		}
 		probes[i] = dp
@@ -345,49 +223,17 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		baseNeedsAlign = needsAlign(e.evalOriginal(vals[0], p0), cum)
 	}
 
-	switch {
-	case bplan != nil:
+	if bplan != nil {
 		deltaBlocked(e, p0, cur, cum, truths, probes, vals, baseNeedsAlign, out, func() laneEval[provenance.Result] {
 			return &blockPlanEval{ev: bplan.NewEvaluator(), probes: bprobes}
 		})
-	case blocked:
+	} else {
 		ar := plan.Arena()
 		deltaBlocked(e, p0, cur, cum, truths, probes, vals, baseNeedsAlign, out, func() laneEval[provenance.Vector] {
 			return &arenaEval{ar: ar, bs: ar.GetBlockScratch(), probes: probes}
 		})
-	default:
-		workers := e.Parallelism
-		if workers > len(cohort) {
-			workers = len(cohort)
-		}
-		if workers <= 1 {
-			e.deltaSweep(p0, cur, cum, truths, plan, probes, vals, baseNeedsAlign, out, 0, len(cohort))
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo := w * len(cohort) / workers
-				hi := (w + 1) * len(cohort) / workers
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					e.deltaSweep(p0, cur, cum, truths, plan, probes, vals, baseNeedsAlign, out, lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
 	}
-
-	n := float64(len(vals))
-	for i, total := range out {
-		d := total / n
-		if e.MaxError > 0 {
-			d /= e.MaxError
-			if d > 1 {
-				d = 1
-			}
-		}
-		out[i] = d
-	}
+	e.normalize(out, len(vals))
 	return out, sizes, true
 }
 
@@ -426,65 +272,6 @@ func (e *Estimator) alignProbes(p0 provenance.Expression, cum provenance.Mapping
 			dp.needsAlign = needsAlign(orig, dp.composed)
 		}
 	}
-}
-
-// deltaSweep scores probes[lo:hi] against every valuation: the scalar
-// fallback of the blocked sweep (ScalarEval, non-blockable arenas). Each
-// call takes a pooled truth fork and arena scratch, so concurrent sweeps
-// over disjoint ranges share only the read-only plan, probes, truth name
-// tables, and prewarmed original cache, plus the atomic counters.
-func (e *Estimator) deltaSweep(p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, plan *provenance.Plan, probes []*deltaProbe, vals []provenance.Valuation, baseNeedsAlign bool, out []float64, lo, hi int) {
-	truths := e.forkTruths(shared)
-	scratch := plan.Arena().GetScratch()
-	var skips, fulls uint64
-	for _, v := range vals {
-		truths.reset(v)
-		orig := e.evalOriginal(v, p0) // cache hit after the prewarm above
-		baseVec := plan.BaseEval(truths.bits, scratch)
-		baseAligned := orig
-		if baseNeedsAlign {
-			baseAligned = cur.AlignResult(orig, cum)
-		}
-		baseVF := 0.0
-		baseVFReady := false
-		for ci := lo; ci < hi; ci++ {
-			dp := probes[ci]
-			mergedN := truths.combineIDs(dp.flatIDs)
-			changed := false
-			for k, m := range dp.members {
-				if truths.truthOf(m, dp.memberIDs[k]) != mergedN {
-					changed = true
-					break
-				}
-			}
-			if !changed && !dp.noSkip {
-				if !baseVFReady {
-					baseVF = e.VF.F(v, baseAligned, baseVec)
-					baseVFReady = true
-				}
-				out[ci] += baseVF
-				skips++
-				continue
-			}
-			summ := dp.pr.CandEval(mergedN, baseVec, scratch)
-			aligned := baseAligned
-			if dp.alignTouched {
-				if dp.needsAlign {
-					aligned = cur.AlignResult(orig, dp.composed)
-				} else {
-					aligned = orig
-				}
-			}
-			out[ci] += e.VF.F(v, aligned, summ)
-			fulls++
-			e.stats.evaluations.Add(1)
-		}
-	}
-	e.stats.deltaSkips.Add(skips)
-	e.stats.deltaFullEvals.Add(fulls)
-	e.stats.deltaSubtreeEvals.Add(scratch.SubtreeEvals)
-	plan.Arena().PutScratch(scratch)
-	e.putTruths(truths)
 }
 
 // laneEval is one blocked-sweep worker's evaluator over the step plan,
@@ -588,8 +375,8 @@ func putBlockState[R any](e *Estimator, st *deltaBlockState[R]) {
 	e.blockStatePool.Put(st)
 }
 
-// combineW φ-combines packed raw-truth columns lane-wise: the word-level
-// counterpart of deltaTruths.combineIDs. Combiners implementing
+// combineW φ-combines packed raw-truth columns lane-wise. Combiners
+// implementing
 // provenance.WordCombiner (φ = OR, AND) combine whole words; others fall
 // back to a per-lane bool column, bit-identical by the WordCombiner
 // contract.
@@ -623,7 +410,8 @@ func (st *deltaBlockState[R]) combineW(ids []int32, phi provenance.Combiner, mas
 // laneEval from newEval, writing disjoint lane columns of a candidate ×
 // valuation summand matrix. The final per-candidate sum is a sequential
 // left-fold over that matrix in valuation order, so results are
-// bit-identical to the scalar sweep at any worker count. Candidates are
+// bit-identical to a sequential per-valuation sum at any worker count.
+// Candidates are
 // chunked when the matrix would otherwise outgrow a fixed cell budget.
 func deltaBlocked[R provenance.Result](e *Estimator, p0, cur provenance.Expression, cum provenance.Mapping, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, baseNeedsAlign bool, out []float64, newEval func() laneEval[R]) {
 	V := len(vals)
@@ -778,22 +566,8 @@ func deltaBlockSweep[R provenance.Result](e *Estimator, p0, cur provenance.Expre
 	putBlockState(e, st)
 }
 
-// fitBools, fitInt8s, and fitUint64s grow (or re-slice) pooled slabs to
-// exactly n entries without reallocating on shrink.
-func fitBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func fitInt8s(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
-	}
-	return s[:n]
-}
-
+// fitUint64s grows (or re-slices) a pooled slab to exactly n entries
+// without reallocating on shrink.
 func fitUint64s(s []uint64, n int) []uint64 {
 	if cap(s) < n {
 		return make([]uint64, n)

@@ -128,12 +128,12 @@ func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression,
 	return p0, cur, cum, base, anns, sets, cands
 }
 
-// FuzzDistanceDelta is the differential oracle for the delta engine:
-// on random expressions, prior merges, cohorts, combiners and monoids,
-// DistanceDelta must be bitwise equal to both the per-candidate
-// Distance reference and the DistanceBatch sweep — in enumeration mode
-// and in seeded sampling mode — and its incremental sizes must equal
-// the materialized candidates' sizes.
+// FuzzDistanceDelta is the differential oracle for the scorers: on
+// random expressions, prior merges, cohorts, combiners and monoids,
+// DistanceDelta, the DistanceBatch fallback and per-candidate Distance
+// must all be bitwise equal to refDistance — in enumeration mode and in
+// seeded sampling mode — and the incremental sizes must equal the
+// materialized candidates' sizes.
 func FuzzDistanceDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -146,68 +146,35 @@ func FuzzDistanceDelta(f *testing.F) {
 			return
 		}
 		for _, phi := range []provenance.Combiner{provenance.CombineOr, provenance.CombineAnd} {
-			d := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
-			got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z")
-			if !ok {
-				t.Fatalf("DistanceDelta fell back on a plain aggregation: %v", cur)
-			}
-			b := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
-			batch := b.DistanceBatch(p0, cands)
-			// Legacy references force the recursive tree evaluator, so the
-			// fuzzer is also an arena-vs-legacy differential oracle.
-			refLegacy := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), LegacyEval: true}
-			bLegacy := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), LegacyEval: true}
-			batchLegacy := bLegacy.DistanceBatch(p0, cands)
-			// Scalar-arena references (ScalarEval) pin the valuation-
-			// blocked kernel to the per-valuation arena path: the
-			// block-vs-scalar differential oracle on both cohort engines.
-			dScalar := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), ScalarEval: true}
-			scalarDelta, _, ok := dScalar.DistanceDelta(p0, cur, cum, base, sets, "Z")
-			if !ok {
-				t.Fatal("scalar DistanceDelta fell back on a plain aggregation")
-			}
-			bScalar := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), ScalarEval: true}
-			scalarBatch := bScalar.DistanceBatch(p0, cands)
-			ref := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean()}
-			for i, c := range cands {
-				want := ref.Distance(p0, c.Expr, c.Cumulative, c.Groups)
-				if got[i] != want {
-					t.Fatalf("φ=%s candidate %d (%v): delta %v != distance %v\ncur=%v", phi.Name(), i, sets[i], got[i], want, cur)
+			for _, samples := range []int{0, 4} {
+				est := func() *Estimator {
+					e := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(), Samples: samples}
+					if samples > 0 {
+						e.Rand = rand.New(rand.NewSource(3))
+					}
+					return e
 				}
-				if got[i] != batch[i] {
-					t.Fatalf("φ=%s candidate %d (%v): delta %v != batch %v\ncur=%v", phi.Name(), i, sets[i], got[i], batch[i], cur)
+				d := est()
+				got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z")
+				if !ok {
+					t.Fatalf("DistanceDelta fell back on a plain aggregation: %v", cur)
 				}
-				if legacy := refLegacy.Distance(p0, c.Expr, c.Cumulative, c.Groups); got[i] != legacy {
-					t.Fatalf("φ=%s candidate %d (%v): arena %v != legacy distance %v\ncur=%v", phi.Name(), i, sets[i], got[i], legacy, cur)
-				}
-				if got[i] != batchLegacy[i] {
-					t.Fatalf("φ=%s candidate %d (%v): arena %v != legacy batch %v\ncur=%v", phi.Name(), i, sets[i], got[i], batchLegacy[i], cur)
-				}
-				if got[i] != scalarDelta[i] {
-					t.Fatalf("φ=%s candidate %d (%v): blocked delta %v != scalar delta %v\ncur=%v", phi.Name(), i, sets[i], got[i], scalarDelta[i], cur)
-				}
-				if batch[i] != scalarBatch[i] {
-					t.Fatalf("φ=%s candidate %d (%v): blocked batch %v != scalar batch %v\ncur=%v", phi.Name(), i, sets[i], batch[i], scalarBatch[i], cur)
-				}
-				if want := c.Expr.Size(); sizes[i] != want {
-					t.Fatalf("φ=%s candidate %d (%v): incremental size %d != Apply size %d", phi.Name(), i, sets[i], sizes[i], want)
-				}
-			}
-
-			// Sampling mode with common random numbers: same seed, same
-			// distances on both cohort paths.
-			ds := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(),
-				Samples: 4, Rand: rand.New(rand.NewSource(3))}
-			sampledDelta, _, ok := ds.DistanceDelta(p0, cur, cum, base, sets, "Z")
-			if !ok {
-				t.Fatal("sampled DistanceDelta fell back")
-			}
-			bs := &Estimator{Class: valuation.NewCancelSingleAnnotation(anns), Phi: phi, VF: Euclidean(),
-				Samples: 4, Rand: rand.New(rand.NewSource(3))}
-			sampledBatch := bs.DistanceBatch(p0, cands)
-			for i := range sets {
-				if sampledDelta[i] != sampledBatch[i] {
-					t.Fatalf("φ=%s sampled candidate %d (%v): delta %v != batch %v", phi.Name(), i, sets[i], sampledDelta[i], sampledBatch[i])
+				batch := est().DistanceBatch(p0, cands)
+				vals := refVals(d.Class, samples, 3)
+				for i, c := range cands {
+					want := refDistance(d, vals, p0, c.Expr, c.Cumulative, c.Groups)
+					if got[i] != want {
+						t.Fatalf("φ=%s samples=%d candidate %d (%v): delta %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], got[i], want, cur)
+					}
+					if batch[i] != want {
+						t.Fatalf("φ=%s samples=%d candidate %d (%v): batch %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], batch[i], want, cur)
+					}
+					if dist := est().Distance(p0, c.Expr, c.Cumulative, c.Groups); dist != want {
+						t.Fatalf("φ=%s samples=%d candidate %d (%v): distance %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], dist, want, cur)
+					}
+					if want := c.Expr.Size(); sizes[i] != want {
+						t.Fatalf("φ=%s candidate %d (%v): incremental size %d != Apply size %d", phi.Name(), i, sets[i], sizes[i], want)
+					}
 				}
 			}
 		}

@@ -45,10 +45,10 @@ func deltaFixture(n int) (*provenance.Agg, []provenance.Annotation, provenance.G
 	return p0, anns, base, sets, cands
 }
 
-// TestDistanceDeltaMatchesDistanceAndBatch pins the tentpole's core
-// contract: probe-without-materialize scoring is bit-identical to both a
-// per-candidate Distance call and the DistanceBatch sweep, and the
-// incremental candidate sizes equal Apply(...).Size().
+// TestDistanceDeltaMatchesDistanceAndBatch pins the delta engine's core
+// contract: probe-without-materialize scoring is bit-identical to
+// refDistance, to a per-candidate Distance call and to the DistanceBatch
+// sweep, and the incremental candidate sizes equal Apply(...).Size().
 func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 	p0, anns, base, sets, cands := deltaFixture(8)
 	for _, maxErr := range []float64{0, 25} {
@@ -61,12 +61,15 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 		bref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		bref.MaxError = maxErr
 		batch := bref.DistanceBatch(p0, cands)
-		ref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		ref.MaxError = maxErr
+		one := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+		one.MaxError = maxErr
 		for i, c := range cands {
-			want := ref.Distance(p0, c.Expr, c.Cumulative, c.Groups)
+			want := refDistance(d, d.Class.Valuations(), p0, c.Expr, c.Cumulative, c.Groups)
 			if got[i] != want {
-				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != distance %v", maxErr, i, sets[i], got[i], want)
+				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != reference %v", maxErr, i, sets[i], got[i], want)
+			}
+			if dist := one.Distance(p0, c.Expr, c.Cumulative, c.Groups); got[i] != dist {
+				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != distance %v", maxErr, i, sets[i], got[i], dist)
 			}
 			if got[i] != batch[i] {
 				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != batch %v", maxErr, i, sets[i], got[i], batch[i])
@@ -219,9 +222,10 @@ func (s sliceExpr) AlignResult(r provenance.Result, _ provenance.Mapping) proven
 }
 func (s sliceExpr) String() string { return "sliceExpr" }
 
-// TestDistanceDeltaFallback: expressions that cannot be planned, and
-// probes that cannot be compiled soundly, report ok=false without
-// touching the delta counters, so callers fall back to DistanceBatch.
+// TestDistanceDeltaFallback: expressions that cannot be planned (no
+// plan at all, or an arena the blocked kernel refuses), and probes that
+// cannot be compiled soundly, report ok=false without touching the delta
+// counters, so callers fall back to DistanceBatch.
 func TestDistanceDeltaFallback(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
@@ -234,8 +238,32 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0]); ok {
 		t.Fatal("DistanceDelta must fall back when newAnn occurs in the expression")
 	}
-	if st := e.Stats(); st.DeltaCalls != 0 || st.DeltaCandidates != 0 {
-		t.Fatalf("fallbacks counted as delta calls: %+v", st)
+	// A negative constant makes the arena unblockable: planOf refuses it.
+	neg := provenance.NewAgg(provenance.AggSum,
+		provenance.Tensor{Prov: provenance.Sum{Terms: []provenance.Expr{provenance.V("a"), provenance.Const{N: -1}}}, Value: 2, Count: 1, Group: "g"},
+		provenance.Tensor{Prov: provenance.V("b"), Value: 3, Count: 1, Group: "g"},
+	)
+	negAnns := neg.Annotations()
+	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
+	negBase := provenance.GroupsOf(negAnns, provenance.NewMapping())
+	if _, _, ok := ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z"); ok {
+		t.Fatal("DistanceDelta must fall back on an unblockable arena")
+	}
+	// Names with key separators fall outside the probe's id-level rewrite.
+	titled := provenance.NewAgg(provenance.AggMax,
+		provenance.Tensor{Prov: provenance.Prod{Factors: []provenance.Expr{provenance.V("u1"), provenance.V("Heat (1995)")}}, Value: 4, Count: 1, Group: "g"},
+		provenance.Tensor{Prov: provenance.Prod{Factors: []provenance.Expr{provenance.V("u2"), provenance.V("Heat (1995)")}}, Value: 2, Count: 1, Group: "g"},
+	)
+	titledAnns := titled.Annotations()
+	te := estimator(valuation.NewCancelSingleAnnotation(titledAnns), Euclidean())
+	titledBase := provenance.GroupsOf(titledAnns, provenance.NewMapping())
+	if _, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{{"u1", "u2"}}, "Z"); ok {
+		t.Fatal("DistanceDelta must fall back on names with key separators")
+	}
+	for _, est := range []*Estimator{e, ne, te} {
+		if st := est.Stats(); st.DeltaCalls != 0 || st.DeltaCandidates != 0 {
+			t.Fatalf("fallbacks counted as delta calls: %+v", st)
+		}
 	}
 }
 
@@ -276,63 +304,34 @@ func BenchmarkSummarizeStepScoringDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkSummarizeStepScoringDeltaScalar is the block-eval A/B partner
-// of BenchmarkSummarizeStepScoringDelta: the same cohort with ScalarEval
-// forcing one scalar arena pass per valuation. The gap between the pair
-// is the valuation-blocked kernel's speedup on the delta path.
-func BenchmarkSummarizeStepScoringDeltaScalar(b *testing.B) {
-	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	e.ScalarEval = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z"); !ok {
-			b.Fatal("DistanceDelta fell back")
-		}
-	}
-}
-
-// TestBlockedScalarBitIdentical pins the valuation-blocked kernel to its
-// per-valuation scalar A/B partner (ScalarEval) on a mid-run step: all
-// three scoring engines must produce byte-identical distances either
-// way, sequential and parallel.
+// TestBlockedScalarBitIdentical pins the valuation-blocked kernel to
+// the scalar reference on a mid-run step: DistanceDelta, DistanceBatch
+// and Distance — each evaluating 64 valuations per kernel pass — must
+// reproduce refDistance's one-valuation-at-a-time tree walk bit for bit,
+// sequential and parallel.
 func TestBlockedScalarBitIdentical(t *testing.T) {
 	sc := benchStep(t)
 	for _, workers := range []int{1, 4} {
-		blocked := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-		blocked.Parallelism = workers
-		scalar := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-		scalar.Parallelism = workers
-		scalar.ScalarEval = true
-
-		got, _, ok := blocked.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
+		e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
+		e.Parallelism = workers
+		vals := e.Class.Valuations()
+		delta, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
 		if !ok {
-			t.Fatalf("workers=%d: blocked DistanceDelta fell back", workers)
+			t.Fatalf("workers=%d: DistanceDelta fell back", workers)
 		}
-		want, _, ok := scalar.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
-		if !ok {
-			t.Fatalf("workers=%d: scalar DistanceDelta fell back", workers)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d delta candidate %d: blocked %v != scalar %v", workers, i, got[i], want[i])
+		batch := e.DistanceBatch(sc.p0, sc.cands)
+		for i, c := range sc.cands {
+			want := refDistance(e, vals, sc.p0, c.Expr, c.Cumulative, c.Groups)
+			if delta[i] != want {
+				t.Fatalf("workers=%d delta candidate %d: blocked %v != scalar %v", workers, i, delta[i], want)
 			}
-		}
-
-		gotBatch := blocked.DistanceBatch(sc.p0, sc.cands)
-		wantBatch := scalar.DistanceBatch(sc.p0, sc.cands)
-		for i := range wantBatch {
-			if gotBatch[i] != wantBatch[i] {
-				t.Fatalf("workers=%d batch candidate %d: blocked %v != scalar %v", workers, i, gotBatch[i], wantBatch[i])
+			if batch[i] != want {
+				t.Fatalf("workers=%d batch candidate %d: blocked %v != scalar %v", workers, i, batch[i], want)
 			}
-		}
-
-		for i, c := range sc.cands[:4] {
-			gd := blocked.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups)
-			wd := scalar.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups)
-			if gd != wd {
-				t.Fatalf("workers=%d distance candidate %d: blocked %v != scalar %v", workers, i, gd, wd)
+			if i < 4 {
+				if d := e.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups); d != want {
+					t.Fatalf("workers=%d distance candidate %d: blocked %v != scalar %v", workers, i, d, want)
+				}
 			}
 		}
 	}
@@ -352,10 +351,11 @@ func (c countingValuation) Truth(a provenance.Annotation) bool {
 func (c countingValuation) Name() string { return c.inner.Name() }
 
 // TestDeltaTruthsResetPullsEachRawTruthOnce pins the shared-interner
-// contract of deltaTruths: per reset, the valuation is queried exactly
-// once per interned base annotation — group members and the plan's raw
-// annotations share one truth table, so no raw truth is pulled through
-// the valuation twice, on the first reset or any later one.
+// contract of deltaTruths: group members and the plan's raw annotations
+// share one truth table, so a delta sweep pulls each interned base
+// annotation's truth from each valuation exactly once — and, in
+// enumeration mode, never again on later sweeps, whose packed truth
+// columns come from the memo.
 func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 	p0 := provenance.NewAgg(provenance.AggSum,
 		provenance.Tensor{Prov: provenance.V("a"), Value: 1, Count: 1, Group: "u"},
@@ -368,30 +368,36 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 		t.Fatal("Apply did not return an aggregation")
 	}
 	base := provenance.GroupsOf(p0.Annotations(), cum)
-	plan := provenance.NewPlan(cur)
-	shared := newDeltaTruths(plan.Annotations(), base, provenance.CombineOr)
+	shared := newDeltaTruths(provenance.NewPlan(cur).Annotations(), base, provenance.CombineOr)
 	if want := 4; shared.baseIn.Len() != want {
 		t.Fatalf("interned %d base annotations, want %d (members a,c plus raw b and group key u)", shared.baseIn.Len(), want)
 	}
-	e := &Estimator{}
-	d := e.forkTruths(shared)
-	for round := 1; round <= 2; round++ {
-		calls := 0
-		d.reset(countingValuation{inner: provenance.CancelAnnotation("a"), calls: &calls})
-		if want := shared.baseIn.Len(); calls != want {
-			t.Fatalf("reset round %d made %d Truth calls, want %d (one per interned base annotation)", round, calls, want)
+	calls := 0
+	vals := []provenance.Valuation{
+		countingValuation{inner: provenance.CancelAnnotation("a"), calls: &calls},
+		countingValuation{inner: provenance.CancelAnnotation("b"), calls: &calls},
+	}
+	e := estimator(&valuation.Explicit{Vals: vals}, Euclidean())
+	// Evaluate the original first, so only the sweep's truth pulls count.
+	for _, v := range vals {
+		e.evalOriginal(v, p0)
+	}
+	sets := [][]provenance.Annotation{{"S", "b"}}
+	for round, want := range []int{shared.baseIn.Len() * len(vals), 0} {
+		calls = 0
+		if _, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z"); !ok {
+			t.Fatal("DistanceDelta fell back")
+		}
+		if calls != want {
+			t.Fatalf("sweep %d made %d Truth calls, want %d (one per interned base annotation and valuation, then none)", round+1, calls, want)
 		}
 	}
-	// And the dense extension is still correct: S = a ∨ c with a
-	// cancelled is true, raw b is true.
-	for _, ann := range []provenance.Annotation{"S", "b"} {
-		id, ok := plan.AnnID(ann)
-		if !ok {
-			t.Fatalf("annotation %s not interned in the plan", ann)
-		}
-		if got := d.truthOf(ann, id); got != 1 {
-			t.Fatalf("extended truth of %s = %d, want 1", ann, got)
-		}
+	// And the dense extension is still correct.
+	got, _, _ := e.DistanceDelta(p0, cur, cum, base, sets, "Z")
+	step := provenance.MergeMapping("Z", "S", "b")
+	g := provenance.GroupsOf(p0.Annotations(), cum.Compose(step))
+	if want := refDistance(e, vals, p0, cur.Apply(step), cum.Compose(step), g); got[0] != want {
+		t.Fatalf("delta %v != reference %v", got[0], want)
 	}
 }
 
@@ -399,8 +405,8 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 // commit: after CommitMerge the cached plan is patched in place
 // (MergePatches counts it, nothing recompiles), and scoring the next
 // step on the patched plan is bit-identical to a fresh estimator that
-// compiles the committed expression from scratch. NoMergePatch forces
-// the recompile path and must also score identically.
+// compiles the committed expression from scratch, and to the same
+// estimator recompiling after ResetCache.
 func TestCommitMergePatchesPlan(t *testing.T) {
 	sc := benchStep(t)
 	members := sc.sets[0]
@@ -417,12 +423,16 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 		}
 	}
 
-	run := func(e *Estimator) []float64 {
+	run := func(e *Estimator, patch bool) []float64 {
 		t.Helper()
 		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z"); !ok {
 			t.Fatal("DistanceDelta fell back on the first step")
 		}
-		e.CommitMerge(sc.cur, next, members, newAnn)
+		if patch {
+			e.CommitMerge(sc.cur, next, members, newAnn)
+		} else {
+			e.ResetCache()
+		}
 		got, _, ok := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z")
 		if !ok {
 			t.Fatal("DistanceDelta fell back on the committed step")
@@ -431,16 +441,15 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 	}
 
 	patched := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	got := run(patched)
+	got := run(patched, true)
 	if st := patched.Stats(); st.MergePatches != 1 || st.MergeRecompiles != 0 {
 		t.Fatalf("patched estimator: patches=%d recompiles=%d, want 1/0", st.MergePatches, st.MergeRecompiles)
 	}
 
 	recompiled := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	recompiled.NoMergePatch = true
-	gotRecompiled := run(recompiled)
-	if st := recompiled.Stats(); st.MergePatches != 0 || st.MergeRecompiles != 1 {
-		t.Fatalf("recompiling estimator: patches=%d recompiles=%d, want 0/1", st.MergePatches, st.MergeRecompiles)
+	gotRecompiled := run(recompiled, false)
+	if st := recompiled.Stats(); st.MergePatches != 0 {
+		t.Fatalf("reset estimator patched %d plans, want 0", st.MergePatches)
 	}
 
 	fresh := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())

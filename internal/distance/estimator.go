@@ -47,34 +47,12 @@ type Estimator struct {
 	// MaxError, when positive, normalizes distances into [0,1] by
 	// dividing by the maximum possible error (Sec. 6.3).
 	MaxError float64
-	// Parallelism, when > 1, fans DistanceBatch's candidate sweep across
-	// that many goroutines. Sampling draws happen up front on the calling
-	// goroutine and per-candidate sums accumulate in fixed valuation
-	// order, so batched results are bit-identical at any worker count.
+	// Parallelism, when > 1, fans DistanceDelta's and DistanceBatch's
+	// sweeps across that many goroutines. Sampling draws happen up front
+	// on the calling goroutine and per-candidate sums accumulate in fixed
+	// valuation order, so results are bit-identical at any worker count.
 	// Distance (single-candidate) is unaffected.
 	Parallelism int
-	// LegacyEval forces the recursive interface-dispatch evaluator for
-	// Distance and DistanceBatch instead of compiling candidates into
-	// the flat arena (provenance.CompileArena). Results are
-	// bit-identical either way; the flag exists as an A/B switch and for
-	// the arena-vs-legacy differential tests. DistanceDelta is
-	// unaffected: its plans (the arena's, or an expression's own
-	// BlockPlan) are compiled by construction.
-	LegacyEval bool
-	// ScalarEval forces per-valuation scalar arena evaluation instead of
-	// the valuation-blocked kernel (provenance.Arena.EvalBlock) in
-	// Distance, DistanceBatch and DistanceDelta. Results are
-	// bit-identical either way; the flag exists as an A/B switch and for
-	// the block-vs-scalar differential tests. Arenas that are not
-	// Blockable (negative compiled constants) take the scalar path
-	// regardless of the flag; a BlockPlan (DDP) has no scalar path and
-	// ignores it.
-	ScalarEval bool
-	// NoMergePatch disables CommitMerge's in-place plan patching
-	// (provenance.Plan.ApplyMerge), so every summarization step
-	// recompiles its plan from the committed expression. The flag exists
-	// as an A/B switch for the patch-vs-recompile equivalence tests.
-	NoMergePatch bool
 
 	origCache map[string]provenance.Result
 	cachedFor provenance.Expression
@@ -95,20 +73,17 @@ type Estimator struct {
 	blockPlan BlockPlan
 	planFor   provenance.Expression
 
-	// forkPool recycles the per-worker valuation state of scalar delta
-	// sweeps (deltaTruths), and blockStatePool the per-worker state of
-	// blocked delta sweeps (word columns, lane vectors, VAL-FUNC caches),
-	// so mid-run steps allocate no per-worker slabs in steady state.
-	forkPool       sync.Pool
+	// blockStatePool recycles the per-worker state of delta sweeps (word
+	// columns, lane vectors, VAL-FUNC caches), so mid-run steps allocate
+	// no per-worker slabs in steady state.
 	blockStatePool sync.Pool
 
 	stats estimatorCounters
 }
 
 // estimatorCounters are the estimator's live instrumentation. They are
-// atomics because enumeration-mode estimators are shared by parallel
-// candidate-evaluation workers (core.Config.Parallelism), which hit the
-// prewarmed cache concurrently.
+// atomics because the workers of one sweep (Parallelism) update them
+// concurrently.
 type estimatorCounters struct {
 	evaluations   atomic.Uint64
 	cacheHits     atomic.Uint64
@@ -150,10 +125,10 @@ type Stats struct {
 	// invocations and their total wall time.
 	DistanceCalls uint64
 	DistanceTime  time.Duration
-	// BatchCalls counts DistanceBatch invocations, BatchCandidates the
-	// candidates they scored, and BatchTime their total wall time (wall,
-	// not summed worker time: a parallel sweep's BatchTime shrinks with
-	// the speedup).
+	// BatchCalls counts DistanceBatch invocations (fallback cohort
+	// scoring), BatchCandidates the candidates they scored, and BatchTime
+	// their total wall time (wall, not summed worker time: a parallel
+	// sweep's BatchTime shrinks with the speedup).
 	BatchCalls, BatchCandidates uint64
 	BatchTime                   time.Duration
 	// DeltaCalls counts successful DistanceDelta sweeps, DeltaCandidates
@@ -227,96 +202,17 @@ func (e *Estimator) Validate() error {
 
 // Distance computes the (possibly normalized) distance between the
 // original expression p0 and the candidate summary pc, where cumulative
-// is the mapping with h(p0) = pc and groups is its inverse view.
+// is the mapping with h(p0) = pc and groups is its inverse view. It is
+// DistanceBatch's sweep over a one-candidate cohort — same valuations,
+// drawn in the same order, so the result is bit-identical to scoring pc
+// in a batch — counted in the Distance* statistics only.
 func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups) float64 {
 	t0 := time.Now()
 	defer func() {
 		e.stats.distanceCalls.Add(1)
 		e.stats.distanceNanos.Add(int64(time.Since(t0)))
 	}()
-	ev := e.candEvaluator(pc)
-	if ev != nil && !e.ScalarEval && ev.ar.Blockable() {
-		return e.distanceBlocked(p0, pc, cumulative, groups, ev.ar)
-	}
-	var total float64
-	var n int
-	if e.Samples > 0 {
-		if e.Rand == nil {
-			panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
-		}
-		for i := 0; i < e.Samples; i++ {
-			v := e.Class.Sample(e.Rand)
-			e.stats.samples.Add(1)
-			total += e.valFuncAt(v, p0, pc, cumulative, groups, ev)
-			n++
-		}
-	} else {
-		for _, v := range e.Class.Valuations() {
-			total += e.valFuncAt(v, p0, pc, cumulative, groups, ev)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	d := total / float64(n)
-	if e.MaxError > 0 {
-		d /= e.MaxError
-		if d > 1 {
-			d = 1
-		}
-	}
-	return d
-}
-
-// distanceBlocked is Distance's valuation-blocked path: the class (or
-// the drawn sample set) is packed into 64-lane truth blocks and the
-// candidate evaluates once per block through Arena.EvalBlock instead of
-// once per valuation on the scalar arena. VAL-FUNC summands accumulate
-// in valuation order, so the result is bit-identical to the scalar path.
-func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, ar *provenance.Arena) float64 {
-	vals := e.batchValuations()
-	if len(vals) == 0 {
-		return 0
-	}
-	tb := provenance.NewTruthBlock()
-	bs := ar.GetBlockScratch()
-	defer ar.PutBlockScratch(bs)
-	anns := ar.Annotations()
-	exts := make([]provenance.Valuation, 64)
-	summ := make([]provenance.Vector, 64)
-	var total float64
-	for lo := 0; lo < len(vals); lo += 64 {
-		block := vals[lo:min(len(vals), lo+64)]
-		for j, v := range block {
-			exts[j] = provenance.ExtendValuation(v, groups, e.Phi)
-		}
-		tb.Reset(len(anns), len(block))
-		for id, ann := range anns {
-			var w uint64
-			for j := range block {
-				if exts[j].Truth(ann) {
-					w |= 1 << uint(j)
-				}
-			}
-			tb.SetWord(int32(id), w)
-		}
-		ar.EvalBlock(tb, bs, summ[:len(block)])
-		for j, v := range block {
-			e.stats.evaluations.Add(1)
-			orig := e.evalOriginal(v, p0)
-			aligned := pc.AlignResult(orig, cumulative)
-			total += e.VF.F(v, aligned, summ[j])
-		}
-	}
-	d := total / float64(len(vals))
-	if e.MaxError > 0 {
-		d /= e.MaxError
-		if d > 1 {
-			d = 1
-		}
-	}
-	return d
+	return e.scoreCohort(p0, []BatchCandidate{{Expr: pc, Cumulative: cumulative, Groups: groups}})[0]
 }
 
 // CommitMerge tells the estimator that the summarizer committed the merge
@@ -325,10 +221,9 @@ func (e *Estimator) distanceBlocked(p0, pc provenance.Expression, cumulative pro
 // (provenance.Plan.ApplyMerge) and rekeyed to next, so the next step's
 // DistanceDelta reuses the compiled arena instead of recompiling the
 // whole expression. ApplyMerge self-verifies against next; a refused
-// patch (or NoMergePatch) just drops the cached plan and the next step
-// recompiles — either way results are unchanged. A block plan is never
-// patched: the commit drops it, so an estimator between runs pins no
-// plan.
+// patch just drops the cached plan and the next step recompiles —
+// either way results are unchanged. A block plan is never patched: the
+// commit drops it, so an estimator between runs pins no plan.
 func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) {
 	if e.blockPlan != nil {
 		e.blockPlan = nil
@@ -339,7 +234,7 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 		return
 	}
 	ng, ok := next.(*provenance.Agg)
-	if !ok || e.NoMergePatch || !comparableExpr(next) {
+	if !ok || !comparableExpr(next) {
 		e.plan = nil
 		e.planFor = nil
 		e.stats.mergeRecompiles.Add(1)
@@ -353,59 +248,6 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 		e.planFor = nil
 		e.stats.mergeRecompiles.Add(1)
 	}
-}
-
-// valFuncAt evaluates one summand of Definition 3.2.2. When ev is
-// non-nil the candidate evaluates on its compiled arena (one bitset
-// fill plus an iterative pass over the node arrays) instead of the
-// recursive tree walk; the two are bit-identical.
-func (e *Estimator) valFuncAt(v provenance.Valuation, p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups, ev *arenaEvaluator) float64 {
-	e.stats.evaluations.Add(1)
-	orig := e.evalOriginal(v, p0)
-	aligned := pc.AlignResult(orig, cumulative)
-	ext := provenance.ExtendValuation(v, groups, e.Phi)
-	var summ provenance.Result
-	if ev != nil {
-		summ = ev.eval(ext)
-	} else {
-		summ = pc.Eval(ext)
-	}
-	return e.VF.F(v, aligned, summ)
-}
-
-// arenaEvaluator owns the compiled arena of one candidate expression
-// plus the per-evaluator truth bitset and scratch. It amortizes the one
-// CompileArena pass over every valuation of a Distance call.
-type arenaEvaluator struct {
-	ar   *provenance.Arena
-	s    *provenance.ArenaScratch
-	bits provenance.Bitset
-}
-
-// candEvaluator compiles pc for arena evaluation, or returns nil — and
-// the caller falls back to interface dispatch — when LegacyEval is set
-// or pc is not a compilable aggregated expression.
-func (e *Estimator) candEvaluator(pc provenance.Expression) *arenaEvaluator {
-	if e.LegacyEval {
-		return nil
-	}
-	g, ok := pc.(*provenance.Agg)
-	if !ok {
-		return nil
-	}
-	ar := provenance.CompileArena(g)
-	if ar == nil {
-		return nil
-	}
-	return &arenaEvaluator{ar: ar, s: ar.NewScratch(), bits: ar.NewTruths()}
-}
-
-// eval evaluates the compiled candidate under the extended valuation:
-// truths are pulled once per interned annotation (instead of once per
-// occurrence) and the node pass is iterative.
-func (ae *arenaEvaluator) eval(ext provenance.Valuation) provenance.Result {
-	ae.ar.FillTruths(ae.bits, ext.Truth)
-	return ae.ar.Eval(ae.bits, ae.s)
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -495,13 +337,18 @@ func (e *Estimator) truthColumn(a provenance.Annotation, vals []provenance.Valua
 // expression identity across the calls of one summarization step (a step
 // scores its pair cohort and any k-ary growth rounds against the same
 // cur): the arena plan of an aggregation, or the block plan of an
-// expression implementing BlockPlanner. Both are nil when cur
-// cannot be planned.
+// expression implementing BlockPlanner. Both are nil when cur cannot be
+// planned — including an aggregation whose arena the blocked kernel
+// refuses (provenance.Arena.Blockable), so a refused plan is never
+// swept or patched.
 func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan) {
 	if comparableExpr(cur) && e.planFor == cur {
 		return e.plan, e.blockPlan
 	}
 	plan := provenance.NewPlan(cur)
+	if plan != nil && !plan.Arena().Blockable() {
+		plan = nil
+	}
 	var bplan BlockPlan
 	if bp, ok := cur.(BlockPlanner); ok && plan == nil {
 		bplan = bp.BlockPlan()
@@ -510,17 +357,6 @@ func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPl
 		e.plan, e.blockPlan, e.planFor = plan, bplan, cur
 	}
 	return plan, bplan
-}
-
-// Prewarm fills the original-expression cache with the evaluation of p0
-// under every valuation of the class. After a prewarm, enumeration-mode
-// Distance calls only read the cache, which makes the estimator safe for
-// concurrent use by parallel candidate evaluation (sampling mode draws
-// fresh valuations and must not be shared across goroutines).
-func (e *Estimator) Prewarm(p0 provenance.Expression) {
-	for _, v := range e.Class.Valuations() {
-		e.evalOriginal(v, p0)
-	}
 }
 
 // SampleSize returns a number of Monte-Carlo samples sufficient for

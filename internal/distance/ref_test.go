@@ -1,0 +1,59 @@
+package distance
+
+import (
+	"math/rand"
+
+	"repro/internal/provenance"
+	"repro/internal/valuation"
+)
+
+// refDistance is the test-only oracle every scorer of the package is
+// pinned to: Definition 3.2.2 read straight off the semantics. Under
+// each valuation v of vals, in order, the original is evaluated by its
+// own Eval (the tree walk: no arena, no original-result cache), aligned
+// into the candidate's result space through cum, and compared by the
+// VAL-FUNC against the candidate evaluated under the extended valuation
+// v^{h,φ} (provenance.ExtendValuation: no φ memo); the summands are
+// averaged and normalized by e.MaxError like Estimator does. Only e's
+// Phi, VF and MaxError are read.
+func refDistance(e *Estimator, vals []provenance.Valuation, p0, pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	var total float64
+	for _, v := range vals {
+		orig := pc.AlignResult(p0.Eval(v), cum)
+		total += e.VF.F(v, orig, pc.Eval(provenance.ExtendValuation(v, groups, e.Phi)))
+	}
+	d := total / float64(len(vals))
+	if e.MaxError > 0 {
+		d /= e.MaxError
+		if d > 1 {
+			d = 1
+		}
+	}
+	return d
+}
+
+// refVals is the valuation list the first sweep of an estimator over
+// class scores: the enumerated class when samples is 0, else samples
+// draws from a Rand seeded with seed.
+func refVals(class valuation.Class, samples int, seed int64) []provenance.Valuation {
+	if samples <= 0 {
+		return class.Valuations()
+	}
+	r := rand.New(rand.NewSource(seed))
+	vals := make([]provenance.Valuation, samples)
+	for i := range vals {
+		vals[i] = class.Sample(r)
+	}
+	return vals
+}
+
+// RefDistance and RefVals export the oracle to the external test
+// package (the DDP scenarios, which cannot be built from package
+// distance).
+var (
+	RefDistance = refDistance
+	RefVals     = refVals
+)

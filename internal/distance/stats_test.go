@@ -2,7 +2,6 @@ package distance
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/provenance"
@@ -53,50 +52,34 @@ func TestStatsCountsCacheAndEvaluations(t *testing.T) {
 	}
 }
 
-// TestPrewarmMakesParallelLookupsHits pins the contract that parallel
-// candidate evaluation relies on: after Prewarm, concurrent Distance
-// calls only read the original-expression cache — every lookup is a hit
-// and the miss count never moves.
+// TestPrewarmMakesParallelLookupsHits pins the contract the parallel
+// sweeps rely on: the original-expression cache is consulted once per
+// valuation, on the calling goroutine, before the cohort fans out — so
+// workers never touch it. A cold parallel sweep misses exactly once per
+// valuation and a warm one only hits, however many candidates and
+// workers share it (run under -race to check the workers stay off the
+// cache).
 func TestPrewarmMakesParallelLookupsHits(t *testing.T) {
-	p0 := matchPoint()
-	class := valuation.NewCancelSingleAnnotation([]provenance.Annotation{"U1", "U2", "U3"})
-	e := estimator(class, AbsDiff(nil))
+	p0, anns, cands := batchFixture(8)
+	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+	e.Parallelism = 4
+	vals := uint64(len(e.Class.Valuations()))
 
-	e.Prewarm(p0)
+	e.DistanceBatch(p0, cands)
 	st := e.Stats()
-	if st.CacheMisses != 3 {
-		t.Fatalf("prewarm misses = %d, want 3", st.CacheMisses)
+	if st.CacheMisses != vals || st.CacheHits != 0 {
+		t.Fatalf("cold sweep hits/misses = %d/%d, want 0/%d", st.CacheHits, st.CacheMisses, vals)
 	}
-	missesAfterPrewarm := st.CacheMisses
-
-	// The three candidate pairs of the running example, probed like
-	// core's parallel workers do.
-	merges := []provenance.Mapping{
-		provenance.MergeMapping("S", "U1", "U2"),
-		provenance.MergeMapping("S", "U1", "U3"),
-		provenance.MergeMapping("S", "U2", "U3"),
+	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), provenance.GroupsOf(anns, provenance.NewMapping()), [][]provenance.Annotation{{anns[0], anns[1]}}, "Z"); !ok {
+		t.Fatal("DistanceDelta fell back")
 	}
-	var wg sync.WaitGroup
-	for _, h := range merges {
-		wg.Add(1)
-		go func(h provenance.Mapping) {
-			defer wg.Done()
-			pc := p0.Apply(h)
-			groups := provenance.GroupsOf(p0.Annotations(), h)
-			e.Distance(p0, pc, h, groups)
-		}(h)
-	}
-	wg.Wait()
-
+	e.DistanceBatch(p0, cands)
 	st = e.Stats()
-	if st.CacheMisses != missesAfterPrewarm {
-		t.Fatalf("parallel lookups missed: misses = %d, want %d", st.CacheMisses, missesAfterPrewarm)
+	if st.CacheMisses != vals {
+		t.Fatalf("warm sweeps missed: misses = %d, want %d", st.CacheMisses, vals)
 	}
-	if want := uint64(len(merges) * 3); st.CacheHits != want {
-		t.Fatalf("parallel hits = %d, want %d", st.CacheHits, want)
-	}
-	if st.DistanceCalls != uint64(len(merges)) {
-		t.Fatalf("DistanceCalls = %d, want %d", st.DistanceCalls, len(merges))
+	if st.CacheHits == 0 {
+		t.Fatal("warm sweeps never hit the cache")
 	}
 }
 

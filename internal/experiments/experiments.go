@@ -421,11 +421,11 @@ func Timing(o Options, scales []float64, maxSteps int) (*TimingResult, error) {
 			}
 			if o.TimingFromStats {
 				// Candidate cost from the estimator's own instrumentation.
-				// Cohort scoring amortizes one sweep (DistanceDelta or
-				// DistanceBatch) over all its candidates, so the
-				// per-candidate figure divides total scoring wall time
-				// across all three engines by total candidates scored
-				// (each Distance call scores one).
+				// Cohort scoring amortizes one sweep (DistanceDelta, or
+				// its DistanceBatch fallback) over all its candidates,
+				// so the per-candidate figure divides total scoring wall
+				// time — both sweeps plus Distance calls — by total
+				// candidates scored (each Distance call scores one).
 				st := est.Stats()
 				if n := st.DistanceCalls + st.BatchCandidates + st.DeltaCandidates; n > 0 {
 					totalUS := float64(st.DistanceTime.Microseconds() + st.BatchTime.Microseconds() + st.DeltaTime.Microseconds())

@@ -37,8 +37,8 @@ type Options struct {
 	// is total scoring wall time (Distance calls plus DistanceBatch and
 	// DistanceDelta sweeps) divided by total candidates scored
 	// (DistanceCalls + BatchCandidates + DeltaCandidates), so it stays
-	// comparable across the candidate-major, batched, and delta scoring
-	// paths.
+	// comparable whether a cohort took the delta engine or the batch
+	// fallback.
 	TimingFromStats bool
 }
 

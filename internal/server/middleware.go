@@ -132,9 +132,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		estSamples:    reg.Counter("prox_estimator_samples_total", "Monte-Carlo valuation draws.", nil),
 		estDistCalls:  reg.Counter("prox_estimator_distance_calls_total", "Estimator Distance invocations.", nil),
 		estDistSecs:   reg.Counter("prox_estimator_distance_seconds_total", "Total wall time inside estimator Distance calls.", nil),
-		estBatchCalls: reg.Counter("prox_estimator_batch_calls_total", "Estimator DistanceBatch invocations (valuation-major sweeps).", nil),
-		estBatchCands: reg.Counter("prox_estimator_batch_candidates_total", "Candidates scored by DistanceBatch sweeps.", nil),
-		estBatchSecs:  reg.Counter("prox_estimator_batch_seconds_total", "Total wall time inside DistanceBatch sweeps.", nil),
+		estBatchCalls: reg.Counter("prox_estimator_batch_calls_total", "Fallback cohort scoring: estimator DistanceBatch sweeps, for cohorts the delta engine cannot plan.", nil),
+		estBatchCands: reg.Counter("prox_estimator_batch_candidates_total", "Fallback cohort scoring: candidates scored by DistanceBatch sweeps.", nil),
+		estBatchSecs:  reg.Counter("prox_estimator_batch_seconds_total", "Fallback cohort scoring: total wall time inside DistanceBatch sweeps.", nil),
 
 		estDeltaCalls:   reg.Counter("prox_estimator_delta_calls_total", "Estimator DistanceDelta invocations (incremental cohort sweeps).", nil),
 		estDeltaCands:   reg.Counter("prox_estimator_delta_candidates_total", "Candidates scored by DistanceDelta sweeps.", nil),

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark regression gate: run the scoring-layout and summary-cache
+# Benchmark regression gate: run the scoring and summary-cache
 # benchmarks, compare each ns/op against the recorded baseline in
 # BENCH_core.json, and fail only on a gross slowdown (> FACTOR x the
 # baseline, default 2.0 — CI runners are noisy, so the gate catches
@@ -49,7 +49,7 @@ run_bench 'PlanProbe' 500x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
 # DDP on its tropical block plan (SummarizeStepScoringDDP{,Batch}).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
-run_bench 'SummarizeScoring(Sequential|Batch|Delta)$' 5x .
+run_bench 'SummarizeScoringDelta$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
 run_bench 'ServerSummarizeCache' 100x ./internal/server/
 
