@@ -34,19 +34,20 @@ func appendValuation(mask int) Valuation {
 // appended annotations).
 func requirePlansEquivalent(t *testing.T, label string, got, want *Plan) {
 	t.Helper()
-	gs, ws := got.NewScratch(), want.NewScratch()
 	cohort := [][]Annotation{
 		{"u1", "u2"},
 		{"u1", "u4"}, // old + appended annotation
 		{"u4", "m3"}, // appended only
 		{"m1", "m3"}, // group rename into appended group
 	}
-	for mask := 0; mask < 1<<len(appendAnns); mask++ {
-		v := appendValuation(mask)
-		gotVec := got.BaseEval(planTruths(got, v), gs)
-		wantVec := want.BaseEval(planTruths(want, v), ws)
-		if !vecEqual(gotVec, wantVec) {
-			t.Fatalf("%s mask %d: BaseEval %v != %v", label, mask, gotVec, wantVec)
+	vals := make([]Valuation, 1<<len(appendAnns))
+	for mask := range vals {
+		vals[mask] = appendValuation(mask)
+	}
+	gotVecs, wantVecs := evalVecs(got.Arena(), vals), evalVecs(want.Arena(), vals)
+	for mask := range vals {
+		if !vecEqual(gotVecs[mask], wantVecs[mask]) {
+			t.Fatalf("%s mask %d: EvalBlock %v != %v", label, mask, gotVecs[mask], wantVecs[mask])
 		}
 	}
 	for _, ms := range cohort {
@@ -60,13 +61,12 @@ func requirePlansEquivalent(t *testing.T, label string, got, want *Plan) {
 		if gp.Size != wp.Size {
 			t.Fatalf("%s probe %v: size %d != %d", label, ms, gp.Size, wp.Size)
 		}
-		for mask := 0; mask < 1<<len(appendAnns); mask++ {
-			v := appendValuation(mask)
-			for _, mergedN := range []int{0, 1} {
-				gotVec := gp.CandEval(mergedN, got.BaseEval(planTruths(got, v), gs), gs)
-				wantVec := wp.CandEval(mergedN, want.BaseEval(planTruths(want, v), ws), ws)
-				if !vecEqual(gotVec, wantVec) {
-					t.Fatalf("%s probe %v mask %d n=%d: CandEval %v != %v", label, ms, mask, mergedN, gotVec, wantVec)
+		for _, merged := range []bool{false, true} {
+			always := func(int) bool { return merged }
+			gotVecs, wantVecs := candVecs(gp, vals, always), candVecs(wp, vals, always)
+			for mask := range vals {
+				if !vecEqual(gotVecs[mask], wantVecs[mask]) {
+					t.Fatalf("%s probe %v mask %d merged=%v: CandEvalBlock %v != %v", label, ms, mask, merged, gotVecs[mask], wantVecs[mask])
 				}
 			}
 		}
@@ -151,13 +151,11 @@ func TestApplyAppendBails(t *testing.T) {
 // whose expressions do not contain the appended annotations yet.
 func requirePlansEquivalentBase(t *testing.T, label string, got, want *Plan) {
 	t.Helper()
-	gs, ws := got.NewScratch(), want.NewScratch()
-	for mask := 0; mask < 1<<len(planAnns); mask++ {
-		v := planValuation(mask)
-		gotVec := got.BaseEval(planTruths(got, v), gs)
-		wantVec := want.BaseEval(planTruths(want, v), ws)
-		if !vecEqual(gotVec, wantVec) {
-			t.Fatalf("%s mask %d: BaseEval %v != %v", label, mask, gotVec, wantVec)
+	vals := planVals()
+	gotVecs, wantVecs := evalVecs(got.Arena(), vals), evalVecs(want.Arena(), vals)
+	for mask := range vals {
+		if !vecEqual(gotVecs[mask], wantVecs[mask]) {
+			t.Fatalf("%s mask %d: EvalBlock %v != %v", label, mask, gotVecs[mask], wantVecs[mask])
 		}
 	}
 }

@@ -55,10 +55,11 @@ func TestBitsetOps(t *testing.T) {
 	}
 }
 
-// TestArenaEvalMatchesAggEval checks the compiled arena against the
-// reference tree evaluator on the plan fixture for every monoid, every
-// truth assignment over the fixture's annotations, and both defaults
-// for annotations outside the assignment.
+// TestArenaEvalMatchesAggEval checks the compiled arena's blocked
+// evaluation against the reference tree evaluator on the plan fixture
+// for every monoid, every truth assignment over the fixture's
+// annotations, and both defaults for annotations outside the
+// assignment.
 func TestArenaEvalMatchesAggEval(t *testing.T) {
 	for _, kind := range []AggKind{AggSum, AggMax, AggMin, AggCount} {
 		g := planFixture(kind)
@@ -66,23 +67,22 @@ func TestArenaEvalMatchesAggEval(t *testing.T) {
 		if ar == nil {
 			t.Fatalf("%v: CompileArena returned nil for an *Agg", kind)
 		}
-		s := ar.NewScratch()
-		bits := ar.NewTruths()
+		var vals []Valuation
 		for mask := 0; mask < 1<<len(planAnns); mask++ {
 			for _, def := range []bool{false, true} {
 				mv := planValuation(mask).(MapValuation)
 				mv.Default = def
-				v := mv
-				want, ok := g.Eval(v).(Vector)
-				if !ok {
-					t.Fatalf("%v: Agg.Eval did not return a Vector", kind)
-				}
-				ar.FillTruths(bits, v.Truth)
-				got := ar.Eval(bits, s)
-				if !vecEqual(got, want) {
-					t.Fatalf("%v mask=%d default=%v: arena %v != legacy %v",
-						kind, mask, def, got, want)
-				}
+				vals = append(vals, mv)
+			}
+		}
+		got := evalVecs(ar, vals)
+		for i, v := range vals {
+			want, ok := g.Eval(v).(Vector)
+			if !ok {
+				t.Fatalf("%v: Agg.Eval did not return a Vector", kind)
+			}
+			if !vecEqual(got[i], want) {
+				t.Fatalf("%v valuation %d: arena %v != tree %v", kind, i, got[i], want)
 			}
 		}
 	}
@@ -118,42 +118,26 @@ func TestCompileArenaRejects(t *testing.T) {
 	}
 }
 
-// TestArenaScratchReuse checks that one scratch gives identical results
-// across repeated evaluations (no state leaks between folds).
+// TestArenaScratchReuse checks that one block scratch gives identical
+// results across repeated evaluations (no state leaks between folds).
 func TestArenaScratchReuse(t *testing.T) {
-	g := planFixture(AggSum)
-	ar := CompileArena(g)
-	s := ar.NewScratch()
-	bits := ar.NewTruths()
-	v := planValuation(13)
-	ar.FillTruths(bits, v.Truth)
-	first := ar.Eval(bits, s)
+	ar := CompileArena(planFixture(AggSum))
+	tb, s := NewTruthBlock(), NewBlockScratch()
+	fillBlock(ar, tb, []Valuation{planValuation(13)})
+	first := make([]Vector, 1)
+	ar.EvalBlock(tb, s, first)
 	for i := 0; i < 3; i++ {
-		if got := ar.Eval(bits, s); !vecEqual(got, first) {
-			t.Fatalf("iteration %d: %v != first eval %v", i, got, first)
+		got := make([]Vector, 1)
+		if ar.EvalBlock(tb, s, got); !vecEqual(got[0], first[0]) {
+			t.Fatalf("iteration %d: %v != first eval %v", i, got[0], first[0])
 		}
 	}
 }
 
-// BenchmarkArenaEval / BenchmarkAggEval measure one full evaluation of
-// the plan fixture through the compiled arena versus the recursive
-// interface-dispatch evaluator. The pair is the microscopic view of the
-// arena speedup; the end-to-end view lives in the step-scoring
-// benchmarks of internal/distance.
-func BenchmarkArenaEval(b *testing.B) {
-	g := planFixture(AggSum)
-	ar := CompileArena(g)
-	s := ar.NewScratch()
-	bits := ar.NewTruths()
-	v := planValuation(13)
-	ar.FillTruths(bits, v.Truth)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ar.Eval(bits, s)
-	}
-}
-
+// BenchmarkAggEval measures one full evaluation of the plan fixture
+// through the recursive tree walker, the reference evaluator the
+// scorers' differential tests compare against; BenchmarkEvalBlock is the
+// compiled arena's view of the same fixture, 64 valuations per pass.
 func BenchmarkAggEval(b *testing.B) {
 	g := planFixture(AggSum)
 	v := planValuation(13)

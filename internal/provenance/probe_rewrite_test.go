@@ -154,26 +154,22 @@ func checkProbeAgainstApply(t *testing.T, cur *Agg, ms []Annotation, newAnn Anno
 	}
 
 	// The folds replay the candidate's combine order: under SUM values
-	// whose float sums depend on that order, CandEval equals the
+	// whose float sums depend on that order, CandEvalBlock equals the
 	// candidate's own evaluation bit for bit.
 	anns := cur.Annotations()
-	s := plan.NewScratch()
-	for mask := 0; mask < 1<<min(len(anns), 6); mask++ {
+	vals := make([]Valuation, 1<<min(len(anns), 6))
+	for mask := range vals {
 		assign := make(map[Annotation]bool, len(anns))
 		for i, a := range anns {
 			assign[a] = i >= 6 || mask&(1<<i) != 0
 		}
-		v := MapValuation{Assign: assign, Default: true}
-		mergedN := 0
-		for _, m := range ms {
-			if v.Truth(m) {
-				mergedN = 1
-			}
-		}
-		got := pr.CandEval(mergedN, plan.BaseEval(planTruths(plan, v), s), s)
+		vals[mask] = MapValuation{Assign: assign, Default: true}
+	}
+	got := candVecs(pr, vals, phiOf(vals, ms, CombineOr))
+	for mask, v := range vals {
 		want := next.Eval(ExtendValuation(v, Groups{newAnn: ms}, CombineOr)).(Vector)
-		if !vecEqual(got, want) {
-			t.Fatalf("%v over %v, mask %b: CandEval %v, want %v", ms, cur, mask, got, want)
+		if !vecEqual(got[mask], want) {
+			t.Fatalf("%v over %v, mask %b: CandEvalBlock %v, want %v", ms, cur, mask, got[mask], want)
 		}
 	}
 
