@@ -64,11 +64,12 @@ func fuzzPoly(r *fuzzReader, depth int) provenance.Expr {
 // both as member sets and as materialized reference candidates.
 func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, anns []provenance.Annotation, sets [][]provenance.Annotation, cands []BatchCandidate) {
 	// SUM comes up twice as often as each other monoid: it is the one
-	// whose fold order could show in the result. The values stay small
-	// integers, so every path's float sums are exact and the distances
-	// bitwise comparable; the fold order itself is pinned with inexact
-	// values at the probe level (TestProbeIDRewriteMatchesApply).
+	// whose fold order could show in the result. Values mix small
+	// integers with 0.1, 0.7 and 1e16, whose float sums depend on their
+	// order and grouping, so every path must fold, align and compare in
+	// the reference's order to stay bitwise equal.
 	kinds := []provenance.AggKind{provenance.AggSum, provenance.AggSum, provenance.AggMax, provenance.AggMin, provenance.AggCount}
+	values := []float64{1, 2, 3, 4, 0.1, 0.7, 1e16}
 	kind := kinds[int(r.next())%len(kinds)]
 	groups := []provenance.Annotation{"g1", "g2", ""}
 	nTensors := int(r.next())%6 + 3
@@ -76,7 +77,7 @@ func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression,
 	for i := range tensors {
 		tensors[i] = provenance.Tensor{
 			Prov:  fuzzPoly(r, 3),
-			Value: float64(int(r.next())%4 + 1),
+			Value: values[int(r.next())%len(values)],
 			Count: int(r.next())%3 + 1,
 			Group: groups[int(r.next())%len(groups)],
 		}

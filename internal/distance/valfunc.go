@@ -18,9 +18,17 @@ import (
 // result space) and the summary expression (result summ, evaluated under
 // the extended valuation v^{h,φ}). The valuation is provided so that
 // weighted VAL-FUNCs can apply a weighting w(v).
+//
+// Dense, when set, is F on two vector results laid out as dense rows
+// over one sorted coordinate space, a coordinate missing from a vector
+// reading 0 in its row: Dense(v, o, s) must equal F(v, O, S) bit for bit
+// whenever O and S are the vectors the rows stand for. The delta sweep
+// scores aggregations through it; a VAL-FUNC without it is handed the
+// vectors rebuilt from the rows.
 type ValFunc struct {
-	Name string
-	F    func(v provenance.Valuation, orig, summ provenance.Result) float64
+	Name  string
+	F     func(v provenance.Valuation, orig, summ provenance.Result) float64
+	Dense func(v provenance.Valuation, orig, summ []float64) float64
 }
 
 // Weight assigns a weight to a valuation, e.g. the joint probability of
@@ -55,7 +63,8 @@ func TrustWeight(trust map[provenance.Annotation]float64, p0 float64, anns []pro
 }
 
 // AbsDiff is the "expected error" VAL-FUNC: w(v)·|v(p) − v'(p')| for
-// scalar results; for vectors it sums coordinate-wise absolute error.
+// scalar results; for vectors it sums coordinate-wise absolute error in
+// sorted key order.
 func AbsDiff(w Weight) ValFunc {
 	if w == nil {
 		w = uniform
@@ -64,6 +73,13 @@ func AbsDiff(w Weight) ValFunc {
 		Name: "Absolute Difference",
 		F: func(v provenance.Valuation, orig, summ provenance.Result) float64 {
 			return w(v) * absDiff(orig, summ)
+		},
+		Dense: func(v provenance.Valuation, orig, summ []float64) float64 {
+			total := 0.0
+			for i, o := range orig {
+				total += math.Abs(o - summ[i])
+			}
+			return w(v) * total
 		},
 	}
 }
@@ -82,6 +98,14 @@ func Disagree(w Weight) ValFunc {
 			}
 			return w(v)
 		},
+		Dense: func(v provenance.Valuation, orig, summ []float64) float64 {
+			for i, o := range orig {
+				if o != summ[i] {
+					return w(v)
+				}
+			}
+			return 0
+		},
 	}
 }
 
@@ -99,6 +123,14 @@ func Euclidean() ValFunc {
 			}
 			return absDiff(orig, summ)
 		},
+		Dense: func(_ provenance.Valuation, orig, summ []float64) float64 {
+			sum := 0.0
+			for i, o := range orig {
+				d := o - summ[i]
+				sum += d * d
+			}
+			return math.Sqrt(sum)
+		},
 	}
 }
 
@@ -111,13 +143,8 @@ func absDiff(a, b provenance.Result) float64 {
 	case provenance.Vector:
 		if y, ok := b.(provenance.Vector); ok {
 			total := 0.0
-			for k, xv := range x {
-				total += math.Abs(xv - y[k])
-			}
-			for k, yv := range y {
-				if _, ok := x[k]; !ok {
-					total += math.Abs(yv)
-				}
+			for _, k := range provenance.UnionKeys(x, y) {
+				total += math.Abs(x[k] - y[k])
 			}
 			return total
 		}

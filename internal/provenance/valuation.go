@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -231,19 +232,33 @@ func (v Vector) ResultString() string {
 func (v Vector) At(k Annotation) float64 { return v[k] }
 
 // Euclid returns the Euclidean distance between two vectors over the
-// union of their coordinates (missing coordinates count as 0).
+// union of their coordinates (missing coordinates count as 0). The
+// squared differences sum in sorted key order, so the result does not
+// depend on map iteration order and equals the same sum over dense rows
+// laid out in that order.
 func Euclid(a, b Vector) float64 {
 	sum := 0.0
-	for k, av := range a {
-		d := av - b[k]
+	for _, k := range UnionKeys(a, b) {
+		d := a[k] - b[k]
 		sum += d * d
 	}
-	for k, bv := range b {
+	return math.Sqrt(sum)
+}
+
+// UnionKeys returns the coordinates of a and b, sorted and without
+// duplicates.
+func UnionKeys(a, b Vector) []Annotation {
+	keys := make([]Annotation, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
 		if _, ok := a[k]; !ok {
-			sum += bv * bv
+			keys = append(keys, k)
 		}
 	}
-	return math.Sqrt(sum)
+	slices.Sort(keys)
+	return keys
 }
 
 // Expression is the abstraction the summarization algorithm operates on.
