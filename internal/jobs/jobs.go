@@ -135,7 +135,8 @@ type Config struct {
 	// bulk work forever (default 4; values < 2 keep the default).
 	BulkEvery int
 	// OnTransition, when set, observes every state change — the server
-	// uses it to journal job records and update metrics.
+	// uses it to journal job records and update metrics. A terminal
+	// transition's hook returns before the job's Done channel closes.
 	OnTransition func(Transition)
 }
 
@@ -379,6 +380,7 @@ func (m *Manager) Cancel(id string) error {
 		j.mu.Unlock()
 		m.dropKey(j)
 		m.observe(tr)
+		close(j.done)
 	case Running:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -533,13 +535,18 @@ func (m *Manager) run(j *Job) {
 	// finished job.
 	m.dropKey(j)
 	m.observe(tr)
+	// Wake the waiters only now: the hooks release what the job held (the
+	// server's tenant job slot), and a waiter that answers its client
+	// before the release would let the client's next request be refused.
+	close(j.done)
 }
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// finish records the terminal fields; callers hold j.mu.
+// finish records the terminal fields; callers hold j.mu, and close
+// j.done once the terminal transition's hooks have run.
 func (j *Job) finish(to State, err, cause error) {
 	j.state = to
 	if to != Done {
@@ -547,7 +554,6 @@ func (j *Job) finish(to State, err, cause error) {
 	}
 	j.cause = cause
 	j.finished = time.Now()
-	close(j.done)
 }
 
 // transition builds the hook payload; callers hold j.mu.

@@ -178,6 +178,52 @@ func TestTaskFailure(t *testing.T) {
 	}
 }
 
+// TestTerminalHookRunsBeforeWaitersWake pins the order the server's
+// quota release depends on: a job's terminal OnTransition hook runs
+// before its Done channel closes, both when its task finishes and when
+// it is canceled while queued, so no waiter sees the job finished while
+// the hook still holds what the job held.
+func TestTerminalHookRunsBeforeWaitersWake(t *testing.T) {
+	var mu sync.Mutex
+	early := map[string]bool{}
+	m := New(Config{Workers: 1, Queue: 4, OnTransition: func(tr Transition) {
+		if !tr.To.Terminal() {
+			return
+		}
+		select {
+		case <-tr.Job.Done():
+			mu.Lock()
+			early[tr.Job.ID] = true
+			mu.Unlock()
+		default:
+		}
+	}})
+	defer m.Shutdown(context.Background())
+
+	release := make(chan struct{})
+	started := make(chan string, 1)
+	finished, err := m.Submit("finished", 0, blockingTask(started, release, "finished"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	canceled, err := m.Submit("canceled", 0, blockingTask(nil, nil, "canceled"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Cancel(canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitState(t, finished, Done)
+	waitState(t, canceled, Canceled)
+	mu.Lock()
+	defer mu.Unlock()
+	for id := range early {
+		t.Errorf("job %s: Done closed before its terminal hook ran", id)
+	}
+}
+
 // TestShutdownInterruptsRunningKeepsQueued pins the crash-safe shutdown
 // contract: running jobs are interrupted with cause ErrShutdown (so the
 // server knows not to journal them as terminal), queued jobs never
