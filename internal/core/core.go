@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,6 +169,9 @@ type Summary struct {
 // Summarizer runs Algorithm 1.
 type Summarizer struct {
 	cfg Config
+	// checkCarry, set only by tests, inspects the carried step state
+	// after every committed step; an error aborts the run.
+	checkCarry func(cur provenance.Expression, carry *stepCarry) error
 }
 
 // New validates the configuration and returns a Summarizer. The defaults
@@ -240,6 +244,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	start := time.Now()
 	cfg := s.cfg
 	cfg.Estimator.ResetCache()
+	defer cfg.Estimator.ReleasePlan()
 
 	res := &Summary{Original: p0}
 	cur := p0
@@ -313,6 +318,9 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		}
 	}
 
+	// The candidate state carried from step to step lives and dies with
+	// this run.
+	carry := &stepCarry{}
 	res.StopReason = "no-candidates"
 	for {
 		if err := ctx.Err(); err != nil {
@@ -332,11 +340,11 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		}
 
 		candsBefore, probeBefore := res.CandidatesEvaluated, res.CandidateTime
-		var skipsBefore uint64
+		var before distance.Stats
 		if cfg.StepObserver != nil {
-			skipsBefore = cfg.Estimator.Stats().DeltaSkips
+			before = cfg.Estimator.Stats()
 		}
-		best, ok := s.bestCandidate(p0, cur, cum, origAnns, origSize, res)
+		best, ok := s.bestCandidate(p0, cur, cum, origAnns, origSize, carry, res)
 		if !ok {
 			res.StopReason = "no-candidates"
 			break
@@ -352,6 +360,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		})
 		steps++
 		if cfg.StepObserver != nil {
+			after := cfg.Estimator.Stats()
 			cfg.StepObserver(StepEvent{
 				Step:          steps,
 				Members:       best.members,
@@ -362,9 +371,15 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 				Size:          size,
 				Candidates:    res.CandidatesEvaluated - candsBefore,
 				CandidateTime: res.CandidateTime - probeBefore,
-				DeltaSkips:    cfg.Estimator.Stats().DeltaSkips - skipsBefore,
+				DeltaSkips:    after.DeltaSkips - before.DeltaSkips,
+				ProbesCarried: after.ProbesCarried - before.ProbesCarried,
 				Elapsed:       time.Since(start),
 			})
+		}
+		if s.checkCarry != nil {
+			if err := s.checkCarry(cur, carry); err != nil {
+				return nil, fmt.Errorf("core: step %d: %w", steps, err)
+			}
 		}
 		if cfg.CheckpointEvery > 0 && steps%cfg.CheckpointEvery == 0 {
 			if err := s.emitCheckpoint(res, initDist); err != nil {
@@ -413,22 +428,20 @@ const probeAnn provenance.Annotation = "\x00probe"
 
 // bestCandidate enumerates (or samples) the constraint-satisfying pairs
 // of current annotations, scores each, and returns the minimal-score
-// candidate, breaking ties by taxonomy distance when available.
-func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, res *Summary) (candidate, bool) {
+// candidate, breaking ties by taxonomy distance when available. The
+// pair list and the probes come from carry when the previous step's
+// merge left them valid, and the committed merge is recorded in it.
+func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool) {
 	cfg := s.cfg
+	carry.flush(cfg.Policy, cfg.Estimator)
 	anns := cur.Annotations()
-	var pairs [][2]provenance.Annotation
-	for i := 0; i < len(anns); i++ {
-		for j := i + 1; j < len(anns); j++ {
-			if cfg.Policy.CanMerge(anns[i], anns[j]) {
-				pairs = append(pairs, [2]provenance.Annotation{anns[i], anns[j]})
-			}
-		}
-	}
+	pairs := carry.pairs.forAnns(cfg.Policy, anns)
 	if len(pairs) == 0 {
 		return candidate{}, false
 	}
 	if cfg.CandidateCap > 0 && len(pairs) > cfg.CandidateCap {
+		// Shuffle a copy: the carried list keeps enumeration order.
+		pairs = slices.Clone(pairs)
 		cfg.Rand.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 		pairs = pairs[:cfg.CandidateCap]
 	}
@@ -438,7 +451,7 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		members[i] = []provenance.Annotation{pr[0], pr[1]}
 	}
 	base := provenance.GroupsOf(origAnns, cum)
-	cands := s.probeCohort(p0, cur, cum, base, origSize, members, res)
+	cands := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
 
 	var best candidate
 	var ties []candidate
@@ -460,9 +473,9 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		best = s.breakTies(append(ties, best))
 	}
 	if cfg.MergeArity > 2 {
-		best = s.growCandidate(p0, cur, cum, base, origSize, anns, best, res)
+		best = s.growCandidate(p0, cur, cum, base, origSize, anns, best, carry, res)
 	}
-	return s.commitCandidate(cur, cum, best), true
+	return s.commitCandidate(cur, cum, best, carry), true
 }
 
 // probeCohort scores one cohort of candidate member sets. The scorer is
@@ -472,8 +485,8 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 // candidates; anything else — names with key separators, negative
 // constants, reserved annotations, plans the engine refuses — falls back
 // to materialized batch scoring. Both produce bit-identical candidates.
-func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) []candidate {
-	if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, res); ok {
+func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) []candidate {
+	if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, carry, res); ok {
 		return cands
 	}
 	return s.probeBatch(p0, cur, cum, base, origSize, members, res)
@@ -484,10 +497,10 @@ func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.M
 // is materialized, by commitCandidate. ok is false when the estimator
 // cannot plan the current expression (the caller falls back to
 // probeBatch).
-func (s *Summarizer) probeDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) ([]candidate, bool) {
+func (s *Summarizer) probeDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) ([]candidate, bool) {
 	cfg := s.cfg
 	t0 := time.Now()
-	dists, sizes, ok := cfg.Estimator.DistanceDelta(p0, cur, cum, base, members, probeAnn)
+	dists, sizes, ok := cfg.Estimator.DistanceDelta(p0, cur, cum, base, members, probeAnn, &carry.probes)
 	if !ok {
 		return nil, false
 	}
@@ -561,7 +574,7 @@ func probeGroups(base provenance.Groups, members []provenance.Annotation) proven
 // each growth step the constraint-compatible annotation whose absorption
 // yields the lowest candidate score joins the group. Each growth round is
 // one candidate cohort, scored with a single cohort sweep.
-func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, res *Summary) candidate {
+func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, carry *stepCarry, res *Summary) candidate {
 	for len(best.members) < s.cfg.MergeArity {
 		var members [][]provenance.Annotation
 		for _, a := range anns {
@@ -572,7 +585,7 @@ func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance
 		}
 		var grown candidate
 		found := false
-		for _, cand := range s.probeCohort(p0, cur, cum, base, origSize, members, res) {
+		for _, cand := range s.probeCohort(p0, cur, cum, base, origSize, members, carry, res) {
 			if !found || cand.score < grown.score-1e-12 {
 				grown = cand
 				found = true
@@ -606,14 +619,15 @@ func contains(list []provenance.Annotation, a provenance.Annotation) bool {
 
 // commitCandidate registers the winning merge's summary annotation and
 // rebuilds the expression and cumulative mapping under its real name.
-func (s *Summarizer) commitCandidate(cur provenance.Expression, cum provenance.Mapping, c candidate) candidate {
+// The next step carries the merge into the pair list and lets the
+// estimator patch its cached delta plan in place (stepCarry.flush),
+// instead of recompiling the whole expression on its first probe.
+func (s *Summarizer) commitCandidate(cur provenance.Expression, cum provenance.Mapping, c candidate, carry *stepCarry) candidate {
 	c.newAnn = s.cfg.Policy.MergeName(c.members)
 	step := provenance.MergeMapping(c.newAnn, c.members...)
 	c.cum = cum.Compose(step)
 	c.expr = cur.Apply(step)
-	// Let the estimator patch its cached delta plan in place instead of
-	// recompiling the whole expression on the next step's first probe.
-	s.cfg.Estimator.CommitMerge(cur, c.expr, c.members, c.newAnn)
+	carry.pending = &committedMerge{cur: cur, next: c.expr, members: c.members, newAnn: c.newAnn}
 	return c
 }
 

@@ -82,8 +82,8 @@ func checkMatrixKey(t *testing.T, row string, key, want string) {
 
 // runMovieLens summarizes the seeded MovieLens workload and returns the
 // summary key, requiring that every cohort went through the delta
-// engine.
-func runMovieLens(t *testing.T, workers, samples, steps int) string {
+// engine. Each of with is applied to the summarizer before the run.
+func runMovieLens(t *testing.T, workers, samples, steps int, with ...func(*core.Summarizer)) string {
 	t.Helper()
 	w := movieLens(t)
 	est := w.Estimator(datasets.CancelSingleAnnotation)
@@ -101,6 +101,9 @@ func runMovieLens(t *testing.T, workers, samples, steps int) string {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range with {
+		f(s)
 	}
 	sum, err := s.Summarize(w.Prov)
 	if err != nil {
@@ -185,8 +188,9 @@ func ddpWorkload(t *testing.T) *datasets.Workload {
 
 // runDDP summarizes (or, with prior groups, extends) the seeded DDP
 // workload and returns the summary key. Every cohort must be scored on
-// the DDP block plan: no DistanceBatch fallback at all.
-func runDDP(t *testing.T, workers, samples int, prior provenance.Groups) string {
+// the DDP block plan: no DistanceBatch fallback at all. Each of with is
+// applied to the summarizer before the run.
+func runDDP(t *testing.T, workers, samples int, prior provenance.Groups, with ...func(*core.Summarizer)) string {
 	t.Helper()
 	w := ddpWorkload(t)
 	est := w.Estimator(datasets.CancelSingleAttribute)
@@ -204,6 +208,9 @@ func runDDP(t *testing.T, workers, samples int, prior provenance.Groups) string 
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range with {
+		f(s)
 	}
 	var sum *core.Summary
 	if prior != nil {
@@ -227,6 +234,28 @@ func runDDP(t *testing.T, workers, samples int, prior provenance.Groups) string 
 // must reproduce the pinned summaries. No run may fall back to
 // DistanceBatch.
 func TestDDPScoringModesIdentical(t *testing.T) {
+	prior := ddpPrior(t)
+	for _, row := range []struct {
+		name    string
+		samples int
+		prior   provenance.Groups
+		want    string
+	}{
+		{"summarize", 0, nil, ddpEnumKey},
+		{"summarize-sampled", 80, nil, ddpSampKey},
+		{"extend", 0, prior, extEnumKey},
+		{"extend-sampled", 80, prior, extSampKey},
+	} {
+		for _, workers := range matrixWorkers {
+			checkMatrixKey(t, fmt.Sprintf("%s workers=%d", row.name, workers), runDDP(t, workers, row.samples, row.prior), row.want)
+		}
+	}
+}
+
+// ddpPrior returns the groups of a short DDP summary, the prior
+// partition the matrix's extend rows warm-start from.
+func ddpPrior(t *testing.T) provenance.Groups {
+	t.Helper()
 	w := ddpWorkload(t)
 	s, err := core.New(core.Config{Policy: w.Policy, Estimator: w.Estimator(datasets.CancelSingleAttribute), WDist: 0.5, WSize: 0.5, MaxSteps: 3})
 	if err != nil {
@@ -239,19 +268,5 @@ func TestDDPScoringModesIdentical(t *testing.T) {
 	if len(prior.Groups) == 0 {
 		t.Fatal("prior run produced no groups")
 	}
-	for _, row := range []struct {
-		name    string
-		samples int
-		prior   provenance.Groups
-		want    string
-	}{
-		{"summarize", 0, nil, ddpEnumKey},
-		{"summarize-sampled", 80, nil, ddpSampKey},
-		{"extend", 0, prior.Groups, extEnumKey},
-		{"extend-sampled", 80, prior.Groups, extSampKey},
-	} {
-		for _, workers := range matrixWorkers {
-			checkMatrixKey(t, fmt.Sprintf("%s workers=%d", row.name, workers), runDDP(t, workers, row.samples, row.prior), row.want)
-		}
-	}
+	return prior.Groups
 }

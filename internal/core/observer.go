@@ -34,6 +34,9 @@ type StepEvent struct {
 	// DeltaSkips counts candidates the delta-scoring engine pruned this
 	// step without a distance evaluation (0 under other engines).
 	DeltaSkips uint64
+	// ProbesCarried counts the candidates whose compiled probe this step
+	// carried over from the previous step instead of rebuilding it.
+	ProbesCarried uint64
 	// Elapsed is the wall time since Summarize started, measured when the
 	// step was committed.
 	Elapsed time.Duration

@@ -112,7 +112,7 @@ func BenchmarkSummarizeStepScoringDDP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.DistanceDelta(sc.p0, curs[i%2], sc.cum, sc.base, sc.sets, "Z"); !ok {
+		if _, _, ok := e.DistanceDelta(sc.p0, curs[i%2], sc.cum, sc.base, sc.sets, "Z", nil); !ok {
 			b.Fatal("DistanceDelta fell back")
 		}
 	}
@@ -144,7 +144,7 @@ func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 	sc := ddpStep(t)
 	checkDDPScenario(t, sc)
 	st := ddpEstimator(sc)
-	st.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
+	st.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
 	if s := st.Stats(); s.DeltaSkips == 0 || s.DeltaFullEvals == 0 {
 		t.Fatalf("step neither skipped nor re-evaluated: %+v", s)
 	}
@@ -177,7 +177,7 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 			}
 			batch := est(1).DistanceBatch(sc.p0, sc.cands)
 			for _, workers := range []int{1, 3} {
-				got, sizes, ok := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
+				got, sizes, ok := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
 				if !ok {
 					t.Fatalf("DistanceDelta fell back on %v", sc.cur)
 				}

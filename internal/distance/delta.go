@@ -121,8 +121,15 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 // valuation order at any Parallelism, and sampling mode draws one shared
 // sample set up front (common random numbers), exactly like
 // DistanceBatch.
-func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation) (dists []float64, sizes []int, ok bool) {
+//
+// carry, when non-nil, is the calling run's step state: pair probes it
+// carried from the previous step are reused instead of rebuilt, and
+// this call's pair probes are recorded in it for CommitMerge to carry
+// into the next step. Carried probes equal rebuilt ones field for field
+// (provenance.MergePatch.Carry), so results do not depend on it.
+func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation, carry *Carry) (dists []float64, sizes []int, ok bool) {
 	plan, bplan := e.planOf(cur)
+	carry.use(plan, newAnn, len(cohort))
 	var names []provenance.Annotation
 	var annID func(provenance.Annotation) (int32, bool)
 	g0, aggOrig := p0.(*provenance.Agg)
@@ -132,6 +139,10 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	case bplan != nil:
 		names, annID = bplan.Annotations(), bplan.AnnID
 	default:
+		return nil, nil, false
+	}
+	if _, taken := annID(newAnn); taken {
+		carry.reset(nil, "")
 		return nil, nil, false
 	}
 	truths := newDeltaTruths(names, base, e.Phi)
@@ -150,12 +161,19 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		bprobes = make([]BlockProbe, len(cohort))
 	}
 	sizes = make([]int, len(cohort))
+	var carried, built uint64
 	for i, ms := range cohort {
 		dp := &slab[i]
 		if plan != nil {
-			pr := plan.Probe(ms, newAnn)
-			if pr == nil {
+			pr := carry.probe(plan, ms)
+			if pr != nil {
+				carried++
+			} else if pr = plan.Probe(ms, newAnn); pr == nil {
+				carry.reset(nil, "")
 				return nil, nil, false
+			} else {
+				built++
+				carry.record(ms, pr)
 			}
 			dp.pr, dp.members = pr, pr.Members
 			dp.noSkip = pr.RenamesGroup || (!plan.Exact() && pr.Reorders())
@@ -165,6 +183,7 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 			if bp == nil {
 				return nil, nil, false
 			}
+			built++
 			bprobes[i] = bp
 			dp.members, dp.noSkip = ms, bp.Reshapes()
 			sizes[i] = bp.Size()
@@ -204,6 +223,8 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	defer func() {
 		e.stats.deltaCalls.Add(1)
 		e.stats.deltaCandidates.Add(uint64(len(cohort)))
+		e.stats.probesCarried.Add(carried)
+		e.stats.probesBuilt.Add(built)
 		e.stats.deltaNanos.Add(int64(time.Since(t0)))
 	}()
 

@@ -156,7 +156,7 @@ func FuzzDistanceDelta(f *testing.F) {
 					return e
 				}
 				d := est()
-				got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z")
+				got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
 				if !ok {
 					t.Fatalf("DistanceDelta fell back on a plain aggregation: %v", cur)
 				}

@@ -54,7 +54,7 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 	for _, maxErr := range []float64{0, 25} {
 		d := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		d.MaxError = maxErr
-		got, sizes, ok := d.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z")
+		got, sizes, ok := d.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
 		if !ok {
 			t.Fatalf("maxErr=%g: DistanceDelta fell back", maxErr)
 		}
@@ -87,7 +87,7 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 	sc := benchStep(t)
 	d := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	got, sizes, ok := d.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
+	got, sizes, ok := d.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
 	if !ok {
 		t.Fatal("DistanceDelta fell back on a mid-run step")
 	}
@@ -115,14 +115,14 @@ func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 func TestDistanceDeltaParallelBitIdentical(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	seq := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	want, _, ok := seq.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z")
+	want, _, ok := seq.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
 	if !ok {
 		t.Fatal("DistanceDelta fell back")
 	}
 	for _, workers := range []int{2, 4, 16} {
 		par := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		par.Parallelism = workers
-		got, _, ok := par.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z")
+		got, _, ok := par.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
 		if !ok {
 			t.Fatalf("parallelism %d: DistanceDelta fell back", workers)
 		}
@@ -150,7 +150,7 @@ func TestDistanceDeltaSharedSamples(t *testing.T) {
 		e.Samples = 5
 		e.Rand = rand.New(rand.NewSource(7))
 		e.Parallelism = workers
-		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z")
+		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
 		if !ok {
 			t.Fatal("DistanceDelta fell back")
 		}
@@ -165,7 +165,7 @@ func TestDistanceDeltaSharedSamples(t *testing.T) {
 func TestDistanceDeltaStats(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	_, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z")
+	_, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
 	if !ok {
 		t.Fatal("DistanceDelta fell back")
 	}
@@ -230,12 +230,12 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 	opaque := sliceExpr{weights: []float64{1}, anns: anns[:1]}
-	if _, _, ok := e.DistanceDelta(opaque, opaque, provenance.NewMapping(), base, sets, "Z"); ok {
+	if _, _, ok := e.DistanceDelta(opaque, opaque, provenance.NewMapping(), base, sets, "Z", nil); ok {
 		t.Fatal("DistanceDelta must fall back on a non-aggregated expression")
 	}
 	// newAnn already occurs in the expression: rewritten tensor keys could
 	// collide with unaffected ones, so the probe refuses to compile.
-	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0]); ok {
+	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0], nil); ok {
 		t.Fatal("DistanceDelta must fall back when newAnn occurs in the expression")
 	}
 	// A negative constant makes the arena unblockable: planOf refuses it.
@@ -246,7 +246,7 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	negAnns := neg.Annotations()
 	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
 	negBase := provenance.GroupsOf(negAnns, provenance.NewMapping())
-	if _, _, ok := ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z"); ok {
+	if _, _, ok := ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z", nil); ok {
 		t.Fatal("DistanceDelta must fall back on an unblockable arena")
 	}
 	// Names with key separators fall outside the probe's id-level rewrite.
@@ -257,7 +257,7 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	titledAnns := titled.Annotations()
 	te := estimator(valuation.NewCancelSingleAnnotation(titledAnns), Euclidean())
 	titledBase := provenance.GroupsOf(titledAnns, provenance.NewMapping())
-	if _, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{{"u1", "u2"}}, "Z"); ok {
+	if _, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{{"u1", "u2"}}, "Z", nil); ok {
 		t.Fatal("DistanceDelta must fall back on names with key separators")
 	}
 	for _, est := range []*Estimator{e, ne, te} {
@@ -298,7 +298,7 @@ func BenchmarkSummarizeStepScoringDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z"); !ok {
+		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); !ok {
 			b.Fatal("DistanceDelta fell back")
 		}
 	}
@@ -315,7 +315,7 @@ func TestBlockedScalarBitIdentical(t *testing.T) {
 		e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
 		e.Parallelism = workers
 		vals := e.Class.Valuations()
-		delta, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z")
+		delta, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
 		if !ok {
 			t.Fatalf("workers=%d: DistanceDelta fell back", workers)
 		}
@@ -385,7 +385,7 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 	sets := [][]provenance.Annotation{{"S", "b"}}
 	for round, want := range []int{shared.baseIn.Len() * len(vals), 0} {
 		calls = 0
-		if _, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z"); !ok {
+		if _, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil); !ok {
 			t.Fatal("DistanceDelta fell back")
 		}
 		if calls != want {
@@ -393,7 +393,7 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 		}
 	}
 	// And the dense extension is still correct.
-	got, _, _ := e.DistanceDelta(p0, cur, cum, base, sets, "Z")
+	got, _, _ := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
 	step := provenance.MergeMapping("Z", "S", "b")
 	g := provenance.GroupsOf(p0.Annotations(), cum.Compose(step))
 	if want := refDistance(e, vals, p0, cur.Apply(step), cum.Compose(step), g); got[0] != want {
@@ -425,15 +425,15 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 
 	run := func(e *Estimator, patch bool) []float64 {
 		t.Helper()
-		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z"); !ok {
+		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); !ok {
 			t.Fatal("DistanceDelta fell back on the first step")
 		}
 		if patch {
-			e.CommitMerge(sc.cur, next, members, newAnn)
+			e.CommitMerge(sc.cur, next, members, newAnn, nil)
 		} else {
 			e.ResetCache()
 		}
-		got, _, ok := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z")
+		got, _, ok := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
 		if !ok {
 			t.Fatal("DistanceDelta fell back on the committed step")
 		}
@@ -453,7 +453,7 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 	}
 
 	fresh := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	want, _, ok := fresh.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z")
+	want, _, ok := fresh.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
 	if !ok {
 		t.Fatal("fresh DistanceDelta fell back")
 	}

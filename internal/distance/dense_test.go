@@ -128,7 +128,7 @@ func TestDeltaSkipBlockedOnInexactFolds(t *testing.T) {
 		ms := []provenance.Annotation{"#x", "a"}
 		step := provenance.MergeMapping("Z", ms...)
 		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z")
+		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z", nil)
 		if !ok {
 			t.Fatalf("values %v: DistanceDelta fell back", c.values)
 		}
@@ -228,7 +228,7 @@ func TestDistanceDeltaDenseMatchesReference(t *testing.T) {
 					if samples > 0 {
 						e.Rand = rand.New(rand.NewSource(9))
 					}
-					got, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z")
+					got, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
 					if !ok {
 						t.Fatalf("%v %s: DistanceDelta fell back", kind, vf.Name)
 					}

@@ -114,6 +114,9 @@ type estimatorCounters struct {
 
 	mergePatches    atomic.Uint64
 	mergeRecompiles atomic.Uint64
+
+	probesCarried atomic.Uint64
+	probesBuilt   atomic.Uint64
 }
 
 // Stats is a snapshot of the estimator's instrumentation counters: the
@@ -157,6 +160,10 @@ type Stats struct {
 	// MergeRecompiles counts commits where the patch was refused and the
 	// next step recompiled the plan from scratch.
 	MergePatches, MergeRecompiles uint64
+	// ProbesCarried counts DeltaCandidates whose probe a run carried
+	// over from its previous step (a Carry), ProbesBuilt those whose
+	// probe was compiled afresh; the two sum to DeltaCandidates.
+	ProbesCarried, ProbesBuilt uint64
 }
 
 // Stats returns a snapshot of the estimator's counters. Counters survive
@@ -184,6 +191,9 @@ func (e *Estimator) Stats() Stats {
 
 		MergePatches:    e.stats.mergePatches.Load(),
 		MergeRecompiles: e.stats.mergeRecompiles.Load(),
+
+		ProbesCarried: e.stats.probesCarried.Load(),
+		ProbesBuilt:   e.stats.probesBuilt.Load(),
 	}
 }
 
@@ -228,11 +238,14 @@ func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance
 // plan is for cur, the plan is patched in place
 // (provenance.Plan.ApplyMerge) and rekeyed to next, so the next step's
 // DistanceDelta reuses the compiled arena instead of recompiling the
-// whole expression. ApplyMerge self-verifies against next; a refused
-// patch just drops the cached plan and the next step recompiles —
-// either way results are unchanged. A block plan is never patched: the
-// commit drops it, so an estimator between runs pins no plan.
-func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) {
+// whole expression, and the run's carry keeps the step's probes that
+// survive the merge. ApplyMerge self-verifies against next; a refused
+// patch just drops the cached plan and the carried probes, and the next
+// step recompiles — either way results are unchanged. A block plan is
+// never patched: the commit drops it.
+func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, carry *Carry) {
+	var patch *provenance.MergePatch
+	defer func() { carry.commit(patch) }()
 	if e.blockPlan != nil {
 		e.blockPlan = nil
 		e.planFor = nil
@@ -242,13 +255,10 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 		return
 	}
 	ng, ok := next.(*provenance.Agg)
-	if !ok || !comparableExpr(next) {
-		e.plan = nil
-		e.planFor = nil
-		e.stats.mergeRecompiles.Add(1)
-		return
+	if ok && comparableExpr(next) {
+		patch = e.plan.ApplyMerge(ng, members, newAnn)
 	}
-	if e.plan.ApplyMerge(ng, members, newAnn) {
+	if patch != nil {
 		e.planFor = next
 		e.stats.mergePatches.Add(1)
 	} else {
@@ -256,6 +266,13 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 		e.planFor = nil
 		e.stats.mergeRecompiles.Add(1)
 	}
+}
+
+// ReleasePlan drops the cached delta plan. The summarizer calls it when
+// a run returns, so an estimator between runs pins no plan: the next
+// run's ResetCache would drop it unused anyway.
+func (e *Estimator) ReleasePlan() {
+	e.plan, e.blockPlan, e.planFor = nil, nil, nil
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports

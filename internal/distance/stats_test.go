@@ -70,7 +70,7 @@ func TestPrewarmMakesParallelLookupsHits(t *testing.T) {
 	if st.CacheMisses != vals || st.CacheHits != 0 {
 		t.Fatalf("cold sweep hits/misses = %d/%d, want 0/%d", st.CacheHits, st.CacheMisses, vals)
 	}
-	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), provenance.GroupsOf(anns, provenance.NewMapping()), [][]provenance.Annotation{{anns[0], anns[1]}}, "Z"); !ok {
+	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), provenance.GroupsOf(anns, provenance.NewMapping()), [][]provenance.Annotation{{anns[0], anns[1]}}, "Z", nil); !ok {
 		t.Fatal("DistanceDelta fell back")
 	}
 	e.DistanceBatch(p0, cands)

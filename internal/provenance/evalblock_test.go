@@ -222,7 +222,7 @@ func TestScratchPoolsReuse(t *testing.T) {
 func applyMergeStep(t *testing.T, plan *Plan, cur *Agg, ms []Annotation, newAnn Annotation, wantPatch bool) *Agg {
 	t.Helper()
 	next := cur.Apply(MergeMapping(newAnn, ms...)).(*Agg)
-	if got := plan.ApplyMerge(next, ms, newAnn); got != wantPatch {
+	if got := plan.ApplyMerge(next, ms, newAnn) != nil; got != wantPatch {
 		t.Fatalf("ApplyMerge(%v→%s) = %v, want %v", ms, newAnn, got, wantPatch)
 	}
 	return next
@@ -322,16 +322,16 @@ func TestApplyMergeRefusals(t *testing.T) {
 	cur := planFixture(AggSum)
 	plan := NewPlan(cur)
 	next := cur.Apply(MergeMapping("S1", "u1", "u2")).(*Agg)
-	if plan.ApplyMerge(nil, []Annotation{"u1", "u2"}, "S1") {
+	if plan.ApplyMerge(nil, []Annotation{"u1", "u2"}, "S1") != nil {
 		t.Fatal("ApplyMerge accepted a nil next expression")
 	}
-	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "m1") {
+	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "m1") != nil {
 		t.Fatal("ApplyMerge accepted an already-interned summary annotation")
 	}
-	if plan.ApplyMerge(next, []Annotation{"u1", One}, "S1") {
+	if plan.ApplyMerge(next, []Annotation{"u1", One}, "S1") != nil {
 		t.Fatal("ApplyMerge accepted a reserved member annotation")
 	}
-	if plan.ApplyMerge(planFixture(AggMax), []Annotation{"u1", "u2"}, "S1") {
+	if plan.ApplyMerge(planFixture(AggMax), []Annotation{"u1", "u2"}, "S1") != nil {
 		t.Fatal("ApplyMerge accepted a next expression that does not match the step")
 	}
 	// The refusals above must not have mutated the plan.
@@ -339,7 +339,7 @@ func TestApplyMergeRefusals(t *testing.T) {
 	if got, want := evalVecs(plan.Arena(), []Valuation{v})[0], cur.Eval(v).(Vector); !vecEqual(got, want) {
 		t.Fatalf("refused ApplyMerge mutated the plan: %v != %v", got, want)
 	}
-	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "S1") != true {
+	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "S1") == nil {
 		t.Fatal("valid ApplyMerge refused after prior refusals")
 	}
 }

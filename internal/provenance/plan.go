@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the incremental candidate-evaluation engine: a
@@ -100,26 +101,19 @@ type Plan struct {
 	probeable    bool
 	namesSafe    bool
 	namesChecked int
+
+	// gen counts the in-place patches (ApplyMerge, ApplyAppend): a probe
+	// is valid for the generation it was built at or carried to.
+	gen uint64
 }
 
 // probeScratch holds the buffers Probe and compileEval reuse across
-// probes of every plan: canonical forms and their child spans,
-// rewritten-tensor keys, and the per-group bookkeeping of the re-fold
-// plans.
+// probes of every plan: canonical forms and their child spans, the
+// rewrittens of the group being re-folded, and rewritten keys.
 type probeScratch struct {
 	canonScratch
-	key      []byte
-	keySpans [][2]int
-	outs     []outGroup
-	order    []int32
-}
-
-// outGroup is one coordinate a probe re-folds: its tensors that the
-// merge leaves alone (survivors) and the rewrittens that land in it.
-type outGroup struct {
-	g                         Annotation
-	gid                       int32
-	affected, survivors, rews int32
+	order []int32
+	key   []byte
 }
 
 var probeScratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
@@ -264,17 +258,17 @@ func (p *Plan) AnnID(a Annotation) (int32, bool) { return p.ar.AnnID(a) }
 // merged with the rewritten ones in key order are matched one-to-one
 // against next.Tensors (key, value, count, group) before any mutation,
 // so a successful ApplyMerge leaves the plan observationally identical
-// to NewPlan(next) up to garbage spans. On any mismatch, a merge Probe
+// to NewPlan(next) up to garbage spans, and returns the MergePatch that
+// carries the step's probes onto it. On any mismatch, a merge Probe
 // refuses, or a garbage fraction above one half of the arena, it
-// returns false without mutating anything and the caller must
-// recompile.
-func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bool {
+// returns nil without mutating anything and the caller must recompile.
+func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *MergePatch {
 	if next == nil {
-		return false
+		return nil
 	}
 	pr := p.Probe(members, newAnn)
 	if pr == nil {
-		return false
+		return nil
 	}
 	rews := pr.rews
 	keys := make([]string, len(rews))
@@ -287,14 +281,18 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bo
 	}
 	slices.SortFunc(order, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
 	if len(next.Tensors) != len(p.tensors)-len(pr.affected)+len(rews) {
-		return false
+		return nil
 	}
 
 	// Build the new plan tensors in next's fold order, consuming the
 	// survivor and rewritten streams in key order. Every entry must match
 	// with identical key, value, count and group, or the patch is unsound
-	// and we bail untouched.
+	// and we bail untouched. remap records where each survivor lands.
 	newTensors := make([]planTensor, len(next.Tensors))
+	remap := make([]int32, len(p.tensors))
+	for _, tid := range pr.affected {
+		remap[tid] = -1
+	}
 	liveNodes := 0
 	tid, ai, ri := 0, 0, 0
 	for i := range next.Tensors {
@@ -307,26 +305,38 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bo
 		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < keys[order[ri]]) {
 			src := &p.tensors[tid]
 			if src.key != key || src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
-				return false
+				return nil
 			}
 			newTensors[i] = *src
+			remap[tid] = int32(i)
 			tid++
 		} else if ri < len(order) {
 			r := &rews[order[ri]]
 			if keys[order[ri]] != key || r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
-				return false
+				return nil
 			}
 			newTensors[i] = planTensor{root: r.root, lo: r.lo, value: r.value, count: r.count, group: r.group, size: r.size}
 			ri++
 		} else {
-			return false
+			return nil
 		}
 		newTensors[i].prov, newTensors[i].key = nt.Prov, key
 		liveNodes += int(newTensors[i].root - newTensors[i].lo + 1)
 	}
 	if dead := p.ar.NumNodes() - liveNodes; dead*2 > p.ar.NumNodes() {
-		return false
+		return nil
 	}
+
+	m := &MergePatch{
+		plan: p, members: pr.Members, newAnn: newAnn, remap: remap,
+		sizeDelta: next.Size() - p.size, oldFresh: int32(p.ar.NumAnns()),
+	}
+	for _, tid := range pr.affected {
+		m.touched = append(m.touched, p.tensors[tid].gid)
+	}
+	slices.Sort(m.touched)
+	m.touched = slices.Compact(m.touched)
+	oldSlots := p.ar.groupKeys
 
 	roots := make([]int32, len(newTensors))
 	values := make([]float64, len(newTensors))
@@ -341,7 +351,10 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) bo
 	p.tensors = newTensors
 	p.size = next.Size()
 	p.reindex()
-	return true
+	p.gen++
+	m.gen, m.newFresh = p.gen, int32(p.ar.NumAnns())
+	m.slotsChanged = !slices.Equal(oldSlots, p.ar.groupKeys)
+	return m
 }
 
 // ApplyAppend patches an append-only extension into the live plan and
@@ -471,6 +484,7 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 	p.tensors = newTensors
 	p.size = next.Size()
 	p.reindex()
+	p.gen++
 	return true
 }
 
@@ -494,17 +508,30 @@ type foldEntry struct {
 	sub   bool
 }
 
+// groupFold is the re-fold program of one coordinate a probe touches:
+// the group's tensors that the merge leaves alone (survivors) and the
+// rewrittens that land in it. entries is nil until compileFolds builds
+// it, and again after a carry whose merge changed the group's tensors.
 type groupFold struct {
-	group   Annotation
-	slot    int32 // group's slot among the candidate's (Probe.Slots)
-	entries []foldEntry
+	group Annotation
+	gid   int32 // group's dense id (the plan's NumAnns for NewAnn, -1 for the scalar coordinate)
+	slot  int32 // group's slot among the candidate's (Probe.Slots)
+	// affected and rews count the probe's own affected tensors in the
+	// group and the rewrittens landing in it; the survivors are the
+	// group's other tensors.
+	affected, rews int32
+	// reorders reports that the entries list their tensors in another
+	// order than the plan folds them.
+	reorders bool
+	entries  []foldEntry
 }
 
 // Probe is the compiled structural delta of one candidate merge: mapping
 // Members to the fresh annotation NewAnn over the plan's expression. It
-// is read-only after construction (the lazily-built evaluation program
-// is synchronized by a sync.Once) and safe for concurrent evaluation
-// with per-evaluator scratches.
+// is read-only while it is evaluated (the lazily-built evaluation
+// program is synchronized by compileEval; MergePatch.Carry rebases it
+// only between sweeps) and safe for concurrent evaluation with
+// per-evaluator scratches.
 type Probe struct {
 	// Members are the merged (current) annotations; NewAnn the summary
 	// annotation they map to.
@@ -521,17 +548,30 @@ type Probe struct {
 	RenamesGroup bool
 
 	plan *Plan
+	gen  uint64 // the plan generation the probe is valid for
 
 	// Evaluation-program state, built lazily on first CandEvalBlock by
 	// compileEval: skip-dominated delta sweeps discard
 	// most probes after the word-level truth comparison, so only probes
 	// that are actually evaluated pay for the dirty closure and re-fold
 	// plans. The compile inputs (memberIDs, affected, rews) are retained
-	// from Probe's eager pass.
-	compileOnce sync.Once
-	memberIDs   []int32 // dense ids of the interned members
-	affected    []int32 // ascending ids of the tensors the merge rewrites
-	rews        []probeRewritten
+	// from Probe's eager pass. A probe carried across a merge
+	// (MergePatch.Carry) keeps its dirty closure and the re-fold programs
+	// of the coordinates the merge left alone; foldsOK and slotsOK drop
+	// when the merge touched one of its coordinates or changed the plan's
+	// slots, and the next compileEval rebuilds what dropped. compiled is
+	// set once the program is complete; compileMu serializes the
+	// evaluators that find it unset.
+	compileMu        sync.Mutex
+	compiled         atomic.Bool
+	foldsOK, slotsOK bool
+	memberIDs        []int32 // dense ids of the interned members
+	affected         []int32 // ascending ids of the tensors the merge rewrites
+	rews             []probeRewritten
+	// rewKeys holds the candidate keys of the rewrittens, built the first
+	// time a re-fold has to place one (rewKey). A key does not depend on
+	// the plan's other tensors, so the keys survive a carry.
+	rewKeys []byte
 
 	dirty      Bitset       // per node: lies on a path to a member occurrence
 	dirtyNodes []int32      // ascending dirty node ids (children before parents)
@@ -566,6 +606,7 @@ type probeRewritten struct {
 	group    Annotation
 	gid      int32
 	size     int
+	key      [2]int32 // span of its candidate key in Probe.rewKeys
 }
 
 // appendRewKey appends the candidate's Simplify key of rewritten tensor
@@ -577,6 +618,22 @@ func (pr *Probe) appendRewKey(dst []byte, i int32) []byte {
 	return append(append(dst, '|'), r.group...)
 }
 
+// rewKey returns the candidate key of rewritten tensor i. The first call
+// builds every rewritten's key into one buffer.
+func (pr *Probe) rewKey(i int32, ps *probeScratch) []byte {
+	if pr.rewKeys == nil {
+		ps.key = ps.key[:0]
+		for j := range pr.rews {
+			lo := len(ps.key)
+			ps.key = pr.appendRewKey(ps.key, int32(j))
+			pr.rews[j].key = [2]int32{int32(lo), int32(len(ps.key))}
+		}
+		pr.rewKeys = bytes.Clone(ps.key)
+	}
+	sp := pr.rews[i].key
+	return pr.rewKeys[sp[0]:sp[1]]
+}
+
 // rewEntry returns the fold entry of rewritten tensor i.
 func (pr *Probe) rewEntry(i int32) foldEntry {
 	return foldEntry{value: pr.rews[i].value, root: pr.rews[i].root, sub: true}
@@ -584,19 +641,22 @@ func (pr *Probe) rewEntry(i int32) foldEntry {
 
 // Probe compiles the candidate that merges members into newAnn. It
 // returns nil when the probe cannot be compiled soundly: newAnn already
-// occurs in the expression (rewritten tensors could merge with existing
-// ones), a reserved annotation is involved, or the plan or newAnn falls
-// outside the id-level rewrite (see Plan.probeable). Callers fall back
-// to materializing the candidate.
+// occurs in the expression without being a member (rewritten tensors
+// could merge with existing ones), a reserved annotation is involved, or
+// the plan or newAnn falls outside the id-level rewrite (see
+// Plan.probeable). Callers fall back to materializing the candidate. A
+// merge named after one of its members (Universe.Merge's name for a
+// group that absorbs another annotation) is sound: every tensor that
+// mentions newAnn is then rewritten too.
 func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One || !keySafe(newAnn) {
 		return nil
 	}
-	if _, ok := p.ar.AnnID(newAnn); ok {
+	if _, ok := p.ar.AnnID(newAnn); ok && !slices.Contains(members, newAnn) {
 		return nil
 	}
 	for _, m := range members {
-		if m == Zero || m == One || m == newAnn {
+		if m == Zero || m == One {
 			return nil
 		}
 	}
@@ -682,7 +742,7 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	probeScratchPool.Put(ps)
 
 	pr.NewAnn, pr.Size, pr.RenamesGroup = newAnn, size, len(removed) > 0
-	pr.plan, pr.affected, pr.rews, pr.removed = p, affected, rews, removed
+	pr.plan, pr.gen, pr.affected, pr.rews, pr.removed = p, p.gen, affected, rews, removed
 	pr.collapses = collapses
 	return pr
 }
@@ -695,36 +755,86 @@ type probeAlloc struct {
 	ids     [3]int32
 }
 
-// compileEval builds the probe's evaluation program — the re-fold plans
-// and the dirty-node closure — on first use. It reads the plan's tensor
-// tables, so a probe must be evaluated before any subsequent ApplyMerge
-// patches its plan (a delta sweep's probes never outlive their step).
+// compileEval builds the probe's evaluation program — the dirty-node
+// closure, the re-fold plans and the candidate's slots — on first use,
+// and rebuilds whatever a carry invalidated. It reads the plan's tensor
+// tables, so a probe must be evaluated before a later ApplyMerge patches
+// its plan, unless MergePatch.Carry rebased it onto the patch.
 func (pr *Probe) compileEval() {
-	pr.compileOnce.Do(pr.compileEvalSlow)
+	if pr.compiled.Load() {
+		return
+	}
+	pr.compileMu.Lock()
+	defer pr.compileMu.Unlock()
+	if !pr.compiled.Load() {
+		pr.compileEvalSlow()
+		pr.compiled.Store(true)
+	}
 }
 
 func (pr *Probe) compileEvalSlow() {
+	if pr.dirty == nil {
+		pr.compileDirty()
+	}
+	if !pr.foldsOK {
+		pr.compileFolds()
+		pr.foldsOK, pr.slotsOK = true, false
+	}
+	if !pr.slotsOK {
+		pr.compileSlots()
+		pr.slotsOK = true
+	}
+}
+
+// compileFolds builds the re-fold programs of every coordinate the
+// probe touches whose entries are missing: on first use all of them,
+// after a carry those whose group the merge changed.
+func (pr *Probe) compileFolds() {
 	p := pr.plan
 	fresh := int32(p.ar.NumAnns())
+	if pr.folds == nil {
+		pr.folds = pr.foldGroups()
+	}
+	survivors := func(f *groupFold) int32 {
+		if f.gid == fresh {
+			return 0
+		}
+		return int32(len(p.tensorsOfGID(f.gid))) - f.affected
+	}
+	total := 0
+	for i := range pr.folds {
+		if f := &pr.folds[i]; f.entries == nil {
+			total += int(survivors(f) + f.rews)
+		}
+	}
 	ps := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(ps)
+	buf := make([]foldEntry, 0, total)
+	pr.reorders = false
+	for i := range pr.folds {
+		f := &pr.folds[i]
+		if f.entries == nil {
+			start := len(buf)
+			buf = pr.appendFold(buf, f, survivors(f), ps)
+			f.entries = buf[start:len(buf):len(buf)]
+		}
+		pr.reorders = pr.reorders || f.reorders
+	}
+}
 
-	// Re-fold programs for every affected coordinate: the unaffected
-	// survivors of the group plus the rewrittens that land in it, ordered
-	// by the candidate's tensor key (the materialized candidate's
-	// per-group combine order). Simplify sorts the planned expression's
-	// tensors by that same key, so a group's survivors arrive
-	// key-ascending and only the rewrittens need placing: they are
-	// sorted by key and merged in. Keys of a sound probe are distinct.
-	outs := ps.outs[:0]
-	find := func(g Annotation, gid int32) *outGroup {
-		for i := range outs {
-			if outs[i].gid == gid {
-				return &outs[i]
+// foldGroups lists the coordinates the probe re-folds, in first-touch
+// order, with their counts and no entries yet.
+func (pr *Probe) foldGroups() []groupFold {
+	p := pr.plan
+	folds := make([]groupFold, 0, len(pr.rews))
+	find := func(g Annotation, gid int32) *groupFold {
+		for i := range folds {
+			if folds[i].gid == gid {
+				return &folds[i]
 			}
 		}
-		outs = append(outs, outGroup{g: g, gid: gid})
-		return &outs[len(outs)-1]
+		folds = append(folds, groupFold{group: g, gid: gid})
+		return &folds[len(folds)-1]
 	}
 	for _, tid := range pr.affected {
 		t := &p.tensors[tid]
@@ -736,84 +846,75 @@ func (pr *Probe) compileEvalSlow() {
 	for i := range pr.rews {
 		find(pr.rews[i].group, pr.rews[i].gid).rews++
 	}
-	total := 0
-	for i := range outs {
-		if outs[i].gid != fresh {
-			outs[i].survivors = int32(len(p.tensorsOfGID(outs[i].gid))) - outs[i].affected
-		}
-		total += int(outs[i].survivors + outs[i].rews)
-	}
-	ps.outs = outs
+	return folds
+}
 
-	// The rewrittens' keys are built only where a group holds more than
-	// one entry, into one scratch buffer, and only compared: survivor
-	// keys are the plan's strings, and string(b) < s does not allocate.
-	ps.key = ps.key[:0]
-	ps.keySpans = slices.Grow(ps.keySpans[:0], len(pr.rews))[:len(pr.rews)]
-	key := func(i int32) []byte { return ps.key[ps.keySpans[i][0]:ps.keySpans[i][1]] }
-	entriesBuf := make([]foldEntry, 0, total)
-	folds := make([]groupFold, 0, len(outs))
-	for _, og := range outs {
-		start := len(entriesBuf)
-		// The plan folds a group's tensors in tensor-id order; the re-fold
-		// reorders them unless its entries' tensor ids ascend too.
-		last := int32(-1)
-		place := func(tid int32) {
-			pr.reorders = pr.reorders || tid < last
-			last = tid
-		}
-		rs := ps.order[:0]
-		for i := range pr.rews {
-			if pr.rews[i].gid == og.gid {
-				rs = append(rs, int32(i))
-			}
-		}
-		ps.order = rs
-		if og.survivors+og.rews > 1 {
-			for _, i := range rs {
-				lo := len(ps.key)
-				ps.key = pr.appendRewKey(ps.key, i)
-				ps.keySpans[i] = [2]int{lo, len(ps.key)}
-			}
-			for i := 1; i < len(rs); i++ {
-				for j := i; j > 0 && bytes.Compare(key(rs[j]), key(rs[j-1])) < 0; j-- {
-					rs[j], rs[j-1] = rs[j-1], rs[j]
-				}
-			}
-		}
-		ri := 0
-		if og.survivors > 0 {
-			aff := pr.affected
-			for _, tid := range p.tensorsOfGID(og.gid) {
-				for len(aff) > 0 && aff[0] < tid {
-					aff = aff[1:]
-				}
-				if len(aff) > 0 && aff[0] == tid {
-					continue
-				}
-				t := &p.tensors[tid]
-				for ; ri < len(rs) && string(key(rs[ri])) < t.key; ri++ {
-					entriesBuf = append(entriesBuf, pr.rewEntry(rs[ri]))
-					place(pr.rews[rs[ri]].tid)
-				}
-				entriesBuf = append(entriesBuf, foldEntry{value: t.value, root: t.root})
-				place(tid)
-			}
-		}
-		for ; ri < len(rs); ri++ {
-			entriesBuf = append(entriesBuf, pr.rewEntry(rs[ri]))
-			place(pr.rews[rs[ri]].tid)
-		}
-		folds = append(folds, groupFold{group: og.g, entries: entriesBuf[start:len(entriesBuf):len(entriesBuf)]})
+// appendFold appends f's entries to buf: the group's survivors plus the
+// rewrittens that land in it, ordered by the candidate's tensor key (the
+// materialized candidate's per-group combine order). Simplify sorts the
+// planned expression's tensors by that same key, so a group's survivors
+// arrive key-ascending and only the rewrittens need placing: they are
+// sorted by key and merged in. Keys of a sound probe are distinct, and
+// they are needed only where a group holds more than one entry, and only
+// compared: survivor keys are the plan's strings, and string(b) < s does
+// not allocate.
+func (pr *Probe) appendFold(buf []foldEntry, f *groupFold, survivors int32, ps *probeScratch) []foldEntry {
+	p := pr.plan
+	// The plan folds a group's tensors in tensor-id order; the re-fold
+	// reorders them unless its entries' tensor ids ascend too.
+	f.reorders = false
+	last := int32(-1)
+	place := func(tid int32) {
+		f.reorders = f.reorders || tid < last
+		last = tid
 	}
-	pr.folds = folds
-	pr.compileSlots()
+	rs := ps.order[:0]
+	for i := range pr.rews {
+		if pr.rews[i].gid == f.gid {
+			rs = append(rs, int32(i))
+		}
+	}
+	ps.order = rs
+	if survivors+f.rews > 1 {
+		for i := 1; i < len(rs); i++ {
+			for j := i; j > 0 && bytes.Compare(pr.rewKey(rs[j], ps), pr.rewKey(rs[j-1], ps)) < 0; j-- {
+				rs[j], rs[j-1] = rs[j-1], rs[j]
+			}
+		}
+	}
+	ri := 0
+	if survivors > 0 {
+		aff := pr.affected
+		for _, tid := range p.tensorsOfGID(f.gid) {
+			for len(aff) > 0 && aff[0] < tid {
+				aff = aff[1:]
+			}
+			if len(aff) > 0 && aff[0] == tid {
+				continue
+			}
+			t := &p.tensors[tid]
+			for ; ri < len(rs) && string(pr.rewKey(rs[ri], ps)) < t.key; ri++ {
+				buf = append(buf, pr.rewEntry(rs[ri]))
+				place(pr.rews[rs[ri]].tid)
+			}
+			buf = append(buf, foldEntry{value: t.value, root: t.root})
+			place(tid)
+		}
+	}
+	for ; ri < len(rs); ri++ {
+		buf = append(buf, pr.rewEntry(rs[ri]))
+		place(pr.rews[rs[ri]].tid)
+	}
+	return buf
+}
 
-	// Dirty marking: every node on a path from a member occurrence to its
-	// tensor root is re-evaluated under substitution; everything else
-	// reads the base table. The ascending dirty-node list drives an
-	// iterative bottom-up re-evaluation (post-order ids put children
-	// before parents).
+// compileDirty marks every node on a path from a member occurrence to
+// its tensor root: those re-evaluate under substitution, everything else
+// reads the base table. The ascending dirty-node list drives an
+// iterative bottom-up re-evaluation (post-order ids put children before
+// parents).
+func (pr *Probe) compileDirty() {
+	p := pr.plan
 	dirty := NewBitset(p.ar.NumNodes())
 	live := 0
 	for _, tid := range pr.affected {
@@ -839,7 +940,7 @@ func (pr *Probe) compileEvalSlow() {
 // takes its sorted place.
 func (pr *Probe) compileSlots() {
 	base := pr.plan.ar.groupKeys
-	pr.slots = base
+	pr.slots, pr.baseSlot = base, nil
 	if len(pr.removed) > 0 {
 		slots := make([]Annotation, 0, len(base)-len(pr.removed)+1)
 		for _, g := range base {

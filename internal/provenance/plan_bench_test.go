@@ -41,7 +41,7 @@ func movieLensPlanFixture() (*Plan, *Agg) {
 		{[]Annotation{"UID005", "UID006"}, "age:25-34"},
 	} {
 		next := cur.Apply(MergeMapping(step.newAnn, step.members...)).(*Agg)
-		if !plan.ApplyMerge(next, step.members, step.newAnn) {
+		if plan.ApplyMerge(next, step.members, step.newAnn) == nil {
 			plan = NewPlan(next)
 		}
 		cur = next
@@ -49,13 +49,10 @@ func movieLensPlanFixture() (*Plan, *Agg) {
 	return plan, cur
 }
 
-// BenchmarkPlanProbe times the candidate work of one Algorithm 1 step
-// on the mid-run MovieLens plan: Probe plus compileEval for every
-// pair merge of two current annotations of the same kind (users with
-// users, movies with movies, years with years), with -benchmem's
-// allocs/op counting the whole cohort.
-func BenchmarkPlanProbe(b *testing.B) {
-	plan, cur := movieLensPlanFixture()
+// fixtureCohort lists the pair merges of two current annotations of the
+// same kind (users with users, movies with movies, years with years) of
+// the MovieLens plan fixture: one Algorithm 1 step's cohort.
+func fixtureCohort(cur *Agg) [][]Annotation {
 	kind := func(a Annotation) string {
 		s := string(a)
 		switch {
@@ -75,6 +72,16 @@ func BenchmarkPlanProbe(b *testing.B) {
 			}
 		}
 	}
+	return cohort
+}
+
+// BenchmarkPlanProbe times the candidate work of one Algorithm 1 step
+// on the mid-run MovieLens plan: Probe plus compileEval for every
+// pair merge of two current annotations of the same kind, with
+// -benchmem's allocs/op counting the whole cohort.
+func BenchmarkPlanProbe(b *testing.B) {
+	plan, cur := movieLensPlanFixture()
+	cohort := fixtureCohort(cur)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,6 +89,45 @@ func BenchmarkPlanProbe(b *testing.B) {
 			pr := plan.Probe(ms, "S")
 			if pr == nil {
 				b.Fatalf("Probe(%v) refused", ms)
+			}
+			pr.compileEval()
+		}
+	}
+}
+
+// BenchmarkPlanProbeCarried times the same step's candidate work one
+// merge later, the way a run does it: the fixture's cohort is probed
+// and compiled, a user merge is committed through ApplyMerge (untimed),
+// and the next step's cohort is probed by carrying every probe the
+// merge left valid (MergePatch.Carry) and building only the others,
+// each then compiled. Compare with BenchmarkPlanProbe, which builds the
+// whole cohort.
+func BenchmarkPlanProbeCarried(b *testing.B) {
+	members, newAnn := []Annotation{"UID007", "UID008"}, Annotation("age:35-44")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan, cur := movieLensPlanFixture()
+		carried := make(map[[2]Annotation]*Probe)
+		for _, ms := range fixtureCohort(cur) {
+			pr := plan.Probe(ms, "S")
+			pr.compileEval()
+			carried[[2]Annotation{ms[0], ms[1]}] = pr
+		}
+		next := cur.Apply(MergeMapping(newAnn, members...)).(*Agg)
+		patch := plan.ApplyMerge(next, members, newAnn)
+		if patch == nil {
+			b.Fatal("ApplyMerge refused the fixture's user merge")
+		}
+		cohort := fixtureCohort(next)
+		b.StartTimer()
+		for _, ms := range cohort {
+			pr := carried[[2]Annotation{ms[0], ms[1]}]
+			if pr == nil || !patch.Carry(pr) {
+				if pr = plan.Probe(ms, "S"); pr == nil {
+					b.Fatalf("Probe(%v) refused", ms)
+				}
 			}
 			pr.compileEval()
 		}

@@ -175,7 +175,7 @@ func checkProbeAgainstApply(t *testing.T, cur *Agg, ms []Annotation, newAnn Anno
 
 	// ApplyMerge runs the same rewrite: a patch it accepts must leave the
 	// plan's tensors exactly as a fresh plan of the candidate has them.
-	if !plan.ApplyMerge(next, ms, newAnn) {
+	if plan.ApplyMerge(next, ms, newAnn) == nil {
 		if dead := plan.ar.NumNodes() - liveNodesAfter(plan, pr); dead*2 <= plan.ar.NumNodes() {
 			t.Fatalf("%v over %v: ApplyMerge refused a patch within the garbage bound", ms, cur)
 		}
@@ -335,7 +335,7 @@ func TestProbeRefusesUnrewritable(t *testing.T) {
 		t.Fatal("Probe must refuse a plan with key-ambiguous names")
 	}
 	next := ambiguous.Apply(MergeMapping("Z", "u", "m")).(*Agg)
-	if plan.ApplyMerge(next, []Annotation{"u", "m"}, "Z") {
+	if plan.ApplyMerge(next, []Annotation{"u", "m"}, "Z") != nil {
 		t.Fatal("ApplyMerge must refuse a plan with key-ambiguous names")
 	}
 	plain := NewPlan(planFixture(AggSum))

@@ -70,6 +70,8 @@ type metrics struct {
 
 	estMergePatches    *obs.Counter
 	estMergeRecompiles *obs.Counter
+	estProbesCarried   *obs.Counter
+	estProbesBuilt     *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -145,6 +147,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		estMergePatches:    reg.Counter("prox_estimator_merge_patches_total", "Committed merges whose cached evaluation plan was patched in place (Plan.ApplyMerge).", nil),
 		estMergeRecompiles: reg.Counter("prox_estimator_merge_recompiles_total", "Committed merges that forced a plan recompile on the next step (patch refused or disabled).", nil),
+		estProbesCarried:   reg.Counter("prox_estimator_probes_carried_total", "Delta candidates whose compiled probe was carried over from the previous merge step.", nil),
+		estProbesBuilt:     reg.Counter("prox_estimator_probes_built_total", "Delta candidates whose compiled probe was built afresh.", nil),
 	}
 }
 

@@ -117,6 +117,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if skips := metricValue(t, out, "prox_estimator_delta_skips_total"); skips <= 0 {
 		t.Fatalf("delta skips = %g, want > 0 (truth-delta short-circuit must fire on MovieLens)", skips)
 	}
+	carried := metricValue(t, out, "prox_estimator_probes_carried_total")
+	built := metricValue(t, out, "prox_estimator_probes_built_total")
+	if carried <= 0 || carried+built != metricValue(t, out, "prox_estimator_delta_candidates_total") {
+		t.Fatalf("probes carried %g + built %g, want carried > 0 and the sum equal to the delta candidates", carried, built)
+	}
 	steps := metricValue(t, out, "prox_summarize_steps_total")
 	if int(steps) != len(sum.Steps) {
 		t.Fatalf("steps counter = %g, summary has %d steps", steps, len(sum.Steps))

@@ -955,6 +955,8 @@ func (s *Server) recordSummarize(sum *core.Summary, est *distance.Estimator) {
 	s.met.estDeltaFull.Add(float64(st.DeltaFullEvals))
 	s.met.estMergePatches.Add(float64(st.MergePatches))
 	s.met.estMergeRecompiles.Add(float64(st.MergeRecompiles))
+	s.met.estProbesCarried.Add(float64(st.ProbesCarried))
+	s.met.estProbesBuilt.Add(float64(st.ProbesBuilt))
 }
 
 // estimatorFor builds the estimator over the selection's annotations,

@@ -44,8 +44,10 @@ run_bench() { # $1 = -bench regexp, $2 = -benchtime, $3 = package
 # the gate's noise budget; single-digit counts measured 2-3x high.
 # -benchmem feeds the allocs/op gate below.
 run_bench 'AggEval|EvalBlock|EvalRows' 20000x ./internal/provenance/
-# One op of PlanProbe is a whole step's cohort (~250 probes), ~1 ms.
-run_bench 'PlanProbe' 500x ./internal/provenance/
+# One op of PlanProbe is a whole step's cohort (~250 probes), ~1 ms;
+# one op of PlanProbeCarried is the next step's cohort, carried across
+# one merge (each op also builds its fixture, untimed, ~3 ms).
+run_bench 'PlanProbe$|PlanProbeCarried$' 500x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
 # DDP on its tropical block plan (SummarizeStepScoringDDP{,Batch}).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
