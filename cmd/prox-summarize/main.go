@@ -14,8 +14,9 @@
 //
 // Candidates are scored by the incremental delta engine when the
 // expression can be planned, and by the materialized batch sweep
-// otherwise (annotation names with key separators, negative constants);
-// the input alone decides, and both choose bit-identical summaries.
+// otherwise (negative constants built in process, plans the engine
+// refuses); the input alone decides, and both choose bit-identical
+// summaries.
 //
 // With -trace, every merge step of Algorithm 1 is appended to the given
 // file as one JSON object per line (score, distance, size ratio,

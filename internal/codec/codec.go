@@ -116,6 +116,9 @@ func decodeExpr(j exprJSON) (provenance.Expr, error) {
 	case j.Var != "":
 		return provenance.Var{Ann: provenance.Annotation(j.Var)}, nil
 	case j.Const != nil:
+		if *j.Const < 0 {
+			return nil, fmt.Errorf("codec: polynomial constants must be naturals, got %d", *j.Const)
+		}
 		return provenance.Const{N: *j.Const}, nil
 	case j.Sum != nil:
 		terms := make([]provenance.Expr, len(j.Sum))

@@ -141,6 +141,12 @@ func TestBundleValidation(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"MAX","tensors":[{"prov":{"cmp":{"inner":{"var":"x"},"op":"??"}},"value":1,"count":1}]}}`)); err == nil {
 		t.Fatal("unknown operator must fail")
 	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"sum":[{"var":"a"},{"const":-1}]},"value":2,"count":1,"group":"g"}]}}`)); err == nil {
+		t.Fatal("negative polynomial constant must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"cmp":{"inner":{"var":"a"},"value":-2,"op":"<","bound":-1}},"value":-3,"count":1,"group":"g"}]}}`)); err != nil {
+		t.Fatalf("negative guard values and tensor values must load: %v", err)
+	}
 }
 
 func TestOpsRoundTrip(t *testing.T) {

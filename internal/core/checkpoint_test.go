@@ -16,8 +16,8 @@ import (
 // scoringRow is one row of the checkpoint and warm-start matrices. The
 // row names predate the single scoring engine and are kept: "seq" rows
 // score on one worker, "delta" rows on four, and "batch" rows summarize
-// the titled MovieLens workload, whose every cohort the DistanceBatch
-// fallback scores. sampled additionally turns on Monte-Carlo sampling
+// MovieLens with a negative constant (negMovieLens), whose every cohort
+// the DistanceBatch fallback scores. sampled additionally turns on Monte-Carlo sampling
 // and candidate capping, so both random streams are exercised.
 type scoringRow struct {
 	name     string
@@ -41,7 +41,7 @@ func checkpointConfig(t *testing.T, row scoringRow) (*datasets.Workload, core.Co
 	t.Helper()
 	w := movieLens(t)
 	if row.fallback {
-		w = titledMovieLens(t)
+		w = negMovieLens(t)
 	}
 	est := w.Estimator(datasets.CancelSingleAnnotation)
 	cfg := core.Config{

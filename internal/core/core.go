@@ -482,9 +482,10 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 // chosen by the input: a plannable current expression goes through the
 // incremental delta engine (Estimator.DistanceDelta), which probes every
 // merge against the shared current expression without materializing
-// candidates; anything else — names with key separators, negative
-// constants, reserved annotations, plans the engine refuses — falls back
-// to materialized batch scoring. Both produce bit-identical candidates.
+// candidates; anything else — negative constants built in process,
+// reserved annotations, probes or DDP plans the engine refuses — falls
+// back to materialized batch scoring, the reference tree walk. Both
+// produce bit-identical candidates.
 func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) []candidate {
 	if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, carry, res); ok {
 		return cands

@@ -41,11 +41,12 @@ func negConstFixture() (provenance.Expression, *constraints.Policy, *distance.Es
 
 // TestFallbackRoutedByInput pins the scorer choice to the input: a
 // MovieLens expression whose titles carry key separators ("Movie01
-// (1995)") and an expression with a negative constant cannot go through
-// the delta engine, so every cohort must be scored by the DistanceBatch
-// fallback — no option selects it. At Parallelism 1 and 4, in
-// enumeration and in sampling mode, the runs must agree byte for byte,
-// and every step must match candidate-major reference scoring.
+// (1995)") plans like any other, so every cohort goes through the delta
+// engine, while an expression with a negative constant cannot, so every
+// cohort is scored by the DistanceBatch fallback — no option selects
+// either. At Parallelism 1 and 4, in enumeration and in sampling mode,
+// the runs must agree byte for byte, and every step must match
+// candidate-major reference scoring.
 func TestFallbackRoutedByInput(t *testing.T) {
 	titled := func() (provenance.Expression, *constraints.Policy, *distance.Estimator) {
 		w := titledMovieLens(t)
@@ -54,7 +55,8 @@ func TestFallbackRoutedByInput(t *testing.T) {
 	for _, fx := range []struct {
 		name  string
 		build func() (provenance.Expression, *constraints.Policy, *distance.Estimator)
-	}{{"titled-movielens", titled}, {"negative-constant", negConstFixture}} {
+		delta bool
+	}{{"titled-movielens", titled, true}, {"negative-constant", negConstFixture, false}} {
 		for _, samples := range []int{0, 8} {
 			var want string
 			for _, workers := range []int{1, 4} {
@@ -73,7 +75,11 @@ func TestFallbackRoutedByInput(t *testing.T) {
 					t.Fatal(err)
 				}
 				row := fmt.Sprintf("%s samples=%d workers=%d", fx.name, samples, workers)
-				if st := est.Stats(); st.BatchCalls == 0 || st.DeltaCalls != 0 {
+				st := est.Stats()
+				if fx.delta && (st.DeltaCalls == 0 || st.BatchCalls != 0) {
+					t.Fatalf("%s: BatchCalls=%d DeltaCalls=%d, want delta only", row, st.BatchCalls, st.DeltaCalls)
+				}
+				if !fx.delta && (st.BatchCalls == 0 || st.DeltaCalls != 0) {
 					t.Fatalf("%s: BatchCalls=%d DeltaCalls=%d, want fallback only", row, st.BatchCalls, st.DeltaCalls)
 				}
 				key := mlSummaryKey(t, sum)

@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,9 +40,8 @@ func mlSummaryKey(t *testing.T, sum *core.Summary) string {
 
 // titledMovieLens is movieLens with every movie annotation renamed to
 // a "Title (Year)" name, the way real MovieLens titles read. Parentheses
-// are key separators of the canonical tensor form, so the delta
-// engine's probes refuse the expression and every cohort is scored by
-// the DistanceBatch fallback.
+// are key separators, which keys escape, so the delta engine plans and
+// probes the expression like any other.
 func titledMovieLens(t *testing.T) *datasets.Workload {
 	t.Helper()
 	w := movieLens(t)
@@ -52,6 +52,23 @@ func titledMovieLens(t *testing.T) *datasets.Workload {
 		table[a] = titled
 	}
 	w.Prov = w.Prov.Apply(provenance.MappingOf(table))
+	return w
+}
+
+// negMovieLens is movieLens plus one tensor whose polynomial holds the
+// constant -1, built in process since parse and codec refuse it. The
+// blocked kernel refuses its arena, so every cohort is scored by the
+// DistanceBatch fallback.
+func negMovieLens(t *testing.T) *datasets.Workload {
+	t.Helper()
+	w := movieLens(t)
+	g := w.Prov.(*provenance.Agg)
+	users := w.Universe.InTable(datasets.MLUsersTable)
+	neg := provenance.Tensor{
+		Prov:  provenance.Sum{Terms: []provenance.Expr{provenance.V(users[0]), provenance.V(users[1]), provenance.Const{N: -1}}},
+		Value: 3, Count: 1, Group: g.Tensors[0].Group,
+	}
+	w.Prov = provenance.NewAgg(g.Agg.Kind, append(slices.Clone(g.Tensors), neg)...)
 	return w
 }
 

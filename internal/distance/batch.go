@@ -28,8 +28,9 @@ type BatchCandidate struct {
 // depend on the candidate — the original expression's evaluation and the
 // φ-combined truth of every group the candidates share — is computed once
 // per valuation instead of once per (candidate, valuation). It is the
-// materialized fallback of DistanceDelta: the scorer for cohorts whose
-// current expression cannot be planned or probed.
+// materialized fallback of DistanceDelta, the scorer for cohorts whose
+// current expression cannot be planned or probed, and it evaluates each
+// candidate by the Expr tree walk: the reference computation.
 //
 // In sampling mode (Samples > 0) the valuation draws happen once, up
 // front, and every candidate is scored under the same draws (common
@@ -70,19 +71,10 @@ func (e *Estimator) scoreCohort(p0 provenance.Expression, cands []BatchCandidate
 	for i, v := range vals {
 		origs[i] = e.evalOriginal(v, p0)
 	}
-	// Compile each candidate into its arena once, amortized over the
-	// whole valuation sweep. A nil entry (non-Agg candidate or unknown
-	// node) evaluates through the Expr tree walk.
-	arenas := make([]*provenance.Arena, len(cands))
-	for i := range cands {
-		if g, ok := cands[i].Expr.(*provenance.Agg); ok {
-			arenas[i] = provenance.CompileArena(g)
-		}
-	}
 
 	workers := min(e.Parallelism, len(cands))
 	if workers <= 1 {
-		e.batchSweepBlock(cands, arenas, vals, origs, out, 0, len(cands))
+		e.batchSweepBlock(cands, vals, origs, out, 0, len(cands))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -91,7 +83,7 @@ func (e *Estimator) scoreCohort(p0 provenance.Expression, cands []BatchCandidate
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				e.batchSweepBlock(cands, arenas, vals, origs, out, lo, hi)
+				e.batchSweepBlock(cands, vals, origs, out, lo, hi)
 			}(lo, hi)
 		}
 		wg.Wait()
@@ -132,26 +124,19 @@ func (e *Estimator) batchValuations() []provenance.Valuation {
 	return vals
 }
 
-// batchSweepBlock scores cands[lo:hi] against every valuation,
-// valuation-major: the valuations split into blocks of up to 64 lanes,
-// and each blockable candidate packs the block's extended truths into
-// words and evaluates all lanes in one Arena.EvalBlock pass (node-major,
-// word-level truth ops). Workers partition candidates (out columns stay
-// disjoint); within a worker the blocks run outermost so the per-lane
-// φ-memos — keyed by group member-slice identity — fill once per block
-// and serve every candidate. Per-candidate sums accumulate
-// lane-ascending per block, i.e. in valuation order. Candidates without
-// a blockable arena (negative constants, non-aggregations) evaluate
-// through the Expr tree walk per lane, which the arena differential
-// tests pin to the same bits. origs[i] is p0's result under vals[i].
-func (e *Estimator) batchSweepBlock(cands []BatchCandidate, arenas []*provenance.Arena, vals []provenance.Valuation, origs []provenance.Result, out []float64, lo, hi int) {
+// batchSweepBlock scores cands[lo:hi] against every valuation by the
+// Expr tree walk — refDistance's computation, with the φ-memo —
+// valuation-major in blocks of up to 64 lanes. Workers partition
+// candidates (out columns stay disjoint); within a worker the blocks run
+// outermost so the per-lane φ-memos — keyed by group member-slice
+// identity — fill once per block and serve every candidate, whose
+// expression stays hot across the block's lanes. Per-candidate sums
+// accumulate in valuation order. origs[i] is p0's result under vals[i].
+func (e *Estimator) batchSweepBlock(cands []BatchCandidate, vals []provenance.Valuation, origs []provenance.Result, out []float64, lo, hi int) {
 	exts := make([]*memoExtendedValuation, 64)
 	for j := range exts {
 		exts[j] = &memoExtendedValuation{phi: e.Phi}
 	}
-	tb := provenance.NewTruthBlock()
-	bs := provenance.NewBlockScratch()
-	summ := make([]provenance.Vector, 64)
 	var evals uint64
 	for lo64 := 0; lo64 < len(vals); lo64 += 64 {
 		block := vals[lo64:min(len(vals), lo64+64)]
@@ -160,37 +145,14 @@ func (e *Estimator) batchSweepBlock(cands []BatchCandidate, arenas []*provenance
 		}
 		for ci := lo; ci < hi; ci++ {
 			c := cands[ci]
-			for j := range block {
-				exts[j].groups = c.Groups
-			}
-			ar := arenas[ci]
-			blocked := ar != nil && ar.Blockable()
-			if blocked {
-				tb.Reset(ar.NumAnns(), len(block))
-				for id, ann := range ar.Annotations() {
-					var w uint64
-					for j := range block {
-						if exts[j].Truth(ann) {
-							w |= 1 << uint(j)
-						}
-					}
-					tb.SetWord(int32(id), w)
-				}
-				ar.EvalBlock(tb, bs, summ[:len(block)])
-			}
 			for j, v := range block {
+				exts[j].groups = c.Groups
 				orig := origs[lo64+j]
 				aligned := orig
 				if needsAlign(orig, c.Cumulative) {
 					aligned = c.Expr.AlignResult(orig, c.Cumulative)
 				}
-				var s provenance.Result
-				if blocked {
-					s = summ[j]
-				} else {
-					s = c.Expr.Eval(exts[j])
-				}
-				out[ci] += e.VF.F(v, aligned, s)
+				out[ci] += e.VF.F(v, aligned, c.Expr.Eval(exts[j]))
 				evals++
 			}
 		}

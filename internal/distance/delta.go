@@ -3,6 +3,7 @@ package distance
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/provenance"
@@ -114,7 +115,8 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 // (see planOf: non-aggregations without a BlockPlan, arenas the blocked
 // kernel refuses, an aggregation planned against an original that is
 // not one) or a probe cannot be compiled soundly (newAnn occurs in cur,
-// reserved annotations, names with key separators).
+// reserved annotations, an expression outside Simplify normal form, a
+// DDP merge its block plan refuses).
 //
 // Distances are bit-identical to DistanceBatch and, in enumeration mode,
 // to per-candidate Distance calls; per-candidate sums accumulate in
@@ -130,15 +132,8 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation, carry *Carry) (dists []float64, sizes []int, ok bool) {
 	plan, bplan := e.planOf(cur)
 	carry.use(plan, newAnn, len(cohort))
-	var names []provenance.Annotation
-	var annID func(provenance.Annotation) (int32, bool)
-	g0, aggOrig := p0.(*provenance.Agg)
-	switch {
-	case plan != nil && aggOrig && g0 != nil:
-		names, annID = plan.Annotations(), plan.AnnID
-	case bplan != nil:
-		names, annID = bplan.Annotations(), bplan.AnnID
-	default:
+	names, annID, ok := sweepNames(p0, plan, bplan)
+	if !ok {
 		return nil, nil, false
 	}
 	if _, taken := annID(newAnn); taken {
@@ -237,30 +232,73 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		return out, sizes, true
 	}
 
+	e.stats.deltaSkips.Add(deltaBlocked(e, truths, probes, vals, out, e.laneEvals(p0, plan, bplan, cum, probes, bprobes, vals, newAnn)))
+	e.normalize(out, len(vals))
+	return out, sizes, true
+}
+
+// sweepNames returns the annotations, in dense-id order, and the id
+// lookup of the plan a sweep against p0 runs on. ok is false when there
+// is none: planOf refused cur, or an aggregation's plan is asked to
+// score against an original that is not one.
+func sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), ok bool) {
+	if g0, aggOrig := p0.(*provenance.Agg); plan != nil && aggOrig && g0 != nil {
+		return plan.Annotations(), plan.AnnID, true
+	}
 	if bplan != nil {
-		// Fill the original-expression cache before fanning out so
-		// workers only read it. A block plan's results carry no keys, so
-		// the originals compare unaligned.
-		for _, v := range vals {
-			e.evalOriginal(v, p0)
+		return bplan.Annotations(), bplan.AnnID, true
+	}
+	return nil, nil, false
+}
+
+// laneEvals returns the factory of a sweep's per-worker evaluators: the
+// dense rows of an aggregation's plan (denseStep), or a BlockPlan's own
+// evaluator, whose results carry no keys, so the originals compare
+// unaligned. The original's results are looked up once per valuation
+// before the workers fan out, so workers never touch the cache.
+func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan, cum provenance.Mapping, probes []*deltaProbe, bprobes []BlockProbe, vals []provenance.Valuation, newAnn provenance.Annotation) func(*deltaBlockState) laneEval {
+	if bplan != nil {
+		origs := make([]provenance.Result, len(vals))
+		for i, v := range vals {
+			origs[i] = e.evalOriginal(v, p0)
 		}
-		deltaBlocked(e, truths, probes, vals, out, func(st *deltaBlockState) laneEval {
+		return func(st *deltaBlockState) laneEval {
 			if st.results == nil {
 				st.results = newLaneResults()
 			}
-			return &blockPlanEval{e: e, p0: p0, ev: bplan.NewEvaluator(), probes: bprobes, res: st.results}
-		})
-	} else {
-		step := e.denseStep(g0, plan, cum, probes, vals, newAnn)
-		deltaBlocked(e, truths, probes, vals, out, func(st *deltaBlockState) laneEval {
-			if st.rows == nil {
-				st.rows = newLaneRows()
-			}
-			return &arenaEval{e: e, step: step, bs: step.ar.GetBlockScratch(), r: st.rows}
-		})
+			return &blockPlanEval{e: e, origs: origs, ev: bplan.NewEvaluator(), probes: bprobes, res: st.results}
+		}
 	}
+	step := e.denseStep(p0.(*provenance.Agg), plan, cum, probes, vals, newAnn)
+	return func(st *deltaBlockState) laneEval {
+		if st.rows == nil {
+			st.rows = newLaneRows()
+		}
+		return &arenaEval{e: e, step: step, bs: step.ar.GetBlockScratch(), r: st.rows}
+	}
+}
+
+// distanceBase is Distance over an expression that plans: the delta
+// sweep of one candidate that merges nothing, so every lane skips to the
+// base VAL-FUNC value, summed in valuation order like the fallback's.
+// Its skips are not delta work and are not counted. The plan stays
+// cached (planOf), so the step that scores pc's merges next reuses it.
+// ok is false when planOf refuses pc.
+func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) (float64, bool) {
+	plan, bplan := e.planOf(pc)
+	names, _, ok := sweepNames(p0, plan, bplan)
+	if !ok {
+		return 0, false
+	}
+	vals := e.batchValuations()
+	if len(vals) == 0 {
+		return 0, true
+	}
+	out := []float64{0}
+	deltaBlocked(e, newDeltaTruths(names, groups, e.Phi), []*deltaProbe{{}}, vals, out, e.laneEvals(p0, plan, bplan, cum, nil, nil, vals, ""))
+	e.stats.evaluations.Add(uint64(len(vals)))
 	e.normalize(out, len(vals))
-	return out, sizes, true
+	return out[0], true
 }
 
 // denseStep builds the shared state of an aggregation's sweep: the
@@ -312,49 +350,42 @@ type laneEval interface {
 	release() (subtreeEvals uint64)
 }
 
-// laneResults are a BlockPlan worker's lanes: base and candidate results
-// and the original's results.
+// laneResults are a BlockPlan worker's lanes: base and candidate results.
 type laneResults struct {
-	base, cand, origs []provenance.Result
+	base, cand []provenance.Result
 }
 
 func newLaneResults() *laneResults {
-	return &laneResults{
-		base:  make([]provenance.Result, 64),
-		cand:  make([]provenance.Result, 64),
-		origs: make([]provenance.Result, 64),
-	}
+	return &laneResults{base: make([]provenance.Result, 64), cand: make([]provenance.Result, 64)}
 }
 
 // blockPlanEval drives a BlockPlan through its evaluator. Its results
-// carry no coordinate keys, so the original's results compare as they
-// are.
+// carry no coordinate keys, so the original's results (origs, one per
+// valuation) compare as they are.
 type blockPlanEval struct {
 	e      *Estimator
-	p0     provenance.Expression
+	origs  []provenance.Result
 	ev     BlockEvaluator
 	probes []BlockProbe
 	res    *laneResults
 	block  []provenance.Valuation
+	lo     int
 }
 
-func (b *blockPlanEval) evalBlock(tb *provenance.TruthBlock, _ int, block []provenance.Valuation) {
-	b.block = block
+func (b *blockPlanEval) evalBlock(tb *provenance.TruthBlock, lo int, block []provenance.Valuation) {
+	b.block, b.lo = block, lo
 	b.ev.EvalBlock(tb, b.res.base[:len(block)])
-	for j, v := range block {
-		b.res.origs[j] = b.e.evalOriginal(v, b.p0) // cache hit after the prewarm
-	}
 }
 
 func (b *blockPlanEval) baseVF(j int) float64 {
-	return b.e.VF.F(b.block[j], b.res.origs[j], b.res.base[j])
+	return b.e.VF.F(b.block[j], b.origs[b.lo+j], b.res.base[j])
 }
 
 func (b *blockPlanEval) candVF(ci int, merged, changed uint64, vf []float64) {
 	b.ev.CandEvalBlock(b.probes[ci], merged, changed, b.res.cand[:len(b.block)])
 	for w := changed; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros64(w)
-		vf[j] = b.e.VF.F(b.block[j], b.res.origs[j], b.res.cand[j])
+		vf[j] = b.e.VF.F(b.block[j], b.origs[b.lo+j], b.res.cand[j])
 	}
 }
 
@@ -395,7 +426,6 @@ func putBlockState(e *Estimator, st *deltaBlockState) {
 	if st.results != nil {
 		clear(st.results.base)
 		clear(st.results.cand)
-		clear(st.results.origs)
 	}
 	e.blockStatePool.Put(st)
 }
@@ -437,8 +467,9 @@ func (st *deltaBlockState) combineW(ids []int32, phi provenance.Combiner, mask u
 // per-candidate sum is a sequential left-fold over that matrix in
 // valuation order, so results are bit-identical to a sequential
 // per-valuation sum at any worker count. Candidates are chunked when the
-// matrix would otherwise outgrow a fixed cell budget.
-func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, out []float64, newEval func(*deltaBlockState) laneEval) {
+// matrix would otherwise outgrow a fixed cell budget. It returns the
+// number of (candidate, valuation) pairs that skipped to the base value.
+func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, out []float64, newEval func(*deltaBlockState) laneEval) (skips uint64) {
 	V := len(vals)
 	nBlocks := (V + 63) / 64
 	workers := e.Parallelism
@@ -460,11 +491,12 @@ func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals 
 	for i, a := range baseAnns {
 		cols[i] = e.truthColumn(a, vals)
 	}
+	var skipped atomic.Uint64
 	vf := make([]float64, chunk*V)
 	for cLo := 0; cLo < len(probes); cLo += chunk {
 		cHi := min(len(probes), cLo+chunk)
 		if workers <= 1 {
-			deltaBlockSweep(e, shared, probes, vals, cols, vf, cLo, cHi, 0, nBlocks, newEval)
+			deltaBlockSweep(e, shared, probes, vals, cols, vf, cLo, cHi, 0, nBlocks, newEval, &skipped)
 		} else {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -473,7 +505,7 @@ func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals 
 				wg.Add(1)
 				go func(bLo, bHi int) {
 					defer wg.Done()
-					deltaBlockSweep(e, shared, probes, vals, cols, vf, cLo, cHi, bLo, bHi, newEval)
+					deltaBlockSweep(e, shared, probes, vals, cols, vf, cLo, cHi, bLo, bHi, newEval, &skipped)
 				}(bLo, bHi)
 			}
 			wg.Wait()
@@ -487,18 +519,19 @@ func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals 
 			out[ci] = total
 		}
 	}
+	return skipped.Load()
 }
 
 // deltaBlockSweep scores probes[cLo:cHi] against valuation blocks
 // [bLo, bHi), writing each (candidate, valuation) VAL-FUNC summand into
-// its vf matrix cell. Per block it loads the prewarmed raw truth words
-// (cols[i][b] is annotation i's packed column word for block b),
-// φ-combines extended truth columns word-wise, evaluates the base
-// through its laneEval, and per candidate compares member columns
-// against the merged column with XORs: the changed-lane word drives both
-// the skip accounting and the one candVF call that re-evaluates all
-// changed lanes together.
-func deltaBlockSweep(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, cols [][]uint64, vf []float64, cLo, cHi, bLo, bHi int, newEval func(*deltaBlockState) laneEval) {
+// its vf matrix cell and adding its skipped pairs to skipped. Per block
+// it loads the prewarmed raw truth words (cols[i][b] is annotation i's
+// packed column word for block b), φ-combines extended truth columns
+// word-wise, evaluates the base through its laneEval, and per candidate
+// compares member columns against the merged column with XORs: the
+// changed-lane word drives both the skip accounting and the one candVF
+// call that re-evaluates all changed lanes together.
+func deltaBlockSweep(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, cols [][]uint64, vf []float64, cLo, cHi, bLo, bHi int, newEval func(*deltaBlockState) laneEval, skipped *atomic.Uint64) {
 	st := getBlockState(e)
 	ev := newEval(st)
 	names := shared.names
@@ -509,7 +542,7 @@ func deltaBlockSweep(e *Estimator, shared *deltaTruths, probes []*deltaProbe, va
 		block := vals[lo:min(V, lo+64)]
 		lanes := len(block)
 		mask := ^uint64(0) >> uint(64-lanes)
-		st.baseTruthW = fitUint64s(st.baseTruthW, len(cols))
+		st.baseTruthW = fit(st.baseTruthW, len(cols))
 		for i, col := range cols {
 			st.baseTruthW[i] = col[b]
 		}
@@ -564,26 +597,18 @@ func deltaBlockSweep(e *Estimator, shared *deltaTruths, probes []*deltaProbe, va
 			}
 		}
 	}
-	e.stats.deltaSkips.Add(skips)
+	skipped.Add(skips)
 	e.stats.deltaFullEvals.Add(fulls)
 	e.stats.evaluations.Add(fulls)
 	e.stats.deltaSubtreeEvals.Add(ev.release())
 	putBlockState(e, st)
 }
 
-// fitUint64s grows (or re-slices) a pooled slab to exactly n entries
-// without reallocating on shrink.
-func fitUint64s(s []uint64, n int) []uint64 {
+// fit grows (or re-slices) a pooled slab to exactly n entries without
+// reallocating on shrink.
+func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// fitFloat64s is fitUint64s for float64 rows.
-func fitFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

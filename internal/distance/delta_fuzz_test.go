@@ -27,10 +27,12 @@ func (r *fuzzReader) next() byte {
 
 // fuzzPool holds names that are prefixes of each other ("a", "ab"),
 // names with bytes that sort below the key separators '*', '+', '(' and
-// '|' (space, '!', '#'), and a multibyte name, so the fold order of a
-// probe, which follows Simplify's key order, meets every way names can
-// order against the key syntax.
-var fuzzPool = []provenance.Annotation{"a", "ab", "b", "c", "d", "e", " ", "!", "#x", "é"}
+// '|' (space, '!', '#'), a multibyte name, and names holding the
+// separators themselves, which keys escape ("x (1)", "b+v:c", ...), so
+// the fold order of a probe, which follows Simplify's key order, meets
+// every way names can order against the key syntax.
+var fuzzPool = []provenance.Annotation{"a", "ab", "b", "c", "d", "e", " ", "!", "#x", "é",
+	"x (1)", "p*q", "r|s", "b+v:c", "{a+b}", "m⊗n"}
 
 // fuzzPoly generates a random polynomial over fuzzPool covering every
 // node kind the plan compiler knows, with small integer constants so

@@ -225,7 +225,9 @@ func (s sliceExpr) String() string { return "sliceExpr" }
 // TestDistanceDeltaFallback: expressions that cannot be planned (no
 // plan at all, or an arena the blocked kernel refuses), and probes that
 // cannot be compiled soundly, report ok=false without touching the delta
-// counters, so callers fall back to DistanceBatch.
+// counters, so callers fall back to DistanceBatch. Names holding key
+// separators are not among them: Key escapes them, so they plan and
+// score like the reference.
 func TestDistanceDeltaFallback(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
@@ -249,7 +251,7 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	if _, _, ok := ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z", nil); ok {
 		t.Fatal("DistanceDelta must fall back on an unblockable arena")
 	}
-	// Names with key separators fall outside the probe's id-level rewrite.
+	// Names with key separators are escaped in keys, so they plan.
 	titled := provenance.NewAgg(provenance.AggMax,
 		provenance.Tensor{Prov: provenance.Prod{Factors: []provenance.Expr{provenance.V("u1"), provenance.V("Heat (1995)")}}, Value: 4, Count: 1, Group: "g"},
 		provenance.Tensor{Prov: provenance.Prod{Factors: []provenance.Expr{provenance.V("u2"), provenance.V("Heat (1995)")}}, Value: 2, Count: 1, Group: "g"},
@@ -257,10 +259,16 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	titledAnns := titled.Annotations()
 	te := estimator(valuation.NewCancelSingleAnnotation(titledAnns), Euclidean())
 	titledBase := provenance.GroupsOf(titledAnns, provenance.NewMapping())
-	if _, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{{"u1", "u2"}}, "Z", nil); ok {
-		t.Fatal("DistanceDelta must fall back on names with key separators")
+	ms := []provenance.Annotation{"u1", "u2"}
+	dists, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{ms}, "Z", nil)
+	if !ok {
+		t.Fatal("DistanceDelta fell back on names with key separators")
 	}
-	for _, est := range []*Estimator{e, ne, te} {
+	h := provenance.MergeMapping("Z", ms...)
+	if want := refDistance(te, te.Class.Valuations(), titled, titled.Apply(h), h, provenance.GroupsOf(titledAnns, h)); dists[0] != want {
+		t.Fatalf("titled delta distance %v, reference %v", dists[0], want)
+	}
+	for _, est := range []*Estimator{e, ne} {
 		if st := est.Stats(); st.DeltaCalls != 0 || st.DeltaCandidates != 0 {
 			t.Fatalf("fallbacks counted as delta calls: %+v", st)
 		}

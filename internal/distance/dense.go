@@ -121,7 +121,7 @@ func (sp *denseSpace) alignRow(scr *[]float64, orig []float64, agg provenance.Ag
 	if sp.origSame {
 		return orig
 	}
-	dst := fitFloat64s(*scr, len(sp.keys))
+	dst := fit(*scr, len(sp.keys))
 	*scr = dst
 	for t := range sp.keys {
 		src := sp.origSrc[sp.origOff[t]:sp.origOff[t+1]]
@@ -145,7 +145,7 @@ func (sp *denseSpace) summRow(scr *[]float64, row []float64) []float64 {
 	if sp.summTo == nil {
 		return row
 	}
-	dst := fitFloat64s(*scr, len(sp.keys))
+	dst := fit(*scr, len(sp.keys))
 	*scr = dst
 	clear(dst)
 	for i, t := range sp.summTo {

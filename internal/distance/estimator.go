@@ -49,11 +49,11 @@ type Estimator struct {
 	// MaxError, when positive, normalizes distances into [0,1] by
 	// dividing by the maximum possible error (Sec. 6.3).
 	MaxError float64
-	// Parallelism, when > 1, fans DistanceDelta's and DistanceBatch's
-	// sweeps across that many goroutines. Sampling draws happen up front
-	// on the calling goroutine and per-candidate sums accumulate in fixed
-	// valuation order, so results are bit-identical at any worker count.
-	// Distance (single-candidate) is unaffected.
+	// Parallelism, when > 1, fans the sweeps of DistanceDelta, of
+	// DistanceBatch and of Distance over an expression that plans across
+	// that many goroutines. Sampling draws happen up front on the calling
+	// goroutine and per-candidate sums accumulate in fixed valuation
+	// order, so results are bit-identical at any worker count.
 	Parallelism int
 
 	origCache map[string]provenance.Result
@@ -220,16 +220,23 @@ func (e *Estimator) Validate() error {
 
 // Distance computes the (possibly normalized) distance between the
 // original expression p0 and the candidate summary pc, where cumulative
-// is the mapping with h(p0) = pc and groups is its inverse view. It is
-// DistanceBatch's sweep over a one-candidate cohort — same valuations,
-// drawn in the same order, so the result is bit-identical to scoring pc
-// in a batch — counted in the Distance* statistics only.
+// is the mapping with h(p0) = pc and groups is its inverse view. When pc
+// plans, it is DistanceDelta's sweep with no candidate: every lane is
+// the base evaluation's VAL-FUNC value, and pc's plan stays cached for
+// the step that scores pc's merges. Otherwise it is DistanceBatch's
+// sweep over a one-candidate cohort. Either way it draws the same
+// valuations in the same order and sums them in valuation order, so the
+// result is bit-identical to scoring pc in a batch. It is counted in
+// the Distance* statistics, Evaluations and the cache counters only.
 func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups) float64 {
 	t0 := time.Now()
 	defer func() {
 		e.stats.distanceCalls.Add(1)
 		e.stats.distanceNanos.Add(int64(time.Since(t0)))
 	}()
+	if d, ok := e.distanceBase(p0, pc, cumulative, groups); ok {
+		return d
+	}
 	return e.scoreCohort(p0, []BatchCandidate{{Expr: pc, Cumulative: cumulative, Groups: groups}})[0]
 }
 

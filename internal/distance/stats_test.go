@@ -102,3 +102,47 @@ func TestStatsCountsSamples(t *testing.T) {
 		t.Fatalf("Evaluations = %d, want 17", st.Evaluations)
 	}
 }
+
+// TestDistanceRouting pins where Distance's work goes. On an expression
+// that plans, Distance is the delta sweep with no candidate: it counts
+// DistanceCalls and one Evaluation per valuation, never a delta or batch
+// call, skip or re-evaluation, and it leaves pc's plan cached for the
+// step that probes pc's merges next. On one that does not plan (a
+// negative constant), it is the fallback's sweep, counted the same way.
+func TestDistanceRouting(t *testing.T) {
+	p0, anns, base, sets, _ := deltaFixture(6)
+	h := provenance.MergeMapping("Z", anns[0], anns[1])
+	pc := p0.Apply(h)
+	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+	vals := uint64(len(e.Class.Valuations()))
+	e.Distance(p0, pc, h, provenance.GroupsOf(anns, h))
+	st := e.Stats()
+	if st.DistanceCalls != 1 || st.Evaluations != vals {
+		t.Fatalf("DistanceCalls=%d Evaluations=%d, want 1 and %d", st.DistanceCalls, st.Evaluations, vals)
+	}
+	if st.DeltaCalls != 0 || st.DeltaSkips != 0 || st.DeltaFullEvals != 0 || st.DeltaSubtreeEvals != 0 || st.BatchCalls != 0 {
+		t.Fatalf("Distance counted as a sweep: %+v", st)
+	}
+	if e.plan == nil || e.planFor != pc {
+		t.Fatal("Distance did not leave pc's plan cached")
+	}
+	plan := e.plan
+	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Y", nil); !ok || e.plan == plan {
+		t.Fatal("DistanceDelta on another expression did not replan")
+	}
+
+	neg := provenance.NewAgg(provenance.AggSum,
+		provenance.Tensor{Prov: provenance.Sum{Terms: []provenance.Expr{provenance.V("a"), provenance.Const{N: -1}}}, Value: 2, Count: 1, Group: "g"},
+		provenance.Tensor{Prov: provenance.V("b"), Value: 3, Count: 1, Group: "g"},
+	)
+	negAnns := neg.Annotations()
+	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
+	id := provenance.NewMapping()
+	want := refDistance(ne, ne.Class.Valuations(), neg, neg, id, provenance.GroupsOf(negAnns, id))
+	if got := ne.Distance(neg, neg, id, provenance.GroupsOf(negAnns, id)); got != want {
+		t.Fatalf("fallback Distance %v, reference %v", got, want)
+	}
+	if st := ne.Stats(); st.DistanceCalls != 1 || st.Evaluations != uint64(len(ne.Class.Valuations())) || st.BatchCalls != 0 || st.DeltaCalls != 0 {
+		t.Fatalf("fallback Distance counted as %+v", st)
+	}
+}

@@ -335,7 +335,7 @@ func (p *parser) factor() (provenance.Expr, error) {
 	case tNumber:
 		p.next()
 		n, err := strconv.Atoi(t.text)
-		if err != nil {
+		if err != nil || n < 0 {
 			return nil, fmt.Errorf("parse: polynomial constants must be naturals, got %q at %d", t.text, t.pos)
 		}
 		return provenance.Const{N: n}, nil

@@ -116,12 +116,27 @@ func TestAggErrors(t *testing.T) {
 		"U1 ⊗ (3,1] @M",     // mismatched
 		"[U1 ⊗ 3] ⊗ (1,1)",  // guard missing op
 		`"unterminated ⊗ (3,1)`,
-		"U1·(3.5) ⊗ (1,1)", // non-natural polynomial constant
+		"U1·(3.5) ⊗ (1,1)",     // non-natural polynomial constant
+		"(a + -1) ⊗ (2,1) @ g", // negative polynomial constant
+		"-1 ⊗ (2,1) @ g",
 	}
 	for _, src := range bad {
 		if _, err := Agg(provenance.AggMax, src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
+	}
+}
+
+// Guard values and bounds, and tensor values, may be negative; only
+// polynomial constants must be naturals.
+func TestAggNegativeValues(t *testing.T) {
+	g, err := Agg(provenance.AggSum, "[U1 ⊗ -2 < -1] ⊗ (-3,1)@M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := g.Tensors[0].Prov.(provenance.Cmp)
+	if !ok || c.Value != -2 || c.Bound != -1 || g.Tensors[0].Value != -3 {
+		t.Fatalf("parsed %s", g)
 	}
 }
 

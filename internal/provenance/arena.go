@@ -364,53 +364,24 @@ func (a *Arena) Annotations() []Annotation { return a.in.Annotations() }
 // expression (as a variable or group coordinate).
 func (a *Arena) AnnID(ann Annotation) (int32, bool) { return a.in.ID(ann) }
 
-func fitInts(s []int, n int) []int {
+// fit re-slices a reused buffer to exactly n entries, allocating only
+// when it is too small.
+func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func fitBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func fitFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func fitWords(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func fitInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// ApplyMerge patches a committed merge into the live arena in place
+// Retarget patches a committed merge into the live arena in place
 // instead of recompiling: member Var occurrences are retargeted to
-// newAnn's dense id (allocated here), and the tensor fold table and
-// group-key slots are rebuilt from the post-merge tensor list (roots,
-// values and groups in the new fold order; every root must be an
-// existing node id). Node ids stay stable, so node-indexed state — plan
-// indexes, scratch tables, dirty spans — survives the step. Nodes whose
-// spans no longer back any tensor become garbage: they are still swept
-// by EvalBlock (reading well-defined truths) but never folded;
-// liveNodes lets the arena track the garbage fraction so callers can
-// decide when to recompile. Returns newAnn's id.
-func (a *Arena) ApplyMerge(memberIDs []int32, newAnn Annotation, roots []int32, values []float64, groups []Annotation, liveNodes int) int32 {
+// newAnn's dense id (allocated here) and the caller then refolds the
+// post-merge tensor list with SetTensors. Node ids stay stable, so
+// node-indexed state — plan indexes, scratch tables, dirty spans —
+// survives the step. Nodes whose spans no longer back any tensor become
+// garbage: they are still swept by EvalBlock (reading well-defined
+// truths) but never folded.
+func (a *Arena) Retarget(memberIDs []int32, newAnn Annotation) {
 	newID := a.in.Intern(newAnn)
 	for id := range a.kind {
 		if a.kind[id] != nodeVar {
@@ -423,15 +394,15 @@ func (a *Arena) ApplyMerge(memberIDs []int32, newAnn Annotation, roots []int32, 
 			}
 		}
 	}
-	a.SetTensors(roots, values, groups, liveNodes)
-	return newID
 }
 
 // SetTensors rebuilds the tensor fold table and the sorted group-key
 // slots from the given fold order (parallel roots/values/groups; every
 // root an existing node id), updates the garbage count from liveNodes,
-// and re-derives the numeric cone. It is the shared tail of the in-place patches
-// (ApplyMerge and Plan.ApplyAppend).
+// and re-derives the numeric cone (liveNodes lets the arena track the
+// garbage fraction so callers can decide when to recompile). It is the
+// shared tail of the in-place patches (Plan.ApplyMerge and
+// Plan.ApplyAppend).
 func (a *Arena) SetTensors(roots []int32, values []float64, groups []Annotation, liveNodes int) {
 	a.tensors = a.tensors[:0]
 	for i := range roots {

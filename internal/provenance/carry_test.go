@@ -10,11 +10,12 @@ import (
 // bytes: users rate movies in a year, each tensor the product
 // user·movie·year (or a two-user sum times the movie, or a bare user)
 // in its movie's coordinate or the scalar one, with values whose float
-// sums depend on their order.
+// sums depend on their order. Some names hold key separators, as real
+// titles do.
 func carryFixture(next func() byte, kind AggKind) *Agg {
-	users := []Annotation{"u1", "u2", "u3", "u4", "u5"}
-	movies := []Annotation{"m1", "m2", "m3", "m4"}
-	years := []Annotation{"y1", "y2"}
+	users := []Annotation{"u1", "u2", "u3", "u4", "u5", "p*q", "b+v:c"}
+	movies := []Annotation{"m1", "m2", "m3", "m4", "x (1)", "{a+b}", "r|s"}
+	years := []Annotation{"y1", "y2", "m⊗n"}
 	values := []float64{0.1, 0.7, 1e16, 1, 3}
 	pick := func(as []Annotation) Annotation { return as[int(next())%len(as)] }
 	nt := int(next())%10 + 2

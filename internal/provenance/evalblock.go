@@ -50,7 +50,7 @@ func (tb *TruthBlock) Reset(numAnns, lanes int) {
 	if lanes < 1 || lanes > 64 {
 		panic("provenance: TruthBlock lanes out of range")
 	}
-	tb.words = fitWords(tb.words, numAnns)
+	tb.words = fit(tb.words, numAnns)
 	clear(tb.words)
 	tb.n = lanes
 	tb.mask = ^uint64(0) >> uint(64-lanes)
@@ -93,12 +93,12 @@ type BlockScratch struct {
 func NewBlockScratch() *BlockScratch { return &BlockScratch{} }
 
 func (s *BlockScratch) fit(a *Arena) {
-	s.nz = fitWords(s.nz, len(a.kind))
-	s.subNz = fitWords(s.subNz, len(a.kind))
-	s.num = fitInts(s.num, len(a.coneNodes)*64)
-	s.subNum = fitInts(s.subNum, len(a.coneNodes)*64)
-	s.contributed = fitBools(s.contributed, len(a.groupKeys))
-	s.row = fitFloats(s.row, len(a.groupKeys))
+	s.nz = fit(s.nz, len(a.kind))
+	s.subNz = fit(s.subNz, len(a.kind))
+	s.num = fit(s.num, len(a.coneNodes)*64)
+	s.subNum = fit(s.subNum, len(a.coneNodes)*64)
+	s.contributed = fit(s.contributed, len(a.groupKeys))
+	s.row = fit(s.row, len(a.groupKeys))
 }
 
 // GetBlockScratch returns a pooled block scratch. Pair with
@@ -131,7 +131,7 @@ func (a *Arena) PutBlockScratch(s *BlockScratch) {
 func (a *Arena) EvalRows(tb *TruthBlock, s *BlockScratch, rows [][]float64) {
 	a.sweep(tb, s)
 	for j := 0; j < tb.n; j++ {
-		rows[j] = fitFloats(rows[j], len(a.groupKeys))
+		rows[j] = fit(rows[j], len(a.groupKeys))
 		a.foldRow(s, j, rows[j])
 	}
 }
@@ -405,7 +405,7 @@ func (pr *Probe) CandEvalBlock(mergedW, lanes uint64, base [][]float64, s *Block
 	agg := pr.plan.agg.Agg
 	for w := lanes; w != 0; w &= w - 1 {
 		j := bits.TrailingZeros64(w)
-		row := fitFloats(out[j], len(pr.slots))
+		row := fit(out[j], len(pr.slots))
 		if pr.baseSlot == nil {
 			copy(row, base[j])
 		} else {

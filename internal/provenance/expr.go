@@ -146,8 +146,12 @@ func (v Var) MapAnn(rename func(Annotation) Annotation) Expr {
 
 func (v Var) CollectAnns(set map[Annotation]struct{}) { set[v.Ann] = struct{}{} }
 func (v Var) Size() int                               { return 1 }
-func (v Var) Key() string                             { return "v:" + string(v.Ann) }
 func (v Var) String() string                          { return string(v.Ann) }
+
+func (v Var) Key() string {
+	var buf [64]byte
+	return string(appendName(append(buf[:0], "v:"...), v.Ann))
+}
 
 // --- Const ---
 
@@ -283,7 +287,7 @@ func (c Cmp) String() string {
 func appendKey(dst []byte, e Expr) []byte {
 	switch n := e.(type) {
 	case Var:
-		return append(append(dst, "v:"...), n.Ann...)
+		return appendName(append(dst, "v:"...), n.Ann)
 	case Const:
 		return strconv.AppendInt(append(dst, "c:"...), int64(n.N), 10)
 	case Sum:
@@ -294,6 +298,40 @@ func appendKey(dst []byte, e Expr) []byte {
 		return appendCmpKey(appendKey(append(dst, "q("...), n.Inner), n.Value, n.Op, n.Bound)
 	}
 	return append(dst, e.Key()...)
+}
+
+// tensorKey is Simplify's merge key of a tensor: its polynomial's key,
+// "|", and its group's name.
+func tensorKey(prov Expr, group Annotation) string {
+	return string(appendName(append(appendKey(make([]byte, 0, 128), prov), '|'), group))
+}
+
+// appendName appends an annotation name as keys write it. Key joins
+// names with the separators "+", "*", ")", "⊗" and "|", so a name that
+// holds none of them, nor a "+" that starts another term ("+v:",
+// "+c:"), is written as it is; any other is written as "|", its byte
+// length, ":" and its bytes. That form delimits itself and starts with
+// a byte a plain name never holds, so Key is injective over every name.
+func appendName(dst []byte, name Annotation) []byte {
+	s := string(name)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(', ')', '*', '|':
+		case '+':
+			if !strings.HasPrefix(s[i+1:], "v:") && !strings.HasPrefix(s[i+1:], "c:") {
+				continue
+			}
+		case "⊗"[0]:
+			if !strings.HasPrefix(s[i:], "⊗") {
+				continue
+			}
+		default:
+			continue
+		}
+		dst = strconv.AppendInt(append(dst, '|'), int64(len(s)), 10)
+		return append(append(dst, ':'), s...)
+	}
+	return append(dst, s...)
 }
 
 // appendNaryKey appends the key of a Sum (open "s(", sep '+') or Prod

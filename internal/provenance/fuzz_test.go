@@ -2,8 +2,14 @@ package provenance
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
+
+// fuzzAnns is buildExpr's annotation pool: plain names, and names that
+// hold every key separator or read like key fragments, which keys
+// escape.
+var fuzzAnns = []Annotation{"a", "b", "c", "d", "x (1)", "p*q", "r|s", "b+v:c", "{a+b}", "m⊗n"}
 
 // buildExpr decodes a byte string into an expression, consuming bytes as
 // structure decisions. It always terminates: depth is bounded and input
@@ -17,7 +23,7 @@ func buildExpr(data []byte, pos *int, depth int) Expr {
 		*pos++
 		return b
 	}
-	anns := []Annotation{"a", "b", "c", "d"}
+	anns := fuzzAnns
 	if depth <= 0 {
 		return Var{Ann: anns[int(next())%len(anns)]}
 	}
@@ -64,7 +70,7 @@ func FuzzSimplifyExpr(f *testing.F) {
 		s := SimplifyExpr(e)
 
 		assign := func(a Annotation) int {
-			idx := map[Annotation]uint{"a": 0, "b": 1, "c": 2, "d": 3}[a]
+			idx := slices.Index(fuzzAnns, a) % 8
 			if mask&(1<<idx) != 0 {
 				return 1
 			}

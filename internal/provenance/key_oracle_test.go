@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,11 +14,12 @@ import (
 // SimplifyExpr that sorted by calling Key in every comparison, as
 // oracles for the append-built keys and the precomputed-key sort.
 
-// oracleKey is Key as it was built with fmt.Sprintf and strings.Join.
+// oracleKey is Key as it was built with fmt.Sprintf and strings.Join,
+// with names written by oracleName.
 func oracleKey(e Expr) string {
 	switch n := e.(type) {
 	case Var:
-		return "v:" + string(n.Ann)
+		return "v:" + oracleName(n.Ann)
 	case Const:
 		return fmt.Sprintf("c:%d", n.N)
 	case Sum:
@@ -38,6 +40,17 @@ func oracleKey(e Expr) string {
 		return fmt.Sprintf("q(%s⊗%g%s%g)", oracleKey(n.Inner), n.Value, n.Op, n.Bound)
 	}
 	return e.Key()
+}
+
+// oracleName is appendName read off its definition: a name holding a
+// key separator, or a "+" that starts another term, is written "|",
+// byte length, ":", bytes; any other as it is.
+func oracleName(a Annotation) string {
+	s := string(a)
+	if strings.ContainsAny(s, "()*|") || strings.Contains(s, "⊗") || strings.Contains(s, "+v:") || strings.Contains(s, "+c:") {
+		return fmt.Sprintf("|%d:%s", len(s), s)
+	}
+	return s
 }
 
 // oracleSimplify is SimplifyExpr with its sorts comparing oracle keys
@@ -127,9 +140,10 @@ func oracleSimplify(e Expr) Expr {
 }
 
 // keyNames mixes prefixes of each other, bytes that sort below the key
-// separators, multibyte text, and names holding the separators
-// themselves.
-var keyNames = []Annotation{"a", "ab", "b", " ", "!x", "#", "é", "日本", "a+b", "{a+b}", "x*y", "(p)", "v:a", ""}
+// separators, multibyte text, names holding the separators themselves,
+// and names that read like escaped ones or like key fragments.
+var keyNames = []Annotation{"a", "ab", "b", " ", "!x", "#", "é", "日本", "a+b", "{a+b}", "x*y", "(p)", "v:a", "",
+	"b+v:c", "a+v:b", "c+c:1", "r|s", "x (1)", "⊗", "p⊗q", "|1:a", "1:a", "s(", ")"}
 
 // keyFloats covers the %g corner cases: signed zeros, infinities, NaN,
 // exponent forms, and values needing all 17 digits.
@@ -170,8 +184,10 @@ func randKeyExpr(r *rand.Rand, depth int) Expr {
 }
 
 // TestKeyMatchesOracle pins Key byte for byte to the fmt/strings.Join
-// implementation and SimplifyExpr's output trees (child order
-// included) to the sort that recomputed keys per comparison.
+// implementation — unchanged for names without separators, whose keys
+// the pinned hashes and tensor orders rest on — and SimplifyExpr's
+// output trees (child order included) to the sort that recomputed keys
+// per comparison.
 func TestKeyMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
@@ -185,6 +201,172 @@ func TestKeyMatchesOracle(t *testing.T) {
 		}
 		if got, want := s.Key(), oracleKey(o); got != want {
 			t.Fatalf("simplified Key(%s):\n got %q\nwant %q", e, got, want)
+		}
+	}
+}
+
+// keyReader reads a key back into an expression. A tensor key decodes
+// to one polynomial and one group, so decoding every drawn key back to
+// what it was built from shows Key and tensorKey injective.
+type keyReader struct {
+	s string
+	i int
+}
+
+func (k *keyReader) eat(tok string) bool {
+	if strings.HasPrefix(k.s[k.i:], tok) {
+		k.i += len(tok)
+		return true
+	}
+	return false
+}
+
+// name reads a Var name or a group: the escaped form where one ends
+// there, else a plain name up to the first byte that ends one. Only the
+// empty plain name can precede a "|" that does not start an escaped
+// form (the group separator), so trying the escaped form first and
+// falling back reads every key back.
+func (k *keyReader) name() Annotation {
+	if rest := k.s[k.i:]; strings.HasPrefix(rest, "|") {
+		if colon := strings.IndexByte(rest, ':'); colon > 1 {
+			n, err := strconv.Atoi(rest[1:colon])
+			if end := colon + 1 + n; err == nil && n >= 0 && end <= len(rest) && nameEnds(rest[end:]) {
+				if name := Annotation(rest[colon+1 : end]); oracleName(name) != string(name) {
+					k.i += end
+					return name
+				}
+			}
+		}
+	}
+	lo := k.i
+	for k.i < len(k.s) && !nameEnds(k.s[k.i:]) {
+		k.i++
+	}
+	return Annotation(k.s[lo:k.i])
+}
+
+// nameEnds reports whether a name can end where rest begins: at the
+// key's end or before a separator.
+func nameEnds(rest string) bool {
+	if rest == "" || strings.IndexByte(")*|", rest[0]) >= 0 || strings.HasPrefix(rest, "⊗") {
+		return true
+	}
+	if rest[0] == '+' {
+		for _, open := range []string{"v:", "c:", "s(", "p(", "q("} {
+			if strings.HasPrefix(rest[1:], open) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (k *keyReader) float() float64 {
+	lo := k.i
+	for k.i < len(k.s) && strings.IndexByte("0123456789.+-eEInfNa", k.s[k.i]) >= 0 {
+		k.i++
+	}
+	f, err := strconv.ParseFloat(k.s[lo:k.i], 64)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+func (k *keyReader) expr() Expr {
+	switch {
+	case k.eat("v:"):
+		return Var{Ann: k.name()}
+	case k.eat("c:"):
+		lo := k.i
+		for k.i < len(k.s) && strings.IndexByte("-0123456789", k.s[k.i]) >= 0 {
+			k.i++
+		}
+		n, err := strconv.Atoi(k.s[lo:k.i])
+		if err != nil {
+			panic(err)
+		}
+		return Const{N: n}
+	case k.eat("s("):
+		return Sum{Terms: k.kids("+")}
+	case k.eat("p("):
+		return Prod{Factors: k.kids("*")}
+	case k.eat("q("):
+		c := Cmp{Inner: k.expr()}
+		if !k.eat("⊗") {
+			panic("guard without ⊗ at " + k.s[k.i:])
+		}
+		c.Value, c.Op = k.float(), CmpOp(-1)
+		for _, op := range []CmpOp{OpGE, OpLE, OpNE, OpGT, OpLT, OpEQ} {
+			if k.eat(op.String()) {
+				c.Op = op
+				break
+			}
+		}
+		if c.Op < 0 && !k.eat("?") {
+			panic("unknown operator at " + k.s[k.i:])
+		}
+		c.Bound = k.float()
+		k.eat(")")
+		return c
+	}
+	panic("no node at " + k.s[k.i:])
+}
+
+func (k *keyReader) kids(sep string) []Expr {
+	es := []Expr{k.expr()}
+	for k.eat(sep) {
+		es = append(es, k.expr())
+	}
+	if !k.eat(")") {
+		panic("unclosed node at " + k.s[k.i:])
+	}
+	return es
+}
+
+// shape renders e up to child order, independently of Key: children
+// sort by their own shapes, and every operator Key prints as "?" reads
+// the same.
+func shape(e Expr) string {
+	kids := func(es []Expr) string {
+		ss := make([]string, len(es))
+		for i, c := range es {
+			ss[i] = shape(c)
+		}
+		sort.Strings(ss)
+		return strings.Join(ss, ",")
+	}
+	switch n := e.(type) {
+	case Sum:
+		return "S[" + kids(n.Terms) + "]"
+	case Prod:
+		return "P[" + kids(n.Factors) + "]"
+	case Cmp:
+		return fmt.Sprintf("Q[%s;%v;%s;%v]", shape(n.Inner), n.Value, n.Op, n.Bound)
+	}
+	return fmt.Sprintf("%#v", e)
+}
+
+// TestKeyInjective reads every drawn tensor key back: it must decode to
+// the polynomial (up to child order) and the group it was built from,
+// whatever separators, escape look-alikes or key fragments the names
+// hold.
+func TestKeyInjective(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		e := randKeyExpr(r, 4)
+		group := keyNames[r.Intn(len(keyNames))]
+		key := tensorKey(e, group)
+		k := &keyReader{s: key}
+		got := k.expr()
+		if !k.eat("|") {
+			t.Fatalf("tensor key %q: no group separator after the polynomial", key)
+		}
+		if g := k.name(); g != group || k.i != len(key) {
+			t.Fatalf("tensor key %q: group %q, want %q", key, g, group)
+		}
+		if shape(got) != shape(e) {
+			t.Fatalf("key %q decodes to %s, want %s", key, shape(got), shape(e))
 		}
 	}
 }

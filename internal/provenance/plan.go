@@ -66,7 +66,7 @@ type planTensor struct {
 	count int
 	group Annotation
 	gid   int32  // group's dense id, -1 for the scalar ("") coordinate
-	key   string // prov.Key() + "|" + group, Simplify's merge key
+	key   string // tensorKey(prov, group), Simplify's merge key
 	size  int    // prov.Size()
 }
 
@@ -95,12 +95,8 @@ type Plan struct {
 
 	// probeable reports whether Probe's id-level rewrite is exact for
 	// the plan: every live span is in SimplifyExpr normal form (see
-	// normalNode), tensor keys ascend strictly, and every interned name
-	// is keySafe. reindex maintains it; namesChecked counts the interned
-	// names already checked (the interner only grows).
-	probeable    bool
-	namesSafe    bool
-	namesChecked int
+	// normalNode) and tensor keys ascend strictly. reindex maintains it.
+	probeable bool
 
 	// gen counts the in-place patches (ApplyMerge, ApplyAppend): a probe
 	// is valid for the generation it was built at or carried to.
@@ -131,11 +127,10 @@ func NewPlan(e Expression) *Plan {
 		return nil
 	}
 	p := &Plan{
-		agg:       g,
-		ar:        ar,
-		tensors:   make([]planTensor, len(g.Tensors)),
-		size:      g.Size(),
-		namesSafe: true,
+		agg:     g,
+		ar:      ar,
+		tensors: make([]planTensor, len(g.Tensors)),
+		size:    g.Size(),
 	}
 	for i, t := range g.Tensors {
 		lo := int32(0)
@@ -144,7 +139,7 @@ func NewPlan(e Expression) *Plan {
 		}
 		p.tensors[i] = planTensor{
 			root: ar.tensors[i].root, lo: lo, prov: t.Prov, value: t.Value, count: t.Count,
-			group: t.Group, key: t.Prov.Key() + "|" + string(t.Group), size: t.Prov.Size(),
+			group: t.Group, key: tensorKey(t.Prov, t.Group), size: t.Prov.Size(),
 		}
 	}
 	p.reindex()
@@ -160,10 +155,7 @@ func NewPlan(e Expression) *Plan {
 func (p *Plan) reindex() {
 	ar := p.ar
 	numAnns := ar.NumAnns()
-	for ; p.namesChecked < numAnns; p.namesChecked++ {
-		p.namesSafe = p.namesSafe && keySafe(ar.in.anns[p.namesChecked])
-	}
-	p.probeable = p.namesSafe
+	p.probeable = true
 	varsBy := make([][]int32, numAnns)
 	spans := make([][2]int32, len(p.tensors))
 	for i := range p.tensors {
@@ -301,7 +293,7 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 			ai++
 		}
 		nt := &next.Tensors[i]
-		key := nt.Prov.Key() + "|" + string(nt.Group)
+		key := tensorKey(nt.Prov, nt.Group)
 		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < keys[order[ri]]) {
 			src := &p.tensors[tid]
 			if src.key != key || src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
@@ -338,20 +330,8 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 	m.touched = slices.Compact(m.touched)
 	oldSlots := p.ar.groupKeys
 
-	roots := make([]int32, len(newTensors))
-	values := make([]float64, len(newTensors))
-	groups := make([]Annotation, len(newTensors))
-	for i := range newTensors {
-		roots[i] = newTensors[i].root
-		values[i] = newTensors[i].value
-		groups[i] = newTensors[i].group
-	}
-	p.ar.ApplyMerge(pr.memberIDs, newAnn, roots, values, groups, liveNodes)
-	p.agg = next
-	p.tensors = newTensors
-	p.size = next.Size()
-	p.reindex()
-	p.gen++
+	p.ar.Retarget(pr.memberIDs, newAnn)
+	p.install(next, newTensors, liveNodes)
 	m.gen, m.newFresh = p.gen, int32(p.ar.NumAnns())
 	m.slotsChanged = !slices.Equal(oldSlots, p.ar.groupKeys)
 	return m
@@ -406,7 +386,7 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 		if c, ok := prov.(Const); ok && c.N == 0 {
 			continue
 		}
-		key := prov.Key() + "|" + string(t.Group)
+		key := tensorKey(prov, t.Group)
 		if j, ok := idx[key]; ok {
 			merged[j].value = p.agg.Agg.Combine(merged[j].value, t.Value)
 			merged[j].count += t.Count
@@ -437,7 +417,7 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 	liveNodes := 0
 	for i := range next.Tensors {
 		nt := &next.Tensors[i]
-		key := nt.Prov.Key() + "|" + string(nt.Group)
+		key := tensorKey(nt.Prov, nt.Group)
 		j, ok := idx[key]
 		if !ok {
 			return false
@@ -471,21 +451,25 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 		newTensors[i].lo, newTensors[i].root = lo, root
 		liveNodes += int(root - lo + 1)
 	}
-	roots := make([]int32, len(newTensors))
-	values := make([]float64, len(newTensors))
-	groups := make([]Annotation, len(newTensors))
-	for i := range newTensors {
-		roots[i] = newTensors[i].root
-		values[i] = newTensors[i].value
-		groups[i] = newTensors[i].group
+	p.install(next, newTensors, liveNodes)
+	return true
+}
+
+// install makes next, compiled as the plan tensors ts, the plan's
+// expression after an in-place patch: the arena folds ts in order
+// (liveNodes of its nodes back them), the indexes are rebuilt, and the
+// generation advances.
+func (p *Plan) install(next *Agg, ts []planTensor, liveNodes int) {
+	roots := make([]int32, len(ts))
+	values := make([]float64, len(ts))
+	groups := make([]Annotation, len(ts))
+	for i := range ts {
+		roots[i], values[i], groups[i] = ts[i].root, ts[i].value, ts[i].group
 	}
 	p.ar.SetTensors(roots, values, groups, liveNodes)
-	p.agg = next
-	p.tensors = newTensors
-	p.size = next.Size()
+	p.agg, p.tensors, p.size = next, ts, next.Size()
 	p.reindex()
 	p.gen++
-	return true
 }
 
 // tensorsOfGID returns the ascending tensor ids whose group has dense
@@ -610,12 +594,12 @@ type probeRewritten struct {
 }
 
 // appendRewKey appends the candidate's Simplify key of rewritten tensor
-// i, built from its representative span: prov.Key() + "|" + group of the
-// materialized candidate tensor.
+// i, built from its representative span: tensorKey of the materialized
+// candidate tensor.
 func (pr *Probe) appendRewKey(dst []byte, i int32) []byte {
 	r := &pr.rews[i]
 	dst = pr.plan.ar.appendRenamedKey(dst, r.root, pr.memberIDs, pr.NewAnn)
-	return append(append(dst, '|'), r.group...)
+	return appendName(append(dst, '|'), r.group)
 }
 
 // rewKey returns the candidate key of rewritten tensor i. The first call
@@ -643,13 +627,12 @@ func (pr *Probe) rewEntry(i int32) foldEntry {
 // returns nil when the probe cannot be compiled soundly: newAnn already
 // occurs in the expression without being a member (rewritten tensors
 // could merge with existing ones), a reserved annotation is involved, or
-// the plan or newAnn falls outside the id-level rewrite (see
-// Plan.probeable). Callers fall back to materializing the candidate. A
+// the plan falls outside the id-level rewrite (see Plan.probeable). Callers fall back to materializing the candidate. A
 // merge named after one of its members (Universe.Merge's name for a
 // group that absorbs another annotation) is sound: every tensor that
 // mentions newAnn is then rewritten too.
 func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
-	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One || !keySafe(newAnn) {
+	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One {
 		return nil
 	}
 	if _, ok := p.ar.AnnID(newAnn); ok && !slices.Contains(members, newAnn) {

@@ -40,7 +40,7 @@ func oracleRewrite(p *Plan, members []Annotation, newAnn Annotation) (affected [
 		}
 		affected = append(affected, int32(tid))
 		prov := SimplifyExpr(t.prov.MapAnn(rename))
-		key := oracleKey(prov) + "|" + string(rename(t.group))
+		key := oracleKey(prov) + "|" + oracleName(rename(t.group))
 		i := slices.IndexFunc(rews, func(r oracleRew) bool { return r.key == key })
 		if i < 0 {
 			rews = append(rews, oracleRew{key: key, group: rename(t.group), tids: []int32{int32(tid)}, value: t.value, count: t.count})
@@ -314,42 +314,36 @@ func TestProbeIDRewriteMatchesApply(t *testing.T) {
 	}
 }
 
-// TestProbeRefusesUnrewritable pins the nil-Probe fallback (and the
-// recompile fallback of ApplyMerge) for input outside the id-level
-// rewrite: names that make Key ambiguous, and plans over expressions
-// not in Simplify normal form.
-func TestProbeRefusesUnrewritable(t *testing.T) {
-	// With unescaped separators in names, different polynomials share a
-	// key, so Simplify merges tensors the canonical forms keep apart.
+// TestProbeEscapedNames pins the probe over names that hold key
+// separators: Key escapes them, so tensors whose unescaped keys would
+// coincide stay apart, and the probe of every merge and summary name —
+// separators included — matches the materialized candidate.
+func TestProbeEscapedNames(t *testing.T) {
 	a := Sum{Terms: []Expr{V("a+v:b"), V("c")}}
 	b := Sum{Terms: []Expr{V("a"), V("b+v:c")}}
-	if a.Key() != b.Key() {
-		t.Fatalf("expected a key collision: %q vs %q", a.Key(), b.Key())
+	if a.Key() == b.Key() {
+		t.Fatalf("distinct polynomials share the key %q", a.Key())
 	}
-	ambiguous := NewAgg(AggSum,
+	cur := NewAgg(AggSum,
 		Tensor{Prov: P("a+v:b", "m"), Value: 1, Count: 1, Group: "m"},
 		Tensor{Prov: P("u", "m"), Value: 2, Count: 1, Group: "m"},
+		Tensor{Prov: P("u", "Heat (1995)"), Value: 3, Count: 1, Group: "Heat (1995)"},
+		Tensor{Prov: P("r|s", "m"), Value: 4, Count: 1, Group: "x*y"},
 	)
-	plan := NewPlan(ambiguous)
-	if plan.Probe([]Annotation{"u", "m"}, "Z") != nil {
-		t.Fatal("Probe must refuse a plan with key-ambiguous names")
-	}
-	next := ambiguous.Apply(MergeMapping("Z", "u", "m")).(*Agg)
-	if plan.ApplyMerge(next, []Annotation{"u", "m"}, "Z") != nil {
-		t.Fatal("ApplyMerge must refuse a plan with key-ambiguous names")
-	}
-	plain := NewPlan(planFixture(AggSum))
-	for _, newAnn := range []Annotation{"x*y", "(Z)", "Z|", "a+v:b", "a+c:1", "⊗"} {
-		if plain.Probe([]Annotation{"u1", "u2"}, newAnn) != nil {
-			t.Fatalf("Probe must refuse the key-ambiguous summary name %q", newAnn)
+	for _, ms := range [][]Annotation{{"u", "m"}, {"a+v:b", "u"}, {"m", "Heat (1995)"}, {"r|s", "u"}} {
+		for _, newAnn := range []Annotation{"Z", "x*y", "(Z)", "Z|", "a+c:1", "⊗", "{u1+u2}", "é"} {
+			if !slices.Contains(ms, newAnn) && slices.Contains(cur.Annotations(), newAnn) {
+				continue
+			}
+			checkProbeAgainstApply(t, cur, ms, newAnn)
 		}
 	}
-	for _, newAnn := range []Annotation{"{u1+u2}", "age:56+", "a b", "é", "gender:F#2"} {
-		if plain.Probe([]Annotation{"u1", "u2"}, newAnn) == nil {
-			t.Fatalf("Probe refused the unambiguous summary name %q", newAnn)
-		}
-	}
+}
 
+// TestProbeRefusesUnrewritable pins the nil-Probe fallback (and the
+// recompile fallback of ApplyMerge) for plans over expressions not in
+// Simplify normal form.
+func TestProbeRefusesUnrewritable(t *testing.T) {
 	// Hand-built aggregations skip Simplify: a one-factor product, a
 	// product holding the constant 1, nested sums, and unsorted or
 	// duplicate tensors all fall outside the normal form.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // This file implements the id-level merge rewrite shared by Plan.Probe
@@ -62,8 +61,8 @@ func renamed(ann int32, members []int32, fresh int32) int32 {
 // prefix-free token sequence — Var(id), Const(n), Cmp(op, value, bound,
 // inner), Sum/Prod(arity, children) — with each node's children sorted
 // by their own canonical forms. Two normal-form subtrees get equal forms
-// exactly when they are equal up to child order, which for keySafe
-// names is exactly when their Simplify keys are equal.
+// exactly when they are equal up to child order, which is exactly when
+// their Simplify keys are equal.
 func (a *Arena) appendCanon(cs *canonScratch, id int32, members []int32, fresh int32) {
 	switch a.kind[id] {
 	case nodeVar:
@@ -125,7 +124,7 @@ func (a *Arena) appendRenamedKey(dst []byte, id int32, members []int32, newAnn A
 		if ann := a.ann[id]; !slices.Contains(members, ann) {
 			name = a.in.anns[ann]
 		}
-		return append(append(dst, "v:"...), name...)
+		return appendName(append(dst, "v:"...), name)
 	case nodeConst:
 		return strconv.AppendInt(append(dst, "c:"...), int64(a.constN[id]), 10)
 	case nodeCmp:
@@ -176,31 +175,6 @@ func (a *Arena) normalNode(id int32) bool {
 			}
 		}
 		return consts <= 1
-	}
-	return true
-}
-
-// keySafe reports whether an annotation name keeps Key injective: Key
-// joins variable names with the separators "+", "*", ")", "⊗" and "|"
-// without escaping, so a name holding a bracket, "*", "|", "⊗", or a
-// "+" that starts another term ("+v:", "+c:") could make two different
-// polynomials share a key. Plans with such names take the nil-Probe
-// fallback.
-func keySafe(name Annotation) bool {
-	s := string(name)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(', ')', '*', '|':
-			return false
-		case '+':
-			if rest := s[i+1:]; strings.HasPrefix(rest, "v:") || strings.HasPrefix(rest, "c:") {
-				return false
-			}
-		case "⊗"[0]:
-			if strings.HasPrefix(s[i:], "⊗") {
-				return false
-			}
-		}
 	}
 	return true
 }

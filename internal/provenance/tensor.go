@@ -146,7 +146,7 @@ func (g *Agg) Simplify() *Agg {
 		if c, ok := prov.(Const); ok && c.N == 0 {
 			continue
 		}
-		k := prov.Key() + "|" + string(t.Group)
+		k := tensorKey(prov, t.Group)
 		if s, ok := merged[k]; ok {
 			s.t.Value = g.Agg.Combine(s.t.Value, t.Value)
 			s.t.Count += t.Count

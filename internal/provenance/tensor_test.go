@@ -116,6 +116,23 @@ func TestAggEvalVector(t *testing.T) {
 	}
 }
 
+// TestSimplifyKeepsSeparatorNames is a regression test: a name holding
+// "+v:" once gave (a + "b+v:c") and (a + b + c) one key, so Simplify
+// merged the two tensors and the sum read g:0 under a=0, b=1, c=0.
+func TestSimplifyKeepsSeparatorNames(t *testing.T) {
+	g := NewAgg(AggSum,
+		Tensor{Prov: Sum{Terms: []Expr{V("a"), V("b+v:c")}}, Value: 1, Count: 1, Group: "g"},
+		Tensor{Prov: Sum{Terms: []Expr{V("a"), V("b"), V("c")}}, Value: 1, Count: 1, Group: "g"},
+	)
+	if len(g.Tensors) != 2 {
+		t.Fatalf("Simplify kept %d tensors, want 2: %s", len(g.Tensors), g)
+	}
+	v := MapValuation{Assign: map[Annotation]bool{"b": true}, Label: "b"}
+	if got := g.Eval(v).(Vector).At("g"); got != 1 {
+		t.Fatalf("sum under a=0, b=1, c=0 = %g, want 1", got)
+	}
+}
+
 func TestAggEvalMultiGroup(t *testing.T) {
 	// Example 4.2.3: P0 = P_MP ⊕_M P_BJ with U2's review of Blue Jasmine.
 	p := NewAgg(AggMax,
