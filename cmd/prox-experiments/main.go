@@ -34,8 +34,6 @@ func main() {
 	class := flag.String("class", "attribute", "valuation class: attribute | annotation")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations (arity, sampling, parallelism)")
 	plot := flag.Bool("plot", false, "render ASCII charts after each table")
-	timingFromStats := flag.Bool("timing-from-stats", false,
-		"source timing columns from the estimator's live instrumentation (distance.Estimator.Stats()) instead of ad-hoc timers")
 	flag.Parse()
 
 	kind := datasets.CancelSingleAttribute
@@ -55,12 +53,11 @@ func main() {
 			continue
 		}
 		o := experiments.Options{
-			Dataset:         ds,
-			Class:           kind,
-			Runs:            *runs,
-			Seed:            *seed,
-			Scale:           *scale,
-			TimingFromStats: *timingFromStats,
+			Dataset: ds,
+			Class:   kind,
+			Runs:    *runs,
+			Seed:    *seed,
+			Scale:   *scale,
 		}
 		fmt.Printf("=== %s ===\n\n", ds)
 		tables, err := experiments.Suite(o, *quick)

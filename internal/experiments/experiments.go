@@ -389,10 +389,10 @@ type TimingResult struct {
 // Timing generates workloads at multiple scales and measures, per
 // provenance size, the average per-candidate computation time and the
 // total summarization time (wDist = 1, 50-step budget as in the paper).
-// With Options.TimingFromStats the per-candidate column is computed from
-// the estimator's own instrumentation (Distance call count and wall time
-// from distance.Estimator.Stats()) instead of the summarizer's ad-hoc
-// accounting.
+// The per-candidate column comes from the estimator's own
+// instrumentation (distance.Estimator.Stats()), the counters a live
+// server exports on /metrics, so the Sec. 6.9 figures and those counters
+// cannot drift apart.
 func Timing(o Options, scales []float64, maxSteps int) (*TimingResult, error) {
 	o = o.normalized()
 	res := &TimingResult{
@@ -419,20 +419,15 @@ func Timing(o Options, scales []float64, maxSteps int) (*TimingResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if o.TimingFromStats {
-				// Candidate cost from the estimator's own instrumentation.
-				// Cohort scoring amortizes one sweep (DistanceDelta, or
-				// its DistanceBatch fallback) over all its candidates,
-				// so the per-candidate figure divides total scoring wall
-				// time — both sweeps plus Distance calls — by total
-				// candidates scored (each Distance call scores one).
-				st := est.Stats()
-				if n := st.DistanceCalls + st.BatchCandidates + st.DeltaCandidates; n > 0 {
-					totalUS := float64(st.DistanceTime.Microseconds() + st.BatchTime.Microseconds() + st.DeltaTime.Microseconds())
-					candUS = append(candUS, totalUS/float64(n))
-				}
-			} else if sum.CandidatesEvaluated > 0 {
-				candUS = append(candUS, float64(sum.CandidateTime.Microseconds())/float64(sum.CandidatesEvaluated))
+			// Cohort scoring amortizes one sweep (DistanceDelta, or its
+			// DistanceBatch fallback) over all its candidates, so the
+			// per-candidate figure divides total scoring wall time — both
+			// sweeps plus Distance calls — by total candidates scored
+			// (each Distance call scores one).
+			st := est.Stats()
+			if n := st.DistanceCalls + st.BatchCandidates + st.DeltaCandidates; n > 0 {
+				totalUS := float64(st.DistanceTime.Microseconds() + st.BatchTime.Microseconds() + st.DeltaTime.Microseconds())
+				candUS = append(candUS, totalUS/float64(n))
 			}
 			sumMS = append(sumMS, float64(sum.Elapsed.Microseconds())/1000)
 			sizes = append(sizes, float64(w.Prov.Size()))

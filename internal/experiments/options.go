@@ -29,17 +29,6 @@ type Options struct {
 	// CandidateCap bounds per-step candidate evaluation in Prov-Approx
 	// (0 = evaluate all pairs).
 	CandidateCap int
-	// TimingFromStats sources the Timing experiment's per-candidate time
-	// column from the distance estimator's own instrumentation
-	// (distance.Estimator.Stats()) instead of the summarizer's ad-hoc
-	// wall-clock accounting, so the Sec. 6.9 figures and a live server's
-	// /metrics counters can never drift apart. The per-candidate figure
-	// is total scoring wall time (Distance calls plus DistanceBatch and
-	// DistanceDelta sweeps) divided by total candidates scored
-	// (DistanceCalls + BatchCandidates + DeltaCandidates), so it stays
-	// comparable whether a cohort took the delta engine or the batch
-	// fallback.
-	TimingFromStats bool
 }
 
 // DefaultOptions returns paper-like settings for a dataset.

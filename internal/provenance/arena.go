@@ -82,7 +82,7 @@ func (in *Interner) Len() int { return len(in.anns) }
 // is the interner's backing store; callers must not modify it.
 func (in *Interner) Annotations() []Annotation { return in.anns }
 
-// Bitset is a fixed-size bitset over dense annotation ids.
+// Bitset is a fixed-size bitset over dense ids (a probe's dirty nodes).
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold n bits.
@@ -91,33 +91,8 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 // Set sets bit i.
 func (b Bitset) Set(i int32) { b[i>>6] |= 1 << uint(i&63) }
 
-// Clear clears bit i.
-func (b Bitset) Clear(i int32) { b[i>>6] &^= 1 << uint(i&63) }
-
 // Get reports bit i.
 func (b Bitset) Get(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Reset clears every bit.
-func (b Bitset) Reset() {
-	clear(b)
-}
-
-// FillWords sets bit i to vals[i] != 0, packing 64 entries per word
-// instead of branching through Set/Clear per bit. The bitset must hold
-// at least len(vals) bits; trailing bits of the last touched word are
-// cleared.
-func (b Bitset) FillWords(vals []int8) {
-	for wi := 0; wi*64 < len(vals); wi++ {
-		end := min(len(vals), wi*64+64)
-		var w uint64
-		for j, v := range vals[wi*64 : end] {
-			if v != 0 {
-				w |= 1 << uint(j)
-			}
-		}
-		b[wi] = w
-	}
-}
 
 // arenaTensor is one tensor of the compiled expression: the root node of
 // its polynomial (the last node of the tensor's contiguous span), the

@@ -40,19 +40,6 @@ func TestBitsetOps(t *testing.T) {
 			t.Fatalf("bit %d not set after Set", i)
 		}
 	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if !b.Get(63) || !b.Get(129) {
-		t.Fatal("Clear(64) disturbed neighbouring bits")
-	}
-	b.Reset()
-	for _, i := range []int32{0, 63, 64, 129} {
-		if b.Get(i) {
-			t.Fatalf("bit %d survived Reset", i)
-		}
-	}
 }
 
 // TestArenaEvalMatchesAggEval checks the compiled arena's blocked

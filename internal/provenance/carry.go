@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 )
@@ -98,9 +99,9 @@ func (pr *Probe) On(p *Plan) bool { return pr.plan == p && pr.gen == p.gen }
 // Diff compiles pr and q, two probes of one plan state, and describes
 // the first compiled field in which they differ, or returns "" when they
 // agree in all of them: members, summary annotation, size, group
-// rename, tensor rewrite, slots, re-fold programs, reorder flag and
-// dirty closure. Differential tests use it to hold carried probes to
-// freshly built ones.
+// rename, tensor rewrite and its keys, slots, re-fold programs, reorder
+// flag and dirty closure. Differential tests use it to hold carried
+// probes to freshly built ones.
 func (pr *Probe) Diff(q *Probe) string {
 	if pr.plan != q.plan || pr.gen != q.gen {
 		return "probes of different plan states"
@@ -123,15 +124,12 @@ func (pr *Probe) Diff(q *Probe) string {
 		return diff("memberIDs", pr.memberIDs, q.memberIDs)
 	case !slices.Equal(pr.affected, q.affected):
 		return diff("affected", pr.affected, q.affected)
-	case !slices.EqualFunc(pr.rews, q.rews, func(a, b probeRewritten) bool {
-		a.key, b.key = [2]int32{}, [2]int32{} // where a key sits in rewKeys
-		return a == b
-	}):
+	case !slices.Equal(pr.rews, q.rews):
 		return diff("rewrittens", pr.rews, q.rews)
+	case !bytes.Equal(pr.rewKeys, q.rewKeys):
+		return diff("rewKeys", string(pr.rewKeys), string(q.rewKeys))
 	case !slices.Equal(pr.removed, q.removed):
 		return diff("removed", pr.removed, q.removed)
-	case pr.collapses != q.collapses:
-		return diff("collapses", pr.collapses, q.collapses)
 	case pr.reorders != q.reorders:
 		return diff("reorders", pr.reorders, q.reorders)
 	case !slices.Equal(pr.slots, q.slots):

@@ -182,29 +182,6 @@ func TestTruthBlockLaneBounds(t *testing.T) {
 	}
 }
 
-func TestBitsetFillWords(t *testing.T) {
-	vals := make([]int8, 130)
-	for _, i := range []int{0, 63, 64, 101, 129} {
-		vals[i] = 1
-	}
-	want := NewBitset(130)
-	got := NewBitset(130)
-	for i := range got {
-		got[i] = ^uint64(0) // FillWords must clear trailing garbage
-	}
-	for i, v := range vals {
-		if v != 0 {
-			want.Set(int32(i))
-		}
-	}
-	got.FillWords(vals)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("word %d: FillWords %064b != Set loop %064b", i, got[i], want[i])
-		}
-	}
-}
-
 func TestScratchPoolsReuse(t *testing.T) {
 	ar := CompileArena(planFixture(AggSum))
 	bs := ar.GetBlockScratch()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -15,7 +14,9 @@ import (
 // into the flat arena (arena.go) with annotation→node and
 // annotation→tensor dependency indexes in CSR form, and a Probe
 // compiles the structural delta of one candidate merge (members ↦ fresh
-// annotation) without materializing the candidate expression.
+// annotation) without materializing the candidate expression: the
+// tensors the merge rewrites, each identified by its candidate Simplify
+// key (rewrite.go).
 //
 // Soundness rests on the homomorphism identity Eval(h(p), v') =
 // Eval(p, v'∘h): a candidate h renames only the probed members, so its
@@ -104,10 +105,9 @@ type Plan struct {
 }
 
 // probeScratch holds the buffers Probe and compileEval reuse across
-// probes of every plan: canonical forms and their child spans, the
-// rewrittens of the group being re-folded, and rewritten keys.
+// probes of every plan: the rewritten keys a probe renders before it
+// keeps a copy, and the rewrittens of the group being re-folded.
 type probeScratch struct {
-	canonScratch
 	order []int32
 	key   []byte
 }
@@ -263,15 +263,11 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 		return nil
 	}
 	rews := pr.rews
-	keys := make([]string, len(rews))
-	for i := range rews {
-		keys[i] = string(pr.appendRewKey(nil, int32(i)))
-	}
-	order := make([]int, len(rews))
+	order := make([]int32, len(rews))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
+	slices.SortFunc(order, func(i, j int32) int { return bytes.Compare(pr.rewKey(i), pr.rewKey(j)) })
 	if len(next.Tensors) != len(p.tensors)-len(pr.affected)+len(rews) {
 		return nil
 	}
@@ -294,7 +290,7 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 		}
 		nt := &next.Tensors[i]
 		key := tensorKey(nt.Prov, nt.Group)
-		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < keys[order[ri]]) {
+		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < string(pr.rewKey(order[ri]))) {
 			src := &p.tensors[tid]
 			if src.key != key || src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
 				return nil
@@ -304,7 +300,7 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 			tid++
 		} else if ri < len(order) {
 			r := &rews[order[ri]]
-			if keys[order[ri]] != key || r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
+			if string(pr.rewKey(order[ri])) != key || r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
 				return nil
 			}
 			newTensors[i] = planTensor{root: r.root, lo: r.lo, value: r.value, count: r.count, group: r.group, size: r.size}
@@ -511,11 +507,12 @@ type groupFold struct {
 }
 
 // Probe is the compiled structural delta of one candidate merge: mapping
-// Members to the fresh annotation NewAnn over the plan's expression. It
-// is read-only while it is evaluated (the lazily-built evaluation
-// program is synchronized by compileEval; MergePatch.Carry rebases it
-// only between sweeps) and safe for concurrent evaluation with
-// per-evaluator scratches.
+// Members to the fresh annotation NewAnn over the plan's expression. Its
+// eager pass (Plan.Probe) fixes the rewritten tensors and their keys;
+// the lazily-built evaluation program is synchronized by compileEval,
+// and MergePatch.Carry rebases the probe only between sweeps. It is
+// read-only while it is evaluated and safe for concurrent evaluation
+// with per-evaluator scratches.
 type Probe struct {
 	// Members are the merged (current) annotations; NewAnn the summary
 	// annotation they map to.
@@ -538,8 +535,8 @@ type Probe struct {
 	// compileEval: skip-dominated delta sweeps discard
 	// most probes after the word-level truth comparison, so only probes
 	// that are actually evaluated pay for the dirty closure and re-fold
-	// plans. The compile inputs (memberIDs, affected, rews) are retained
-	// from Probe's eager pass. A probe carried across a merge
+	// plans. The compile inputs (memberIDs, affected, rews, rewKeys) are
+	// retained from Probe's eager pass. A probe carried across a merge
 	// (MergePatch.Carry) keeps its dirty closure and the re-fold programs
 	// of the coordinates the merge left alone; foldsOK and slotsOK drop
 	// when the merge touched one of its coordinates or changed the plan's
@@ -552,9 +549,10 @@ type Probe struct {
 	memberIDs        []int32 // dense ids of the interned members
 	affected         []int32 // ascending ids of the tensors the merge rewrites
 	rews             []probeRewritten
-	// rewKeys holds the candidate keys of the rewrittens, built the first
-	// time a re-fold has to place one (rewKey). A key does not depend on
-	// the plan's other tensors, so the keys survive a carry.
+	// rewKeys holds the candidate keys of the rewrittens back to back,
+	// rendered once by the eager pass and never changed after it (rewKey).
+	// A key does not depend on the plan's other tensors, so the keys
+	// survive a carry.
 	rewKeys []byte
 
 	dirty      Bitset       // per node: lies on a path to a member occurrence
@@ -569,19 +567,19 @@ type Probe struct {
 	slots    []Annotation
 	baseSlot []int32
 
-	// collapses reports that the merge combines several tensors into one
-	// (Probe's eager pass); reorders that some re-fold lists its tensors
-	// in another order than the plan does (compileEval).
-	collapses, reorders bool
+	// reorders reports that some re-fold lists its tensors in another
+	// order than the plan does (compileEval).
+	reorders bool
 }
 
 // probeRewritten is one class of affected tensors that the merge
-// rewrites to the same tensor: the first member's span [lo, root]
-// represents the class (its renamed polynomial is every member's), and
-// value/count are combined over the class in tensor order. gid is the
-// destination group's dense id (the plan's NumAnns for NewAnn, -1 for
-// the scalar coordinate). The rename keeps the polynomial's shape, so
-// size is the representative tensor's own.
+// rewrites to the same tensor, that is to the same candidate key: the
+// first member's span [lo, root] represents the class (its renamed
+// polynomial is every member's), and value/count are combined over the
+// class in tensor order. gid is the destination group's dense id (the
+// plan's NumAnns for NewAnn, -1 for the scalar coordinate). The rename
+// keeps the polynomial's shape, so size is the representative tensor's
+// own.
 type probeRewritten struct {
 	root, lo int32
 	tid      int32 // the representative's tensor id
@@ -593,27 +591,9 @@ type probeRewritten struct {
 	key      [2]int32 // span of its candidate key in Probe.rewKeys
 }
 
-// appendRewKey appends the candidate's Simplify key of rewritten tensor
-// i, built from its representative span: tensorKey of the materialized
-// candidate tensor.
-func (pr *Probe) appendRewKey(dst []byte, i int32) []byte {
-	r := &pr.rews[i]
-	dst = pr.plan.ar.appendRenamedKey(dst, r.root, pr.memberIDs, pr.NewAnn)
-	return appendName(append(dst, '|'), r.group)
-}
-
-// rewKey returns the candidate key of rewritten tensor i. The first call
-// builds every rewritten's key into one buffer.
-func (pr *Probe) rewKey(i int32, ps *probeScratch) []byte {
-	if pr.rewKeys == nil {
-		ps.key = ps.key[:0]
-		for j := range pr.rews {
-			lo := len(ps.key)
-			ps.key = pr.appendRewKey(ps.key, int32(j))
-			pr.rews[j].key = [2]int32{int32(lo), int32(len(ps.key))}
-		}
-		pr.rewKeys = bytes.Clone(ps.key)
-	}
+// rewKey returns the candidate's Simplify key of rewritten tensor i:
+// tensorKey of the materialized candidate tensor.
+func (pr *Probe) rewKey(i int32) []byte {
 	sp := pr.rews[i].key
 	return pr.rewKeys[sp[0]:sp[1]]
 }
@@ -677,7 +657,7 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	affected = slices.Compact(affected)
 
 	// Rewrite affected tensors through the merge and re-merge them by
-	// canonical form, combining values in tensor order — the exact work
+	// candidate key, combining values in tensor order — the exact work
 	// Apply + Simplify would do, restricted to the affected tensors. The
 	// representative root evaluates a rewritten tensor's polynomial:
 	// Eval(h(q), v') = Eval(q, v'∘h), and merged duplicates share a
@@ -685,48 +665,43 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	// an unaffected one: it mentions newAnn or lands in newAnn's group.
 	fresh := int32(p.ar.NumAnns())
 	ps := probeScratchPool.Get().(*probeScratch)
-	cs := &ps.canonScratch
-	cs.enc = cs.enc[:0]
-	var encStack [16][2]int32
-	encs := encStack[:0] // canonical-form span of each rewritten tensor
+	keys := ps.key[:0]
 	rews := make([]probeRewritten, 0, len(affected))
 	size := p.size
-	collapses := false
 	for _, tid := range affected {
 		t := &p.tensors[tid]
 		gid, group := t.gid, t.group
 		if gid >= 0 && slices.Contains(memberIDs, gid) {
 			gid, group = fresh, newAnn
 		}
-		lo := int32(len(cs.enc))
-		p.ar.appendCanon(cs, t.root, memberIDs, fresh)
-		enc := cs.enc[lo:]
+		lo := len(keys)
+		keys = p.ar.appendRenamedKey(keys, t.root, memberIDs, newAnn)
+		keys = appendName(append(keys, '|'), group)
 		dup := false
 		for i := range rews {
 			r := &rews[i]
-			if r.gid == gid && r.size == t.size && slices.Equal(cs.enc[encs[i][0]:encs[i][1]], enc) {
+			if bytes.Equal(keys[r.key[0]:r.key[1]], keys[lo:]) {
 				r.value = p.agg.Agg.Combine(r.value, t.value)
 				r.count += t.count
 				size -= t.size
-				cs.enc = cs.enc[:lo]
+				keys = keys[:lo]
 				dup = true
-				collapses = true
 				break
 			}
 		}
 		if !dup {
-			encs = append(encs, [2]int32{lo, int32(len(cs.enc))})
 			rews = append(rews, probeRewritten{
 				root: t.root, lo: t.lo, tid: tid, value: t.value, count: t.count,
-				group: group, gid: gid, size: t.size,
+				group: group, gid: gid, size: t.size, key: [2]int32{int32(lo), int32(len(keys))},
 			})
 		}
 	}
+	pr.rewKeys = bytes.Clone(keys)
+	ps.key = keys
 	probeScratchPool.Put(ps)
 
 	pr.NewAnn, pr.Size, pr.RenamesGroup = newAnn, size, len(removed) > 0
 	pr.plan, pr.gen, pr.affected, pr.rews, pr.removed = p, p.gen, affected, rews, removed
-	pr.collapses = collapses
 	return pr
 }
 
@@ -838,9 +813,8 @@ func (pr *Probe) foldGroups() []groupFold {
 // planned expression's tensors by that same key, so a group's survivors
 // arrive key-ascending and only the rewrittens need placing: they are
 // sorted by key and merged in. Keys of a sound probe are distinct, and
-// they are needed only where a group holds more than one entry, and only
-// compared: survivor keys are the plan's strings, and string(b) < s does
-// not allocate.
+// they are only compared: survivor keys are the plan's strings, and
+// string(b) < s does not allocate.
 func (pr *Probe) appendFold(buf []foldEntry, f *groupFold, survivors int32, ps *probeScratch) []foldEntry {
 	p := pr.plan
 	// The plan folds a group's tensors in tensor-id order; the re-fold
@@ -858,11 +832,9 @@ func (pr *Probe) appendFold(buf []foldEntry, f *groupFold, survivors int32, ps *
 		}
 	}
 	ps.order = rs
-	if survivors+f.rews > 1 {
-		for i := 1; i < len(rs); i++ {
-			for j := i; j > 0 && bytes.Compare(pr.rewKey(rs[j], ps), pr.rewKey(rs[j-1], ps)) < 0; j-- {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			}
+	for i := 1; i < len(rs); i++ {
+		for j := i; j > 0 && bytes.Compare(pr.rewKey(rs[j]), pr.rewKey(rs[j-1])) < 0; j-- {
+			rs[j], rs[j-1] = rs[j-1], rs[j]
 		}
 	}
 	ri := 0
@@ -876,7 +848,7 @@ func (pr *Probe) appendFold(buf []foldEntry, f *groupFold, survivors int32, ps *
 				continue
 			}
 			t := &p.tensors[tid]
-			for ; ri < len(rs) && string(pr.rewKey(rs[ri], ps)) < t.key; ri++ {
+			for ; ri < len(rs) && string(pr.rewKey(rs[ri])) < t.key; ri++ {
 				buf = append(buf, pr.rewEntry(rs[ri]))
 				place(pr.rews[rs[ri]].tid)
 			}
@@ -964,5 +936,5 @@ func (pr *Probe) Slots() []Annotation {
 // unchanged truths, so a delta sweep must evaluate it on every lane.
 func (pr *Probe) Reorders() bool {
 	pr.compileEval()
-	return pr.collapses || pr.reorders
+	return len(pr.rews) < len(pr.affected) || pr.reorders
 }

@@ -92,7 +92,7 @@ func checkProbeAgainstApply(t *testing.T, cur *Agg, ms []Annotation, newAnn Anno
 			t.Fatalf("%v over %v: rewritten %d = (root %d, %v, %d), want (root %d, %v, %d)",
 				ms, cur, i, r.root, r.value, r.count, plan.tensors[o.tids[0]].root, o.value, o.count)
 		}
-		if k := string(pr.appendRewKey(nil, int32(i))); k != o.key {
+		if k := string(pr.rewKey(int32(i))); k != o.key {
 			t.Fatalf("%v over %v: rewritten key %q, want %q", ms, cur, k, o.key)
 		}
 		wantCollapsed = append(wantCollapsed, o.tids[1:]...)

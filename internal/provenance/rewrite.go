@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"math"
 	"slices"
 	"strconv"
 )
@@ -12,105 +11,10 @@ import (
 // fresh annotation. Renaming a variable creates no constant and no
 // nesting, so Simplify(MapAnn(q)) keeps q's shape and size and only
 // reorders children. The rewrite therefore never builds an Expr: it
-// reads a tensor's arena span with member ids mapped to one fresh id,
-// compares tensors by a canonical token form of that span, and builds
-// the Simplify key string straight from the span when a caller needs
-// the candidate's tensor order.
-
-// canonScratch holds the buffers of canonical-form encoding. Child
-// spans are a stack shared by the recursion.
-type canonScratch struct {
-	enc   []uint64
-	spans [][2]int32
-}
-
-// canonTok packs a node kind and a 32-bit payload into one token.
-func canonTok(kind nodeKind, payload uint32) uint64 {
-	return uint64(kind)<<32 | uint64(payload)
-}
-
-// canonFloat maps a guard float to bits that are equal exactly when the
-// %g renderings in Key are: every NaN prints "NaN", and -0 prints "-0".
-func canonFloat(f float64) uint64 {
-	if f != f {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
-}
-
-// canonOp maps a guard operator to a value that is equal exactly when
-// the operators' Key renderings are: every unknown operator prints "?".
-func canonOp(op CmpOp) uint32 {
-	if op < OpGT || op > OpNE {
-		return uint32(OpNE) + 1
-	}
-	return uint32(op)
-}
-
-// renamed returns the annotation id a Var node reads after the merge:
-// fresh for a member occurrence, its own id otherwise.
-func renamed(ann int32, members []int32, fresh int32) int32 {
-	if slices.Contains(members, ann) {
-		return fresh
-	}
-	return ann
-}
-
-// appendCanon appends the canonical form of the subtree rooted at id,
-// with member variables renamed to fresh, to cs.enc. The form is a
-// prefix-free token sequence — Var(id), Const(n), Cmp(op, value, bound,
-// inner), Sum/Prod(arity, children) — with each node's children sorted
-// by their own canonical forms. Two normal-form subtrees get equal forms
-// exactly when they are equal up to child order, which is exactly when
-// their Simplify keys are equal.
-func (a *Arena) appendCanon(cs *canonScratch, id int32, members []int32, fresh int32) {
-	switch a.kind[id] {
-	case nodeVar:
-		cs.enc = append(cs.enc, canonTok(nodeVar, uint32(renamed(a.ann[id], members, fresh))))
-		return
-	case nodeConst:
-		cs.enc = append(cs.enc, canonTok(nodeConst, uint32(a.constN[id])))
-		return
-	case nodeCmp:
-		cs.enc = append(cs.enc, canonTok(nodeCmp, canonOp(a.op[id])), canonFloat(a.value[id]), canonFloat(a.bound[id]))
-		a.appendCanon(cs, a.kids[a.kidOff[id]], members, fresh)
-		return
-	}
-	kids := a.kids[a.kidOff[id]:a.kidOff[id+1]]
-	cs.enc = append(cs.enc, canonTok(a.kind[id], uint32(len(kids))))
-	start := len(cs.enc)
-	leaves := true
-	for _, k := range kids {
-		if a.kind[k] != nodeVar && a.kind[k] != nodeConst {
-			leaves = false
-			break
-		}
-	}
-	if leaves {
-		// One token per child: sorting the tokens sorts the children.
-		for _, k := range kids {
-			a.appendCanon(cs, k, members, fresh)
-		}
-		slices.Sort(cs.enc[start:])
-		return
-	}
-	base := len(cs.spans)
-	for _, k := range kids {
-		lo := int32(len(cs.enc))
-		a.appendCanon(cs, k, members, fresh)
-		cs.spans = append(cs.spans, [2]int32{lo, int32(len(cs.enc))})
-	}
-	enc, spans := cs.enc, cs.spans[base:]
-	slices.SortFunc(spans, func(x, y [2]int32) int {
-		return slices.Compare(enc[x[0]:x[1]], enc[y[0]:y[1]])
-	})
-	mid := len(cs.enc)
-	for _, sp := range spans {
-		cs.enc = append(cs.enc, cs.enc[sp[0]:sp[1]]...)
-	}
-	cs.enc = cs.enc[:start+copy(cs.enc[start:], cs.enc[mid:])]
-	cs.spans = cs.spans[:base]
-}
+// renders the Simplify key of a tensor's renamed polynomial straight
+// from its arena span, and since Key is injective, that key is the
+// rewritten tensor's whole identity — Probe dedupes by it and
+// ApplyMerge and the re-folds order by it.
 
 // appendRenamedKey appends the Simplify key of the subtree rooted at id
 // with member variables renamed to newAnn: byte for byte
