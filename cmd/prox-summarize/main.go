@@ -12,11 +12,9 @@
 //	               [-save bundle.json] [-load bundle.json] [-json out.json]
 //	               [-extend-from summary.json] [-trace steps.jsonl]
 //
-// Candidates are scored by the incremental delta engine when the
-// expression can be planned, and by the materialized batch sweep
-// otherwise (negative constants built in process, plans the engine
-// refuses); the input alone decides, and both choose bit-identical
-// summaries.
+// Candidates are scored by the incremental delta engine, the one scorer
+// of every input the program accepts; an input it cannot plan is
+// refused with an error naming why.
 //
 // With -trace, every merge step of Algorithm 1 is appended to the given
 // file as one JSON object per line (score, distance, size ratio,

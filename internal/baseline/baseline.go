@@ -66,13 +66,22 @@ func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, 
 	origAnns := p0.Annotations()
 	origSize := p0.Size()
 
-	distOf := func(e provenance.Expression, m provenance.Mapping) float64 {
-		return cfg.Estimator.Distance(p0, e, m, provenance.GroupsOf(origAnns, m))
+	// Distance scores only expressions the estimator plans; CheckPlan
+	// refuses the others with the reason (its plan is the one Distance
+	// then sweeps).
+	distOf := func(e provenance.Expression, m provenance.Mapping) (float64, error) {
+		if err := cfg.Estimator.CheckPlan(p0, e, ""); err != nil {
+			return 0, fmt.Errorf("baseline: %w", err)
+		}
+		return cfg.Estimator.Distance(p0, e, m, provenance.GroupsOf(origAnns, m)), nil
 	}
 
 	curDist := 0.0
 	if origSize > 0 {
-		curDist = distOf(cur, cum)
+		var err error
+		if curDist, err = distOf(cur, cum); err != nil {
+			return nil, err
+		}
 	}
 	prev, prevCum, prevDist := cur, cum, curDist
 	steps := 0
@@ -100,7 +109,10 @@ func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, 
 		prev, prevCum, prevDist = cur, cum, curDist
 		cum = cum.Compose(step)
 		cur = cur.Apply(step)
-		curDist = distOf(cur, cum)
+		var err error
+		if curDist, err = distOf(cur, cum); err != nil {
+			return nil, err
+		}
 		res.Steps = append(res.Steps, core.Step{
 			A: a, B: b, New: newAnn, Dist: curDist, Size: cur.Size(),
 		})

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -218,5 +219,31 @@ func TestClusteringAdapterSkipsDegenerate(t *testing.T) {
 func TestClusteringValidation(t *testing.T) {
 	if _, err := NewClustering(Config{}); err == nil {
 		t.Fatal("empty config must fail")
+	}
+}
+
+// TestRefusesUnplannableInput: the baselines score with the estimator's
+// one path, so an input it cannot plan (here a negative constant) is
+// refused with its *distance.PlanError instead of being scored.
+func TestRefusesUnplannableInput(t *testing.T) {
+	_, u, users := fixture()
+	neg := provenance.NewAgg(provenance.AggSum,
+		provenance.Tensor{Prov: provenance.Sum{Terms: []provenance.Expr{provenance.V("U1"), provenance.Const{N: -1}}}, Value: 3, Count: 1, Group: "MP"},
+		provenance.Tensor{Prov: provenance.V("U2"), Value: 5, Count: 1, Group: "MP"},
+	)
+	r, err := NewRandom(fixtureConfig(u, users), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *distance.PlanError
+	if _, err := r.Summarize(neg); !errors.As(err, &pe) {
+		t.Fatalf("Random.Summarize err = %v, want a *distance.PlanError", err)
+	}
+	c, err := NewClustering(fixtureConfig(u, users))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Summarize(neg, nil); !errors.As(err, &pe) {
+		t.Fatalf("Clustering.Summarize err = %v, want a *distance.PlanError", err)
 	}
 }

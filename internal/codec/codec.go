@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -114,10 +115,12 @@ func decodeExpr(j exprJSON) (provenance.Expr, error) {
 	}
 	switch {
 	case j.Var != "":
-		return provenance.Var{Ann: provenance.Annotation(j.Var)}, nil
+		a, err := decodeName(j.Var)
+		return provenance.Var{Ann: a}, err
 	case j.Const != nil:
-		if *j.Const < 0 {
-			return nil, fmt.Errorf("codec: polynomial constants must be naturals, got %d", *j.Const)
+		// The compiled arena holds constants as int32.
+		if *j.Const < 0 || *j.Const > math.MaxInt32 {
+			return nil, fmt.Errorf("codec: polynomial constants must be naturals below 2^31, got %d", *j.Const)
 		}
 		return provenance.Const{N: *j.Const}, nil
 	case j.Sum != nil:
@@ -151,6 +154,15 @@ func decodeExpr(j exprJSON) (provenance.Expr, error) {
 		}
 		return provenance.Cmp{Inner: inner, Value: j.Cmp.Value, Op: op, Bound: j.Cmp.Bound}, nil
 	}
+}
+
+// decodeName returns s as an annotation, refusing the reserved ones
+// (provenance.Reserved).
+func decodeName(s string) (provenance.Annotation, error) {
+	if a := provenance.Annotation(s); !provenance.Reserved(a) {
+		return a, nil
+	}
+	return "", fmt.Errorf("codec: annotation %q is reserved (it begins with 0x00)", s)
 }
 
 type tensorJSON struct {
@@ -245,12 +257,19 @@ func decodeAgg(j *aggJSON) (*provenance.Agg, error) {
 		if err != nil {
 			return nil, err
 		}
-		tensors[i] = provenance.Tensor{
-			Prov: p, Value: t.Value, Count: t.Count,
-			Group: provenance.Annotation(t.Group),
+		group, err := decodeName(t.Group)
+		if err != nil {
+			return nil, err
 		}
+		tensors[i] = provenance.Tensor{Prov: p, Value: t.Value, Count: t.Count, Group: group}
 	}
-	return provenance.NewAgg(kind, tensors...), nil
+	g := provenance.NewAgg(kind, tensors...)
+	// Simplify folds constants (2·3 into 6); the compiled arena the
+	// scorer runs on holds int32 ones.
+	if provenance.CompileArena(g) == nil {
+		return nil, fmt.Errorf("codec: a polynomial folds to a constant outside int32")
+	}
+	return g, nil
 }
 
 // Save writes the bundle as JSON.
@@ -335,11 +354,11 @@ func Load(r io.Reader) (*Bundle, error) {
 		for i, row := range in.DDP.Execs {
 			ex := make(ddp.Execution, len(row))
 			for j, t := range row {
-				ex[j] = ddp.Transition{
-					CostVar: provenance.Annotation(t.CostVar), Cost: t.Cost,
-					D1: provenance.Annotation(t.D1), D2: provenance.Annotation(t.D2),
-					NonZero: t.NonZero,
+				tr, err := decodeTransition(t)
+				if err != nil {
+					return nil, err
 				}
+				ex[j] = tr
 			}
 			execs[i] = ex
 		}
@@ -369,6 +388,24 @@ func Load(r io.Reader) (*Bundle, error) {
 		b.Taxonomy = t
 	}
 	return b, nil
+}
+
+// decodeTransition checks one DDP transition: names not reserved, and a
+// user transition's cost finite and non-negative.
+func decodeTransition(t transitionJSON) (ddp.Transition, error) {
+	var names [3]provenance.Annotation
+	for i, s := range []string{t.CostVar, t.D1, t.D2} {
+		a, err := decodeName(s)
+		if err != nil {
+			return ddp.Transition{}, err
+		}
+		names[i] = a
+	}
+	tr := ddp.Transition{CostVar: names[0], Cost: t.Cost, D1: names[1], D2: names[2], NonZero: t.NonZero}
+	if tr.IsUser() && !ddp.ValidCost(tr.Cost) {
+		return ddp.Transition{}, fmt.Errorf("codec: DDP cost %v of %q is negative or not finite", tr.Cost, tr.CostVar)
+	}
+	return tr, nil
 }
 
 // summaryJSON is the export shape of a summarization result.

@@ -144,6 +144,24 @@ func TestBundleValidation(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"sum":[{"var":"a"},{"const":-1}]},"value":2,"count":1,"group":"g"}]}}`)); err == nil {
 		t.Fatal("negative polynomial constant must fail")
 	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"prod":[{"var":"a"},{"const":2147483648}]},"value":2,"count":1,"group":"g"}]}}`)); err == nil {
+		t.Fatal("polynomial constant outside int32 must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"prod":[{"var":"a"},{"const":65536},{"const":65536}]},"value":2,"count":1,"group":"g"}]}}`)); err == nil {
+		t.Fatal("polynomial folding to a constant outside int32 must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"var":"\u0000probe"},"value":2,"count":1,"group":"g"}]}}`)); err == nil {
+		t.Fatal("reserved annotation must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"var":"a"},"value":2,"count":1,"group":"\u00000"}]}}`)); err == nil {
+		t.Fatal("reserved group must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"ddp":{"executions":[[{"costVar":"c1","cost":-1}]]}}`)); err == nil {
+		t.Fatal("negative DDP cost must fail")
+	}
+	if _, err := Load(strings.NewReader(`{"version":1,"ddp":{"executions":[[{"d1":"d","d2":"\u00001","nonZero":true}]]}}`)); err == nil {
+		t.Fatal("reserved DDP variable must fail")
+	}
 	if _, err := Load(strings.NewReader(`{"version":1,"agg":{"agg":"SUM","tensors":[{"prov":{"cmp":{"inner":{"var":"a"},"value":-2,"op":"<","bound":-1}},"value":-3,"count":1,"group":"g"}]}}`)); err != nil {
 		t.Fatalf("negative guard values and tensor values must load: %v", err)
 	}

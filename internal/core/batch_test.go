@@ -182,7 +182,7 @@ func TestCohortMatchesCandidateMajorScoring(t *testing.T) {
 }
 
 // TestParallelSamplingDeterministic pins the acceptance criterion for
-// common random numbers: with Samples > 0 the batched scorer draws one
+// common random numbers: with Samples > 0 the cohort sweep draws one
 // shared sample set per step before any candidate work, so the same seed
 // yields byte-identical summaries at any Parallelism.
 func TestParallelSamplingDeterministic(t *testing.T) {

@@ -10,29 +10,41 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/distance"
 	"repro/internal/randx"
 )
 
 // scoringRow is one row of the checkpoint and warm-start matrices. The
 // row names predate the single scoring engine and are kept: "seq" rows
-// score on one worker, "delta" rows on four, and "batch" rows summarize
-// MovieLens with a negative constant (negMovieLens), whose every cohort
-// the DistanceBatch fallback scores. sampled additionally turns on Monte-Carlo sampling
-// and candidate capping, so both random streams are exercised.
+// score on one worker, "delta" rows on four, and "batch" rows take
+// MovieLens with a negative constant (negMovieLens), which the
+// estimator cannot plan: every run on it, fresh, resumed or extended,
+// must be refused with a *distance.PlanError. sampled additionally
+// turns on Monte-Carlo sampling and candidate capping, so both random
+// streams are exercised.
 type scoringRow struct {
-	name     string
-	workers  int
-	fallback bool
-	sampled  bool
+	name    string
+	workers int
+	refused bool
+	sampled bool
 }
 
 var scoringRows = []scoringRow{
 	{name: "seq", workers: 1},
-	{name: "batch", workers: 1, fallback: true},
+	{name: "batch", workers: 1, refused: true},
 	{name: "delta", workers: 4},
 	{name: "seq-sampled", workers: 1, sampled: true},
-	{name: "batch-sampled", workers: 1, fallback: true, sampled: true},
+	{name: "batch-sampled", workers: 1, refused: true, sampled: true},
 	{name: "delta-sampled", workers: 4, sampled: true},
+}
+
+// checkRefused fails unless err is the estimator's refusal of the input.
+func checkRefused(t *testing.T, err error) {
+	t.Helper()
+	var pe *distance.PlanError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *distance.PlanError", err)
+	}
 }
 
 // checkpointConfig builds a fresh workload + summarizer config for one
@@ -40,7 +52,7 @@ var scoringRows = []scoringRow{
 func checkpointConfig(t *testing.T, row scoringRow) (*datasets.Workload, core.Config) {
 	t.Helper()
 	w := movieLens(t)
-	if row.fallback {
+	if row.refused {
 		w = negMovieLens(t)
 	}
 	est := w.Estimator(datasets.CancelSingleAnnotation)
@@ -62,17 +74,21 @@ func checkpointConfig(t *testing.T, row scoringRow) (*datasets.Workload, core.Co
 }
 
 // TestResumeDeterminismMatrix is the acceptance criterion for the
-// checkpoint layer: for each row (one scoring worker, four, and the
-// DistanceBatch fallback), a run checkpointed after every step and
-// resumed from each snapshot — in a fresh workload, config and
-// summarizer, as after a process restart — produces a byte-identical
-// summary to the uninterrupted run.
+// checkpoint layer: for each row (one scoring worker, four), a run
+// checkpointed after every step and resumed from each snapshot — in a
+// fresh workload, config and summarizer, as after a process restart —
+// produces a byte-identical summary to the uninterrupted run. A refused
+// row's input is refused fresh and when resuming each snapshot of the
+// matching plannable run, after its trace replays, and nothing is
+// journaled.
 func TestResumeDeterminismMatrix(t *testing.T) {
 	for _, tc := range scoringRows {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted run, collecting a checkpoint after every step.
 			var cps []core.Checkpoint
-			w, cfg := checkpointConfig(t, tc)
+			plain := tc
+			plain.refused = false
+			w, cfg := checkpointConfig(t, plain)
 			cfg.CheckpointEvery = 1
 			cfg.CheckpointSink = func(cp core.Checkpoint) error {
 				cps = append(cps, cp)
@@ -87,25 +103,48 @@ func TestResumeDeterminismMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := mlSummaryKey(t, sum)
+			journaled := 0
+			sink := func(core.Checkpoint) error {
+				journaled++
+				return nil
+			}
+			if tc.refused {
+				w2, cfg2 := checkpointConfig(t, tc)
+				cfg2.CheckpointSink = sink
+				s2, err := core.New(cfg2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = s2.Summarize(w2.Prov)
+				checkRefused(t, err)
+			}
 			if len(cps) < 3 {
 				t.Fatalf("only %d checkpoints emitted", len(cps))
 			}
 			if cps[0].Step != 0 {
 				t.Fatalf("first checkpoint at step %d, want 0 (pre-first-merge snapshot)", cps[0].Step)
 			}
-			if st := cfg.Estimator.Stats(); tc.fallback != (st.DeltaCalls == 0) {
-				t.Fatalf("fallback=%v but the run made %d delta and %d batch calls", tc.fallback, st.DeltaCalls, st.BatchCalls)
+			if st := cfg.Estimator.Stats(); st.DeltaCalls == 0 {
+				t.Fatal("the run made no delta calls")
 			}
 
 			for _, cp := range cps {
 				cp := cp
 				t.Run(fmt.Sprintf("resume-at-%d", cp.Step), func(t *testing.T) {
 					w2, cfg2 := checkpointConfig(t, tc)
+					cfg2.CheckpointSink = sink
 					s2, err := core.New(cfg2)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sum2, err := s2.Resume(context.Background(), w2.Prov, &cp)
+					if tc.refused {
+						checkRefused(t, err)
+						if journaled != 0 {
+							t.Fatalf("a refused run journaled %d checkpoints", journaled)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}

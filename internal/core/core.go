@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/constraints"
@@ -277,6 +276,21 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		cur, cum = s.groupEquivalent(cur, cum)
 	}
 
+	var st restoredState
+	if cp != nil {
+		var err error
+		if st, err = s.restore(cp, cur, cum, res); err != nil {
+			return nil, err
+		}
+		cur, cum = st.cur, st.cum
+	}
+	// Every cohort of the run is delta-scored, so an expression the
+	// estimator cannot plan is refused before any work is journaled.
+	// The check compiles the plan the run's first scoring reuses.
+	if err := cfg.Estimator.CheckPlan(p0, cur, probeAnn); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+
 	// prev tracks the state before the latest merge, for the post-loop
 	// TARGET-DIST rollback (lines 11–13 of Algorithm 1). A checkpoint
 	// restore rebuilds it from the recorded trace.
@@ -290,11 +304,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 			return nil, err
 		}
 	} else {
-		st, err := s.restore(cp, cur, cum, res)
-		if err != nil {
-			return nil, err
-		}
-		cur, cum, curDist = st.cur, st.cum, st.curDist
+		curDist = st.curDist
 		prev, prevCum, prevDist = st.prev, st.prevCum, st.prevDist
 		initDist = cp.InitDist
 		// The step budget counts this run's own merges; a seeded prior
@@ -344,7 +354,10 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		if cfg.StepObserver != nil {
 			before = cfg.Estimator.Stats()
 		}
-		best, ok := s.bestCandidate(p0, cur, cum, origAnns, origSize, carry, res)
+		best, ok, err := s.bestCandidate(p0, cur, cum, origAnns, origSize, carry, res)
+		if err != nil {
+			return nil, fmt.Errorf("core: step %d: %w", steps+1, err)
+		}
 		if !ok {
 			res.StopReason = "no-candidates"
 			break
@@ -431,13 +444,14 @@ const probeAnn provenance.Annotation = "\x00probe"
 // candidate, breaking ties by taxonomy distance when available. The
 // pair list and the probes come from carry when the previous step's
 // merge left them valid, and the committed merge is recorded in it.
-func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool) {
+// err is the scorer's refusal of a cohort.
+func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
 	cfg := s.cfg
 	carry.flush(cfg.Policy, cfg.Estimator)
 	anns := cur.Annotations()
 	pairs := carry.pairs.forAnns(cfg.Policy, anns)
 	if len(pairs) == 0 {
-		return candidate{}, false
+		return candidate{}, false, nil
 	}
 	if cfg.CandidateCap > 0 && len(pairs) > cfg.CandidateCap {
 		// Shuffle a copy: the carried list keeps enumeration order.
@@ -451,7 +465,10 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		members[i] = []provenance.Annotation{pr[0], pr[1]}
 	}
 	base := provenance.GroupsOf(origAnns, cum)
-	cands := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
+	cands, err := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
+	if err != nil {
+		return candidate{}, false, err
+	}
 
 	var best candidate
 	var ties []candidate
@@ -467,43 +484,33 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		}
 	}
 	if !found {
-		return candidate{}, false
+		return candidate{}, false, nil
 	}
 	if len(ties) > 0 && cfg.Policy.Tax != nil {
 		best = s.breakTies(append(ties, best))
 	}
 	if cfg.MergeArity > 2 {
-		best = s.growCandidate(p0, cur, cum, base, origSize, anns, best, carry, res)
+		if best, err = s.growCandidate(p0, cur, cum, base, origSize, anns, best, carry, res); err != nil {
+			return candidate{}, false, err
+		}
 	}
-	return s.commitCandidate(cur, cum, best, carry), true
+	return s.commitCandidate(cur, cum, best, carry), true, nil
 }
 
-// probeCohort scores one cohort of candidate member sets. The scorer is
-// chosen by the input: a plannable current expression goes through the
-// incremental delta engine (Estimator.DistanceDelta), which probes every
-// merge against the shared current expression without materializing
-// candidates; anything else — negative constants built in process,
-// reserved annotations, probes or DDP plans the engine refuses — falls
-// back to materialized batch scoring, the reference tree walk. Both
-// produce bit-identical candidates.
-func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) []candidate {
-	if cands, ok := s.probeDelta(p0, cur, cum, base, origSize, members, carry, res); ok {
-		return cands
-	}
-	return s.probeBatch(p0, cur, cum, base, origSize, members, res)
-}
-
-// probeDelta scores a cohort through the delta engine. The returned
-// candidates carry no expression or cumulative mapping — only the winner
-// is materialized, by commitCandidate. ok is false when the estimator
-// cannot plan the current expression (the caller falls back to
-// probeBatch).
-func (s *Summarizer) probeDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) ([]candidate, bool) {
+// probeCohort scores one cohort of candidate member sets through the
+// delta engine (Estimator.DistanceDelta), which probes every merge
+// against the shared current expression without materializing
+// candidates. The returned candidates carry no expression or cumulative
+// mapping — only the winner is materialized, by commitCandidate. run
+// checked that the estimator plans the input (Estimator.CheckPlan); a
+// refusal here (err) fails the run instead of leaving a cohort
+// unscored.
+func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) ([]candidate, error) {
 	cfg := s.cfg
 	t0 := time.Now()
-	dists, sizes, ok := cfg.Estimator.DistanceDelta(p0, cur, cum, base, members, probeAnn, &carry.probes)
-	if !ok {
-		return nil, false
+	dists, sizes, err := cfg.Estimator.DistanceDelta(p0, cur, cum, base, members, probeAnn, &carry.probes)
+	if err != nil {
+		return nil, err
 	}
 	cands := make([]candidate, len(members))
 	for i, ms := range members {
@@ -512,70 +519,14 @@ func (s *Summarizer) probeDelta(p0, cur provenance.Expression, cum provenance.Ma
 	}
 	res.CandidateTime += time.Since(t0)
 	res.CandidatesEvaluated += len(members)
-	return cands, true
-}
-
-// probeBatch scores one cohort of candidate member sets through the
-// valuation-major batch API. base is the step's inverse view
-// (GroupsOf(origAnns, cum)), computed once by the caller; each
-// candidate's groups are patched from it so that unchanged groups share
-// member-slice identity, which lets DistanceBatch reuse their φ-combined
-// truths across the whole cohort.
-func (s *Summarizer) probeBatch(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) []candidate {
-	cfg := s.cfg
-	t0 := time.Now()
-	cands := make([]candidate, len(members))
-	batch := make([]distance.BatchCandidate, len(members))
-	for i, ms := range members {
-		step := provenance.MergeMapping(probeAnn, ms...)
-		nextCum := cum.Compose(step)
-		next := cur.Apply(step)
-		cands[i] = candidate{members: ms, expr: next, cum: nextCum}
-		batch[i] = distance.BatchCandidate{Expr: next, Cumulative: nextCum, Groups: probeGroups(base, ms)}
-	}
-	dists := cfg.Estimator.DistanceBatch(p0, batch)
-	for i := range cands {
-		rSize := float64(cands[i].expr.Size()) / float64(origSize)
-		cands[i].dist = dists[i]
-		cands[i].score = cfg.WDist*dists[i] + cfg.WSize*rSize
-	}
-	res.CandidateTime += time.Since(t0)
-	res.CandidatesEvaluated += len(members)
-	return cands
-}
-
-// probeGroups derives a candidate's inverse view from the step's base
-// groups without re-inverting the cumulative mapping: unchanged groups
-// share the base's member slices and only the probed merge's group is
-// built fresh (the union of its members' base groups, sorted).
-func probeGroups(base provenance.Groups, members []provenance.Annotation) provenance.Groups {
-	g := make(provenance.Groups, len(base))
-	for name, ms := range base {
-		g[name] = ms
-	}
-	n := 0
-	for _, m := range members {
-		if ms, ok := base[m]; ok && len(ms) > 0 {
-			n += len(ms)
-		} else {
-			n++
-		}
-	}
-	merged := make([]provenance.Annotation, 0, n)
-	for _, m := range members {
-		merged = append(merged, base.Members(m)...)
-		delete(g, m)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	g[probeAnn] = merged
-	return g
+	return cands, nil
 }
 
 // growCandidate extends the winning pair towards MergeArity members: at
 // each growth step the constraint-compatible annotation whose absorption
 // yields the lowest candidate score joins the group. Each growth round is
 // one candidate cohort, scored with a single cohort sweep.
-func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, carry *stepCarry, res *Summary) candidate {
+func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, carry *stepCarry, res *Summary) (candidate, error) {
 	for len(best.members) < s.cfg.MergeArity {
 		var members [][]provenance.Annotation
 		for _, a := range anns {
@@ -584,9 +535,13 @@ func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance
 			}
 			members = append(members, append(append([]provenance.Annotation(nil), best.members...), a))
 		}
+		cands, err := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
+		if err != nil {
+			return candidate{}, err
+		}
 		var grown candidate
 		found := false
-		for _, cand := range s.probeCohort(p0, cur, cum, base, origSize, members, carry, res) {
+		for _, cand := range cands {
 			if !found || cand.score < grown.score-1e-12 {
 				grown = cand
 				found = true
@@ -597,7 +552,7 @@ func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance
 		}
 		best = grown
 	}
-	return best
+	return best, nil
 }
 
 func (s *Summarizer) compatibleWithAll(a provenance.Annotation, members []provenance.Annotation) bool {

@@ -20,7 +20,7 @@ import (
 // enumeration and with Monte-Carlo sampling alike. Extend delegates to
 // the from-scratch path when the seed trace is empty, so any divergence
 // here means the delegation (or the singleton filtering in SeedSteps)
-// broke.
+// broke. On a refused row both must refuse the input.
 func TestExtendEmptyPriorMatchesSummarize(t *testing.T) {
 	for _, tc := range scoringRows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,6 +35,10 @@ func TestExtendEmptyPriorMatchesSummarize(t *testing.T) {
 					sum, err = s.Extend(context.Background(), w.Prov, prior)
 				} else {
 					sum, err = s.Summarize(w.Prov)
+				}
+				if tc.refused {
+					checkRefused(t, err)
+					return ""
 				}
 				if err != nil {
 					t.Fatal(err)

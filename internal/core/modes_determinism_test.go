@@ -57,8 +57,8 @@ func titledMovieLens(t *testing.T) *datasets.Workload {
 
 // negMovieLens is movieLens plus one tensor whose polynomial holds the
 // constant -1, built in process since parse and codec refuse it. The
-// blocked kernel refuses its arena, so every cohort is scored by the
-// DistanceBatch fallback.
+// blocked kernel refuses its arena, so the estimator cannot plan it and
+// the summarizer refuses it.
 func negMovieLens(t *testing.T) *datasets.Workload {
 	t.Helper()
 	w := movieLens(t)
@@ -126,8 +126,8 @@ func runMovieLens(t *testing.T, workers, samples, steps int, with ...func(*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := est.Stats(); st.DeltaCalls == 0 || st.DeltaSkips == 0 || st.BatchCalls != 0 {
-		t.Fatalf("run left the delta engine: DeltaCalls=%d DeltaSkips=%d BatchCalls=%d", st.DeltaCalls, st.DeltaSkips, st.BatchCalls)
+	if st := est.Stats(); st.DeltaCalls == 0 || st.DeltaSkips == 0 {
+		t.Fatalf("run did not delta-score: DeltaCalls=%d DeltaSkips=%d", st.DeltaCalls, st.DeltaSkips)
 	}
 	return mlSummaryKey(t, sum)
 }
@@ -204,9 +204,9 @@ func ddpWorkload(t *testing.T) *datasets.Workload {
 }
 
 // runDDP summarizes (or, with prior groups, extends) the seeded DDP
-// workload and returns the summary key. Every cohort must be scored on
-// the DDP block plan: no DistanceBatch fallback at all. Each of with is
-// applied to the summarizer before the run.
+// workload and returns the summary key. Every cohort is scored on the
+// DDP block plan. Each of with is applied to the summarizer before the
+// run.
 func runDDP(t *testing.T, workers, samples int, prior provenance.Groups, with ...func(*core.Summarizer)) string {
 	t.Helper()
 	w := ddpWorkload(t)
@@ -238,8 +238,8 @@ func runDDP(t *testing.T, workers, samples int, prior provenance.Groups, with ..
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := est.Stats(); st.BatchCalls != 0 || st.DeltaCalls == 0 || st.DeltaSkips == 0 {
-		t.Fatalf("DDP run fell back to batch scoring: BatchCalls=%d DeltaCalls=%d DeltaSkips=%d", st.BatchCalls, st.DeltaCalls, st.DeltaSkips)
+	if st := est.Stats(); st.DeltaCalls == 0 || st.DeltaSkips == 0 {
+		t.Fatalf("DDP run did not delta-score: DeltaCalls=%d DeltaSkips=%d", st.DeltaCalls, st.DeltaSkips)
 	}
 	return mlSummaryKey(t, sum)
 }
@@ -248,8 +248,7 @@ func runDDP(t *testing.T, workers, samples int, prior provenance.Groups, with ..
 // seeded DDP workload summarized on its tropical block plan, in
 // enumeration and in sampling mode, and an Extend run warm-started from
 // a prior summary's groups (both modes), each at Parallelism 1 and 4,
-// must reproduce the pinned summaries. No run may fall back to
-// DistanceBatch.
+// must reproduce the pinned summaries.
 func TestDDPScoringModesIdentical(t *testing.T) {
 	prior := ddpPrior(t)
 	for _, row := range []struct {

@@ -23,6 +23,7 @@ package ddp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -107,7 +108,9 @@ func (e Execution) String() string {
 // idempotent (AND): only the first occurrence stays in slim, a fresh
 // slice in transition order. Duplicate user transitions accumulate cost
 // and are kept. The key is the sorted transition keys joined by "*"
-// (transitions commute), so congruent executions share it.
+// (transitions commute), so congruent executions share it; names
+// holding ':' or '*' can make distinct executions share it too, which
+// Simplify tells apart by exactKey.
 func (e Execution) canonical() (slim Execution, key string) {
 	// All transition keys render into one buffer; spans index them.
 	// Executions hold a handful of transitions, so both live on the
@@ -117,18 +120,15 @@ func (e Execution) canonical() (slim Execution, key string) {
 	buf, spans := bufArr[:0], spanArr[:0]
 	slim = make(Execution, 0, len(e))
 	for _, t := range e {
-		start := len(buf)
-		buf = t.appendKey(buf)
-		// A condition key never equals a user key ("d:" vs "u:"
-		// prefixes), so scanning every kept key finds exactly the
-		// duplicate conditions; for a handful of transitions the scan
-		// beats hashing.
-		if !t.IsUser() && slices.ContainsFunc(spans, func(sp [2]int) bool {
-			return bytes.Equal(buf[sp[0]:sp[1]], buf[start:])
+		// For a handful of transitions the scan beats hashing.
+		if !t.IsUser() && slices.ContainsFunc(slim, func(u Transition) bool {
+			return !u.IsUser() && u.NonZero == t.NonZero &&
+				(u.D1 == t.D1 && u.D2 == t.D2 || u.D1 == t.D2 && u.D2 == t.D1)
 		}) {
-			buf = buf[:start]
 			continue
 		}
+		start := len(buf)
+		buf = t.appendKey(buf)
 		spans = append(spans, [2]int{start, len(buf)})
 		slim = append(slim, t)
 	}
@@ -144,6 +144,22 @@ func (e Execution) canonical() (slim Execution, key string) {
 		out = append(out, buf[sp[0]:sp[1]]...)
 	}
 	return slim, string(out)
+}
+
+// exactKey renders a canonical execution injectively — each transition
+// with its names length-prefixed and its cost as bits, sorted — so two
+// executions share it exactly when they are congruent.
+func (e Execution) exactKey() string {
+	keys := make([]string, len(e))
+	for i, t := range e {
+		kind, a, b := "d", min(t.D1, t.D2), max(t.D1, t.D2)
+		if t.IsUser() {
+			kind, a, b = "u", t.CostVar, ""
+		}
+		keys[i] = fmt.Sprintf("%s%d:%s%d:%s%x:%t", kind, len(a), a, len(b), b, math.Float64bits(t.Cost), t.NonZero)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "*")
 }
 
 // CostTruth is the value of a DDP expression under a valuation: the least
@@ -188,8 +204,10 @@ func (e *Expr) Penalty() float64 { return e.MaxCost * float64(e.MaxTransitions) 
 
 // Simplify applies the tropical congruences: duplicate condition
 // transitions inside an execution collapse (AND-idempotence) and
-// executions with identical canonical form merge (min-idempotence). The
-// receiver is unchanged.
+// congruent executions merge (min-idempotence), the first in order
+// surviving. Executions sort by canonical key, and executions whose
+// keys collide by exactKey, which is rendered only then. The receiver
+// is unchanged.
 func (e *Expr) Simplify() *Expr {
 	out := &Expr{MaxCost: e.MaxCost, MaxTransitions: e.MaxTransitions}
 	type keyed struct {
@@ -197,18 +215,33 @@ func (e *Expr) Simplify() *Expr {
 		ex  Execution
 	}
 	kept := make([]keyed, 0, len(e.Execs))
-	seen := make(map[string]struct{}, len(e.Execs))
+	seen := make(map[string]int, len(e.Execs)) // key → first kept execution with it
+	var exact map[string]bool                  // exact keys of kept executions whose key collided
 	for _, ex := range e.Execs {
 		slim, k := ex.canonical()
-		if _, dup := seen[k]; dup {
-			continue
+		if first, hit := seen[k]; hit {
+			if exact == nil {
+				exact = make(map[string]bool)
+			}
+			exact[kept[first].ex.exactKey()] = true
+			x := slim.exactKey()
+			if exact[x] {
+				continue
+			}
+			exact[x] = true
+		} else {
+			seen[k] = len(kept)
 		}
-		seen[k] = struct{}{}
 		kept = append(kept, keyed{key: k, ex: slim})
 	}
-	// Keys are unique after the dedup, so the order is total and the
-	// unstable sort deterministic.
-	sort.Slice(kept, func(i, j int) bool { return kept[i].key < kept[j].key })
+	// Kept executions are pairwise not congruent, so the order is total
+	// and the unstable sort deterministic.
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].key != kept[j].key {
+			return kept[i].key < kept[j].key
+		}
+		return kept[i].ex.exactKey() < kept[j].ex.exactKey()
+	})
 	if len(kept) > 0 {
 		out.Execs = make([]Execution, len(kept))
 		for i, k := range kept {

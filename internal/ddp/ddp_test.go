@@ -2,6 +2,7 @@ package ddp
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,5 +302,49 @@ func TestStringForms(t *testing.T) {
 	}
 	if (CostTruth{3, true}).ResultString() != "⟨3,true⟩" {
 		t.Error("CostTruth string")
+	}
+}
+
+// TestSimplifyExactCongruence pins Simplify's congruence to equality of
+// executions, not of their rendered keys: names holding ':' or '*' make
+// distinct executions (and distinct conditions of one execution) render
+// the same key, and both must survive, in an order that does not depend
+// on the input order. Eval must equal the tropical min over the raw
+// executions under every valuation of their variables.
+func TestSimplifyExactCongruence(t *testing.T) {
+	for name, c := range map[string]struct {
+		execs []Execution
+		want  int // executions after Simplify
+	}{
+		"condition pairs":  {[]Execution{{Cond("a:b", "c", true)}, {Cond("a", "b:c", true)}}, 2},
+		"user split":       {[]Execution{{User("a", 1), User("b", 2)}, {User("a:1*u:b", 2)}}, 2},
+		"one execution":    {[]Execution{{Cond("a:b", "c", true), Cond("a", "b:c", true)}}, 1},
+		"congruent merges": {[]Execution{{Cond("a:b", "c", true)}, {Cond("c", "a:b", true)}, {Cond("a", "b:c", true)}}, 2},
+	} {
+		e := NewExpr(c.execs...)
+		if len(e.Execs) != c.want {
+			t.Fatalf("%s: Simplify kept %d executions, want %d: %s", name, len(e.Execs), c.want, e)
+		}
+		if name == "one execution" && len(e.Execs[0]) != 2 {
+			t.Fatalf("%s: Simplify dropped a distinct condition: %s", name, e)
+		}
+		// Reversed input may keep another member of a congruence class,
+		// but the same classes, in the same order.
+		rev := slices.Clone(c.execs)
+		slices.Reverse(rev)
+		if got := NewExpr(rev...); !slices.EqualFunc(got.Execs, e.Execs, func(a, b Execution) bool { return a.exactKey() == b.exactKey() }) {
+			t.Fatalf("%s: order depends on input order: %s vs %s", name, got, e)
+		}
+		vars := e.Annotations()
+		for mask := 0; mask < 1<<len(vars); mask++ {
+			v := provenance.MapValuation{Assign: make(map[provenance.Annotation]bool)}
+			for i, a := range vars {
+				v.Assign[a] = mask>>i&1 == 1
+			}
+			raw := &Expr{Execs: c.execs}
+			if got, want := e.Eval(v), raw.Eval(v); got != want {
+				t.Fatalf("%s: under %v Eval = %v, raw executions give %v", name, v.Assign, got, want)
+			}
+		}
 	}
 }

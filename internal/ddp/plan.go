@@ -1,10 +1,11 @@
 package ddp
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/distance"
@@ -24,14 +25,15 @@ import (
 // summary variable afterwards, which no untouched execution does, so the
 // only executions the congruences can collapse are touched ones, into
 // each other. A Probe re-keys the touched executions (integer canonical
-// keys, equal exactly when Simplify's string keys are), keeps the first
-// of each congruent run in expression order — Apply's survivor — and so
-// knows both the candidate's size and its surviving executions. The
-// candidate's value on a lane is the tropical min over the untouched
-// executions' base values and the touched survivors re-evaluated with
-// the members' truths replaced by the merged group's. A survivor keeps
-// its transitions in stored order, so its cost sums add in the order
-// Eval adds them, and results are bit-identical to Apply + Eval.
+// keys, equal exactly when Simplify finds the executions congruent),
+// keeps the first of each congruent run in expression order — Apply's
+// survivor — and so knows both the candidate's size and its surviving
+// executions. The candidate's value on a lane is the tropical min over
+// the untouched executions' base values and the touched survivors
+// re-evaluated with the members' truths replaced by the merged group's.
+// A survivor keeps its transitions in stored order, so its cost sums
+// add in the order Eval adds them, and results are bit-identical to
+// Apply + Eval.
 
 // Plan is the compiled form of one DDP expression. Annotations intern to
 // dense ids; execution x is the span userOff[x]:userOff[x+1] of user
@@ -40,9 +42,8 @@ import (
 // (ascending execution ids per annotation). A Plan is read-only after
 // compilation and shared by every probe and evaluator of its step.
 type Plan struct {
-	names      []provenance.Annotation
-	ids        map[provenance.Annotation]int32
-	colonNames []string // names containing ':' (see keysExact)
+	names []provenance.Annotation
+	ids   map[provenance.Annotation]int32
 
 	userOff, condOff []int32
 	users            []userTerm
@@ -65,21 +66,20 @@ type condTerm struct {
 	nonZero bool
 }
 
-// BlockPlan implements distance.BlockPlanner. It returns nil — and the
-// caller scores by materializing candidates — when the expression is not
-// in Simplify's canonical form, mentions a reserved annotation, carries a
-// negative, infinite or NaN cost, or when the integer keys could
-// disagree with the string keys (see keysExact). With finite
+// BlockPlan implements distance.BlockPlanner. It refuses an expression
+// that is not in Simplify's canonical form, mentions a reserved
+// annotation, or carries a negative, infinite or NaN cost. With finite
 // non-negative costs no sum is NaN or negative zero, so the tropical min
 // does not depend on the order executions are compared in.
-func (e *Expr) BlockPlan() distance.BlockPlan {
-	if p := compilePlan(e); p != nil {
-		return p
+func (e *Expr) BlockPlan() (distance.BlockPlan, error) {
+	p, err := compilePlan(e)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return p, nil
 }
 
-func compilePlan(e *Expr) *Plan {
+func compilePlan(e *Expr) (*Plan, error) {
 	n := len(e.Execs)
 	p := &Plan{
 		ids:      make(map[provenance.Annotation]int32),
@@ -91,11 +91,8 @@ func compilePlan(e *Expr) *Plan {
 		if id, ok := p.ids[a]; ok {
 			return id, true
 		}
-		if a == provenance.Zero || a == provenance.One || strings.ContainsRune(string(a), '*') {
+		if a == provenance.Zero || a == provenance.One {
 			return 0, false
-		}
-		if strings.ContainsRune(string(a), ':') {
-			p.colonNames = append(p.colonNames, string(a))
 		}
 		id := int32(len(p.names))
 		p.ids[a] = id
@@ -106,8 +103,11 @@ func compilePlan(e *Expr) *Plan {
 		for _, t := range ex {
 			if t.IsUser() {
 				id, ok := intern(t.CostVar)
-				if !ok || !(t.Cost >= 0) || math.IsInf(t.Cost, 1) {
-					return nil
+				if !ok {
+					return nil, errReserved
+				}
+				if !ValidCost(t.Cost) {
+					return nil, fmt.Errorf("ddp: cost %v of %q is negative or not finite", t.Cost, t.CostVar)
 				}
 				p.users = append(p.users, userTerm{id: id, cost: t.Cost})
 				p.execSize[x]++
@@ -116,7 +116,7 @@ func compilePlan(e *Expr) *Plan {
 			a, okA := intern(t.D1)
 			b, okB := intern(t.D2)
 			if !okA || !okB {
-				return nil
+				return nil, errReserved
 			}
 			p.conds = append(p.conds, condTerm{a: a, b: b, nonZero: t.NonZero})
 			p.execSize[x] += 2
@@ -126,9 +126,6 @@ func compilePlan(e *Expr) *Plan {
 		p.size += p.execSize[x]
 	}
 
-	if !p.keysExact() {
-		return nil
-	}
 	// Canonical form: no duplicate condition inside an execution and no
 	// two congruent executions. Both hold for every expression Simplify
 	// returned; anything else would make Apply collapse executions the
@@ -138,7 +135,7 @@ func compilePlan(e *Expr) *Plan {
 		start := len(keys.flat)
 		nConds := keys.canon(p, int32(x), nil, 0)
 		if nConds != int(p.condOff[x+1]-p.condOff[x]) || !keys.add(start) {
-			return nil
+			return nil, fmt.Errorf("ddp: execution %d is not in Simplify's canonical form", x)
 		}
 	}
 
@@ -169,53 +166,16 @@ func compilePlan(e *Expr) *Plan {
 			fill[id]++
 		}
 	})
-	return p
+	return p, nil
 }
 
-// keysExact reports whether equal integer keys mean equal string keys
-// on this expression. A string key is the transition keys joined by "*"
-// — "u:NAME:COST" and "d:A:B:BOOL" — and no name contains '*' (intern
-// refuses it), so it splits back into its transition keys. A user key
-// splits at its last ':' (costs render without one). A condition key
-// splits unambiguously only when no two distinct variable pairs render
-// the same "A:B", which can happen only with names containing ':'.
-func (p *Plan) keysExact() bool {
-	if len(p.colonNames) == 0 {
-		return true
-	}
-	pairs := make(map[string][2]int32, len(p.conds))
-	for _, c := range p.conds {
-		lo, hi := min(c.a, c.b), max(c.a, c.b)
-		a, b := string(p.names[lo]), string(p.names[hi])
-		if a > b {
-			a, b = b, a
-		}
-		s := a + ":" + b
-		if prev, ok := pairs[s]; ok && prev != [2]int32{lo, hi} {
-			return false
-		}
-		pairs[s] = [2]int32{lo, hi}
-	}
-	return true
-}
+// errReserved refuses the reserved annotations provenance.Zero and One,
+// which Eval reads as constants rather than as variables.
+var errReserved = errors.New("ddp: a transition names a reserved annotation")
 
-// freshName reports whether renaming members to newAnn keeps the integer
-// keys exact: newAnn is not empty (an empty cost variable would turn a
-// user transition into a condition), carries no separator, and no
-// variable's name starts with newAnn+":" or ends with ":"+newAnn, so no
-// condition pair with newAnn renders like a pair of the expression's.
-func (p *Plan) freshName(newAnn provenance.Annotation) bool {
-	n := string(newAnn)
-	if n == "" || strings.ContainsAny(n, ":*") || newAnn == provenance.Zero || newAnn == provenance.One {
-		return false
-	}
-	for _, name := range p.colonNames {
-		if strings.HasPrefix(name, n+":") || strings.HasSuffix(name, ":"+n) {
-			return false
-		}
-	}
-	return true
-}
+// ValidCost reports whether c is a cost the tropical semiring of costs
+// holds: finite and not negative.
+func ValidCost(c float64) bool { return c >= 0 && !math.IsInf(c, 1) }
 
 // forEachAnn calls f for every variable occurrence, executions in order.
 func (p *Plan) forEachAnn(f func(x, id int32)) {
@@ -262,7 +222,7 @@ type userKey struct {
 // conditions after the rename. The key lists the user terms' (id, cost
 // bits) pairs sorted, then the distinct conditions' (low id, high id,
 // nonZero) codes sorted: two executions share a key exactly when
-// Simplify's string keys agree (given keysExact and freshName).
+// Simplify finds them congruent.
 func (t *keyTable) canon(p *Plan, x int32, ms []int32, newID int32) (nConds int) {
 	ren := func(id int32) int32 {
 		if slices.Contains(ms, id) {
@@ -350,11 +310,11 @@ func (pr *Probe) isTouched(x int32) bool { return pr.touched[x>>6]&(1<<uint(x&63
 
 // Probe implements distance.BlockPlan: it re-keys the executions that
 // mention a member and keeps Apply's survivors. Members that do not occur
-// in the expression have no effect. It returns nil when newAnn occurs in
-// the expression or fails freshName, or a member is reserved or newAnn
-// itself.
+// in the expression have no effect. It returns nil when newAnn is empty
+// (an empty cost variable would turn a user transition into a
+// condition), reserved, or occurs in the expression.
 func (p *Plan) Probe(members []provenance.Annotation, newAnn provenance.Annotation) distance.BlockProbe {
-	if !p.freshName(newAnn) {
+	if newAnn == "" || newAnn == provenance.Zero || newAnn == provenance.One {
 		return nil
 	}
 	if _, ok := p.ids[newAnn]; ok {
@@ -362,9 +322,6 @@ func (p *Plan) Probe(members []provenance.Annotation, newAnn provenance.Annotati
 	}
 	var ms []int32
 	for _, m := range members {
-		if m == provenance.Zero || m == provenance.One || m == newAnn {
-			return nil
-		}
 		if id, ok := p.ids[m]; ok && !slices.Contains(ms, id) {
 			ms = append(ms, id)
 		}

@@ -81,10 +81,11 @@ func TestCanonicalKeyMatchesFmt(t *testing.T) {
 // randomExpr builds a random simplified DDP expression with non-dyadic
 // costs (0.1 steps), repeated user terms and conditions over a small
 // variable pool, so merges both collapse executions and create duplicate
-// conditions.
+// conditions. The pool's colon names make distinct conditions render
+// the same key ("d1:d2" with "d3", "d1" with "d2:d3").
 func randomExpr(r *rand.Rand) *Expr {
 	costVars := []provenance.Annotation{"c1", "c2", "c3", "c4"}
-	dbVars := []provenance.Annotation{"d1", "d2", "d3", "rel:R1"}
+	dbVars := []provenance.Annotation{"d1", "d2", "d3", "rel:R1", "d1:d2", "d2:d3"}
 	execs := make([]Execution, 2+r.Intn(7))
 	for i := range execs {
 		if i > 0 && r.Intn(3) == 0 {
@@ -142,9 +143,9 @@ func TestPlanProbeMatchesApply(t *testing.T) {
 	collapsed := 0
 	for iter := 0; iter < 400; iter++ {
 		e := randomExpr(r)
-		bp := e.BlockPlan()
-		if bp == nil {
-			t.Fatalf("expression not planned: %s", e)
+		bp, err := e.BlockPlan()
+		if err != nil {
+			t.Fatalf("expression not planned: %v\n%s", err, e)
 		}
 		p := bp.(*Plan)
 		names := p.Annotations()
@@ -212,14 +213,15 @@ func TestPlanProbeMatchesApply(t *testing.T) {
 	}
 }
 
-// TestBlockPlanRefuses pins the guards that keep the compiled keys and
-// the tropical min exact: the plan and its probes refuse, and callers
-// fall back to materializing candidates.
+// TestBlockPlanRefuses pins the guards that keep the tropical min
+// exact: the plan refuses reserved annotations, costs that are negative
+// or not finite, and expressions outside Simplify's canonical form, and
+// its probes refuse a summary annotation that is empty, reserved or
+// already in the expression. Names holding key separators plan.
 func TestBlockPlanRefuses(t *testing.T) {
 	ok := NewExpr(Execution{User("c1", 1), Cond("d1", "d2", true)})
 	for name, e := range map[string]*Expr{
 		"reserved":      NewExpr(Execution{User(provenance.Zero, 1)}),
-		"star":          NewExpr(Execution{User("c*1", 1)}),
 		"negative cost": NewExpr(Execution{User("c1", -1)}),
 		"nan cost":      NewExpr(Execution{User("c1", math.NaN())}),
 		"inf cost":      NewExpr(Execution{User("c1", math.Inf(1))}),
@@ -229,19 +231,14 @@ func TestBlockPlanRefuses(t *testing.T) {
 		"duplicate condition": {Execs: []Execution{
 			{Cond("d1", "d2", true), Cond("d2", "d1", true)},
 		}},
-		// "a:b" paired with "c" renders like "a" paired with "b:c".
-		"ambiguous pairs": NewExpr(
-			Execution{Cond("a:b", "c", true), User("c1", 1)},
-			Execution{Cond("a", "b:c", true), User("c2", 1)},
-		),
 	} {
-		if e.BlockPlan() != nil {
+		if bp, err := e.BlockPlan(); bp != nil || err == nil {
 			t.Errorf("%s: planned %s", name, e)
 		}
 	}
-	p := ok.BlockPlan()
-	if p == nil {
-		t.Fatal("plain expression not planned")
+	p, err := ok.BlockPlan()
+	if err != nil {
+		t.Fatalf("plain expression not planned: %v", err)
 	}
 	for name, c := range map[string]struct {
 		members []provenance.Annotation
@@ -249,22 +246,36 @@ func TestBlockPlanRefuses(t *testing.T) {
 	}{
 		"newAnn occurs": {[]provenance.Annotation{"d1", "d2"}, "c1"},
 		"empty newAnn":  {[]provenance.Annotation{"d1", "d2"}, ""},
-		"separator":     {[]provenance.Annotation{"d1", "d2"}, "x:y"},
-		"reserved":      {[]provenance.Annotation{provenance.One, "d2"}, "Z"},
-		"member is new": {[]provenance.Annotation{"Z", "d2"}, "Z"},
 		"reserved new":  {[]provenance.Annotation{"d1", "d2"}, provenance.Zero},
 	} {
 		if p.Probe(c.members, c.newAnn) != nil {
 			t.Errorf("%s: probe compiled", name)
 		}
 	}
-	// A fresh name clashes with a variable named "Z:…": the pair
-	// (Z, d1) would render like the variable "Z:d1" in a condition key.
-	q := NewExpr(Execution{Cond("Z:d1", "d2", true)}).BlockPlan()
-	if q == nil {
-		t.Fatal("colon names alone must not block planning")
+	for name, e := range map[string]*Expr{
+		"star": NewExpr(Execution{User("c*1", 1)}),
+		// "a:b" paired with "c" renders like "a" paired with "b:c".
+		"ambiguous pairs": NewExpr(
+			Execution{Cond("a:b", "c", true), User("c1", 1)},
+			Execution{Cond("a", "b:c", true), User("c2", 1)},
+		),
+	} {
+		if _, err := e.BlockPlan(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
-	if q.Probe([]provenance.Annotation{"d2", "x"}, "Z") != nil {
-		t.Error("probe with a clashing fresh name compiled")
+	// A summary annotation that renders like a pair of the expression's
+	// variables probes like any other.
+	e := NewExpr(Execution{Cond("Z:d1", "d2", true)}, Execution{Cond("x", "d1", true)})
+	q, err := e.BlockPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := q.Probe([]provenance.Annotation{"x", "d2"}, "Z")
+	if pr == nil {
+		t.Fatal("probe with a separator-like fresh name refused")
+	}
+	if want := e.Apply(provenance.MergeMapping("Z", "x", "d2")).Size(); pr.Size() != want {
+		t.Fatalf("probe size %d, Apply size %d", pr.Size(), want)
 	}
 }

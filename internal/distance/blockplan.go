@@ -15,9 +15,9 @@ import "repro/internal/provenance"
 // valuation-blocked delta-scoring plan.
 type BlockPlanner interface {
 	// BlockPlan compiles the expression once for a summarization step.
-	// It returns nil when the expression cannot be planned soundly; the
-	// caller then falls back to materialized scoring.
-	BlockPlan() BlockPlan
+	// It returns an error naming why when the expression cannot be
+	// planned soundly; the estimator then refuses it (PlanError).
+	BlockPlan() (BlockPlan, error)
 }
 
 // BlockPlan is one step's compiled expression, shared read-only by every
@@ -32,8 +32,8 @@ type BlockPlan interface {
 	AnnID(a provenance.Annotation) (int32, bool)
 	// Probe compiles the candidate that merges members into newAnn,
 	// without materializing it. It returns nil when the probe cannot be
-	// compiled soundly (newAnn occurs in the expression, reserved
-	// annotations).
+	// compiled soundly (newAnn is empty, reserved, or occurs in the
+	// expression).
 	Probe(members []provenance.Annotation, newAnn provenance.Annotation) BlockProbe
 	// NewEvaluator returns one sweep worker's private evaluation state.
 	NewEvaluator() BlockEvaluator

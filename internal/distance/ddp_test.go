@@ -16,7 +16,7 @@ import (
 // ddpScenario is one mid-run summarization step over a DDP expression:
 // the original p0, the current summary cur = cum(p0), the step's inverse
 // view, and a candidate cohort as member sets plus the materialized
-// reference candidates DistanceBatch scores.
+// reference candidates RefDistance scores.
 type ddpScenario struct {
 	p0    *ddp.Expr
 	anns  []provenance.Annotation
@@ -24,7 +24,7 @@ type ddpScenario struct {
 	cum   provenance.Mapping
 	base  provenance.Groups
 	sets  [][]provenance.Annotation
-	cands []distance.BatchCandidate
+	cands []distance.RefCandidate
 }
 
 // isCost reports whether a DDP variable of the scenarios below is a cost
@@ -34,8 +34,7 @@ func isCost(a provenance.Annotation) bool {
 }
 
 // newDDPScenario completes a scenario from p0, the prior merges cum and
-// the member sets, materializing one reference candidate per set the way
-// core's batch scorer does.
+// the member sets, materializing one reference candidate per set.
 func newDDPScenario(p0 *ddp.Expr, cum provenance.Mapping, sets [][]provenance.Annotation) ddpScenario {
 	anns := p0.Annotations()
 	base := provenance.GroupsOf(anns, cum)
@@ -53,7 +52,7 @@ func newDDPScenario(p0 *ddp.Expr, cum provenance.Mapping, sets [][]provenance.An
 			delete(g, m)
 		}
 		g["Z"] = merged
-		sc.cands = append(sc.cands, distance.BatchCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
+		sc.cands = append(sc.cands, distance.RefCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
 	}
 	return sc
 }
@@ -112,34 +111,15 @@ func BenchmarkSummarizeStepScoringDDP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.DistanceDelta(sc.p0, curs[i%2], sc.cum, sc.base, sc.sets, "Z", nil); !ok {
-			b.Fatal("DistanceDelta fell back")
+		if _, _, err := e.DistanceDelta(sc.p0, curs[i%2], sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSummarizeStepScoringDDPBatch is the fallback's cost on the
-// same step: the cohort materialized (Apply + Simplify per candidate)
-// and scored by one DistanceBatch sweep over the Expr tree walker — the
-// path a DDP step takes when its block plan refuses a probe.
-func BenchmarkSummarizeStepScoringDDPBatch(b *testing.B) {
-	sc := ddpStep(b)
-	e := ddpEstimator(sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands := make([]distance.BatchCandidate, len(sc.sets))
-		for k, ms := range sc.sets {
-			h := provenance.MergeMapping("Z", ms...)
-			cands[k] = distance.BatchCandidate{Expr: sc.cur.Apply(h), Cumulative: sc.cum.Compose(h), Groups: sc.cands[k].Groups}
-		}
-		e.DistanceBatch(sc.p0, cands)
 	}
 }
 
 // TestDistanceDeltaDDPMatchesBatch pins the benchmark step itself: the
-// delta engine must take it (no fallback) and agree bit for bit with the
-// reference and the batch sweep, sizes included.
+// delta engine must plan it and agree bit for bit with the reference
+// over the materialized batch, sizes included.
 func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 	sc := ddpStep(t)
 	checkDDPScenario(t, sc)
@@ -151,8 +131,7 @@ func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 }
 
 // checkDDPScenario is the differential oracle: DistanceDelta distances
-// (Parallelism 1 and 3) and the DistanceBatch fallback's are
-// bit-identical to distance.RefDistance, in enumeration and in seeded
+// (Parallelism 1 and 3) are bit-identical to distance.RefDistance, in enumeration and in seeded
 // sampling with enough draws for several 64-lane blocks, and the delta
 // sizes equal the materialized candidates'. φ = OR and AND.
 func checkDDPScenario(t *testing.T, sc ddpScenario) {
@@ -171,22 +150,15 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 			}
 			ref := est(1)
 			vals := distance.RefVals(ref.Class, samples, 7)
-			want := make([]float64, len(sc.cands))
-			for i, c := range sc.cands {
-				want[i] = distance.RefDistance(ref, vals, sc.p0, c.Expr, c.Cumulative, c.Groups)
-			}
-			batch := est(1).DistanceBatch(sc.p0, sc.cands)
+			want := distance.RefDistances(ref, vals, sc.p0, sc.cands)
 			for _, workers := range []int{1, 3} {
-				got, sizes, ok := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
-				if !ok {
-					t.Fatalf("DistanceDelta fell back on %v", sc.cur)
+				got, sizes, err := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+				if err != nil {
+					t.Fatalf("DistanceDelta refused %v: %v", sc.cur, err)
 				}
 				for i, c := range sc.cands {
 					if got[i] != want[i] {
 						t.Fatalf("φ=%s samples=%d workers=%d candidate %v: delta %v != reference %v\ncur=%v", phi.Name(), samples, workers, sc.sets[i], got[i], want[i], sc.cur)
-					}
-					if batch[i] != want[i] {
-						t.Fatalf("φ=%s samples=%d candidate %v: batch %v != reference %v\ncur=%v", phi.Name(), samples, sc.sets[i], batch[i], want[i], sc.cur)
 					}
 					if s := c.Expr.Size(); sizes[i] != s {
 						t.Fatalf("candidate %v: delta size %d != Apply size %d\ncur=%v", sc.sets[i], sizes[i], s, sc.cur)
@@ -199,9 +171,10 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 
 // FuzzDistanceDeltaDDP is the DDP differential fuzzer of the delta
 // engine: random tropical sums with non-dyadic costs (0.1 steps),
-// repeated user terms, near-duplicate executions, and conditions whose
-// two variables both get merged; random prior summaries; cohorts of
-// cost–cost and db–db merges (pairs and triples).
+// repeated user terms, near-duplicate executions, conditions whose
+// two variables both get merged, and names whose rendered keys collide
+// ("d1:d2" with "d3" renders like "d1" with "d2:d3"); random prior
+// summaries; cohorts of cost–cost and db–db merges (pairs and triples).
 func FuzzDistanceDeltaDDP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -228,7 +201,7 @@ func fuzzDDPScenario(data []byte) (ddpScenario, bool) {
 		return int(b) % n
 	}
 	costVars := []provenance.Annotation{"c1", "c2", "c3", "c4"}
-	dbVars := []provenance.Annotation{"d1", "d2", "d3", "rel:R1"}
+	dbVars := []provenance.Annotation{"d1", "d2", "d3", "rel:R1", "d1:d2", "d2:d3"}
 	execs := make([]ddp.Execution, 2+next(7))
 	for i := range execs {
 		if i > 0 && next(3) == 0 {

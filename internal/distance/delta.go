@@ -110,35 +110,34 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 // dirty subtrees re-evaluate, lanes in bulk (Stats.DeltaSubtreeEvals).
 //
 // It returns the per-candidate distances and candidate sizes, computed
-// incrementally (equal to Apply(...).Size()). ok is false — and the
-// caller must fall back to DistanceBatch — when cur cannot be planned
-// (see planOf: non-aggregations without a BlockPlan, arenas the blocked
-// kernel refuses, an aggregation planned against an original that is
-// not one) or a probe cannot be compiled soundly (newAnn occurs in cur,
-// reserved annotations, an expression outside Simplify normal form, a
-// DDP merge its block plan refuses).
+// incrementally (equal to Apply(...).Size()). It is the one scorer of
+// Algorithm 1: err, a *PlanError, refuses the cohort when CheckPlan
+// refuses cur (for newAnn) or when a probe cannot be compiled soundly.
 //
-// Distances are bit-identical to DistanceBatch and, in enumeration mode,
+// Distances are bit-identical to refDistance, the test oracle that
+// reads Definition 3.2.2 off the semantics, and, in enumeration mode,
 // to per-candidate Distance calls; per-candidate sums accumulate in
-// valuation order at any Parallelism, and sampling mode draws one shared
-// sample set up front (common random numbers), exactly like
-// DistanceBatch.
+// valuation order at any Parallelism, and sampling mode draws one
+// shared sample set up front (common random numbers).
 //
 // carry, when non-nil, is the calling run's step state: pair probes it
 // carried from the previous step are reused instead of rebuilt, and
 // this call's pair probes are recorded in it for CommitMerge to carry
 // into the next step. Carried probes equal rebuilt ones field for field
 // (provenance.MergePatch.Carry), so results do not depend on it.
-func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation, carry *Carry) (dists []float64, sizes []int, ok bool) {
-	plan, bplan := e.planOf(cur)
+func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation, carry *Carry) (dists []float64, sizes []int, err error) {
+	plan, bplan, err := e.planOf(cur)
 	carry.use(plan, newAnn, len(cohort))
-	names, annID, ok := sweepNames(p0, plan, bplan)
-	if !ok {
-		return nil, nil, false
+	if err != nil {
+		return nil, nil, err
+	}
+	names, annID, err := sweepNames(p0, plan, bplan)
+	if err != nil {
+		return nil, nil, err
 	}
 	if _, taken := annID(newAnn); taken {
 		carry.reset(nil, "")
-		return nil, nil, false
+		return nil, nil, planError("the summary annotation %q occurs in the expression", newAnn)
 	}
 	truths := newDeltaTruths(names, base, e.Phi)
 	// The probes, their member ids, and the φ-member scratch share a few
@@ -165,7 +164,7 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 				carried++
 			} else if pr = plan.Probe(ms, newAnn); pr == nil {
 				carry.reset(nil, "")
-				return nil, nil, false
+				return nil, nil, planError("the plan refuses the merge of %q", ms)
 			} else {
 				built++
 				carry.record(ms, pr)
@@ -176,7 +175,7 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 		} else {
 			bp := bplan.Probe(ms, newAnn)
 			if bp == nil {
-				return nil, nil, false
+				return nil, nil, planError("the plan refuses the merge of %q", ms)
 			}
 			built++
 			bprobes[i] = bp
@@ -225,30 +224,62 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 
 	out := make([]float64, len(cohort))
 	if len(cohort) == 0 {
-		return out, sizes, true
+		return out, sizes, nil
 	}
 	vals := e.batchValuations()
 	if len(vals) == 0 {
-		return out, sizes, true
+		return out, sizes, nil
 	}
 
 	e.stats.deltaSkips.Add(deltaBlocked(e, truths, probes, vals, out, e.laneEvals(p0, plan, bplan, cum, probes, bprobes, vals, newAnn)))
 	e.normalize(out, len(vals))
-	return out, sizes, true
+	return out, sizes, nil
 }
 
 // sweepNames returns the annotations, in dense-id order, and the id
-// lookup of the plan a sweep against p0 runs on. ok is false when there
-// is none: planOf refused cur, or an aggregation's plan is asked to
-// score against an original that is not one.
-func sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), ok bool) {
-	if g0, aggOrig := p0.(*provenance.Agg); plan != nil && aggOrig && g0 != nil {
-		return plan.Annotations(), plan.AnnID, true
+// lookup of the plan a sweep against p0 runs on, planOf's plan of the
+// current expression. An aggregation's plan sweeps only against an
+// aggregated original.
+func sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
+	if plan != nil {
+		if g0, ok := p0.(*provenance.Agg); !ok || g0 == nil {
+			return nil, nil, planError("an aggregation is scored against a %T original", p0)
+		}
+		return plan.Annotations(), plan.AnnID, nil
 	}
-	if bplan != nil {
-		return bplan.Annotations(), bplan.AnnID, true
+	return bplan.Annotations(), bplan.AnnID, nil
+}
+
+// normalize turns per-candidate VAL-FUNC sums over n valuations into
+// distances: the mean, divided by MaxError (capped at 1) when set.
+func (e *Estimator) normalize(out []float64, n int) {
+	for i, total := range out {
+		d := total / float64(n)
+		if e.MaxError > 0 {
+			d /= e.MaxError
+			if d > 1 {
+				d = 1
+			}
+		}
+		out[i] = d
 	}
-	return nil, nil, false
+}
+
+// batchValuations returns the sweep's valuation list: the enumerated
+// class, or — in sampling mode — one shared sample set drawn up front.
+func (e *Estimator) batchValuations() []provenance.Valuation {
+	if e.Samples <= 0 {
+		return e.Class.Valuations()
+	}
+	if e.Rand == nil {
+		panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
+	}
+	vals := make([]provenance.Valuation, e.Samples)
+	for i := range vals {
+		vals[i] = e.Class.Sample(e.Rand)
+		e.stats.samples.Add(1)
+	}
+	return vals
 }
 
 // laneEvals returns the factory of a sweep's per-worker evaluators: the
@@ -278,27 +309,29 @@ func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, b
 	}
 }
 
-// distanceBase is Distance over an expression that plans: the delta
-// sweep of one candidate that merges nothing, so every lane skips to the
-// base VAL-FUNC value, summed in valuation order like the fallback's.
-// Its skips are not delta work and are not counted. The plan stays
-// cached (planOf), so the step that scores pc's merges next reuses it.
-// ok is false when planOf refuses pc.
-func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) (float64, bool) {
-	plan, bplan := e.planOf(pc)
-	names, _, ok := sweepNames(p0, plan, bplan)
-	if !ok {
-		return 0, false
+// distanceBase is Distance: the delta sweep of one candidate that
+// merges nothing, so every lane skips to the base VAL-FUNC value, summed
+// in valuation order. Its skips are not delta work and are not counted.
+// The plan stays cached (planOf), so the step that scores pc's merges
+// next reuses it. err is planOf's or sweepNames' refusal.
+func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) (float64, error) {
+	plan, bplan, err := e.planOf(pc)
+	if err != nil {
+		return 0, err
+	}
+	names, _, err := sweepNames(p0, plan, bplan)
+	if err != nil {
+		return 0, err
 	}
 	vals := e.batchValuations()
 	if len(vals) == 0 {
-		return 0, true
+		return 0, nil
 	}
 	out := []float64{0}
 	deltaBlocked(e, newDeltaTruths(names, groups, e.Phi), []*deltaProbe{{}}, vals, out, e.laneEvals(p0, plan, bplan, cum, nil, nil, vals, ""))
 	e.stats.evaluations.Add(uint64(len(vals)))
 	e.normalize(out, len(vals))
-	return out[0], true
+	return out[0], nil
 }
 
 // denseStep builds the shared state of an aggregation's sweep: the

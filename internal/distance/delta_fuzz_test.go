@@ -64,7 +64,7 @@ func fuzzPoly(r *fuzzReader, depth int) provenance.Expr {
 // aggregation, a random prior cumulative mapping (merges into S1/S2),
 // and a random candidate cohort over the current annotations, returned
 // both as member sets and as materialized reference candidates.
-func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, anns []provenance.Annotation, sets [][]provenance.Annotation, cands []BatchCandidate) {
+func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, anns []provenance.Annotation, sets [][]provenance.Annotation, cands []refCandidate) {
 	// SUM comes up twice as often as each other monoid: it is the one
 	// whose fold order could show in the result. Values mix small
 	// integers with 0.1, 0.7 and 1e16, whose float sums depend on their
@@ -126,15 +126,15 @@ func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression,
 		}
 		g["Z"] = merged
 		sets = append(sets, ms)
-		cands = append(cands, BatchCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
+		cands = append(cands, refCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
 	}
 	return p0, cur, cum, base, anns, sets, cands
 }
 
 // FuzzDistanceDelta is the differential oracle for the scorers: on
 // random expressions, prior merges, cohorts, combiners and monoids,
-// DistanceDelta, the DistanceBatch fallback and per-candidate Distance
-// must all be bitwise equal to refDistance — in enumeration mode and in
+// DistanceDelta and per-candidate Distance must both be bitwise equal
+// to refDistance — in enumeration mode and in
 // seeded sampling mode — and the incremental sizes must equal the
 // materialized candidates' sizes.
 func FuzzDistanceDelta(f *testing.F) {
@@ -158,19 +158,15 @@ func FuzzDistanceDelta(f *testing.F) {
 					return e
 				}
 				d := est()
-				got, sizes, ok := d.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
-				if !ok {
-					t.Fatalf("DistanceDelta fell back on a plain aggregation: %v", cur)
+				got, sizes, err := d.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
+				if err != nil {
+					t.Fatalf("DistanceDelta refused a plain aggregation: %v: %v", err, cur)
 				}
-				batch := est().DistanceBatch(p0, cands)
 				vals := refVals(d.Class, samples, 3)
 				for i, c := range cands {
 					want := refDistance(d, vals, p0, c.Expr, c.Cumulative, c.Groups)
 					if got[i] != want {
 						t.Fatalf("φ=%s samples=%d candidate %d (%v): delta %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], got[i], want, cur)
-					}
-					if batch[i] != want {
-						t.Fatalf("φ=%s samples=%d candidate %d (%v): batch %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], batch[i], want, cur)
 					}
 					if dist := est().Distance(p0, c.Expr, c.Cumulative, c.Groups); dist != want {
 						t.Fatalf("φ=%s samples=%d candidate %d (%v): distance %v != reference %v\ncur=%v", phi.Name(), samples, i, sets[i], dist, want, cur)

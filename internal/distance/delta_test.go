@@ -1,20 +1,24 @@
 package distance
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/provenance"
 	"repro/internal/valuation"
 )
 
-// deltaFixture extends batchFixture's pair cohort with merges the delta
+// deltaFixture extends pairFixture's pair cohort with merges the delta
 // path must handle beyond plain polynomial renames: a group-coordinate
 // merge, a mixed polynomial+group merge, and a 3-ary merge. It returns
 // the cohort both as member sets (for DistanceDelta) and as materialized
-// BatchCandidates (for the reference paths), in the same order.
-func deltaFixture(n int) (*provenance.Agg, []provenance.Annotation, provenance.Groups, [][]provenance.Annotation, []BatchCandidate) {
-	p0, anns, cands := batchFixture(n)
+// reference candidates (for refDistance and Distance), in the same
+// order.
+func deltaFixture(n int) (*provenance.Agg, []provenance.Annotation, provenance.Groups, [][]provenance.Annotation, []refCandidate) {
+	p0, anns, cands := pairFixture(n)
 	base := provenance.GroupsOf(anns, provenance.NewMapping())
 	var sets [][]provenance.Annotation
 	for i := 0; i < n; i++ {
@@ -40,27 +44,25 @@ func deltaFixture(n int) (*provenance.Agg, []provenance.Annotation, provenance.G
 		}
 		g["Z"] = merged
 		sets = append(sets, ms)
-		cands = append(cands, BatchCandidate{Expr: p0.Apply(h), Cumulative: h, Groups: g})
+		cands = append(cands, refCandidate{Expr: p0.Apply(h), Cumulative: h, Groups: g})
 	}
 	return p0, anns, base, sets, cands
 }
 
 // TestDistanceDeltaMatchesDistanceAndBatch pins the delta engine's core
 // contract: probe-without-materialize scoring is bit-identical to
-// refDistance, to a per-candidate Distance call and to the DistanceBatch
-// sweep, and the incremental candidate sizes equal Apply(...).Size().
+// refDistance over the batch of materialized candidates and to a
+// per-candidate Distance call, and the incremental candidate sizes equal
+// Apply(...).Size().
 func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 	p0, anns, base, sets, cands := deltaFixture(8)
 	for _, maxErr := range []float64{0, 25} {
 		d := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		d.MaxError = maxErr
-		got, sizes, ok := d.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
-		if !ok {
-			t.Fatalf("maxErr=%g: DistanceDelta fell back", maxErr)
+		got, sizes, err := d.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		if err != nil {
+			t.Fatalf("maxErr=%g: DistanceDelta refused: %v", maxErr, err)
 		}
-		bref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		bref.MaxError = maxErr
-		batch := bref.DistanceBatch(p0, cands)
 		one := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		one.MaxError = maxErr
 		for i, c := range cands {
@@ -71,9 +73,6 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 			if dist := one.Distance(p0, c.Expr, c.Cumulative, c.Groups); got[i] != dist {
 				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != distance %v", maxErr, i, sets[i], got[i], dist)
 			}
-			if got[i] != batch[i] {
-				t.Fatalf("maxErr=%g candidate %d (%v): delta %v != batch %v", maxErr, i, sets[i], got[i], batch[i])
-			}
 			if want := c.Expr.Size(); sizes[i] != want {
 				t.Fatalf("candidate %d (%v): incremental size %d != Apply size %d", i, sets[i], sizes[i], want)
 			}
@@ -81,18 +80,18 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 	}
 }
 
-// TestDistanceDeltaMidRunMatchesBatch checks the same equivalence on a
-// mid-run step (non-identity cumulative mapping, multi-member base
-// groups) — the regime the delta engine is built for.
+// TestDistanceDeltaMidRunMatchesBatch checks the same equivalence
+// against refDistance over the materialized batch on a mid-run step
+// (non-identity cumulative mapping, multi-member base groups) — the
+// regime the delta engine is built for.
 func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 	sc := benchStep(t)
 	d := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	got, sizes, ok := d.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
-	if !ok {
-		t.Fatal("DistanceDelta fell back on a mid-run step")
+	got, sizes, err := d.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+	if err != nil {
+		t.Fatalf("DistanceDelta refused on a mid-run step: %v", err)
 	}
-	bref := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	batch := bref.DistanceBatch(sc.p0, sc.cands)
+	batch := refDistances(d, d.Class.Valuations(), sc.p0, sc.cands)
 	ref := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
 	for i, c := range sc.cands {
 		want := ref.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups)
@@ -100,7 +99,7 @@ func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 			t.Fatalf("candidate %d (%v): delta %v != distance %v", i, sc.sets[i], got[i], want)
 		}
 		if got[i] != batch[i] {
-			t.Fatalf("candidate %d (%v): delta %v != batch %v", i, sc.sets[i], got[i], batch[i])
+			t.Fatalf("candidate %d (%v): delta %v != reference %v", i, sc.sets[i], got[i], batch[i])
 		}
 		if want := c.Expr.Size(); sizes[i] != want {
 			t.Fatalf("candidate %d (%v): incremental size %d != Apply size %d", i, sc.sets[i], sizes[i], want)
@@ -108,23 +107,23 @@ func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestDistanceDeltaParallelBitIdentical: like the batch sweep, the delta
-// sweep partitions candidates across workers while each candidate's sum
+// TestDistanceDeltaParallelBitIdentical: the delta sweep partitions
+// valuation blocks across workers while each candidate's sum
 // accumulates in valuation order, so results are byte-identical at any
 // Parallelism.
 func TestDistanceDeltaParallelBitIdentical(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	seq := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	want, _, ok := seq.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
-	if !ok {
-		t.Fatal("DistanceDelta fell back")
+	want, _, err := seq.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
 		par := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		par.Parallelism = workers
-		got, _, ok := par.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
-		if !ok {
-			t.Fatalf("parallelism %d: DistanceDelta fell back", workers)
+		got, _, err := par.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		if err != nil {
+			t.Fatalf("parallelism %d: DistanceDelta refused: %v", workers, err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -135,28 +134,27 @@ func TestDistanceDeltaParallelBitIdentical(t *testing.T) {
 }
 
 // TestDistanceDeltaSharedSamples: sampling mode draws one shared sample
-// set up front exactly like DistanceBatch, so the same seed produces
-// bitwise-identical distances on both paths, at any Parallelism.
+// set up front (common random numbers), so the same seed reproduces
+// refDistance over those draws bit for bit, at any Parallelism, and a
+// duplicated candidate scores identically to its original.
 func TestDistanceDeltaSharedSamples(t *testing.T) {
 	p0, anns, base, sets, cands := deltaFixture(8)
-	want := func() []float64 {
-		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		e.Samples = 5
-		e.Rand = rand.New(rand.NewSource(7))
-		return e.DistanceBatch(p0, cands)
-	}()
+	sets = append(sets, sets[0])
+	cands = append(cands, cands[0])
+	ref := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
+	want := refDistances(ref, refVals(ref.Class, 5, 7), p0, cands)
 	for _, workers := range []int{1, 4} {
 		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		e.Samples = 5
 		e.Rand = rand.New(rand.NewSource(7))
 		e.Parallelism = workers
-		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
-		if !ok {
-			t.Fatal("DistanceDelta fell back")
+		got, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d candidate %d: delta %v != batch %v with same seed", workers, i, got[i], want[i])
+				t.Fatalf("workers=%d candidate %d: delta %v != reference %v with same seed", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -165,9 +163,9 @@ func TestDistanceDeltaSharedSamples(t *testing.T) {
 func TestDistanceDeltaStats(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	_, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
-	if !ok {
-		t.Fatal("DistanceDelta fell back")
+	_, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	st := e.Stats()
 	if st.DeltaCalls != 1 {
@@ -192,8 +190,8 @@ func TestDistanceDeltaStats(t *testing.T) {
 	if st.DeltaSubtreeEvals == 0 {
 		t.Fatal("expected subtree re-evaluations to be counted")
 	}
-	if st.DistanceCalls != 0 || st.BatchCalls != 0 {
-		t.Fatalf("DistanceCalls = %d, BatchCalls = %d, want 0 (delta only)", st.DistanceCalls, st.BatchCalls)
+	if st.DistanceCalls != 0 || st.BatchTime != 0 {
+		t.Fatalf("DistanceCalls = %d, BatchTime = %v, want 0 (delta only)", st.DistanceCalls, st.BatchTime)
 	}
 }
 
@@ -222,23 +220,42 @@ func (s sliceExpr) AlignResult(r provenance.Result, _ provenance.Mapping) proven
 }
 func (s sliceExpr) String() string { return "sliceExpr" }
 
-// TestDistanceDeltaFallback: expressions that cannot be planned (no
+// TestDistanceDeltaRefuses: expressions that cannot be planned (no
 // plan at all, or an arena the blocked kernel refuses), and probes that
-// cannot be compiled soundly, report ok=false without touching the delta
-// counters, so callers fall back to DistanceBatch. Names holding key
+// cannot be compiled soundly, are refused with a *PlanError — by
+// DistanceDelta without touching the delta counters, by CheckPlan, and
+// by Distance with a panic naming the check. Names holding key
 // separators are not among them: Key escapes them, so they plan and
 // score like the reference.
-func TestDistanceDeltaFallback(t *testing.T) {
+func TestDistanceDeltaRefuses(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 	opaque := sliceExpr{weights: []float64{1}, anns: anns[:1]}
-	if _, _, ok := e.DistanceDelta(opaque, opaque, provenance.NewMapping(), base, sets, "Z", nil); ok {
-		t.Fatal("DistanceDelta must fall back on a non-aggregated expression")
+	refused := func(what string, err error) {
+		t.Helper()
+		var pe *PlanError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want a *PlanError", what, err)
+		}
 	}
+	_, _, err := e.DistanceDelta(opaque, opaque, provenance.NewMapping(), base, sets, "Z", nil)
+	refused("non-aggregated expression", err)
+	refused("CheckPlan of a non-aggregated expression", e.CheckPlan(opaque, opaque, "Z"))
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "CheckPlan") {
+				t.Fatalf("Distance on an unplannable expression: recovered %v, want a panic naming CheckPlan", r)
+			}
+		}()
+		e.Distance(opaque, opaque, provenance.NewMapping(), base)
+	}()
 	// newAnn already occurs in the expression: rewritten tensor keys could
 	// collide with unaffected ones, so the probe refuses to compile.
-	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0], nil); ok {
-		t.Fatal("DistanceDelta must fall back when newAnn occurs in the expression")
+	_, _, err = e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0], nil)
+	refused("newAnn in the expression", err)
+	refused("CheckPlan with newAnn in the expression", e.CheckPlan(p0, p0, anns[0]))
+	if err := e.CheckPlan(p0, p0, "Z"); err != nil {
+		t.Fatalf("CheckPlan refused a plannable expression: %v", err)
 	}
 	// A negative constant makes the arena unblockable: planOf refuses it.
 	neg := provenance.NewAgg(provenance.AggSum,
@@ -248,9 +265,8 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	negAnns := neg.Annotations()
 	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
 	negBase := provenance.GroupsOf(negAnns, provenance.NewMapping())
-	if _, _, ok := ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z", nil); ok {
-		t.Fatal("DistanceDelta must fall back on an unblockable arena")
-	}
+	_, _, err = ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z", nil)
+	refused("unblockable arena", err)
 	// Names with key separators are escaped in keys, so they plan.
 	titled := provenance.NewAgg(provenance.AggMax,
 		provenance.Tensor{Prov: provenance.Prod{Factors: []provenance.Expr{provenance.V("u1"), provenance.V("Heat (1995)")}}, Value: 4, Count: 1, Group: "g"},
@@ -260,9 +276,9 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	te := estimator(valuation.NewCancelSingleAnnotation(titledAnns), Euclidean())
 	titledBase := provenance.GroupsOf(titledAnns, provenance.NewMapping())
 	ms := []provenance.Annotation{"u1", "u2"}
-	dists, _, ok := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{ms}, "Z", nil)
-	if !ok {
-		t.Fatal("DistanceDelta fell back on names with key separators")
+	dists, _, err := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{ms}, "Z", nil)
+	if err != nil {
+		t.Fatalf("DistanceDelta refused on names with key separators: %v", err)
 	}
 	h := provenance.MergeMapping("Z", ms...)
 	if want := refDistance(te, te.Class.Valuations(), titled, titled.Apply(h), h, provenance.GroupsOf(titledAnns, h)); dists[0] != want {
@@ -270,7 +286,7 @@ func TestDistanceDeltaFallback(t *testing.T) {
 	}
 	for _, est := range []*Estimator{e, ne} {
 		if st := est.Stats(); st.DeltaCalls != 0 || st.DeltaCandidates != 0 {
-			t.Fatalf("fallbacks counted as delta calls: %+v", st)
+			t.Fatalf("refusals counted as delta calls: %+v", st)
 		}
 	}
 }
@@ -279,17 +295,18 @@ func TestDistanceDeltaFallback(t *testing.T) {
 // original-expression cache used to compare p0 against its previous key
 // with !=, which panics ("comparing uncomparable type") on the second
 // valuation for any Expression with a non-comparable dynamic type. Such
-// expressions are now evaluated uncached.
+// expressions are now evaluated uncached. (A block plan's original may
+// be of any type.)
 func TestEvalOriginalNonComparableExpression(t *testing.T) {
 	anns := []provenance.Annotation{"a1", "a2"}
 	p0 := sliceExpr{weights: []float64{1, 2}, anns: anns}
-	pc := sliceExpr{weights: []float64{3}, anns: anns[:1]}
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	groups := provenance.GroupsOf(anns, provenance.NewMapping())
-	first := e.Distance(p0, pc, provenance.NewMapping(), groups)
-	second := e.Distance(p0, pc, provenance.NewMapping(), groups)
-	if first != second {
-		t.Fatalf("uncached evaluation not deterministic: %v != %v", first, second)
+	for _, v := range e.Class.Valuations() {
+		first := e.evalOriginal(v, p0)
+		second := e.evalOriginal(v, p0)
+		if first.ResultString() != second.ResultString() {
+			t.Fatalf("uncached evaluation not deterministic: %v != %v", first, second)
+		}
 	}
 	st := e.Stats()
 	if st.CacheHits != 0 {
@@ -306,16 +323,16 @@ func BenchmarkSummarizeStepScoringDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); !ok {
-			b.Fatal("DistanceDelta fell back")
+		if _, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 // TestBlockedScalarBitIdentical pins the valuation-blocked kernel to
-// the scalar reference on a mid-run step: DistanceDelta, DistanceBatch
-// and Distance — each evaluating 64 valuations per kernel pass — must
-// reproduce refDistance's one-valuation-at-a-time tree walk bit for bit,
+// the scalar reference on a mid-run step: DistanceDelta and Distance —
+// each evaluating 64 valuations per kernel pass — must reproduce
+// refDistance's one-valuation-at-a-time tree walk bit for bit,
 // sequential and parallel.
 func TestBlockedScalarBitIdentical(t *testing.T) {
 	sc := benchStep(t)
@@ -323,18 +340,14 @@ func TestBlockedScalarBitIdentical(t *testing.T) {
 		e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
 		e.Parallelism = workers
 		vals := e.Class.Valuations()
-		delta, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
-		if !ok {
-			t.Fatalf("workers=%d: DistanceDelta fell back", workers)
+		delta, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+		if err != nil {
+			t.Fatalf("workers=%d: DistanceDelta refused: %v", workers, err)
 		}
-		batch := e.DistanceBatch(sc.p0, sc.cands)
 		for i, c := range sc.cands {
 			want := refDistance(e, vals, sc.p0, c.Expr, c.Cumulative, c.Groups)
 			if delta[i] != want {
 				t.Fatalf("workers=%d delta candidate %d: blocked %v != scalar %v", workers, i, delta[i], want)
-			}
-			if batch[i] != want {
-				t.Fatalf("workers=%d batch candidate %d: blocked %v != scalar %v", workers, i, batch[i], want)
 			}
 			if i < 4 {
 				if d := e.Distance(sc.p0, c.Expr, c.Cumulative, c.Groups); d != want {
@@ -393,8 +406,8 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 	sets := [][]provenance.Annotation{{"S", "b"}}
 	for round, want := range []int{shared.baseIn.Len() * len(vals), 0} {
 		calls = 0
-		if _, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil); !ok {
-			t.Fatal("DistanceDelta fell back")
+		if _, _, err := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil); err != nil {
+			t.Fatal(err)
 		}
 		if calls != want {
 			t.Fatalf("sweep %d made %d Truth calls, want %d (one per interned base annotation and valuation, then none)", round+1, calls, want)
@@ -433,17 +446,17 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 
 	run := func(e *Estimator, patch bool) []float64 {
 		t.Helper()
-		if _, _, ok := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); !ok {
-			t.Fatal("DistanceDelta fell back on the first step")
+		if _, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+			t.Fatalf("DistanceDelta refused on the first step: %v", err)
 		}
 		if patch {
 			e.CommitMerge(sc.cur, next, members, newAnn, nil)
 		} else {
 			e.ResetCache()
 		}
-		got, _, ok := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
-		if !ok {
-			t.Fatal("DistanceDelta fell back on the committed step")
+		got, _, err := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
+		if err != nil {
+			t.Fatalf("DistanceDelta refused on the committed step: %v", err)
 		}
 		return got
 	}
@@ -461,9 +474,9 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 	}
 
 	fresh := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	want, _, ok := fresh.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
-	if !ok {
-		t.Fatal("fresh DistanceDelta fell back")
+	want, _, err := fresh.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
+	if err != nil {
+		t.Fatalf("fresh DistanceDelta refused: %v", err)
 	}
 	for i := range want {
 		if got[i] != want[i] {

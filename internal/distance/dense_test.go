@@ -128,9 +128,9 @@ func TestDeltaSkipBlockedOnInexactFolds(t *testing.T) {
 		ms := []provenance.Annotation{"#x", "a"}
 		step := provenance.MergeMapping("Z", ms...)
 		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		got, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z", nil)
-		if !ok {
-			t.Fatalf("values %v: DistanceDelta fell back", c.values)
+		got, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z", nil)
+		if err != nil {
+			t.Fatalf("values %v: DistanceDelta refused: %v", c.values, err)
 		}
 		want := refDistance(e, e.Class.Valuations(), p0, p0.Apply(step), step, provenance.GroupsOf(anns, step))
 		if math.Float64bits(got[0]) != math.Float64bits(want) {
@@ -150,7 +150,7 @@ func TestDeltaSkipBlockedOnInexactFolds(t *testing.T) {
 // pairs every current annotation, so it holds polynomial-only merges,
 // group renames, and merges of coordinates the aligned original has
 // (alignTouched).
-func denseScenario(kind provenance.AggKind) (p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, anns []provenance.Annotation, sets [][]provenance.Annotation, cands []BatchCandidate) {
+func denseScenario(kind provenance.AggKind) (p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, anns []provenance.Annotation, sets [][]provenance.Annotation, cands []refCandidate) {
 	values := []float64{0.1, 0.7, 2.5, 1e16, 0.3}
 	var tensors []provenance.Tensor
 	for u := 1; u <= 6; u++ {
@@ -189,7 +189,7 @@ func denseScenario(kind provenance.AggKind) (p0 *provenance.Agg, cur provenance.
 			}
 			g["Z"] = merged
 			sets = append(sets, ms)
-			cands = append(cands, BatchCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
+			cands = append(cands, refCandidate{Expr: cur.Apply(h), Cumulative: cum.Compose(h), Groups: g})
 		}
 	}
 	return p0, cur, cum, base, anns, sets, cands
@@ -228,9 +228,9 @@ func TestDistanceDeltaDenseMatchesReference(t *testing.T) {
 					if samples > 0 {
 						e.Rand = rand.New(rand.NewSource(9))
 					}
-					got, _, ok := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
-					if !ok {
-						t.Fatalf("%v %s: DistanceDelta fell back", kind, vf.Name)
+					got, _, err := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
+					if err != nil {
+						t.Fatalf("%v %s: DistanceDelta refused: %v", kind, vf.Name, err)
 					}
 					vals := refVals(e.Class, samples, 9)
 					for i, c := range cands {

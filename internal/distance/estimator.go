@@ -49,11 +49,11 @@ type Estimator struct {
 	// MaxError, when positive, normalizes distances into [0,1] by
 	// dividing by the maximum possible error (Sec. 6.3).
 	MaxError float64
-	// Parallelism, when > 1, fans the sweeps of DistanceDelta, of
-	// DistanceBatch and of Distance over an expression that plans across
-	// that many goroutines. Sampling draws happen up front on the calling
-	// goroutine and per-candidate sums accumulate in fixed valuation
-	// order, so results are bit-identical at any worker count.
+	// Parallelism, when > 1, fans the sweeps of DistanceDelta and of
+	// Distance across that many goroutines. Sampling draws happen up
+	// front on the calling goroutine and per-candidate sums accumulate
+	// in fixed valuation order, so results are bit-identical at any
+	// worker count.
 	Parallelism int
 
 	origCache map[string]provenance.Result
@@ -74,11 +74,13 @@ type Estimator struct {
 	truthCols map[provenance.Annotation][]uint64
 
 	// plan and blockPlan cache the compiled evaluation plan of the
-	// current expression for DistanceDelta (at most one is set), keyed
-	// by expression identity like origCache. A block plan is recompiled
-	// every step; only an arena plan is patched by CommitMerge.
+	// current expression for DistanceDelta (at most one is set; planErr
+	// when neither is), keyed by expression identity like origCache. A
+	// block plan is recompiled every step; only an arena plan is patched
+	// by CommitMerge.
 	plan      *provenance.Plan
 	blockPlan BlockPlan
+	planErr   error
 	planFor   provenance.Expression
 
 	// blockStatePool recycles the per-worker state of delta sweeps (word
@@ -100,10 +102,6 @@ type estimatorCounters struct {
 	samples       atomic.Uint64
 	distanceCalls atomic.Uint64
 	distanceNanos atomic.Int64
-
-	batchCalls      atomic.Uint64
-	batchCandidates atomic.Uint64
-	batchNanos      atomic.Int64
 
 	deltaCalls        atomic.Uint64
 	deltaCandidates   atomic.Uint64
@@ -136,12 +134,10 @@ type Stats struct {
 	// invocations and their total wall time.
 	DistanceCalls uint64
 	DistanceTime  time.Duration
-	// BatchCalls counts DistanceBatch invocations (fallback cohort
-	// scoring), BatchCandidates the candidates they scored, and BatchTime
-	// their total wall time (wall, not summed worker time: a parallel
-	// sweep's BatchTime shrinks with the speedup).
-	BatchCalls, BatchCandidates uint64
-	BatchTime                   time.Duration
+	// BatchTime is always 0. It timed the materialized fallback scorer,
+	// which is gone: every expression the estimator accepts is scored
+	// by the delta sweep. It stays for readers of the field.
+	BatchTime time.Duration
 	// DeltaCalls counts successful DistanceDelta sweeps, DeltaCandidates
 	// the candidates they scored, and DeltaTime their total wall time.
 	DeltaCalls, DeltaCandidates uint64
@@ -171,16 +167,13 @@ type Stats struct {
 // estimator's lifetime.
 func (e *Estimator) Stats() Stats {
 	return Stats{
-		Evaluations:     e.stats.evaluations.Load(),
-		CacheHits:       e.stats.cacheHits.Load(),
-		CacheMisses:     e.stats.cacheMisses.Load(),
-		CacheResets:     e.stats.cacheResets.Load(),
-		Samples:         e.stats.samples.Load(),
-		DistanceCalls:   e.stats.distanceCalls.Load(),
-		DistanceTime:    time.Duration(e.stats.distanceNanos.Load()),
-		BatchCalls:      e.stats.batchCalls.Load(),
-		BatchCandidates: e.stats.batchCandidates.Load(),
-		BatchTime:       time.Duration(e.stats.batchNanos.Load()),
+		Evaluations:   e.stats.evaluations.Load(),
+		CacheHits:     e.stats.cacheHits.Load(),
+		CacheMisses:   e.stats.cacheMisses.Load(),
+		CacheResets:   e.stats.cacheResets.Load(),
+		Samples:       e.stats.samples.Load(),
+		DistanceCalls: e.stats.distanceCalls.Load(),
+		DistanceTime:  time.Duration(e.stats.distanceNanos.Load()),
 
 		DeltaCalls:        e.stats.deltaCalls.Load(),
 		DeltaCandidates:   e.stats.deltaCandidates.Load(),
@@ -220,24 +213,69 @@ func (e *Estimator) Validate() error {
 
 // Distance computes the (possibly normalized) distance between the
 // original expression p0 and the candidate summary pc, where cumulative
-// is the mapping with h(p0) = pc and groups is its inverse view. When pc
-// plans, it is DistanceDelta's sweep with no candidate: every lane is
-// the base evaluation's VAL-FUNC value, and pc's plan stays cached for
-// the step that scores pc's merges. Otherwise it is DistanceBatch's
-// sweep over a one-candidate cohort. Either way it draws the same
-// valuations in the same order and sums them in valuation order, so the
-// result is bit-identical to scoring pc in a batch. It is counted in
-// the Distance* statistics, Evaluations and the cache counters only.
+// is the mapping with h(p0) = pc and groups is its inverse view. It is
+// DistanceDelta's sweep with no candidate: every lane is the base
+// evaluation's VAL-FUNC value, and pc's plan stays cached for the step
+// that scores pc's merges. It draws the same valuations in the same
+// order and sums them in valuation order, so the result is
+// bit-identical to scoring pc as a candidate. It is counted in the
+// Distance* statistics, Evaluations and the cache counters only.
+//
+// pc must plan against p0: Distance panics with CheckPlan's error
+// otherwise, a misconfiguration callers report up front by calling
+// CheckPlan, as batchValuations' panic is one Validate reports.
 func (e *Estimator) Distance(p0, pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups) float64 {
 	t0 := time.Now()
 	defer func() {
 		e.stats.distanceCalls.Add(1)
 		e.stats.distanceNanos.Add(int64(time.Since(t0)))
 	}()
-	if d, ok := e.distanceBase(p0, pc, cumulative, groups); ok {
-		return d
+	d, err := e.distanceBase(p0, pc, cumulative, groups)
+	if err != nil {
+		panic(fmt.Sprintf("distance: Distance on an expression Estimator.CheckPlan refuses: %v", err))
 	}
-	return e.scoreCohort(p0, []BatchCandidate{{Expr: pc, Cumulative: cumulative, Groups: groups}})[0]
+	return d
+}
+
+// PlanError is the estimator's refusal of an expression it cannot
+// score: Reason names what stops the delta sweep from planning it.
+type PlanError struct {
+	Reason string
+}
+
+func (e *PlanError) Error() string { return "distance: cannot plan the expression: " + e.Reason }
+
+func planError(format string, args ...any) *PlanError {
+	return &PlanError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// CheckPlan reports why the estimator cannot score cur against p0, as a
+// *PlanError: cur has no compiled plan (planOf), an aggregation's plan
+// is asked to score against an original that is not one, an
+// aggregation is not in Simplify normal form (Probe refuses every merge
+// of it), cur holds a reserved annotation (provenance.Zero or One), or
+// newAnn, the summary annotation DistanceDelta probes merges into, when
+// not empty, already occurs in cur. Distance needs only the plan. The
+// plan stays cached, so the first Distance or DistanceDelta on cur
+// reuses it instead of compiling again.
+func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.Annotation) error {
+	plan, bplan, err := e.planOf(cur)
+	if err != nil {
+		return err
+	}
+	_, annID, err := sweepNames(p0, plan, bplan)
+	if err != nil {
+		return err
+	}
+	if plan != nil && !plan.Probeable() {
+		return planError("the aggregation is not in Simplify normal form")
+	}
+	for _, a := range []provenance.Annotation{provenance.Zero, provenance.One, newAnn} {
+		if _, taken := annID(a); taken && a != "" {
+			return planError("the expression holds the reserved annotation %q", a)
+		}
+	}
+	return nil
 }
 
 // CommitMerge tells the estimator that the summarizer committed the merge
@@ -279,7 +317,7 @@ func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []prove
 // a run returns, so an estimator between runs pins no plan: the next
 // run's ResetCache would drop it unused anyway.
 func (e *Estimator) ReleasePlan() {
-	e.plan, e.blockPlan, e.planFor = nil, nil, nil
+	e.plan, e.blockPlan, e.planErr, e.planFor = nil, nil, nil, nil
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -380,9 +418,7 @@ func (e *Estimator) ResetCache() {
 	e.cachedFor = nil
 	e.origKeys, e.origRows = nil, nil
 	e.truthCols = nil
-	e.plan = nil
-	e.blockPlan = nil
-	e.planFor = nil
+	e.ReleasePlan()
 }
 
 // truthColumn returns annotation a's packed truth column over vals
@@ -415,26 +451,40 @@ func (e *Estimator) truthColumn(a provenance.Annotation, vals []provenance.Valua
 // expression identity across the calls of one summarization step (a step
 // scores its pair cohort and any k-ary growth rounds against the same
 // cur): the arena plan of an aggregation, or the block plan of an
-// expression implementing BlockPlanner. Both are nil when cur cannot be
-// planned — including an aggregation whose arena the blocked kernel
-// refuses (provenance.Arena.Blockable), so a refused plan is never
-// swept or patched.
-func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan) {
+// expression implementing BlockPlanner. When cur has neither, err (a
+// *PlanError) names why — an aggregation whose arena the blocked kernel
+// refuses (provenance.Arena.Blockable) included, so a refused plan is
+// never swept or patched.
+func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan, error) {
 	if comparableExpr(cur) && e.planFor == cur {
-		return e.plan, e.blockPlan
+		return e.plan, e.blockPlan, e.planErr
 	}
-	plan := provenance.NewPlan(cur)
-	if plan != nil && !plan.Arena().Blockable() {
-		plan = nil
-	}
-	var bplan BlockPlan
-	if bp, ok := cur.(BlockPlanner); ok && plan == nil {
-		bplan = bp.BlockPlan()
-	}
+	plan, bplan, err := compilePlan(cur)
 	if comparableExpr(cur) {
-		e.plan, e.blockPlan, e.planFor = plan, bplan, cur
+		e.plan, e.blockPlan, e.planErr, e.planFor = plan, bplan, err, cur
 	}
-	return plan, bplan
+	return plan, bplan, err
+}
+
+func compilePlan(cur provenance.Expression) (*provenance.Plan, BlockPlan, error) {
+	switch c := cur.(type) {
+	case *provenance.Agg:
+		plan := provenance.NewPlan(c)
+		if plan == nil {
+			return nil, nil, planError("a polynomial holds a constant outside int32 or a node the arena does not compile")
+		}
+		if !plan.Arena().Blockable() {
+			return nil, nil, planError("a polynomial holds a negative constant")
+		}
+		return plan, nil, nil
+	case BlockPlanner:
+		bplan, err := c.BlockPlan()
+		if err != nil {
+			return nil, nil, &PlanError{Reason: err.Error()}
+		}
+		return nil, bplan, nil
+	}
+	return nil, nil, planError("%T has no compiled plan", cur)
 }
 
 // SampleSize returns a number of Monte-Carlo samples sufficient for

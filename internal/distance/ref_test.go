@@ -35,6 +35,24 @@ func refDistance(e *Estimator, vals []provenance.Valuation, p0, pc provenance.Ex
 	return d
 }
 
+// refCandidate is one materialized candidate summary of a shared
+// original p0, as refDistance scores it: the candidate expression, the
+// cumulative mapping with Expr = Cumulative(p0), and its inverse view.
+type refCandidate struct {
+	Expr       provenance.Expression
+	Cumulative provenance.Mapping
+	Groups     provenance.Groups
+}
+
+// refDistances scores every candidate by refDistance under vals.
+func refDistances(e *Estimator, vals []provenance.Valuation, p0 provenance.Expression, cands []refCandidate) []float64 {
+	out := make([]float64, len(cands))
+	for i, c := range cands {
+		out[i] = refDistance(e, vals, p0, c.Expr, c.Cumulative, c.Groups)
+	}
+	return out
+}
+
 // refVals is the valuation list the first sweep of an estimator over
 // class scores: the enumerated class when samples is 0, else samples
 // draws from a Rand seeded with seed.
@@ -50,10 +68,13 @@ func refVals(class valuation.Class, samples int, seed int64) []provenance.Valuat
 	return vals
 }
 
-// RefDistance and RefVals export the oracle to the external test
-// package (the DDP scenarios, which cannot be built from package
-// distance).
+// RefDistance, RefDistances, RefVals and RefCandidate export the
+// oracle to the external test package (the DDP scenarios, which cannot
+// be built from package distance).
 var (
-	RefDistance = refDistance
-	RefVals     = refVals
+	RefDistance  = refDistance
+	RefDistances = refDistances
+	RefVals      = refVals
 )
+
+type RefCandidate = refCandidate

@@ -1,7 +1,10 @@
 package distance
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/provenance"
@@ -60,20 +63,23 @@ func TestStatsCountsCacheAndEvaluations(t *testing.T) {
 // workers share it (run under -race to check the workers stay off the
 // cache).
 func TestPrewarmMakesParallelLookupsHits(t *testing.T) {
-	p0, anns, cands := batchFixture(8)
+	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 	e.Parallelism = 4
 	vals := uint64(len(e.Class.Valuations()))
+	sweep := func() {
+		t.Helper()
+		if _, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	e.DistanceBatch(p0, cands)
+	sweep()
 	st := e.Stats()
 	if st.CacheMisses != vals || st.CacheHits != 0 {
 		t.Fatalf("cold sweep hits/misses = %d/%d, want 0/%d", st.CacheHits, st.CacheMisses, vals)
 	}
-	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), provenance.GroupsOf(anns, provenance.NewMapping()), [][]provenance.Annotation{{anns[0], anns[1]}}, "Z", nil); !ok {
-		t.Fatal("DistanceDelta fell back")
-	}
-	e.DistanceBatch(p0, cands)
+	sweep()
 	st = e.Stats()
 	if st.CacheMisses != vals {
 		t.Fatalf("warm sweeps missed: misses = %d, want %d", st.CacheMisses, vals)
@@ -108,7 +114,8 @@ func TestStatsCountsSamples(t *testing.T) {
 // DistanceCalls and one Evaluation per valuation, never a delta or batch
 // call, skip or re-evaluation, and it leaves pc's plan cached for the
 // step that probes pc's merges next. On one that does not plan (a
-// negative constant), it is the fallback's sweep, counted the same way.
+// negative constant), it panics naming CheckPlan, which refuses the
+// expression, and counts no evaluation.
 func TestDistanceRouting(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(6)
 	h := provenance.MergeMapping("Z", anns[0], anns[1])
@@ -120,14 +127,14 @@ func TestDistanceRouting(t *testing.T) {
 	if st.DistanceCalls != 1 || st.Evaluations != vals {
 		t.Fatalf("DistanceCalls=%d Evaluations=%d, want 1 and %d", st.DistanceCalls, st.Evaluations, vals)
 	}
-	if st.DeltaCalls != 0 || st.DeltaSkips != 0 || st.DeltaFullEvals != 0 || st.DeltaSubtreeEvals != 0 || st.BatchCalls != 0 {
+	if st.DeltaCalls != 0 || st.DeltaSkips != 0 || st.DeltaFullEvals != 0 || st.DeltaSubtreeEvals != 0 || st.BatchTime != 0 {
 		t.Fatalf("Distance counted as a sweep: %+v", st)
 	}
 	if e.plan == nil || e.planFor != pc {
 		t.Fatal("Distance did not leave pc's plan cached")
 	}
 	plan := e.plan
-	if _, _, ok := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Y", nil); !ok || e.plan == plan {
+	if _, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Y", nil); err != nil || e.plan == plan {
 		t.Fatal("DistanceDelta on another expression did not replan")
 	}
 
@@ -138,11 +145,19 @@ func TestDistanceRouting(t *testing.T) {
 	negAnns := neg.Annotations()
 	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
 	id := provenance.NewMapping()
-	want := refDistance(ne, ne.Class.Valuations(), neg, neg, id, provenance.GroupsOf(negAnns, id))
-	if got := ne.Distance(neg, neg, id, provenance.GroupsOf(negAnns, id)); got != want {
-		t.Fatalf("fallback Distance %v, reference %v", got, want)
+	var pe *PlanError
+	if err := ne.CheckPlan(neg, neg, ""); !errors.As(err, &pe) {
+		t.Fatalf("CheckPlan of a negative constant: %v, want a *PlanError", err)
 	}
-	if st := ne.Stats(); st.DistanceCalls != 1 || st.Evaluations != uint64(len(ne.Class.Valuations())) || st.BatchCalls != 0 || st.DeltaCalls != 0 {
-		t.Fatalf("fallback Distance counted as %+v", st)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "CheckPlan") {
+				t.Fatalf("Distance on a negative constant: recovered %v, want a panic naming CheckPlan", r)
+			}
+		}()
+		ne.Distance(neg, neg, id, provenance.GroupsOf(negAnns, id))
+	}()
+	if st := ne.Stats(); st.Evaluations != 0 || st.DeltaCalls != 0 {
+		t.Fatalf("refused Distance counted as %+v", st)
 	}
 }

@@ -419,14 +419,13 @@ func Timing(o Options, scales []float64, maxSteps int) (*TimingResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Cohort scoring amortizes one sweep (DistanceDelta, or its
-			// DistanceBatch fallback) over all its candidates, so the
-			// per-candidate figure divides total scoring wall time — both
-			// sweeps plus Distance calls — by total candidates scored
-			// (each Distance call scores one).
+			// Cohort scoring amortizes one DistanceDelta sweep over all
+			// its candidates, so the per-candidate figure divides total
+			// scoring wall time — sweeps plus Distance calls — by total
+			// candidates scored (each Distance call scores one).
 			st := est.Stats()
-			if n := st.DistanceCalls + st.BatchCandidates + st.DeltaCandidates; n > 0 {
-				totalUS := float64(st.DistanceTime.Microseconds() + st.BatchTime.Microseconds() + st.DeltaTime.Microseconds())
+			if n := st.DistanceCalls + st.DeltaCandidates; n > 0 {
+				totalUS := float64(st.DistanceTime.Microseconds() + st.DeltaTime.Microseconds())
 				candUS = append(candUS, totalUS/float64(n))
 			}
 			sumMS = append(sumMS, float64(sum.Elapsed.Microseconds())/1000)

@@ -215,7 +215,13 @@ func Agg(kind provenance.AggKind, src string) (*provenance.Agg, error) {
 	if p.peek().kind != tEOF {
 		return nil, p.errHere("trailing input %q", p.peek().text)
 	}
-	return provenance.NewAgg(kind, tensors...), nil
+	g := provenance.NewAgg(kind, tensors...)
+	// Simplify folds constants (2·3 into 6); the compiled arena the
+	// scorer runs on holds int32 ones.
+	if provenance.CompileArena(g) == nil {
+		return nil, fmt.Errorf("parse: a polynomial folds to a constant outside int32")
+	}
+	return g, nil
 }
 
 // tensor = poly ⊗ value-pair [@ group]
@@ -233,11 +239,11 @@ func (p *parser) tensor() (provenance.Tensor, error) {
 	}
 	t := provenance.Tensor{Prov: poly, Value: value, Count: count}
 	if _, ok := p.accept(tAt); ok {
-		g, err := p.expect(tIdent, "group annotation")
+		g, err := p.name("group annotation")
 		if err != nil {
 			return provenance.Tensor{}, err
 		}
-		t.Group = provenance.Annotation(g.text)
+		t.Group = g
 	}
 	return t, nil
 }
@@ -330,15 +336,19 @@ func (p *parser) term() (provenance.Expr, error) {
 func (p *parser) factor() (provenance.Expr, error) {
 	switch t := p.peek(); t.kind {
 	case tIdent:
-		p.next()
-		return provenance.Var{Ann: provenance.Annotation(t.text)}, nil
+		a, err := p.name("annotation")
+		if err != nil {
+			return nil, err
+		}
+		return provenance.Var{Ann: a}, nil
 	case tNumber:
 		p.next()
-		n, err := strconv.Atoi(t.text)
+		// The compiled arena holds constants as int32.
+		n, err := strconv.ParseInt(t.text, 10, 32)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("parse: polynomial constants must be naturals, got %q at %d", t.text, t.pos)
+			return nil, fmt.Errorf("parse: polynomial constants must be naturals below 2^31, got %q at %d", t.text, t.pos)
 		}
-		return provenance.Const{N: n}, nil
+		return provenance.Const{N: int(n)}, nil
 	case tLParen:
 		p.next()
 		inner, err := p.poly()
@@ -412,6 +422,19 @@ func (p *parser) cmpOp() (provenance.CmpOp, error) {
 	}
 }
 
+// name reads an annotation name, refusing the reserved ones
+// (provenance.Reserved), which only a quoted string can spell.
+func (p *parser) name(what string) (provenance.Annotation, error) {
+	t, err := p.expect(tIdent, what)
+	if err != nil {
+		return "", err
+	}
+	if a := provenance.Annotation(t.text); !provenance.Reserved(a) {
+		return a, nil
+	}
+	return "", fmt.Errorf("parse: annotation %q at %d is reserved (it begins with 0x00)", t.text, t.pos)
+}
+
 // DDP parses a data-dependent-process expression: executions joined by
 // '+', each a '·'-product of transitions ⟨cost-var:cost,1⟩ or
 // ⟨0,[d1·d2]op0⟩ (angle brackets may be ASCII '<'/'>').
@@ -459,13 +482,20 @@ func (p *parser) transition() (ddp.Transition, error) {
 	}
 	switch t := p.peek(); t.kind {
 	case tIdent: // user transition ⟨c:cost,1⟩
-		p.next()
+		costVar, err := p.name("cost variable")
+		if err != nil {
+			return ddp.Transition{}, err
+		}
 		if _, err := p.expect(tColon, ":"); err != nil {
 			return ddp.Transition{}, err
 		}
+		costTok := p.peek()
 		cost, err := p.number()
 		if err != nil {
 			return ddp.Transition{}, err
+		}
+		if !ddp.ValidCost(cost) {
+			return ddp.Transition{}, fmt.Errorf("parse: DDP costs must be finite and non-negative, got %q at %d", costTok.text, costTok.pos)
 		}
 		if _, ok := p.accept(tComma); ok {
 			if _, err := p.number(); err != nil { // the constant 1
@@ -475,7 +505,7 @@ func (p *parser) transition() (ddp.Transition, error) {
 		if _, err := p.expect(tRAngle, "⟩"); err != nil {
 			return ddp.Transition{}, err
 		}
-		return ddp.User(provenance.Annotation(t.text), cost), nil
+		return ddp.User(costVar, cost), nil
 
 	case tNumber: // condition transition ⟨0,[d1·d2]op0⟩
 		p.next() // the 0
@@ -485,14 +515,14 @@ func (p *parser) transition() (ddp.Transition, error) {
 		if _, err := p.expect(tLBrack, "["); err != nil {
 			return ddp.Transition{}, err
 		}
-		d1, err := p.expect(tIdent, "database variable")
+		d1, err := p.name("database variable")
 		if err != nil {
 			return ddp.Transition{}, err
 		}
 		if _, err := p.expect(tDot, "·"); err != nil {
 			return ddp.Transition{}, err
 		}
-		d2, err := p.expect(tIdent, "database variable")
+		d2, err := p.name("database variable")
 		if err != nil {
 			return ddp.Transition{}, err
 		}
@@ -518,7 +548,7 @@ func (p *parser) transition() (ddp.Transition, error) {
 		if _, err := p.expect(tRAngle, "⟩"); err != nil {
 			return ddp.Transition{}, err
 		}
-		return ddp.Cond(provenance.Annotation(d1.text), provenance.Annotation(d2.text), nonZero), nil
+		return ddp.Cond(d1, d2, nonZero), nil
 
 	default:
 		return ddp.Transition{}, p.errHere("expected cost variable or 0, found %q", t.text)

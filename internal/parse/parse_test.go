@@ -119,6 +119,11 @@ func TestAggErrors(t *testing.T) {
 		"U1·(3.5) ⊗ (1,1)",     // non-natural polynomial constant
 		"(a + -1) ⊗ (2,1) @ g", // negative polynomial constant
 		"-1 ⊗ (2,1) @ g",
+		"a·2147483648 ⊗ (2,1) @ g",           // constant outside int32
+		"a·99999999999999999999 ⊗ (2,1) @ g", // constant outside int64
+		"a·65536·65536 ⊗ (2,1) @ g",          // folds outside int32
+		"\"\x00probe\" ⊗ (2,1) @ g",          // reserved annotation
+		"a ⊗ (2,1) @ \"\x000\"",              // reserved group
 	}
 	for _, src := range bad {
 		if _, err := Agg(provenance.AggMax, src); err == nil {
@@ -211,6 +216,10 @@ func TestDDPErrors(t *testing.T) {
 		"<0,[d1 d2]=0>",      // missing ·
 		"<0,[d1·d2]=0> junk", // trailing
 		"<<c1:3>>",           // double angle
+		"<c1:-3,1>",          // negative cost
+		"<c1:1" + strings.Repeat("0", 400) + ",1>", // infinite cost
+		"<\"\x001\":3,1>",                          // reserved cost variable
+		"<0,[d1·\"\x00d\"]=0>",                     // reserved database variable
 	}
 	for _, src := range bad {
 		if _, err := DDP(src); err == nil {

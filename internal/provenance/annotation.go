@@ -34,6 +34,11 @@ const (
 	One  Annotation = "\x001"
 )
 
+// Reserved reports whether a begins with the byte 0x00, the prefix of
+// Zero, One and the summarizer's scratch annotations: input readers
+// refuse such names.
+func Reserved(a Annotation) bool { return strings.HasPrefix(string(a), "\x00") }
+
 // Attrs holds the semantic attributes of the object an annotation stands
 // for, e.g. {"gender": "F", "age": "25-34"} for a MovieLens user. The
 // attribute names and values are dataset-specific; constraints and

@@ -136,8 +136,8 @@ type Arena struct {
 	// negConst records whether any compiled constant is negative. The
 	// word-level nonzero propagation of EvalBlock assumes sums of
 	// nonzero naturals stay nonzero, which negative constants break, so
-	// such arenas report Blockable() == false and engines fall back to
-	// the Expr tree walk.
+	// such arenas report Blockable() == false and the scorer refuses
+	// them.
 	negConst bool
 
 	// Numeric cone of EvalBlock's per-lane sweep: the Sum/Prod nodes
@@ -160,7 +160,7 @@ type Arena struct {
 
 // CompileArena compiles g into an arena. It returns nil when g is nil or
 // a polynomial contains an unknown node type or a constant outside
-// int32; callers must fall back to interface-dispatch evaluation.
+// int32; such an expression cannot be scored.
 func CompileArena(g *Agg) *Arena {
 	if g == nil {
 		return nil

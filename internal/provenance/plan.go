@@ -116,7 +116,7 @@ var probeScratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
 
 // NewPlan compiles e into a Plan. It returns nil when e cannot be planned
 // — it is not an aggregated expression (*Agg), or a polynomial contains
-// an unknown node type — and callers must fall back to full evaluation.
+// an unknown node type or a constant outside int32 (CompileArena).
 func NewPlan(e Expression) *Plan {
 	g, ok := e.(*Agg)
 	if !ok || g == nil {
@@ -213,6 +213,11 @@ func (p *Plan) reindex() {
 		p.exact = p.exact && total < 1<<53
 	}
 }
+
+// Probeable reports whether Probe's id-level rewrite is exact for the
+// plan (see Plan.probeable); Probe refuses every merge of a plan that is
+// not.
+func (p *Plan) Probeable() bool { return p.probeable }
 
 // Exact reports whether the plan's folds give the same bits in any
 // contribution order or grouping (see Plan.exact). When it is false, a
@@ -607,7 +612,7 @@ func (pr *Probe) rewEntry(i int32) foldEntry {
 // returns nil when the probe cannot be compiled soundly: newAnn already
 // occurs in the expression without being a member (rewritten tensors
 // could merge with existing ones), a reserved annotation is involved, or
-// the plan falls outside the id-level rewrite (see Plan.probeable). Callers fall back to materializing the candidate. A
+// the plan falls outside the id-level rewrite (see Plan.probeable). A
 // merge named after one of its members (Universe.Merge's name for a
 // group that absorbs another annotation) is sound: every tensor that
 // mentions newAnn is then rewritten too.

@@ -50,16 +50,13 @@ type metrics struct {
 
 	// estimator instrumentation, accumulated from per-request estimators
 	// after each summarization (see recordSummarize).
-	estEvals      *obs.Counter
-	estHits       *obs.Counter
-	estMisses     *obs.Counter
-	estResets     *obs.Counter
-	estSamples    *obs.Counter
-	estDistCalls  *obs.Counter
-	estDistSecs   *obs.Counter
-	estBatchCalls *obs.Counter
-	estBatchCands *obs.Counter
-	estBatchSecs  *obs.Counter
+	estEvals     *obs.Counter
+	estHits      *obs.Counter
+	estMisses    *obs.Counter
+	estResets    *obs.Counter
+	estSamples   *obs.Counter
+	estDistCalls *obs.Counter
+	estDistSecs  *obs.Counter
 
 	estDeltaCalls   *obs.Counter
 	estDeltaCands   *obs.Counter
@@ -127,16 +124,13 @@ func newMetrics(reg *obs.Registry) *metrics {
 		streamExtends:    reg.Counter("prox_stream_extends_total", "Warm-started Extend jobs submitted (explicit /api/extend or cache warm-starts).", nil),
 		versions:         reg.Counter("prox_summary_versions_total", "Summary versions appended to session chains.", nil),
 
-		estEvals:      reg.Counter("prox_estimator_evaluations_total", "VAL-FUNC summands evaluated by the distance estimator.", nil),
-		estHits:       reg.Counter("prox_estimator_cache_hits_total", "Original-expression evaluation cache hits.", nil),
-		estMisses:     reg.Counter("prox_estimator_cache_misses_total", "Original-expression evaluation cache misses.", nil),
-		estResets:     reg.Counter("prox_estimator_cache_resets_total", "Original-expression evaluation cache resets.", nil),
-		estSamples:    reg.Counter("prox_estimator_samples_total", "Monte-Carlo valuation draws.", nil),
-		estDistCalls:  reg.Counter("prox_estimator_distance_calls_total", "Estimator Distance invocations.", nil),
-		estDistSecs:   reg.Counter("prox_estimator_distance_seconds_total", "Total wall time inside estimator Distance calls.", nil),
-		estBatchCalls: reg.Counter("prox_estimator_batch_calls_total", "Fallback cohort scoring: estimator DistanceBatch sweeps, for cohorts the delta engine cannot plan.", nil),
-		estBatchCands: reg.Counter("prox_estimator_batch_candidates_total", "Fallback cohort scoring: candidates scored by DistanceBatch sweeps.", nil),
-		estBatchSecs:  reg.Counter("prox_estimator_batch_seconds_total", "Fallback cohort scoring: total wall time inside DistanceBatch sweeps.", nil),
+		estEvals:     reg.Counter("prox_estimator_evaluations_total", "VAL-FUNC summands evaluated by the distance estimator.", nil),
+		estHits:      reg.Counter("prox_estimator_cache_hits_total", "Original-expression evaluation cache hits.", nil),
+		estMisses:    reg.Counter("prox_estimator_cache_misses_total", "Original-expression evaluation cache misses.", nil),
+		estResets:    reg.Counter("prox_estimator_cache_resets_total", "Original-expression evaluation cache resets.", nil),
+		estSamples:   reg.Counter("prox_estimator_samples_total", "Monte-Carlo valuation draws.", nil),
+		estDistCalls: reg.Counter("prox_estimator_distance_calls_total", "Estimator Distance invocations.", nil),
+		estDistSecs:  reg.Counter("prox_estimator_distance_seconds_total", "Total wall time inside estimator Distance calls.", nil),
 
 		estDeltaCalls:   reg.Counter("prox_estimator_delta_calls_total", "Estimator DistanceDelta invocations (incremental cohort sweeps).", nil),
 		estDeltaCands:   reg.Counter("prox_estimator_delta_candidates_total", "Candidates scored by DistanceDelta sweeps.", nil),

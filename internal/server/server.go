@@ -944,9 +944,6 @@ func (s *Server) recordSummarize(sum *core.Summary, est *distance.Estimator) {
 	s.met.estSamples.Add(float64(st.Samples))
 	s.met.estDistCalls.Add(float64(st.DistanceCalls))
 	s.met.estDistSecs.Add(st.DistanceTime.Seconds())
-	s.met.estBatchCalls.Add(float64(st.BatchCalls))
-	s.met.estBatchCands.Add(float64(st.BatchCandidates))
-	s.met.estBatchSecs.Add(st.BatchTime.Seconds())
 	s.met.estDeltaCalls.Add(float64(st.DeltaCalls))
 	s.met.estDeltaCands.Add(float64(st.DeltaCandidates))
 	s.met.estDeltaSecs.Add(st.DeltaTime.Seconds())

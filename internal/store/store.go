@@ -78,6 +78,10 @@ type Store struct {
 	opts Options
 	log  *os.File
 	seq  uint64
+	// failed is the write or fsync error that poisoned the store: every
+	// later append and Compact returns it, so no frame ever lands after
+	// a torn one.
+	failed error
 
 	sessions     map[string]*codec.SessionRecord
 	sessionOrder []string
@@ -297,26 +301,37 @@ func (s *Store) State() *State {
 	return st
 }
 
-// append journals one variant, updates in-memory state, and (unless
-// NoSync) fsyncs before returning.
+// append journals one variant, (unless NoSync) fsyncs it, and only then
+// applies it to the in-memory state: an error means the record was
+// neither applied nor acknowledged. A write or fsync error poisons the
+// store (see failed).
 func (s *Store) append(rec *codec.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return fmt.Errorf("store: log failed earlier: %w", s.failed)
+	}
 	rec.Seq = s.seq
-	n, err := codec.AppendRecord(s.log, rec)
+	payload, err := codec.EncodeRecord(rec)
 	if err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.seq++
-	s.apply(rec)
+	n, err := codec.AppendFrame(s.log, payload)
+	if err != nil {
+		s.failed = fmt.Errorf("store: append: %w", err)
+		return s.failed
+	}
 	if s.opts.Observer != nil {
 		s.opts.Observer.Appended(n)
 	}
 	if !s.opts.NoSync {
 		if err := s.sync("store: fsync"); err != nil {
+			s.failed = err
 			return err
 		}
 	}
+	s.seq++
+	s.apply(rec)
 	return nil
 }
 
@@ -394,6 +409,9 @@ func (s *Store) FlushCache() error {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return fmt.Errorf("store: log failed earlier: %w", s.failed)
+	}
 
 	tmp, err := os.CreateTemp(s.dir, snapshotName+".tmp*")
 	if err != nil {

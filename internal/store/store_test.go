@@ -376,3 +376,55 @@ func (o *recordingObserver) truncated() int64 {
 	defer o.mu.Unlock()
 	return o.truncBytes
 }
+
+// TestAppendFailStop pins the store's failure contract: a record whose
+// write fails is not applied, every later append fails too (no frame
+// lands after a torn one), and a reopen replays exactly the
+// acknowledged records.
+func TestAppendFailStop(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutSession(sessionRec("s1")); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle on the log makes the next write fail.
+	good := s.log
+	ro, err := os.Open(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.log = ro
+	if err := s.PutSession(sessionRec("s2")); err == nil {
+		t.Fatal("append through a read-only log succeeded")
+	}
+	if got := len(s.State().Sessions); got != 1 {
+		t.Fatalf("failed append was applied: %d sessions in memory, want 1", got)
+	}
+	s.log = good
+	ro.Close()
+	if err := s.PutSession(sessionRec("s3")); err == nil {
+		t.Fatal("append after a failed write succeeded; want the store poisoned")
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("Compact after a failed write succeeded; want the store poisoned")
+	}
+	if got := len(s.State().Sessions); got != 1 {
+		t.Fatalf("%d sessions in memory after the refused append, want 1", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := mustOpen(t, dir, Options{})
+	st := re.State()
+	if len(st.Sessions) != 1 || st.Sessions[0].ID != "s1" {
+		ids := make([]string, len(st.Sessions))
+		for i, rec := range st.Sessions {
+			ids[i] = rec.ID
+		}
+		t.Fatalf("reopen replayed sessions %v, want exactly the acknowledged [s1]", ids)
+	}
+}

@@ -92,7 +92,11 @@ type (
 	Vector = provenance.Vector
 	// Scalar is a single-value result.
 	Scalar = provenance.Scalar
-	// Expression is the interface Algorithm 1 summarizes.
+	// Expression is the interface Algorithm 1 summarizes. Summarize
+	// scores two implementations, *provenance.Agg (aggregated semiring
+	// provenance, NewAgg) and *ddp.Expr (DDP tropical sums), and
+	// refuses any other type, and any value it cannot plan, with a
+	// *PlanError naming why.
 	Expression = provenance.Expression
 )
 
@@ -169,6 +173,9 @@ type (
 	ValFunc = distance.ValFunc
 	// Estimator computes distances exactly or by sampling (Prop. 4.1.2).
 	Estimator = distance.Estimator
+	// PlanError is the refusal of an expression the estimator cannot
+	// score.
+	PlanError = distance.PlanError
 )
 
 // NewCancelSingleAnnotation builds the per-annotation cancellation class.

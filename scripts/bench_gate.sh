@@ -49,7 +49,7 @@ run_bench 'AggEval|EvalBlock|EvalRows' 20000x ./internal/provenance/
 # one merge (each op also builds its fixture, untimed, ~3 ms).
 run_bench 'PlanProbe$|PlanProbeCarried$' 500x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
-# DDP on its tropical block plan (SummarizeStepScoringDDP{,Batch}).
+# DDP on its tropical block plan (SummarizeStepScoringDDP).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
 run_bench 'SummarizeScoringDelta$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
