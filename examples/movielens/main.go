@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro"
 )
@@ -40,8 +41,13 @@ func main() {
 		fmt.Printf("\n[%s] %d steps: size %d -> %d, distance %.4f\n",
 			kind, len(sum.Steps), w.Prov.Size(), sum.Expr.Size(), sum.Dist)
 		shown := 0
-		for name, members := range sum.Groups {
-			if len(members) >= 2 && shown < 4 {
+		names := make([]prox.Annotation, 0, len(sum.Groups))
+		for name := range sum.Groups {
+			names = append(names, name)
+		}
+		slices.Sort(names) // map order differs from run to run
+		for _, name := range names {
+			if members := sum.Groups[name]; len(members) >= 2 && shown < 4 {
 				fmt.Printf("  group %-14s = %v\n", name, members)
 				shown++
 			}

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro"
 	"repro/internal/workflow"
@@ -105,8 +106,13 @@ func main() {
 	}
 	fmt.Printf("\nsummary: size %d -> %d, distance %.4f\n",
 		db.Output.Size(), sum.Expr.Size(), sum.Dist)
-	for name, members := range sum.Groups {
-		if len(members) >= 2 {
+	names := make([]prox.Annotation, 0, len(sum.Groups))
+	for name := range sum.Groups {
+		names = append(names, name)
+	}
+	slices.Sort(names) // map order differs from run to run
+	for _, name := range names {
+		if members := sum.Groups[name]; len(members) >= 2 {
 			fmt.Printf("  group %s = %v\n", name, members)
 		}
 	}

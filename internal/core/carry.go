@@ -17,30 +17,29 @@ import (
 // enumerates, which is the same code path with nothing carried. It
 // lives in Summarizer.run and is released when the run returns.
 //
-// The committed merge is carried into the state when the next step
-// begins (flush), not when it commits: a run's last merge then costs no
-// pair update, plan patch or probe rebase.
+// A committed merge patches the estimator's plan at once, since the
+// patch builds the next expression (Estimator.CommitMerge), but it is
+// carried into the pair list and the probes only when the next step
+// begins (flush and the estimator's next sweep): a run's last merge then
+// costs no pair update or probe rebase.
 type stepCarry struct {
 	pairs   pairList
 	probes  distance.Carry
 	pending *committedMerge
 }
 
-// committedMerge is a merge committed but not yet carried into the step
-// state: cur became next by mapping members to newAnn.
+// committedMerge is a merge committed but not yet carried into the pair
+// list: members were mapped to newAnn.
 type committedMerge struct {
-	cur, next provenance.Expression
-	members   []provenance.Annotation
-	newAnn    provenance.Annotation
+	members []provenance.Annotation
+	newAnn  provenance.Annotation
 }
 
-// flush carries the pending merge into the pair list and, through
-// Estimator.CommitMerge, into the estimator's plan and probes.
-func (c *stepCarry) flush(pol *constraints.Policy, est *distance.Estimator) {
+// flush carries the pending merge into the pair list.
+func (c *stepCarry) flush(pol *constraints.Policy) {
 	if m := c.pending; m != nil {
 		c.pending = nil
 		c.pairs.commit(pol, m.members, m.newAnn)
-		est.CommitMerge(m.cur, m.next, m.members, m.newAnn, &c.probes)
 	}
 }
 

@@ -447,7 +447,7 @@ const probeAnn provenance.Annotation = "\x00probe"
 // err is the scorer's refusal of a cohort.
 func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
 	cfg := s.cfg
-	carry.flush(cfg.Policy, cfg.Estimator)
+	carry.flush(cfg.Policy)
 	anns := cur.Annotations()
 	pairs := carry.pairs.forAnns(cfg.Policy, anns)
 	if len(pairs) == 0 {
@@ -574,16 +574,17 @@ func contains(list []provenance.Annotation, a provenance.Annotation) bool {
 }
 
 // commitCandidate registers the winning merge's summary annotation and
-// rebuilds the expression and cumulative mapping under its real name.
-// The next step carries the merge into the pair list and lets the
-// estimator patch its cached delta plan in place (stepCarry.flush),
-// instead of recompiling the whole expression on its first probe.
+// builds the expression and cumulative mapping under its real name. The
+// estimator patches its cached delta plan in place and reads the next
+// expression off the patch (Estimator.CommitMerge), instead of
+// rebuilding the whole expression and recompiling it on the next
+// step's first probe; the next step carries the merge into the pair
+// list (stepCarry.flush).
 func (s *Summarizer) commitCandidate(cur provenance.Expression, cum provenance.Mapping, c candidate, carry *stepCarry) candidate {
 	c.newAnn = s.cfg.Policy.MergeName(c.members)
-	step := provenance.MergeMapping(c.newAnn, c.members...)
-	c.cum = cum.Compose(step)
-	c.expr = cur.Apply(step)
-	carry.pending = &committedMerge{cur: cur, next: c.expr, members: c.members, newAnn: c.newAnn}
+	c.cum = cum.Compose(provenance.MergeMapping(c.newAnn, c.members...))
+	c.expr = s.cfg.Estimator.CommitMerge(cur, c.members, c.newAnn, &carry.probes)
+	carry.pending = &committedMerge{members: c.members, newAnn: c.newAnn}
 	return c
 }
 

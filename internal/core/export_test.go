@@ -16,7 +16,7 @@ import (
 // into each step.
 func CheckCarry(s *Summarizer, carried func(probes int)) {
 	s.checkCarry = func(cur provenance.Expression, c *stepCarry) error {
-		c.flush(s.cfg.Policy, s.cfg.Estimator)
+		c.flush(s.cfg.Policy)
 		anns := cur.Annotations()
 		pl := &c.pairs
 		if !pl.ok {

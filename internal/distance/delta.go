@@ -266,10 +266,14 @@ func (e *Estimator) normalize(out []float64, n int) {
 }
 
 // batchValuations returns the sweep's valuation list: the enumerated
-// class, or — in sampling mode — one shared sample set drawn up front.
+// class, enumerated once per run, or — in sampling mode — one shared
+// sample set drawn up front. The list must not be modified.
 func (e *Estimator) batchValuations() []provenance.Valuation {
 	if e.Samples <= 0 {
-		return e.Class.Valuations()
+		if e.vals == nil {
+			e.vals = e.Class.Valuations()
+		}
+		return e.vals
 	}
 	if e.Rand == nil {
 		panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
@@ -525,7 +529,11 @@ func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals 
 		cols[i] = e.truthColumn(a, vals)
 	}
 	var skipped atomic.Uint64
-	vf := make([]float64, chunk*V)
+	// Every cell of the matrix is written before it is read (a lane
+	// either skips to the base value or is re-evaluated), so the
+	// estimator's matrix is reused without clearing.
+	e.vf = fit(e.vf, chunk*V)
+	vf := e.vf
 	for cLo := 0; cLo < len(probes); cLo += chunk {
 		cHi := min(len(probes), cLo+chunk)
 		if workers <= 1 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -423,11 +424,11 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 }
 
 // TestCommitMergePatchesPlan pins the arena-reuse contract of the merge
-// commit: after CommitMerge the cached plan is patched in place
-// (MergePatches counts it, nothing recompiles), and scoring the next
-// step on the patched plan is bit-identical to a fresh estimator that
-// compiles the committed expression from scratch, and to the same
-// estimator recompiling after ResetCache.
+// commit: CommitMerge returns Apply's next expression, the cached plan
+// is patched in place (MergePatches counts it, nothing recompiles), and
+// scoring the next step on the patched plan is bit-identical to a fresh
+// estimator that compiles the committed expression from scratch, and to
+// the same estimator recompiling after ResetCache.
 func TestCommitMergePatchesPlan(t *testing.T) {
 	sc := benchStep(t)
 	members := sc.sets[0]
@@ -449,12 +450,16 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 		if _, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
 			t.Fatalf("DistanceDelta refused on the first step: %v", err)
 		}
+		committed := next
 		if patch {
-			e.CommitMerge(sc.cur, next, members, newAnn, nil)
+			committed = e.CommitMerge(sc.cur, members, newAnn, nil)
+			if !reflect.DeepEqual(committed, next) {
+				t.Fatalf("CommitMerge built %v, want Apply's %v", committed, next)
+			}
 		} else {
 			e.ResetCache()
 		}
-		got, _, err := e.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
+		got, _, err := e.DistanceDelta(sc.p0, committed, nextCum, nextBase, nextSets, "Z", nil)
 		if err != nil {
 			t.Fatalf("DistanceDelta refused on the committed step: %v", err)
 		}

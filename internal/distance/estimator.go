@@ -73,6 +73,14 @@ type Estimator struct {
 	// deltaBlocked's prewarm, read concurrently by its sweep workers.
 	truthCols map[provenance.Annotation][]uint64
 
+	// vals memoizes the enumerated valuation class for one run
+	// (batchValuations), under the same immutability truthCols assumes.
+	vals []provenance.Valuation
+
+	// vf is the candidate × valuation summand matrix of the last delta
+	// sweep (deltaBlocked), reused by the next one of the run.
+	vf []float64
+
 	// plan and blockPlan cache the compiled evaluation plan of the
 	// current expression for DistanceDelta (at most one is set; planErr
 	// when neither is), keyed by expression identity like origCache. A
@@ -82,6 +90,9 @@ type Estimator struct {
 	blockPlan BlockPlan
 	planErr   error
 	planFor   provenance.Expression
+	// recompileFor is the expression a commit that refused its patch
+	// returned: compiling its plan counts in MergeRecompiles.
+	recompileFor provenance.Expression
 
 	// blockStatePool recycles the per-worker state of delta sweeps (word
 	// columns, lane rows, VAL-FUNC caches), so mid-run steps allocate no
@@ -154,7 +165,8 @@ type Stats struct {
 	// MergePatches counts committed merges that CommitMerge patched into
 	// the cached plan's arena in place (provenance.Plan.ApplyMerge);
 	// MergeRecompiles counts commits where the patch was refused and the
-	// next step recompiled the plan from scratch.
+	// next step recompiled the plan from scratch (a run's last merge has
+	// no next step, so its refusal recompiles nothing).
 	MergePatches, MergeRecompiles uint64
 	// ProbesCarried counts DeltaCandidates whose probe a run carried
 	// over from its previous step (a Carry), ProbesBuilt those whose
@@ -278,46 +290,57 @@ func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.A
 	return nil
 }
 
-// CommitMerge tells the estimator that the summarizer committed the merge
-// of members into newAnn, turning cur into next. When the cached delta
-// plan is for cur, the plan is patched in place
-// (provenance.Plan.ApplyMerge) and rekeyed to next, so the next step's
-// DistanceDelta reuses the compiled arena instead of recompiling the
-// whole expression, and the run's carry keeps the step's probes that
-// survive the merge. ApplyMerge self-verifies against next; a refused
-// patch just drops the cached plan and the carried probes, and the next
-// step recompiles — either way results are unchanged. A block plan is
-// never patched: the commit drops it.
-func (e *Estimator) CommitMerge(cur, next provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, carry *Carry) {
+// CommitMerge commits the merge of members into newAnn on cur and
+// returns the next expression, cur.Apply(MergeMapping(newAnn,
+// members...)). When the cached delta plan is cur's arena plan, the
+// plan builds next itself and is patched in place
+// (provenance.Plan.ApplyMerge, or ApplyProbe from the winner's probe
+// when the carry scored it), so the next step's DistanceDelta reuses
+// the compiled arena instead of recompiling the whole expression, and
+// the run's carry keeps the step's probes that survive the merge: they
+// are rebased onto the patch when the next step uses the carry. A patch
+// the plan refuses falls back to Apply; it, and one refused for the
+// arena's garbage, drops the cached plan and the carried probes, and
+// the next step compiles next (counted in MergeRecompiles when it does)
+// — either way results are unchanged. A block plan is never patched:
+// the commit drops it and Applies.
+func (e *Estimator) CommitMerge(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, carry *Carry) provenance.Expression {
+	if e.blockPlan != nil || e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
+		if e.blockPlan != nil {
+			e.blockPlan, e.planFor = nil, nil
+		}
+		carry.commit(nil)
+		return cur.Apply(provenance.MergeMapping(newAnn, members...))
+	}
+	var next *provenance.Agg
 	var patch *provenance.MergePatch
-	defer func() { carry.commit(patch) }()
-	if e.blockPlan != nil {
-		e.blockPlan = nil
-		e.planFor = nil
-		return
+	if pr := carry.winner(members); pr != nil && pr.On(e.plan) {
+		next, patch = e.plan.ApplyProbe(pr, newAnn)
+	} else {
+		next, patch = e.plan.ApplyMerge(members, newAnn)
 	}
-	if e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
-		return
-	}
-	ng, ok := next.(*provenance.Agg)
-	if ok && comparableExpr(next) {
-		patch = e.plan.ApplyMerge(ng, members, newAnn)
-	}
+	carry.commit(patch)
 	if patch != nil {
 		e.planFor = next
 		e.stats.mergePatches.Add(1)
-	} else {
-		e.plan = nil
-		e.planFor = nil
-		e.stats.mergeRecompiles.Add(1)
+		return next
 	}
+	e.plan, e.planFor = nil, nil
+	var out provenance.Expression = next
+	if next == nil {
+		out = cur.Apply(provenance.MergeMapping(newAnn, members...))
+	}
+	e.recompileFor = out
+	return out
 }
 
-// ReleasePlan drops the cached delta plan. The summarizer calls it when
-// a run returns, so an estimator between runs pins no plan: the next
-// run's ResetCache would drop it unused anyway.
+// ReleasePlan drops the cached delta plan and the run's sweep state:
+// the enumerated valuation list and the summand matrix. The summarizer
+// calls it when a run returns, so an estimator between runs pins none
+// of them: the next run's ResetCache would drop them unused anyway.
 func (e *Estimator) ReleasePlan() {
 	e.plan, e.blockPlan, e.planErr, e.planFor = nil, nil, nil, nil
+	e.recompileFor, e.vals, e.vf = nil, nil, nil
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -462,6 +485,10 @@ func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPl
 	plan, bplan, err := compilePlan(cur)
 	if comparableExpr(cur) {
 		e.plan, e.blockPlan, e.planErr, e.planFor = plan, bplan, err, cur
+		if cur == e.recompileFor {
+			e.recompileFor = nil
+			e.stats.mergeRecompiles.Add(1)
+		}
 	}
 	return plan, bplan, err
 }

@@ -13,8 +13,8 @@
 package provenance
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -88,13 +88,18 @@ type Universe struct {
 	mu    sync.RWMutex
 	attrs map[Annotation]Attrs
 	table map[Annotation]string
+	// suffix is Merge's next "#N" suffix to try per attribute-derived
+	// name: every name#i with 2 <= i < suffix[name] is registered.
+	// Entries are never removed, so the hint stays true.
+	suffix map[Annotation]int
 }
 
 // NewUniverse returns an empty annotation registry.
 func NewUniverse() *Universe {
 	return &Universe{
-		attrs: make(map[Annotation]Attrs),
-		table: make(map[Annotation]string),
+		attrs:  make(map[Annotation]Attrs),
+		table:  make(map[Annotation]string),
+		suffix: make(map[Annotation]int),
 	}
 }
 
@@ -192,24 +197,49 @@ func (u *Universe) Merge(members []Annotation, fallback Annotation) Annotation {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		name = Annotation(fmt.Sprintf("%s:%s", keys[0], shared[keys[0]]))
+		name = Annotation(keys[0] + ":" + shared[keys[0]])
 		// Summary annotations from different merges may share the same
 		// attribute-derived name; disambiguate by appending a suffix when a
 		// registered annotation with that name exists and is not one of the
 		// members being replaced.
 		if known(name) && !contains(members, name) {
-			for i := 2; ; i++ {
-				cand := Annotation(fmt.Sprintf("%s#%d", name, i))
-				if !known(cand) || contains(members, cand) {
-					name = cand
-					break
-				}
-			}
+			name = u.disambiguate(name, members)
 		}
 	}
 	u.attrs[name] = shared
 	u.table[name] = table
 	return name
+}
+
+// disambiguate returns name#i for the smallest i >= 2 such that name#i
+// is unregistered or one of members, in amortized O(1): the suffix hint
+// skips the registered run below it, and a member name#k below the
+// first unregistered suffix comes first. u.mu must be held for writing.
+func (u *Universe) disambiguate(name Annotation, members []Annotation) Annotation {
+	i := max(u.suffix[name], 2)
+	for {
+		if _, ok := u.attrs[suffixed(name, i)]; !ok {
+			break
+		}
+		i++
+	}
+	u.suffix[name] = i
+	prefix := string(name) + "#"
+	for _, m := range members {
+		rest, ok := strings.CutPrefix(string(m), prefix)
+		if !ok {
+			continue
+		}
+		if k, err := strconv.Atoi(rest); err == nil && k >= 2 && k < i && strconv.Itoa(k) == rest {
+			i = k
+		}
+	}
+	return suffixed(name, i)
+}
+
+// suffixed returns name#i.
+func suffixed(name Annotation, i int) Annotation {
+	return name + "#" + Annotation(strconv.Itoa(i))
 }
 
 func contains(list []Annotation, a Annotation) bool {

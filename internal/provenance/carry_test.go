@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -45,7 +46,11 @@ func carryFixture(next func() byte, kind AggKind) *Agg {
 // merges — user pairs that collapse ratings, movie (group) merges,
 // merges named after one of their members — through Plan.ApplyMerge,
 // carrying every pair probe of the previous state with the returned
-// MergePatch. Each surviving probe must equal a probe built afresh on
+// MergePatch; some merges are committed from the cohort's probe of the
+// pair (Plan.ApplyProbe), scored under another summary annotation. The
+// next expression the patch builds must equal
+// cur.Apply of the merge tensor for tensor, in polynomial structure and
+// value bits. Each surviving probe must equal a probe built afresh on
 // the patched plan in every compiled field (Probe.Diff: Members, Size,
 // RenamesGroup, Slots, Reorders, the fold programs, the dirty closure),
 // and its CandEvalBlock rows must match the fresh probe's bit for bit.
@@ -88,8 +93,19 @@ func FuzzPlanCarry(f *testing.F) {
 			if next()%3 == 0 {
 				newAnn = members[int(next())%2] // named after a member
 			}
-			nextAgg := cur.Apply(MergeMapping(newAnn, members...)).(*Agg)
-			patch := plan.ApplyMerge(nextAgg, members, newAnn)
+			want := cur.Apply(MergeMapping(newAnn, members...)).(*Agg)
+			var nextAgg *Agg
+			var patch *MergePatch
+			if winner := probeOf(probes, members); winner != nil && next()%2 == 0 {
+				nextAgg, patch = plan.ApplyProbe(winner, newAnn)
+			} else {
+				nextAgg, patch = plan.ApplyMerge(members, newAnn)
+			}
+			if nextAgg == nil {
+				nextAgg = want
+			} else if d := aggDiff(nextAgg, want); d != "" {
+				t.Fatalf("step %d: ApplyMerge(%v→%s) built a next expression unlike Apply: %s", step, members, newAnn, d)
+			}
 			cur = nextAgg
 			if patch == nil {
 				plan = NewPlan(cur)
@@ -119,6 +135,17 @@ func FuzzPlanCarry(f *testing.F) {
 			probes = append(kept, pairProbes(plan, cur, next)...)
 		}
 	})
+}
+
+// probeOf returns the probe of member pair ms, in either order, among
+// probes, or nil.
+func probeOf(probes []*Probe, ms []Annotation) *Probe {
+	for _, pr := range probes {
+		if slices.Equal(pr.Members, ms) || slices.Equal(pr.Members, []Annotation{ms[1], ms[0]}) {
+			return pr
+		}
+	}
+	return nil
 }
 
 // pairProbes probes every pair of cur's annotations into "Z",

@@ -192,15 +192,22 @@ func TestScratchPoolsReuse(t *testing.T) {
 	}
 }
 
-// applyMergeStep commits one merge on both a patched plan and a freshly
-// recompiled one, returning the next expression. It fails the test when
-// the patch is refused (callers that expect refusal pass wantPatch ==
-// false).
+// applyMergeStep commits one merge on a patched plan and returns the
+// next expression. It fails the test when the patch is refused (callers
+// that expect refusal pass wantPatch == false) or when the next
+// expression the patch builds differs from cur.Apply of the merge.
 func applyMergeStep(t *testing.T, plan *Plan, cur *Agg, ms []Annotation, newAnn Annotation, wantPatch bool) *Agg {
 	t.Helper()
-	next := cur.Apply(MergeMapping(newAnn, ms...)).(*Agg)
-	if got := plan.ApplyMerge(next, ms, newAnn) != nil; got != wantPatch {
-		t.Fatalf("ApplyMerge(%v→%s) = %v, want %v", ms, newAnn, got, wantPatch)
+	want := cur.Apply(MergeMapping(newAnn, ms...)).(*Agg)
+	next, patch := plan.ApplyMerge(ms, newAnn)
+	if got := patch != nil; got != wantPatch {
+		t.Fatalf("ApplyMerge(%v→%s) patched = %v, want %v", ms, newAnn, got, wantPatch)
+	}
+	if next == nil {
+		return want
+	}
+	if d := aggDiff(next, want); d != "" {
+		t.Fatalf("ApplyMerge(%v→%s) built a next expression unlike Apply: %s", ms, newAnn, d)
 	}
 	return next
 }
@@ -294,30 +301,33 @@ func TestApplyMergeBlockedEvalAfterPatch(t *testing.T) {
 }
 
 // TestApplyMergeRefusals pins the guard conditions under which the patch
-// must refuse and leave the plan untouched.
+// must refuse, build no next expression and leave the plan untouched.
 func TestApplyMergeRefusals(t *testing.T) {
 	cur := planFixture(AggSum)
 	plan := NewPlan(cur)
-	next := cur.Apply(MergeMapping("S1", "u1", "u2")).(*Agg)
-	if plan.ApplyMerge(nil, []Annotation{"u1", "u2"}, "S1") != nil {
-		t.Fatal("ApplyMerge accepted a nil next expression")
-	}
-	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "m1") != nil {
+	if next, patch := plan.ApplyMerge([]Annotation{"u1", "u2"}, "m1"); next != nil || patch != nil {
 		t.Fatal("ApplyMerge accepted an already-interned summary annotation")
 	}
-	if plan.ApplyMerge(next, []Annotation{"u1", One}, "S1") != nil {
+	if next, patch := plan.ApplyMerge([]Annotation{"u1", One}, "S1"); next != nil || patch != nil {
 		t.Fatal("ApplyMerge accepted a reserved member annotation")
-	}
-	if plan.ApplyMerge(planFixture(AggMax), []Annotation{"u1", "u2"}, "S1") != nil {
-		t.Fatal("ApplyMerge accepted a next expression that does not match the step")
 	}
 	// The refusals above must not have mutated the plan.
 	v := planValuation(13)
 	if got, want := evalVecs(plan.Arena(), []Valuation{v})[0], cur.Eval(v).(Vector); !vecEqual(got, want) {
 		t.Fatalf("refused ApplyMerge mutated the plan: %v != %v", got, want)
 	}
-	if plan.ApplyMerge(next, []Annotation{"u1", "u2"}, "S1") == nil {
-		t.Fatal("valid ApplyMerge refused after prior refusals")
+	if plan.Expr() != cur {
+		t.Fatal("refused ApplyMerge replaced the plan's expression")
+	}
+	applyMergeStep(t, plan, cur, []Annotation{"u1", "u2"}, "S1", true)
+
+	// A plan outside Simplify normal form builds no next expression: its
+	// tensors are not the ones Apply would simplify.
+	unsorted := &Agg{Agg: Aggregator{AggSum}, Tensors: []Tensor{
+		{Prov: Sum{Terms: []Expr{V("u2"), V("u1")}}, Value: 1, Count: 1, Group: "m1"},
+	}}
+	if next, patch := NewPlan(unsorted).ApplyMerge([]Annotation{"u1", "u3"}, "S1"); next != nil || patch != nil {
+		t.Fatal("ApplyMerge patched a plan whose sum lists its terms out of key order")
 	}
 }
 

@@ -345,18 +345,23 @@ func appendNaryKey(dst []byte, open string, sep byte, kids []Expr) []byte {
 		dst = appendKey(dst, k)
 		spans = append(spans, [2]int{lo, len(dst)})
 	}
-	return joinSortedKeys(dst, start, open, sep, spans)
+	return joinSortedKeys(dst, start, open, sep, spans, nil)
 }
 
 // joinSortedKeys rewrites dst[start:], which holds child keys at the
 // given spans, into open, the keys in ascending byte order joined by
 // sep, and ")": the Sum/Prod key layout. Building the child keys in
-// place and moving them allocates no per-child string.
-func joinSortedKeys(dst []byte, start int, open string, sep byte, spans [][2]int) []byte {
+// place and moving them allocates no per-child string. When ordered is
+// not nil, it is cleared if the children were out of key order.
+func joinSortedKeys(dst []byte, start int, open string, sep byte, spans [][2]int, ordered *bool) []byte {
 	keys := dst
-	slices.SortFunc(spans, func(a, b [2]int) int {
+	cmp := func(a, b [2]int) int {
 		return bytes.Compare(keys[a[0]:a[1]], keys[b[0]:b[1]])
-	})
+	}
+	if ordered != nil && *ordered {
+		*ordered = slices.IsSortedFunc(spans, cmp)
+	}
+	slices.SortFunc(spans, cmp)
 	mid := len(dst)
 	dst = append(dst, open...)
 	for i, sp := range spans {

@@ -249,8 +249,8 @@ func FuzzEvalBlock(f *testing.F) {
 		check("a→Zero", dropped, CompileArena(dropped))
 		plan := NewPlan(g)
 		added := []Tensor{{Prov: P("b", "c"), Value: 0.7, Count: 1, Group: "g15"}}
-		grown := NewAgg(kind, append(append([]Tensor{}, g.Tensors...), added...)...)
-		if !plan.ApplyAppend(grown, added) {
+		grown, patched := plan.ApplyAppend(added)
+		if !patched {
 			t.Fatalf("ApplyAppend refused a plain append onto %s", g)
 		}
 		check("appended", grown, plan.Arena())

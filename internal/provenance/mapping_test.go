@@ -1,8 +1,11 @@
 package provenance
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -233,5 +236,86 @@ func TestResultStrings(t *testing.T) {
 	v := Vector{"b": 1, "a": 2}
 	if v.ResultString() != "(a:2, b:1)" {
 		t.Fatalf("Vector string = %q", v.ResultString())
+	}
+}
+
+// linearMerge is Universe.Merge with the linear "#N" probe it replaced:
+// it tries name#2, name#3, … until one is unregistered or a member. It
+// is the test oracle of the suffix hint.
+func linearMerge(u *Universe, members []Annotation, fallback Annotation) Annotation {
+	if len(members) == 0 {
+		return fallback
+	}
+	table := u.Table(members[0])
+	var attrSets []Attrs
+	for _, m := range members {
+		if u.Known(m) {
+			attrSets = append(attrSets, u.AttrsOf(m))
+		}
+	}
+	shared := Shared(attrSets)
+	name := fallback
+	if len(shared) > 0 {
+		keys := make([]string, 0, len(shared))
+		for k := range shared {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		name = Annotation(fmt.Sprintf("%s:%s", keys[0], shared[keys[0]]))
+		if u.Known(name) && !slices.Contains(members, name) {
+			for i := 2; ; i++ {
+				cand := Annotation(fmt.Sprintf("%s#%d", name, i))
+				if !u.Known(cand) || slices.Contains(members, cand) {
+					name = cand
+					break
+				}
+			}
+		}
+	}
+	u.Add(name, table, shared)
+	return name
+}
+
+// TestUniverseMergeMatchesLinearProbe runs scripted merges on two
+// universes, one through Merge and one through the linear probe, and
+// requires the same name at every step and the same registry at the
+// end. The scripts merge users of few attribute values, so names
+// collide often; merge summary annotations with each other and with
+// users (members named name#k, which the probe returns first); and
+// register name#k entries through Add, which the hint must skip.
+func TestUniverseMergeMatchesLinearProbe(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		hinted, linear := NewUniverse(), NewUniverse()
+		var pool []Annotation
+		for i := 0; i < 12; i++ {
+			a := Annotation(fmt.Sprintf("U%d", i))
+			attrs := Attrs{"gender": []string{"F", "M"}[r.Intn(2)], "zip": []string{"1", "2", "3"}[r.Intn(3)]}
+			hinted.Add(a, "users", attrs)
+			linear.Add(a, "users", attrs)
+			pool = append(pool, a)
+		}
+		for step := 0; step < 300; step++ {
+			if r.Intn(6) == 0 {
+				a := Annotation(fmt.Sprintf("%s#%d", []string{"gender:F", "gender:M", "zip:2"}[r.Intn(3)], 2+r.Intn(40)))
+				hinted.Add(a, "users", Attrs{"gender": "F"})
+				linear.Add(a, "users", Attrs{"gender": "F"})
+				pool = append(pool, a)
+				continue
+			}
+			members := []Annotation{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}
+			if r.Intn(3) == 0 {
+				members = append(members, pool[r.Intn(len(pool))])
+			}
+			fallback := FreshName(members)
+			got, want := hinted.Merge(members, fallback), linearMerge(linear, members, fallback)
+			if got != want {
+				t.Fatalf("seed %d step %d: Merge(%v) = %q, linear probe %q", seed, step, members, got, want)
+			}
+			pool = append(pool, got)
+		}
+		if got, want := hinted.Annotations(), linear.Annotations(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: registries differ: %v != %v", seed, got, want)
+		}
 	}
 }

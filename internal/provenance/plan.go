@@ -2,9 +2,10 @@ package provenance
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -39,18 +40,21 @@ func (ix *annIndex) span(id int32) []int32 {
 	return ix.flat[ix.off[id]:ix.off[id+1]]
 }
 
-// buildIndex flattens per-annotation lists into CSR form.
-func buildIndex(lists [][]int32) annIndex {
-	ix := annIndex{off: make([]int32, len(lists)+1)}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+// buildIndex builds the CSR index over n ids of the (id, v) entries each
+// adds, which it must add in ascending v order per id. each runs twice:
+// once to count the entries and once to place them.
+func buildIndex(n int, each func(add func(id, v int32))) annIndex {
+	ix := annIndex{off: make([]int32, n+1)}
+	each(func(id, _ int32) { ix.off[id+1]++ })
+	for i := 0; i < n; i++ {
+		ix.off[i+1] += ix.off[i]
 	}
-	ix.flat = make([]int32, 0, total)
-	for i, l := range lists {
-		ix.flat = append(ix.flat, l...)
-		ix.off[i+1] = int32(len(ix.flat))
-	}
+	ix.flat = make([]int32, ix.off[n])
+	at := slices.Clone(ix.off[:n])
+	each(func(id, v int32) {
+		ix.flat[at[id]] = v
+		at[id]++
+	})
 	return ix
 }
 
@@ -66,10 +70,18 @@ type planTensor struct {
 	value float64
 	count int
 	group Annotation
-	gid   int32  // group's dense id, -1 for the scalar ("") coordinate
+	gid   int32  // group's dense id, -1 for the scalar ("") coordinate, gidUnknown until reindex resolves it
 	key   string // tensorKey(prov, group), Simplify's merge key
 	size  int    // prov.Size()
+	// anns are the ascending dense ids of the annotations prov mentions,
+	// taken from the span when the tensor is compiled, rewritten or
+	// appended.
+	anns []int32
 }
+
+// gidUnknown is the gid of a tensor new to the plan, which reindex
+// resolves once: dense ids never change, so a tensor keeps its gid.
+const gidUnknown int32 = -2
 
 // Plan is a compiled evaluation structure over one aggregated expression
 // (*Agg), built once per summarization step and shared read-only by every
@@ -94,10 +106,17 @@ type Plan struct {
 	// polynomial multiplicities that scale them). reindex maintains it.
 	exact bool
 
-	// probeable reports whether Probe's id-level rewrite is exact for
-	// the plan: every live span is in SimplifyExpr normal form (see
-	// normalNode) and tensor keys ascend strictly. reindex maintains it.
+	// probeable reports that the plan's tensors are exactly Simplify's:
+	// every live span is in SimplifyExpr normal form (see normalNode)
+	// with its Sum and Prod children in key order, and tensor keys
+	// ascend strictly. Probe's id-level rewrite is exact for such a
+	// plan, and the patches build the next expression from it. reindex
+	// maintains it; the child order is checked once, by NewPlan, since a
+	// patch adds only SimplifyExpr output.
 	probeable bool
+	// ordered records that NewPlan found every Sum and Prod listing its
+	// children in key order.
+	ordered bool
 
 	// gen counts the in-place patches (ApplyMerge, ApplyAppend): a probe
 	// is valid for the generation it was built at or carried to.
@@ -130,77 +149,109 @@ func NewPlan(e Expression) *Plan {
 		agg:     g,
 		ar:      ar,
 		tensors: make([]planTensor, len(g.Tensors)),
-		size:    g.Size(),
+		ordered: true,
 	}
+	vars := 0
+	for _, k := range ar.kind {
+		if k == nodeVar {
+			vars++
+		}
+	}
+	anns := make([]int32, 0, vars)
+	var key []byte
 	for i, t := range g.Tensors {
 		lo := int32(0)
 		if i > 0 {
 			lo = ar.tensors[i-1].root + 1
 		}
+		root := ar.tensors[i].root
+		key = ar.appendRenamedKey(key[:0], root, nil, "", &p.ordered)
+		key = appendName(append(key, '|'), t.Group)
+		start := len(anns)
+		anns = ar.appendSpanAnns(anns, lo, root)
 		p.tensors[i] = planTensor{
-			root: ar.tensors[i].root, lo: lo, prov: t.Prov, value: t.Value, count: t.Count,
-			group: t.Group, key: tensorKey(t.Prov, t.Group), size: t.Prov.Size(),
+			root: root, lo: lo, prov: t.Prov, value: t.Value, count: t.Count,
+			group: t.Group, gid: gidUnknown, key: string(key), size: t.Prov.Size(), anns: anns[start:len(anns):len(anns)],
 		}
+		p.size += p.tensors[i].size
 	}
 	p.reindex()
 	return p
 }
 
+// appendSpanAnns appends the ascending dense ids of the annotations the
+// Var nodes of span [lo, root] hold.
+func (a *Arena) appendSpanAnns(dst []int32, lo, root int32) []int32 {
+	start := len(dst)
+	for id := lo; id <= root; id++ {
+		if a.kind[id] == nodeVar {
+			dst = append(dst, a.ann[id])
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
+}
+
 // reindex rebuilds the plan's dependency indexes from its tensor list:
 // the annotation→Var-node index from the live tensor spans (so garbage
 // spans left behind by ApplyMerge never enter future dirty sets) and
-// the annotation→tensor and group→tensor indexes from the tensor
-// polynomials. Per-annotation lists come out ascending, which Probe
-// relies on. It also re-derives probeable.
+// the annotation→tensor and group→tensor indexes from the tensors'
+// annotation and group ids. Per-annotation lists come out ascending,
+// which Probe relies on. It also re-derives probeable.
 func (p *Plan) reindex() {
 	ar := p.ar
 	numAnns := ar.NumAnns()
-	p.probeable = true
-	varsBy := make([][]int32, numAnns)
-	spans := make([][2]int32, len(p.tensors))
+	p.probeable = p.ordered
+	live := make([]bool, ar.NumNodes())
+	p.scalarTensors = p.scalarTensors[:0]
 	for i := range p.tensors {
 		t := &p.tensors[i]
-		spans[i] = [2]int32{t.lo, t.root}
+		for id := t.lo; id <= t.root; id++ {
+			live[id] = true
+		}
 		if i > 0 && p.tensors[i-1].key >= t.key {
 			p.probeable = false
 		}
 		if ar.kind[t.root] == nodeConst && ar.constN[t.root] == 0 {
 			p.probeable = false
 		}
+		switch {
+		case t.group == "":
+			t.gid = -1
+		case t.gid == gidUnknown:
+			t.gid, _ = ar.AnnID(t.group)
+		}
+		if t.gid < 0 {
+			p.scalarTensors = append(p.scalarTensors, int32(i))
+		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
-	for _, sp := range spans {
-		for id := sp[0]; id <= sp[1]; id++ {
-			if ar.kind[id] == nodeVar {
-				varsBy[ar.ann[id]] = append(varsBy[ar.ann[id]], id)
-			} else if !ar.normalNode(id) {
-				p.probeable = false
+	for id, l := range live {
+		if l && ar.kind[id] != nodeVar && !ar.normalNode(int32(id)) {
+			p.probeable = false
+			break
+		}
+	}
+	p.varNodes = buildIndex(numAnns, func(add func(id, v int32)) {
+		for id, l := range live {
+			if l && ar.kind[id] == nodeVar {
+				add(ar.ann[id], int32(id))
 			}
 		}
-	}
-	tensBy := make([][]int32, numAnns)
-	grpBy := make([][]int32, numAnns)
-	p.scalarTensors = p.scalarTensors[:0]
-	scratch := make(map[Annotation]struct{})
-	for i := range p.tensors {
-		t := &p.tensors[i]
-		clear(scratch)
-		t.prov.CollectAnns(scratch)
-		for a := range scratch {
-			id, _ := ar.AnnID(a)
-			tensBy[id] = append(tensBy[id], int32(i))
+	})
+	p.annTensors = buildIndex(numAnns, func(add func(id, v int32)) {
+		for i := range p.tensors {
+			for _, a := range p.tensors[i].anns {
+				add(a, int32(i))
+			}
 		}
-		if t.group == "" {
-			t.gid = -1
-			p.scalarTensors = append(p.scalarTensors, int32(i))
-		} else {
-			t.gid, _ = ar.AnnID(t.group)
-			grpBy[t.gid] = append(grpBy[t.gid], int32(i))
+	})
+	p.groupTensors = buildIndex(numAnns, func(add func(id, v int32)) {
+		for i := range p.tensors {
+			if gid := p.tensors[i].gid; gid >= 0 {
+				add(gid, int32(i))
+			}
 		}
-	}
-	p.varNodes = buildIndex(varsBy)
-	p.annTensors = buildIndex(tensBy)
-	p.groupTensors = buildIndex(grpBy)
+	})
 
 	p.exact = true
 	if k := p.agg.Agg.Kind; k == AggSum || k == AggCount {
@@ -240,89 +291,129 @@ func (p *Plan) Annotations() []Annotation { return p.ar.Annotations() }
 // expression (as a polynomial variable or a group coordinate).
 func (p *Plan) AnnID(a Annotation) (int32, bool) { return p.ar.AnnID(a) }
 
-// ApplyMerge patches a committed merge step into the live plan and its
-// arena in place, instead of recompiling both from the merged
-// expression: members are the merged annotations, newAnn the summary
-// annotation they map to, and next the committed candidate expression
-// (cur.Apply(MergeMapping(newAnn, members...)), which the caller has
-// already materialized to commit the step). The affected tensors go
-// through Probe's id-level rewrite, member Var nodes are retargeted to
-// newAnn's dense id, and the dependency indexes are rebuilt over the
-// surviving spans — node ids stay stable, so pooled scratches and the
-// arena's compiled structure survive the step.
+// ApplyMerge commits the merge of members into newAnn on the live plan
+// and returns the next expression, cur.Apply(MergeMapping(newAnn,
+// members...)) tensor for tensor, built from the patch itself: the
+// tensors the merge leaves alone keep their Tensor and key, and only
+// the rewritten ones, which Probe's id-level rewrite already keyed, are
+// simplified, then the two key-ascending streams merge in key order.
+// The arena is patched in place instead of recompiled: member Var nodes
+// are retargeted to newAnn's dense id and the dependency indexes are
+// rebuilt over the surviving spans — node ids stay stable, so pooled
+// scratches and the arena's compiled structure survive the step. The
+// patched plan is observationally identical to NewPlan(next) up to
+// garbage spans, and the returned MergePatch carries the step's probes
+// onto it.
 //
-// The patch is self-verifying: the unaffected tensors (key-ascending)
-// merged with the rewritten ones in key order are matched one-to-one
-// against next.Tensors (key, value, count, group) before any mutation,
-// so a successful ApplyMerge leaves the plan observationally identical
-// to NewPlan(next) up to garbage spans, and returns the MergePatch that
-// carries the step's probes onto it. On any mismatch, a merge Probe
-// refuses, or a garbage fraction above one half of the arena, it
-// returns nil without mutating anything and the caller must recompile.
-func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *MergePatch {
-	if next == nil {
-		return nil
+// When the merge Probe refuses (the plan is not probeable, newAnn
+// already occurs without being a member, or a reserved annotation is
+// involved) it returns nil, nil and the caller must Apply the merge
+// itself. When the patch would leave more than half of the arena
+// garbage, it returns next with a nil patch and leaves the plan as it
+// was: the caller recompiles from next.
+func (p *Plan) ApplyMerge(members []Annotation, newAnn Annotation) (*Agg, *MergePatch) {
+	return p.applyProbe(p.Probe(members, newAnn))
+}
+
+// ApplyProbe is ApplyMerge of the merge pr probes, with its members
+// mapped to newAnn instead of pr.NewAnn: pr, a probe of the plan's
+// current state (Probe.On) such as the winner of a cohort scored under
+// a scratch summary annotation, lends its affected tensors and
+// rewritten classes. Those do not depend on the summary annotation's
+// name, since any name the plan accepts is fresh or a member, so only
+// the rewritten tensors' keys are rendered again. It refuses, returning
+// nil, nil, whatever Probe(pr.Members, newAnn) would refuse, and a
+// probe of another plan state.
+func (p *Plan) ApplyProbe(pr *Probe, newAnn Annotation) (*Agg, *MergePatch) {
+	if !pr.On(p) || p.refuses(pr.Members, newAnn) {
+		return nil, nil
 	}
-	pr := p.Probe(members, newAnn)
+	if newAnn == pr.NewAnn {
+		return p.applyProbe(pr)
+	}
+	q := &Probe{
+		Members: pr.Members, NewAnn: newAnn, Size: pr.Size, RenamesGroup: pr.RenamesGroup,
+		plan: p, gen: p.gen, memberIDs: pr.memberIDs, affected: pr.affected,
+		rews: slices.Clone(pr.rews),
+	}
+	fresh := int32(p.ar.NumAnns())
+	var keys []byte
+	for i := range q.rews {
+		r := &q.rews[i]
+		if r.gid == fresh {
+			r.group = newAnn
+		}
+		lo := len(keys)
+		keys = p.ar.appendRenamedKey(keys, r.root, q.memberIDs, newAnn, nil)
+		keys = appendName(append(keys, '|'), r.group)
+		r.key = [2]int32{int32(lo), int32(len(keys))}
+	}
+	q.rewKeys = keys
+	return p.applyProbe(q)
+}
+
+// applyProbe is ApplyMerge of the merge pr probes on the plan's current
+// state; a nil pr refuses.
+func (p *Plan) applyProbe(pr *Probe) (*Agg, *MergePatch) {
 	if pr == nil {
-		return nil
+		return nil, nil
 	}
+	newAnn := pr.NewAnn
 	rews := pr.rews
 	order := make([]int32, len(rews))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(i, j int32) int { return bytes.Compare(pr.rewKey(i), pr.rewKey(j)) })
-	if len(next.Tensors) != len(p.tensors)-len(pr.affected)+len(rews) {
-		return nil
-	}
 
-	// Build the new plan tensors in next's fold order, consuming the
-	// survivor and rewritten streams in key order. Every entry must match
-	// with identical key, value, count and group, or the patch is unsound
-	// and we bail untouched. remap records where each survivor lands.
-	newTensors := make([]planTensor, len(next.Tensors))
+	// Merge the survivor and rewritten streams in key order; remap
+	// records where each survivor lands. A rewritten tensor never equals
+	// a survivor: it mentions newAnn or lands in newAnn's group.
+	n := len(p.tensors) - len(pr.affected) + len(rews)
+	next := &Agg{Agg: p.agg.Agg, Tensors: make([]Tensor, 0, n)}
+	newTensors := make([]planTensor, 0, n)
 	remap := make([]int32, len(p.tensors))
-	for _, tid := range pr.affected {
-		remap[tid] = -1
-	}
+	rename := MergeMapping(newAnn, pr.Members...).Rename
 	liveNodes := 0
-	tid, ai, ri := 0, 0, 0
-	for i := range next.Tensors {
-		for ai < len(pr.affected) && tid == int(pr.affected[ai]) {
-			tid++
-			ai++
+	emit := func(t planTensor) {
+		next.Tensors = append(next.Tensors, Tensor{Prov: t.prov, Value: t.value, Count: t.count, Group: t.group})
+		newTensors = append(newTensors, t)
+		liveNodes += int(t.root - t.lo + 1)
+	}
+	rewritten := func(i int32) planTensor {
+		r := &rews[i]
+		return planTensor{
+			root: r.root, lo: r.lo, prov: SimplifyExpr(p.tensors[r.tid].prov.MapAnn(rename)),
+			value: r.value, count: r.count, group: r.group, gid: gidUnknown, key: string(pr.rewKey(i)), size: r.size,
 		}
-		nt := &next.Tensors[i]
-		key := tensorKey(nt.Prov, nt.Group)
-		if tid < len(p.tensors) && (ri == len(order) || p.tensors[tid].key < string(pr.rewKey(order[ri]))) {
-			src := &p.tensors[tid]
-			if src.key != key || src.value != nt.Value || src.count != nt.Count || src.group != nt.Group {
-				return nil
-			}
-			newTensors[i] = *src
-			remap[tid] = int32(i)
-			tid++
-		} else if ri < len(order) {
-			r := &rews[order[ri]]
-			if string(pr.rewKey(order[ri])) != key || r.value != nt.Value || r.count != nt.Count || r.group != nt.Group {
-				return nil
-			}
-			newTensors[i] = planTensor{root: r.root, lo: r.lo, value: r.value, count: r.count, group: r.group, size: r.size}
-			ri++
-		} else {
-			return nil
+	}
+	var rewAt []int32 // positions of the rewritten tensors in newTensors
+	aff, ri := pr.affected, 0
+	for tid := range p.tensors {
+		if len(aff) > 0 && aff[0] == int32(tid) {
+			aff = aff[1:]
+			remap[tid] = -1
+			continue
 		}
-		newTensors[i].prov, newTensors[i].key = nt.Prov, key
-		liveNodes += int(newTensors[i].root - newTensors[i].lo + 1)
+		t := &p.tensors[tid]
+		for ; ri < len(order) && string(pr.rewKey(order[ri])) < t.key; ri++ {
+			rewAt = append(rewAt, int32(len(newTensors)))
+			emit(rewritten(order[ri]))
+		}
+		remap[tid] = int32(len(newTensors))
+		emit(*t)
+	}
+	for ; ri < len(order); ri++ {
+		rewAt = append(rewAt, int32(len(newTensors)))
+		emit(rewritten(order[ri]))
 	}
 	if dead := p.ar.NumNodes() - liveNodes; dead*2 > p.ar.NumNodes() {
-		return nil
+		return next, nil
 	}
 
 	m := &MergePatch{
 		plan: p, members: pr.Members, newAnn: newAnn, remap: remap,
-		sizeDelta: next.Size() - p.size, oldFresh: int32(p.ar.NumAnns()),
+		sizeDelta: pr.Size - p.size, oldFresh: int32(p.ar.NumAnns()),
 	}
 	for _, tid := range pr.affected {
 		m.touched = append(m.touched, p.tensors[tid].gid)
@@ -332,38 +423,41 @@ func (p *Plan) ApplyMerge(next *Agg, members []Annotation, newAnn Annotation) *M
 	oldSlots := p.ar.groupKeys
 
 	p.ar.Retarget(pr.memberIDs, newAnn)
+	for _, i := range rewAt {
+		t := &newTensors[i]
+		t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
+	}
 	p.install(next, newTensors, liveNodes)
 	m.gen, m.newFresh = p.gen, int32(p.ar.NumAnns())
 	m.slotsChanged = !slices.Equal(oldSlots, p.ar.groupKeys)
-	return m
+	return next, m
 }
 
-// ApplyAppend patches an append-only extension into the live plan and
-// its arena in place, instead of recompiling both: added are the tensors
-// appended to the planned expression, and next the extended expression
-// (NewAgg over the current tensors plus added, which the caller has
-// already materialized). Added polynomials whose Simplify key matches an
-// existing tensor merge into it (combining values and adding counts in
-// Simplify's existing-then-added order); genuinely new tensors compile
-// as fresh arena spans appended after every existing node, so node ids
-// stay stable and pooled scratches re-fit.
+// ApplyAppend folds an ingest batch into the live plan and returns the
+// next expression, NewAgg over the current tensors plus added tensor for
+// tensor, built from the patch itself: each added polynomial is
+// simplified and keyed, one whose key an existing tensor holds folds
+// into it (combining values and adding counts in Simplify's
+// existing-then-added order), and the genuinely new tensors, folded
+// among themselves the same way, merge into the key-ascending current
+// ones in key order. The new tensors compile as fresh arena spans after
+// every existing node, so node ids stay stable and pooled scratches
+// re-fit. patched reports that the plan now holds next.
 //
-// The patch is self-verifying like ApplyMerge: the merged tensor list is
-// matched one-to-one against next.Tensors (key, value, count, group)
-// before any mutation, so a successful ApplyAppend leaves the plan
-// observationally identical to NewPlan(next) up to garbage spans. On any
-// mismatch, a non-compilable added polynomial, or a garbage fraction
-// above one half of the arena, it returns false without mutating
-// anything and the caller must recompile.
-func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
-	if next == nil || len(added) == 0 {
-		return false
+// It returns nil, false when the plan is not probeable, so its tensors
+// are not Simplify's and the caller must build next itself, or when
+// added is empty. When an added polynomial does not compile
+// (Arena.Appendable) or the arena would be more than half garbage, it
+// returns next, false and leaves the plan as it was: the caller
+// recompiles from next.
+func (p *Plan) ApplyAppend(added []Tensor) (next *Agg, patched bool) {
+	if !p.probeable || len(added) == 0 {
+		return nil, false
 	}
-	// Replay Simplify over the current tensors (already simplified and
-	// key-deduplicated) followed by the added ones. apTensor.tid is the
-	// existing plan tensor whose span backs the entry, or -1 for a fresh
-	// polynomial that needs a new span.
-	type apTensor struct {
+	// fold is the value and count a batch folds into a tensor: an
+	// existing one (tid >= 0, starting from its own) or a new one (tid
+	// -1, starting from its first occurrence, whose polynomial it keeps).
+	type fold struct {
 		prov  Expr
 		value float64
 		count int
@@ -371,16 +465,8 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 		key   string
 		tid   int32
 	}
-	merged := make([]apTensor, 0, len(p.tensors)+len(added))
-	idx := make(map[string]int, len(p.tensors)+len(added))
-	for tid := range p.tensors {
-		t := &p.tensors[tid]
-		idx[t.key] = len(merged)
-		merged = append(merged, apTensor{
-			prov: t.prov, value: t.value, count: t.count,
-			group: t.group, key: t.key, tid: int32(tid),
-		})
-	}
+	var folds []fold
+	at := make(map[string]int, len(added))
 	for i := range added {
 		t := &added[i]
 		prov := SimplifyExpr(t.Prov)
@@ -388,72 +474,80 @@ func (p *Plan) ApplyAppend(next *Agg, added []Tensor) bool {
 			continue
 		}
 		key := tensorKey(prov, t.Group)
-		if j, ok := idx[key]; ok {
-			merged[j].value = p.agg.Agg.Combine(merged[j].value, t.Value)
-			merged[j].count += t.Count
-		} else {
-			if !p.ar.Appendable(prov) {
-				return false
-			}
-			idx[key] = len(merged)
-			merged = append(merged, apTensor{
-				prov: prov, value: t.Value, count: t.Count,
-				group: t.Group, key: key, tid: -1,
-			})
+		if j, ok := at[key]; ok {
+			folds[j].value = p.agg.Agg.Combine(folds[j].value, t.Value)
+			folds[j].count += t.Count
+			continue
 		}
-	}
-	if len(next.Tensors) != len(merged) {
-		return false
+		f := fold{prov: prov, value: t.Value, count: t.Count, group: t.Group, key: key, tid: -1}
+		if tid, ok := slices.BinarySearchFunc(p.tensors, key, func(pt planTensor, k string) int { return strings.Compare(pt.key, k) }); ok {
+			src := &p.tensors[tid]
+			f = fold{value: p.agg.Agg.Combine(src.value, t.Value), count: src.count + t.Count, key: key, tid: int32(tid)}
+		}
+		at[key] = len(folds)
+		folds = append(folds, f)
 	}
 
-	// Match next's (sorted, simplified) tensor list against the merged
-	// entries, building the new plan tensors in next's fold order. Every
-	// entry must be consumed exactly once with identical value, count and
-	// group, or the patch is unsound and we bail untouched. Fresh spans
-	// compile only after verification (and the garbage check, over the
-	// pre-append node count — appended nodes are all live, so the
-	// fraction only improves), keeping the bail paths mutation-free.
-	newTensors := make([]planTensor, len(next.Tensors))
-	var fresh []int32
+	// Merge the new tensors into the current ones in key order, with the
+	// folded values of the existing tensors the batch extends.
+	var fresh, grown []int32 // indexes into folds: new tensors by key, existing ones by tensor id
+	for j := range folds {
+		if folds[j].tid < 0 {
+			fresh = append(fresh, int32(j))
+		} else {
+			grown = append(grown, int32(j))
+		}
+	}
+	slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(folds[a].key, folds[b].key) })
+	slices.SortFunc(grown, func(a, b int32) int { return cmp.Compare(folds[a].tid, folds[b].tid) })
+	n := len(p.tensors) + len(fresh)
+	next = &Agg{Agg: p.agg.Agg, Tensors: make([]Tensor, 0, n)}
+	newTensors := make([]planTensor, 0, n)
 	liveNodes := 0
-	for i := range next.Tensors {
-		nt := &next.Tensors[i]
-		key := tensorKey(nt.Prov, nt.Group)
-		j, ok := idx[key]
-		if !ok {
-			return false
-		}
-		m := &merged[j]
-		if m.value != nt.Value || m.count != nt.Count || m.group != nt.Group {
-			return false
-		}
-		delete(idx, key)
-		if m.tid >= 0 {
-			src := &p.tensors[m.tid]
-			newTensors[i] = planTensor{
-				root: src.root, lo: src.lo, prov: nt.Prov, value: nt.Value,
-				count: nt.Count, group: nt.Group, key: key, size: src.size,
-			}
-			liveNodes += int(src.root - src.lo + 1)
-		} else {
-			newTensors[i] = planTensor{
-				root: -1, lo: -1, prov: nt.Prov, value: nt.Value,
-				count: nt.Count, group: nt.Group, key: key, size: nt.Prov.Size(),
-			}
-			fresh = append(fresh, int32(i))
-		}
+	emit := func(t planTensor) {
+		next.Tensors = append(next.Tensors, Tensor{Prov: t.prov, Value: t.value, Count: t.count, Group: t.group})
+		newTensors = append(newTensors, t)
 	}
-	if dead := p.ar.NumNodes() - liveNodes; dead*2 > p.ar.NumNodes() {
-		return false
+	appendable := true
+	emitFresh := func(j int32) {
+		f := &folds[j]
+		appendable = appendable && p.ar.Appendable(f.prov)
+		emit(planTensor{
+			root: -1, lo: -1, prov: f.prov, value: f.value, count: f.count,
+			group: f.group, gid: gidUnknown, key: f.key, size: f.prov.Size(),
+		})
+	}
+	fi := 0
+	for tid := range p.tensors {
+		t := p.tensors[tid]
+		for ; fi < len(fresh) && folds[fresh[fi]].key < t.key; fi++ {
+			emitFresh(fresh[fi])
+		}
+		if len(grown) > 0 && folds[grown[0]].tid == int32(tid) {
+			t.value, t.count = folds[grown[0]].value, folds[grown[0]].count
+			grown = grown[1:]
+		}
+		liveNodes += int(t.root - t.lo + 1)
+		emit(t)
+	}
+	for ; fi < len(fresh); fi++ {
+		emitFresh(fresh[fi])
+	}
+	// The garbage check counts the pre-append nodes: appended nodes are
+	// all live, so the fraction only improves.
+	if dead := p.ar.NumNodes() - liveNodes; !appendable || dead*2 > p.ar.NumNodes() {
+		return next, false
 	}
 
-	for _, i := range fresh {
-		lo, root := p.ar.AppendSpan(newTensors[i].prov)
-		newTensors[i].lo, newTensors[i].root = lo, root
-		liveNodes += int(root - lo + 1)
+	for i := range newTensors {
+		if t := &newTensors[i]; t.root < 0 {
+			t.lo, t.root = p.ar.AppendSpan(t.prov)
+			t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
+			liveNodes += int(t.root - t.lo + 1)
+		}
 	}
 	p.install(next, newTensors, liveNodes)
-	return true
+	return next, true
 }
 
 // install makes next, compiled as the plan tensors ts, the plan's
@@ -464,11 +558,13 @@ func (p *Plan) install(next *Agg, ts []planTensor, liveNodes int) {
 	roots := make([]int32, len(ts))
 	values := make([]float64, len(ts))
 	groups := make([]Annotation, len(ts))
+	size := 0
 	for i := range ts {
 		roots[i], values[i], groups[i] = ts[i].root, ts[i].value, ts[i].group
+		size += ts[i].size
 	}
 	p.ar.SetTensors(roots, values, groups, liveNodes)
-	p.agg, p.tensors, p.size = next, ts, next.Size()
+	p.agg, p.tensors, p.size = next, ts, size
 	p.reindex()
 	p.gen++
 }
@@ -617,16 +713,8 @@ func (pr *Probe) rewEntry(i int32) foldEntry {
 // group that absorbs another annotation) is sound: every tensor that
 // mentions newAnn is then rewritten too.
 func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
-	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One {
+	if p.refuses(members, newAnn) {
 		return nil
-	}
-	if _, ok := p.ar.AnnID(newAnn); ok && !slices.Contains(members, newAnn) {
-		return nil
-	}
-	for _, m := range members {
-		if m == Zero || m == One {
-			return nil
-		}
 	}
 
 	// The probe, its member copies and its interned member ids share one
@@ -680,7 +768,7 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 			gid, group = fresh, newAnn
 		}
 		lo := len(keys)
-		keys = p.ar.appendRenamedKey(keys, t.root, memberIDs, newAnn)
+		keys = p.ar.appendRenamedKey(keys, t.root, memberIDs, newAnn, nil)
 		keys = appendName(append(keys, '|'), group)
 		dup := false
 		for i := range rews {
@@ -708,6 +796,18 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	pr.NewAnn, pr.Size, pr.RenamesGroup = newAnn, size, len(removed) > 0
 	pr.plan, pr.gen, pr.affected, pr.rews, pr.removed = p, p.gen, affected, rews, removed
 	return pr
+}
+
+// refuses reports whether the plan cannot probe the merge of members
+// into newAnn (see Probe).
+func (p *Plan) refuses(members []Annotation, newAnn Annotation) bool {
+	if !p.probeable || newAnn == "" || newAnn == Zero || newAnn == One {
+		return true
+	}
+	if _, ok := p.ar.AnnID(newAnn); ok && !slices.Contains(members, newAnn) {
+		return true
+	}
+	return slices.Contains(members, Zero) || slices.Contains(members, One)
 }
 
 // probeAlloc backs a Probe and, at merge arity up to three, its Members

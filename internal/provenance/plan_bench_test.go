@@ -40,8 +40,11 @@ func movieLensPlanFixture() (*Plan, *Agg) {
 		{[]Annotation{"Movie03", "Movie04"}, "genre:Comedy"},
 		{[]Annotation{"UID005", "UID006"}, "age:25-34"},
 	} {
-		next := cur.Apply(MergeMapping(step.newAnn, step.members...)).(*Agg)
-		if plan.ApplyMerge(next, step.members, step.newAnn) == nil {
+		next, patch := plan.ApplyMerge(step.members, step.newAnn)
+		if next == nil {
+			next = cur.Apply(MergeMapping(step.newAnn, step.members...)).(*Agg)
+		}
+		if patch == nil {
 			plan = NewPlan(next)
 		}
 		cur = next
@@ -115,8 +118,7 @@ func BenchmarkPlanProbeCarried(b *testing.B) {
 			pr.compileEval()
 			carried[[2]Annotation{ms[0], ms[1]}] = pr
 		}
-		next := cur.Apply(MergeMapping(newAnn, members...)).(*Agg)
-		patch := plan.ApplyMerge(next, members, newAnn)
+		next, patch := plan.ApplyMerge(members, newAnn)
 		if patch == nil {
 			b.Fatal("ApplyMerge refused the fixture's user merge")
 		}

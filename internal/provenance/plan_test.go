@@ -117,6 +117,60 @@ func vecEqual(a, b Vector) bool {
 	return true
 }
 
+// aggDiff describes the first tensor in which got differs from want —
+// polynomial structure, value bits, count or group — or returns "" when
+// the two expressions agree tensor for tensor. It holds the next
+// expression a patch builds to the one Apply or NewAgg builds.
+func aggDiff(got, want *Agg) string {
+	switch {
+	case got == nil || want == nil:
+		return fmt.Sprintf("nil expression: got %v, want %v", got, want)
+	case got.Agg != want.Agg:
+		return fmt.Sprintf("aggregation %v, want %v", got.Agg.Kind, want.Agg.Kind)
+	case len(got.Tensors) != len(want.Tensors):
+		return fmt.Sprintf("%d tensors, want %d: %s != %s", len(got.Tensors), len(want.Tensors), got, want)
+	}
+	for i := range got.Tensors {
+		g, w := &got.Tensors[i], &want.Tensors[i]
+		if !exprSame(g.Prov, w.Prov) || math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
+			g.Count != w.Count || g.Group != w.Group {
+			return fmt.Sprintf("tensor %d = %#v, want %#v", i, *g, *w)
+		}
+	}
+	return ""
+}
+
+// exprSame reports whether a and b are the same polynomial node for
+// node, with guard values and bounds compared by their bits (so a NaN
+// guard equals itself and -0 differs from 0).
+func exprSame(a, b Expr) bool {
+	switch x := a.(type) {
+	case Sum:
+		y, ok := b.(Sum)
+		return ok && exprsSame(x.Terms, y.Terms)
+	case Prod:
+		y, ok := b.(Prod)
+		return ok && exprsSame(x.Factors, y.Factors)
+	case Cmp:
+		y, ok := b.(Cmp)
+		return ok && x.Op == y.Op && exprSame(x.Inner, y.Inner) &&
+			math.Float64bits(x.Value) == math.Float64bits(y.Value) && math.Float64bits(x.Bound) == math.Float64bits(y.Bound)
+	}
+	return a == b
+}
+
+func exprsSame(a, b []Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !exprSame(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPlanBaseEvalMatchesEval(t *testing.T) {
 	for _, kind := range []AggKind{AggSum, AggMax, AggMin, AggCount} {
 		cur := planFixture(kind)

@@ -173,9 +173,14 @@ func checkProbeAgainstApply(t *testing.T, cur *Agg, ms []Annotation, newAnn Anno
 		}
 	}
 
-	// ApplyMerge runs the same rewrite: a patch it accepts must leave the
-	// plan's tensors exactly as a fresh plan of the candidate has them.
-	if plan.ApplyMerge(next, ms, newAnn) == nil {
+	// ApplyMerge runs the same rewrite: the next expression it builds
+	// must be Apply's, and a patch it accepts must leave the plan's
+	// tensors exactly as a fresh plan of the candidate has them.
+	built, patch := plan.ApplyMerge(ms, newAnn)
+	if d := aggDiff(built, next); d != "" {
+		t.Fatalf("%v over %v: ApplyMerge built a next expression unlike Apply: %s", ms, cur, d)
+	}
+	if patch == nil {
 		if dead := plan.ar.NumNodes() - liveNodesAfter(plan, pr); dead*2 <= plan.ar.NumNodes() {
 			t.Fatalf("%v over %v: ApplyMerge refused a patch within the garbage bound", ms, cur)
 		}
@@ -186,10 +191,21 @@ func checkProbeAgainstApply(t *testing.T, cur *Agg, ms []Annotation, newAnn Anno
 	}
 	for i, pt := range plan.tensors {
 		nt := nextPlan.tensors[i]
-		if pt.key != nt.key || pt.value != nt.value || pt.count != nt.count || pt.group != nt.group || pt.size != nt.size {
+		if pt.key != nt.key || pt.value != nt.value || pt.count != nt.count || pt.group != nt.group || pt.size != nt.size ||
+			!slices.Equal(annNames(plan, pt.anns), annNames(nextPlan, nt.anns)) {
 			t.Fatalf("%v over %v: patched tensor %d = %+v, want %+v", ms, cur, i, pt, nt)
 		}
 	}
+}
+
+// annNames returns the sorted names of p's dense annotation ids.
+func annNames(p *Plan, ids []int32) []Annotation {
+	names := make([]Annotation, len(ids))
+	for i, id := range ids {
+		names[i] = p.ar.in.Ann(id)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // liveNodesAfter counts the arena nodes the tensors of pr's candidate
@@ -345,12 +361,14 @@ func TestProbeEscapedNames(t *testing.T) {
 // Simplify normal form.
 func TestProbeRefusesUnrewritable(t *testing.T) {
 	// Hand-built aggregations skip Simplify: a one-factor product, a
-	// product holding the constant 1, nested sums, and unsorted or
-	// duplicate tensors all fall outside the normal form.
+	// product holding the constant 1, nested sums, a sum whose terms are
+	// out of key order, and unsorted or duplicate tensors all fall
+	// outside the normal form.
 	for _, g := range []*Agg{
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: Prod{Factors: []Expr{V("u1")}}, Value: 1, Count: 1}}},
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: Prod{Factors: []Expr{V("u1"), Const{1}}}, Value: 1, Count: 1}}},
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: Sum{Terms: []Expr{V("u1"), Sum{Terms: []Expr{V("u2"), V("u3")}}}}, Value: 1, Count: 1}}},
+		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: Prod{Factors: []Expr{Sum{Terms: []Expr{V("u3"), V("u2")}}, V("u1")}}, Value: 1, Count: 1}}},
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: Cmp{Inner: Const{1}, Value: 1, Op: OpGE, Bound: 0}, Value: 1, Count: 1}, {Prov: V("u1"), Value: 1, Count: 1}}},
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: V("u2"), Value: 1, Count: 1}, {Prov: V("u1"), Value: 1, Count: 1}}},
 		{Agg: Aggregator{AggSum}, Tensors: []Tensor{{Prov: V("u1"), Value: 1, Count: 1}, {Prov: V("u1"), Value: 1, Count: 1}}},

@@ -20,8 +20,10 @@ import (
 // with member variables renamed to newAnn: byte for byte
 // SimplifyExpr(q.MapAnn(rename)).Key() for the normal-form polynomial q
 // the subtree compiles, since the rename keeps q's shape and Key sorts
-// children itself.
-func (a *Arena) appendRenamedKey(dst []byte, id int32, members []int32, newAnn Annotation) []byte {
+// children itself. When ordered is not nil, it is cleared if some Sum or
+// Prod of the subtree lists its children out of key order, that is
+// unlike SimplifyExpr would.
+func (a *Arena) appendRenamedKey(dst []byte, id int32, members []int32, newAnn Annotation, ordered *bool) []byte {
 	switch a.kind[id] {
 	case nodeVar:
 		name := newAnn
@@ -32,7 +34,7 @@ func (a *Arena) appendRenamedKey(dst []byte, id int32, members []int32, newAnn A
 	case nodeConst:
 		return strconv.AppendInt(append(dst, "c:"...), int64(a.constN[id]), 10)
 	case nodeCmp:
-		dst = a.appendRenamedKey(append(dst, "q("...), a.kids[a.kidOff[id]], members, newAnn)
+		dst = a.appendRenamedKey(append(dst, "q("...), a.kids[a.kidOff[id]], members, newAnn, ordered)
 		return appendCmpKey(dst, a.value[id], a.op[id], a.bound[id])
 	}
 	kids := a.kids[a.kidOff[id]:a.kidOff[id+1]]
@@ -45,10 +47,10 @@ func (a *Arena) appendRenamedKey(dst []byte, id int32, members []int32, newAnn A
 	spans := stack[:0]
 	for _, k := range kids {
 		lo := len(dst)
-		dst = a.appendRenamedKey(dst, k, members, newAnn)
+		dst = a.appendRenamedKey(dst, k, members, newAnn, ordered)
 		spans = append(spans, [2]int{lo, len(dst)})
 	}
-	return joinSortedKeys(dst, start, open, sep, spans)
+	return joinSortedKeys(dst, start, open, sep, spans, ordered)
 }
 
 // normalNode reports whether node id is a fixed point of SimplifyExpr

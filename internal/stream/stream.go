@@ -6,9 +6,12 @@
 // batch produces a fresh *provenance.Agg, so concurrent readers
 // (running summarization jobs, evaluation handlers) keep a consistent
 // snapshot — while the compiled plan is patched in place through
-// Plan.ApplyAppend, falling back to a full recompile when the patch
-// bails. Patch and recompile counts are exposed for the server's
-// prox_stream_* metrics.
+// Plan.ApplyAppend, which also builds that next expression: only the
+// batch's tensors are simplified, and the current ones are merged with
+// them in key order as they stand. A patch the plan refuses recompiles
+// from the expression the patch built; only a session whose expression
+// does not plan builds it with NewAgg over every tensor. Patch and
+// recompile counts are exposed for the server's prox_stream_* metrics.
 //
 // Durability lives a layer up: the server journals one
 // codec.IngestRecord per batch, and a restarted server rebuilds the
@@ -73,20 +76,28 @@ func (s *Session) Plan() *provenance.Plan {
 // becomes NewAgg over the current tensors plus the batch (so Simplify's
 // congruences — duplicate-key merging, zero dropping, key ordering —
 // hold exactly as if the expression had been built whole), and the
-// compiled plan is patched in place when possible. It returns the new
-// expression snapshot and whether the plan patch succeeded (false also
-// covers unplannable sessions, which recompile to a nil plan).
+// compiled plan is patched in place when possible. A planned session
+// reads that expression off the patch (Plan.ApplyAppend), which
+// simplifies only the batch. It returns the new expression snapshot and
+// whether the plan patch succeeded (false also covers unplannable
+// sessions, which recompile to a nil plan).
 func (s *Session) Append(added []provenance.Tensor) (*provenance.Agg, bool, error) {
 	if len(added) == 0 {
 		return nil, false, errors.New("stream: empty ingest batch")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tensors := make([]provenance.Tensor, 0, len(s.agg.Tensors)+len(added))
-	tensors = append(tensors, s.agg.Tensors...)
-	tensors = append(tensors, added...)
-	next := provenance.NewAgg(s.agg.Agg.Kind, tensors...)
-	patched := s.plan != nil && s.plan.ApplyAppend(next, added)
+	var next *provenance.Agg
+	patched := false
+	if s.plan != nil {
+		next, patched = s.plan.ApplyAppend(added)
+	}
+	if next == nil {
+		tensors := make([]provenance.Tensor, 0, len(s.agg.Tensors)+len(added))
+		tensors = append(tensors, s.agg.Tensors...)
+		tensors = append(tensors, added...)
+		next = provenance.NewAgg(s.agg.Agg.Kind, tensors...)
+	}
 	if patched {
 		s.patches++
 	} else {

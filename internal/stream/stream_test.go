@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/provenance"
 )
 
@@ -170,5 +173,41 @@ func TestAppendStats(t *testing.T) {
 	}
 	if st.PlanPatches+st.PlanRecompiles != 2 {
 		t.Fatalf("stats = %+v: patches+recompiles must equal batches", st)
+	}
+}
+
+// BenchmarkStreamAppend times one ingest batch on a freshly opened
+// session of MovieLens shape: the paper-scale workload's ratings by 24
+// users of 8 movies form the base, and the ratings of 3 more users are
+// the batch. Each op opens a new session (untimed: NewSession compiles
+// the plan) and appends the batch, which patches the plan and builds
+// the next expression from the patch.
+func BenchmarkStreamAppend(b *testing.B) {
+	cfg := datasets.DefaultMovieLensConfig()
+	cfg.Users = 27
+	w := datasets.MovieLens(cfg, rand.New(rand.NewSource(1)))
+	full := w.Prov.(*provenance.Agg)
+	var base, batch []provenance.Tensor
+	for _, t := range full.Tensors {
+		anns := provenance.Anns(t.Prov)
+		if slices.ContainsFunc(anns, func(a provenance.Annotation) bool { return a > "UID024" && a <= "UID027" }) {
+			batch = append(batch, t)
+		} else {
+			base = append(base, t)
+		}
+	}
+	if len(batch) == 0 {
+		b.Fatal("the workload gave the ingested users no ratings")
+	}
+	agg := provenance.NewAgg(full.Agg.Kind, base...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := NewSession(agg)
+		b.StartTimer()
+		if _, patched, err := s.Append(batch); err != nil || !patched {
+			b.Fatalf("Append: patched %v, err %v", patched, err)
+		}
 	}
 }

@@ -53,6 +53,9 @@ run_bench 'PlanProbe$|PlanProbeCarried$' 500x ./internal/provenance/
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
 run_bench 'SummarizeScoringDelta$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
+# One op of StreamAppend is one ingest batch, ~30 µs, on a session
+# opened untimed (~100 µs each).
+run_bench 'StreamAppend$' 2000x ./internal/stream/
 run_bench 'ServerSummarizeCache' 100x ./internal/server/
 
 status=0
