@@ -425,7 +425,8 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 
 // TestCommitMergePatchesPlan pins the arena-reuse contract of the merge
 // commit: CommitMerge returns Apply's next expression, the cached plan
-// is patched in place (MergePatches counts it, nothing recompiles), and
+// is patched in place (MergePatches counts it once the next step
+// begins, nothing recompiles), and
 // scoring the next step on the patched plan is bit-identical to a fresh
 // estimator that compiles the committed expression from scratch, and to
 // the same estimator recompiling after ResetCache.
@@ -455,6 +456,11 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 			committed = e.CommitMerge(sc.cur, members, newAnn, nil)
 			if !reflect.DeepEqual(committed, next) {
 				t.Fatalf("CommitMerge built %v, want Apply's %v", committed, next)
+			}
+			// The outcome counts when the next step begins, so a run's
+			// last merge counts in neither counter.
+			if st := e.Stats(); st.MergePatches != 0 || st.MergeRecompiles != 0 {
+				t.Fatalf("commit counted before the next step: patches=%d recompiles=%d", st.MergePatches, st.MergeRecompiles)
 			}
 		} else {
 			e.ResetCache()

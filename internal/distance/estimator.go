@@ -90,9 +90,10 @@ type Estimator struct {
 	blockPlan BlockPlan
 	planErr   error
 	planFor   provenance.Expression
-	// recompileFor is the expression a commit that refused its patch
-	// returned: compiling its plan counts in MergeRecompiles.
-	recompileFor provenance.Expression
+	// committed is the counter (MergePatches or MergeRecompiles) the
+	// last committed merge's outcome goes to, counted when the next step
+	// asks for a plan or commits (countCommit); nil when there is none.
+	committed *atomic.Uint64
 
 	// blockStatePool recycles the per-worker state of delta sweeps (word
 	// columns, lane rows, VAL-FUNC caches), so mid-run steps allocate no
@@ -165,8 +166,9 @@ type Stats struct {
 	// MergePatches counts committed merges that CommitMerge patched into
 	// the cached plan's arena in place (provenance.Plan.ApplyMerge);
 	// MergeRecompiles counts commits where the patch was refused and the
-	// next step recompiled the plan from scratch (a run's last merge has
-	// no next step, so its refusal recompiles nothing).
+	// next step recompiles the plan from scratch. Both count a commit
+	// when the next step begins, so a run's last merge, which no step
+	// follows, counts in neither.
 	MergePatches, MergeRecompiles uint64
 	// ProbesCarried counts DeltaCandidates whose probe a run carried
 	// over from its previous step (a Carry), ProbesBuilt those whose
@@ -265,9 +267,11 @@ func planError(format string, args ...any) *PlanError {
 // *PlanError: cur has no compiled plan (planOf), an aggregation's plan
 // is asked to score against an original that is not one, an
 // aggregation is not in Simplify normal form (Probe refuses every merge
-// of it), cur holds a reserved annotation (provenance.Zero or One), or
-// newAnn, the summary annotation DistanceDelta probes merges into, when
-// not empty, already occurs in cur. Distance needs only the plan. The
+// of it; a Sum or Prod listing its children out of key order counts,
+// so a hand-built Agg needs Simplify first), cur holds a reserved
+// annotation (provenance.Zero or One), or newAnn, the summary
+// annotation DistanceDelta probes merges into, when not empty, already
+// occurs in cur. Distance needs only the plan. The
 // plan stays cached, so the first Distance or DistanceDelta on cur
 // reuses it instead of compiling again.
 func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.Annotation) error {
@@ -301,10 +305,12 @@ func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.A
 // are rebased onto the patch when the next step uses the carry. A patch
 // the plan refuses falls back to Apply; it, and one refused for the
 // arena's garbage, drops the cached plan and the carried probes, and
-// the next step compiles next (counted in MergeRecompiles when it does)
-// — either way results are unchanged. A block plan is never patched:
-// the commit drops it and Applies.
+// the next step compiles next — either way results are unchanged. The
+// outcome counts in MergePatches or MergeRecompiles when the next step
+// begins (countCommit). A block plan is never patched: the commit drops
+// it and Applies.
 func (e *Estimator) CommitMerge(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, carry *Carry) provenance.Expression {
+	e.countCommit()
 	if e.blockPlan != nil || e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
 		if e.blockPlan != nil {
 			e.blockPlan, e.planFor = nil, nil
@@ -322,16 +328,24 @@ func (e *Estimator) CommitMerge(cur provenance.Expression, members []provenance.
 	carry.commit(patch)
 	if patch != nil {
 		e.planFor = next
-		e.stats.mergePatches.Add(1)
+		e.committed = &e.stats.mergePatches
 		return next
 	}
 	e.plan, e.planFor = nil, nil
-	var out provenance.Expression = next
+	e.committed = &e.stats.mergeRecompiles
 	if next == nil {
-		out = cur.Apply(provenance.MergeMapping(newAnn, members...))
+		return cur.Apply(provenance.MergeMapping(newAnn, members...))
 	}
-	e.recompileFor = out
-	return out
+	return next
+}
+
+// countCommit counts the last committed merge's outcome, once the step
+// after it has begun.
+func (e *Estimator) countCommit() {
+	if e.committed != nil {
+		e.committed.Add(1)
+		e.committed = nil
+	}
 }
 
 // ReleasePlan drops the cached delta plan and the run's sweep state:
@@ -340,7 +354,7 @@ func (e *Estimator) CommitMerge(cur provenance.Expression, members []provenance.
 // of them: the next run's ResetCache would drop them unused anyway.
 func (e *Estimator) ReleasePlan() {
 	e.plan, e.blockPlan, e.planErr, e.planFor = nil, nil, nil, nil
-	e.recompileFor, e.vals, e.vf = nil, nil, nil
+	e.committed, e.vals, e.vf = nil, nil, nil
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -479,16 +493,13 @@ func (e *Estimator) truthColumn(a provenance.Annotation, vals []provenance.Valua
 // refuses (provenance.Arena.Blockable) included, so a refused plan is
 // never swept or patched.
 func (e *Estimator) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan, error) {
+	e.countCommit()
 	if comparableExpr(cur) && e.planFor == cur {
 		return e.plan, e.blockPlan, e.planErr
 	}
 	plan, bplan, err := compilePlan(cur)
 	if comparableExpr(cur) {
 		e.plan, e.blockPlan, e.planErr, e.planFor = plan, bplan, err, cur
-		if cur == e.recompileFor {
-			e.recompileFor = nil
-			e.stats.mergeRecompiles.Add(1)
-		}
 	}
 	return plan, bplan, err
 }

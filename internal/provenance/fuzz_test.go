@@ -253,7 +253,11 @@ func FuzzEvalBlock(f *testing.F) {
 		if !patched {
 			t.Fatalf("ApplyAppend refused a plain append onto %s", g)
 		}
-		check("appended", grown, plan.Arena())
+		want := NewAgg(kind, append(append([]Tensor{}, g.Tensors...), added...)...)
+		if d := aggDiff(grown, want); d != "" {
+			t.Fatalf("ApplyAppend's next diverged from NewAgg onto %s: %s", g, d)
+		}
+		check("appended", want, plan.Arena())
 	})
 }
 

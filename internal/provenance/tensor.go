@@ -115,7 +115,9 @@ func (t Tensor) String() string {
 // combined with a fixed aggregation monoid. It is the main expression
 // type PROX summarizes for the MovieLens and Wikipedia datasets, and it
 // implements the Expression interface consumed by the summarization
-// algorithm.
+// algorithm, which plans only an Agg in Simplify normal form (every
+// Sum and Prod listing its children in key order included): NewAgg
+// builds one, and Simplify normalizes one built by hand.
 type Agg struct {
 	Tensors []Tensor
 	Agg     Aggregator

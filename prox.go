@@ -74,7 +74,10 @@ type (
 	Expr = provenance.Expr
 	// Tensor pairs a polynomial with an aggregated (value, count).
 	Tensor = provenance.Tensor
-	// Agg is an aggregated provenance expression (⊕ of tensors).
+	// Agg is an aggregated provenance expression (⊕ of tensors). The
+	// summarizer scores only an Agg in Simplify normal form, with every
+	// Sum and Prod listing its children in key order: build one with
+	// NewAgg, or Simplify one built by hand.
 	Agg = provenance.Agg
 	// AggKind selects the aggregation monoid.
 	AggKind = provenance.AggKind
