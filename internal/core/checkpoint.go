@@ -145,9 +145,12 @@ type restoredState struct {
 // registry state cannot be replayed, so they register directly under
 // the recorded name with the members' shared attributes — the same
 // entry Universe.Merge (or the LCA branch of MergeName) wrote when the
-// group was first formed. It fills res.Steps with the restored trace
-// and returns the rebuilt loop state, including the one-step-back
-// rollback state.
+// group was first formed. Each merge replays through the estimator's
+// plan (distance.Estimator.Replay), which patches one compiled plan
+// step by step instead of re-simplifying the whole expression, and
+// leaves it cached for the run's CheckPlan and first step. It fills
+// res.Steps with the restored trace and returns the rebuilt loop
+// state, including the one-step-back rollback state.
 func (s *Summarizer) restore(cp *Checkpoint, cur provenance.Expression, cum provenance.Mapping, res *Summary) (restoredState, error) {
 	cfg := s.cfg
 	if cp.ExtendFrom < 0 || cp.ExtendFrom > len(cp.Steps) {
@@ -159,6 +162,10 @@ func (s *Summarizer) restore(cp *Checkpoint, cur provenance.Expression, cum prov
 		curDist: cp.InitDist, prevDist: cp.InitDist,
 	}
 	res.Steps = cloneSteps(cp.Steps)
+	replay := cfg.Estimator.Replay
+	if s.replay != nil {
+		replay = s.replay
+	}
 	for i, rec := range cp.Steps {
 		if len(rec.Members) < 2 {
 			return restoredState{}, fmt.Errorf("core: corrupt checkpoint: step %d has %d members", i+1, len(rec.Members))
@@ -178,10 +185,9 @@ func (s *Summarizer) restore(cp *Checkpoint, cur provenance.Expression, cum prov
 				return restoredState{}, fmt.Errorf("core: checkpoint replay diverged at step %d: merge of %v named %q, recorded %q (was the run configured differently?)", i+1, rec.Members, name, rec.New)
 			}
 		}
-		step := provenance.MergeMapping(rec.New, rec.Members...)
 		st.prev, st.prevCum, st.prevDist = st.cur, st.cum, st.curDist
-		st.cur = st.cur.Apply(step)
-		st.cum = st.cum.Compose(step)
+		st.cur = replay(st.cur, rec.Members, rec.New)
+		st.cum = st.cum.Compose(provenance.MergeMapping(rec.New, rec.Members...))
 		st.curDist = rec.Dist
 		if i < cp.ExtendFrom && res.Steps[i].Size == 0 {
 			res.Steps[i].Size = st.cur.Size()

@@ -171,6 +171,9 @@ type Summarizer struct {
 	// checkCarry, set only by tests, inspects the carried step state
 	// after every committed step; an error aborts the run.
 	checkCarry func(cur provenance.Expression, carry *stepCarry) error
+	// replay, set only by tests, replaces the estimator's replay of a
+	// restored merge (distance.Estimator.Replay).
+	replay func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression
 }
 
 // New validates the configuration and returns a Summarizer. The defaults

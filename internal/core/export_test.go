@@ -36,3 +36,13 @@ func CheckCarry(s *Summarizer, carried func(probes int)) {
 		return err
 	}
 }
+
+// ReplayByApply makes s replay every restored merge — seed steps and
+// resumed steps — with a whole-expression Apply instead of the
+// estimator's plan (distance.Estimator.Replay): the oracle the plan
+// replay is held to.
+func ReplayByApply(s *Summarizer) {
+	s.replay = func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
+		return cur.Apply(provenance.MergeMapping(newAnn, members...))
+	}
+}

@@ -179,3 +179,37 @@ func TestInputPlansOrIsRefused(t *testing.T) {
 		t.Fatalf("checkpoints journaled at steps %v, want only the pre-search one (step 0)", journaled)
 	}
 }
+
+// TestUnblockableOriginalIsRefused pins the estimator's check of the
+// original: an aggregated original whose arena the blocked kernel
+// cannot evaluate (a negative constant) is refused with a
+// *distance.PlanError even when the expression scored against it
+// plans, by CheckPlan and by DistanceDelta alike, before anything is
+// scored. The original's rows come only from that kernel, so there is
+// no tree-walk fallback to take instead.
+func TestUnblockableOriginalIsRefused(t *testing.T) {
+	p0, _, est := negConstFixture()
+	g := p0.(*provenance.Agg)
+	var plain []provenance.Tensor
+	for _, tn := range g.Tensors {
+		if _, ok := tn.Prov.(provenance.Var); ok {
+			plain = append(plain, tn)
+		}
+	}
+	cur := provenance.NewAgg(g.Agg.Kind, plain...)
+	var pe *distance.PlanError
+	if err := est.CheckPlan(cur, cur, ""); err != nil {
+		t.Fatalf("CheckPlan refused a plannable original: %v", err)
+	}
+	if err := est.CheckPlan(p0, cur, ""); !errors.As(err, &pe) || !strings.Contains(err.Error(), "original") {
+		t.Fatalf("CheckPlan err = %v, want a *distance.PlanError naming the original", err)
+	}
+	id := provenance.NewMapping()
+	base := provenance.GroupsOf(p0.Annotations(), id)
+	if _, _, err := est.DistanceDelta(p0, cur, id, base, [][]provenance.Annotation{{"u1", "u3"}}, "Z", nil); !errors.As(err, &pe) {
+		t.Fatalf("DistanceDelta err = %v, want a *distance.PlanError", err)
+	}
+	if st := est.Stats(); st.DeltaCalls != 0 || st.Evaluations != 0 || st.CacheMisses != 0 {
+		t.Fatalf("a refused original was evaluated: %+v", st)
+	}
+}

@@ -131,7 +131,7 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	if err != nil {
 		return nil, nil, err
 	}
-	names, annID, err := sweepNames(p0, plan, bplan)
+	names, annID, err := e.sweepNames(p0, plan, bplan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -239,11 +239,17 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 // sweepNames returns the annotations, in dense-id order, and the id
 // lookup of the plan a sweep against p0 runs on, planOf's plan of the
 // current expression. An aggregation's plan sweeps only against an
-// aggregated original.
-func sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
+// aggregated original the blocked kernel evaluates: the check compiles
+// the original's arena (originalArena), which the sweep's denseStep
+// then reads.
+func (e *Estimator) sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
 	if plan != nil {
-		if g0, ok := p0.(*provenance.Agg); !ok || g0 == nil {
+		g0, ok := p0.(*provenance.Agg)
+		if !ok || g0 == nil {
 			return nil, nil, planError("an aggregation is scored against a %T original", p0)
+		}
+		if _, err := e.originalArena(g0); err != nil {
+			return nil, nil, err
 		}
 		return plan.Annotations(), plan.AnnID, nil
 	}
@@ -289,8 +295,8 @@ func (e *Estimator) batchValuations() []provenance.Valuation {
 // laneEvals returns the factory of a sweep's per-worker evaluators: the
 // dense rows of an aggregation's plan (denseStep), or a BlockPlan's own
 // evaluator, whose results carry no keys, so the originals compare
-// unaligned. The original's results are looked up once per valuation
-// before the workers fan out, so workers never touch the cache.
+// unaligned. The original's results are computed or looked up before
+// the workers fan out, so workers never touch the cache.
 func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan, cum provenance.Mapping, probes []*deltaProbe, bprobes []BlockProbe, vals []provenance.Valuation, newAnn provenance.Annotation) func(*deltaBlockState) laneEval {
 	if bplan != nil {
 		origs := make([]provenance.Result, len(vals))
@@ -304,7 +310,7 @@ func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, b
 			return &blockPlanEval{e: e, origs: origs, ev: bplan.NewEvaluator(), probes: bprobes, res: st.results}
 		}
 	}
-	step := e.denseStep(p0.(*provenance.Agg), plan, cum, probes, vals, newAnn)
+	step := e.denseStep(plan, cum, probes, vals, newAnn)
 	return func(st *deltaBlockState) laneEval {
 		if st.rows == nil {
 			st.rows = newLaneRows()
@@ -323,7 +329,7 @@ func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Ma
 	if err != nil {
 		return 0, err
 	}
-	names, _, err := sweepNames(p0, plan, bplan)
+	names, _, err := e.sweepNames(p0, plan, bplan)
 	if err != nil {
 		return 0, err
 	}
@@ -339,18 +345,15 @@ func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Ma
 }
 
 // denseStep builds the shared state of an aggregation's sweep: the
-// original's rows (built once per run, origRow), the step's space, and
-// the own
-// space of every probe that needs one. A probe whose merge renames a
-// coordinate of the aligned original is scored against the original
-// aligned through its composed mapping, and one that renames a
-// coordinate of cur gets its candidate's slots; both block the skip.
-func (e *Estimator) denseStep(p0 *provenance.Agg, plan *provenance.Plan, cum provenance.Mapping, probes []*deltaProbe, vals []provenance.Valuation, newAnn provenance.Annotation) *denseStep {
-	origs := make([][]float64, len(vals))
-	for i, v := range vals {
-		origs[i] = e.origRow(v, p0)
-	}
-	origKeys := e.origKeys
+// original's rows over its arena's slots (originalRows, on the arena
+// sweepNames compiled), the step's space, and the own space of every
+// probe that needs one. A probe whose merge renames a coordinate of the
+// aligned original is scored against the original aligned through its
+// composed mapping, and one that renames a coordinate of cur gets its
+// candidate's slots; both block the skip.
+func (e *Estimator) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []*deltaProbe, vals []provenance.Valuation, newAnn provenance.Annotation) *denseStep {
+	origs := e.originalRows(vals)
+	origKeys := e.origArena.Slots()
 	step := &denseStep{
 		ar:     plan.Arena(),
 		agg:    plan.Expr().Agg,

@@ -400,10 +400,9 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 		countingValuation{inner: provenance.CancelAnnotation("b"), calls: &calls},
 	}
 	e := estimator(&valuation.Explicit{Vals: vals}, Euclidean())
-	// Evaluate the original first, so only the sweep's truth pulls count.
-	for _, v := range vals {
-		e.evalOriginal(v, p0)
-	}
+	// The original's rows read the same memo: its annotations (a, b, c
+	// and group key u) are the sweep's base annotations, so evaluating
+	// it pulls no truth of its own.
 	sets := [][]provenance.Annotation{{"S", "b"}}
 	for round, want := range []int{shared.baseIn.Len() * len(vals), 0} {
 		calls = 0
@@ -413,6 +412,9 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 		if calls != want {
 			t.Fatalf("sweep %d made %d Truth calls, want %d (one per interned base annotation and valuation, then none)", round+1, calls, want)
 		}
+	}
+	if st := e.Stats(); st.CacheMisses != uint64(len(vals)) || st.CacheHits != uint64(len(vals)) {
+		t.Fatalf("original rows: %d misses, %d hits; want %d of each (evaluated on the first sweep, kept for the second)", st.CacheMisses, st.CacheHits, len(vals))
 	}
 	// And the dense extension is still correct.
 	got, _, _ := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,10 +24,14 @@ import (
 // keys are re-aggregated), the summary is evaluated under the extended
 // valuation v^{h,φ}, and the VAL-FUNC is applied to the pair.
 //
-// The estimator caches original-expression evaluations keyed by valuation
-// name, because during summarization the same p0 is compared against many
-// candidates under the same class. An aggregated original's results are
-// cached as dense rows over its sorted coordinates.
+// During summarization the same p0 is compared against many candidates
+// under the same class, so the original's results are computed once per
+// run. An aggregated original is compiled into its own arena and
+// evaluated by the blocked kernel, 64 valuations per pass, into dense
+// rows over its sorted coordinates: in enumeration mode the rows of the
+// whole class are kept for the run, in sampling mode each sweep's draws
+// are evaluated afresh. Any other original (a BlockPlanner's) is
+// evaluated per valuation and memoized by valuation name.
 type Estimator struct {
 	Class valuation.Class
 	Phi   provenance.Combiner
@@ -59,18 +62,20 @@ type Estimator struct {
 	origCache map[string]provenance.Result
 	cachedFor provenance.Expression
 
-	// origKeys and origRows are origCache for an aggregated original: its
-	// sorted coordinates, and per valuation name its result's values in
-	// that order.
-	origKeys []provenance.Annotation
-	origRows map[string][]float64
+	// origArena is an aggregated original's compiled arena, compiled once
+	// per run (originalArena). origRows are, in enumeration mode, its
+	// rows over the arena's slots under every valuation of vals, indexed
+	// like vals (originalRows). Both belong to cachedFor.
+	origArena *provenance.Arena
+	origRows  [][]float64
 
 	// truthCols memoizes, per raw annotation, its packed truth column
 	// over the enumerated valuation class: word b bit j is the truth
 	// under valuation 64*b+j. Valid only in enumeration mode, where the
 	// class — like the per-valuation results origCache keys by name — is
 	// immutable for the estimator's lifetime. Filled sequentially by
-	// deltaBlocked's prewarm, read concurrently by its sweep workers.
+	// originalRows and deltaBlocked's prewarm, read concurrently by the
+	// sweep workers.
 	truthCols map[provenance.Annotation][]uint64
 
 	// vals memoizes the enumerated valuation class for one run
@@ -94,6 +99,9 @@ type Estimator struct {
 	// last committed merge's outcome goes to, counted when the next step
 	// asks for a plan or commits (countCommit); nil when there is none.
 	committed *atomic.Uint64
+	// replayApply records that Replay met an aggregation the arena cannot
+	// plan or probe; the run's remaining replayed merges Apply.
+	replayApply bool
 
 	// blockStatePool recycles the per-worker state of delta sweeps (word
 	// columns, lane rows, VAL-FUNC caches), so mid-run steps allocate no
@@ -136,8 +144,10 @@ type Stats struct {
 	// Evaluations counts VAL-FUNC summands computed (one per valuation
 	// per Distance call).
 	Evaluations uint64
-	// CacheHits and CacheMisses count original-expression evaluation
-	// cache lookups; CacheResets counts cache invalidations (a new
+	// CacheHits and CacheMisses count original-expression evaluations
+	// per valuation: a miss for each valuation the original is evaluated
+	// under, a hit for each valuation whose result a run kept from an
+	// earlier sweep. CacheResets counts cache invalidations (a new
 	// original expression identity, or an explicit ResetCache).
 	CacheHits, CacheMisses, CacheResets uint64
 	// Samples counts Monte-Carlo valuation draws (sampling mode only).
@@ -168,7 +178,8 @@ type Stats struct {
 	// MergeRecompiles counts commits where the patch was refused and the
 	// next step recompiles the plan from scratch. Both count a commit
 	// when the next step begins, so a run's last merge, which no step
-	// follows, counts in neither.
+	// follows, counts in neither. Merges a run replays (Replay) are not
+	// counted.
 	MergePatches, MergeRecompiles uint64
 	// ProbesCarried counts DeltaCandidates whose probe a run carried
 	// over from its previous step (a Carry), ProbesBuilt those whose
@@ -265,7 +276,8 @@ func planError(format string, args ...any) *PlanError {
 
 // CheckPlan reports why the estimator cannot score cur against p0, as a
 // *PlanError: cur has no compiled plan (planOf), an aggregation's plan
-// is asked to score against an original that is not one, an
+// is asked to score against an original that is not one or whose arena
+// the blocked kernel cannot evaluate (originalArena), an
 // aggregation is not in Simplify normal form (Probe refuses every merge
 // of it; a Sum or Prod listing its children out of key order counts,
 // so a hand-built Agg needs Simplify first), cur holds a reserved
@@ -279,7 +291,7 @@ func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.A
 	if err != nil {
 		return err
 	}
-	_, annID, err := sweepNames(p0, plan, bplan)
+	_, annID, err := e.sweepNames(p0, plan, bplan)
 	if err != nil {
 		return err
 	}
@@ -311,32 +323,70 @@ func (e *Estimator) CheckPlan(p0, cur provenance.Expression, newAnn provenance.A
 // it and Applies.
 func (e *Estimator) CommitMerge(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, carry *Carry) provenance.Expression {
 	e.countCommit()
+	next, patch, onPlan := e.mergeOnPlan(cur, members, newAnn, carry.winner(members))
+	carry.commit(patch)
+	switch {
+	case patch != nil:
+		e.committed = &e.stats.mergePatches
+	case onPlan:
+		e.committed = &e.stats.mergeRecompiles
+	}
+	return next
+}
+
+// Replay commits one merge a run replays — a seed step of
+// Summarizer.Extend or a step of a resumed checkpoint — on cur and
+// returns the next expression, cur.Apply(MergeMapping(newAnn,
+// members...)). It is CommitMerge without a carry and without
+// counting: an aggregation's plan is compiled at the first replayed
+// merge and patched in place at every later one, and it stays cached,
+// so the run's CheckPlan and first step reuse it. Its fallbacks are
+// CommitMerge's: a merge the plan refuses, or one that would leave the
+// arena more than half garbage, drops the plan, and the next replayed
+// merge compiles the expression it returns. An aggregation the arena
+// cannot plan or probe makes the run Apply its remaining replayed
+// merges without compiling again, and any other expression (DDP)
+// Applies without compiling a block plan just to drop it.
+func (e *Estimator) Replay(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
+	if g, ok := cur.(*provenance.Agg); ok && g != nil && !e.replayApply {
+		if plan, _, err := e.planOf(cur); err != nil || !plan.Probeable() {
+			e.replayApply = true
+		}
+	}
+	next, _, _ := e.mergeOnPlan(cur, members, newAnn, nil)
+	return next
+}
+
+// mergeOnPlan is the shared body of CommitMerge and Replay. When the
+// cached plan is cur's arena plan (onPlan), it builds next by patching
+// the plan in place (ApplyProbe from pr when pr is on the plan, else
+// ApplyMerge) and keeps the patched plan cached for next; a refused
+// patch drops the plan and falls back to Apply, and one refused for
+// the arena's garbage drops it and returns the patch's next. Otherwise
+// it drops a cached block plan and Applies. patch is nil unless the
+// plan was patched.
+func (e *Estimator) mergeOnPlan(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, pr *provenance.Probe) (next provenance.Expression, patch *provenance.MergePatch, onPlan bool) {
 	if e.blockPlan != nil || e.plan == nil || !comparableExpr(cur) || e.planFor != cur {
 		if e.blockPlan != nil {
 			e.blockPlan, e.planFor = nil, nil
 		}
-		carry.commit(nil)
-		return cur.Apply(provenance.MergeMapping(newAnn, members...))
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, false
 	}
-	var next *provenance.Agg
-	var patch *provenance.MergePatch
-	if pr := carry.winner(members); pr != nil && pr.On(e.plan) {
-		next, patch = e.plan.ApplyProbe(pr, newAnn)
+	var g *provenance.Agg
+	if pr != nil && pr.On(e.plan) {
+		g, patch = e.plan.ApplyProbe(pr, newAnn)
 	} else {
-		next, patch = e.plan.ApplyMerge(members, newAnn)
+		g, patch = e.plan.ApplyMerge(members, newAnn)
 	}
-	carry.commit(patch)
 	if patch != nil {
-		e.planFor = next
-		e.committed = &e.stats.mergePatches
-		return next
+		e.planFor = g
+		return g, patch, true
 	}
 	e.plan, e.planFor = nil, nil
-	e.committed = &e.stats.mergeRecompiles
-	if next == nil {
-		return cur.Apply(provenance.MergeMapping(newAnn, members...))
+	if g == nil {
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, true
 	}
-	return next
+	return g, nil, true
 }
 
 // countCommit counts the last committed merge's outcome, once the step
@@ -349,12 +399,14 @@ func (e *Estimator) countCommit() {
 }
 
 // ReleasePlan drops the cached delta plan and the run's sweep state:
-// the enumerated valuation list and the summand matrix. The summarizer
-// calls it when a run returns, so an estimator between runs pins none
-// of them: the next run's ResetCache would drop them unused anyway.
+// the enumerated valuation list, the summand matrix, and the original's
+// arena and rows. The summarizer calls it when a run returns, so an
+// estimator between runs pins none of them: the next run's ResetCache
+// would drop them unused anyway.
 func (e *Estimator) ReleasePlan() {
 	e.plan, e.blockPlan, e.planErr, e.planFor = nil, nil, nil, nil
-	e.committed, e.vals, e.vf = nil, nil, nil
+	e.committed, e.replayApply, e.vals, e.vf = nil, false, nil, nil
+	e.origArena, e.origRows = nil, nil
 }
 
 // comparableExpr reports whether an Expression's dynamic type supports
@@ -369,20 +421,13 @@ func comparableExpr(e provenance.Expression) bool {
 	return reflect.TypeOf(e).Comparable()
 }
 
-// evalOriginal evaluates p0 under v with memoization. An aggregated
-// original is memoized as its dense row (origRow) and handed out as a
-// fresh Vector. Expressions of non-comparable dynamic types cannot be
-// identity-checked against the cache key, so they are evaluated uncached
-// instead of panicking on the interface comparison.
+// evalOriginal evaluates an original that is not an aggregation (a
+// BlockPlanner's) under v with memoization by valuation name; an
+// aggregated original is evaluated on its arena instead (originalRows).
+// Expressions of non-comparable dynamic types cannot be identity-checked
+// against the cache key, so they are evaluated uncached instead of
+// panicking on the interface comparison.
 func (e *Estimator) evalOriginal(v provenance.Valuation, p0 provenance.Expression) provenance.Result {
-	if g, ok := p0.(*provenance.Agg); ok && g != nil {
-		row := e.origRow(v, g)
-		vec := make(provenance.Vector, len(e.origKeys))
-		for t, k := range e.origKeys {
-			vec[k] = row[t]
-		}
-		return vec
-	}
 	if !comparableExpr(p0) {
 		e.stats.cacheMisses.Add(1)
 		return p0.Eval(v)
@@ -402,32 +447,68 @@ func (e *Estimator) evalOriginal(v provenance.Valuation, p0 provenance.Expressio
 	return r
 }
 
-// origRow returns the aggregated original g's result under v as a row
-// over its sorted coordinates (origKeys, the keys of every Agg.Eval
-// result), memoized by valuation name.
-func (e *Estimator) origRow(v provenance.Valuation, g *provenance.Agg) []float64 {
+// originalArena returns the aggregated original g's compiled arena,
+// compiled once per run, or a *PlanError when the blocked kernel cannot
+// evaluate g: a polynomial does not compile, or the arena is not
+// Blockable.
+func (e *Estimator) originalArena(g *provenance.Agg) (*provenance.Arena, error) {
 	e.useOriginal(g)
-	key := v.Name()
-	if row, ok := e.origRows[key]; ok {
-		e.stats.cacheHits.Add(1)
-		return row
+	if e.origArena != nil {
+		return e.origArena, nil
 	}
-	e.stats.cacheMisses.Add(1)
-	vec := g.Eval(v).(provenance.Vector)
-	if e.origRows == nil {
-		e.origKeys = make([]provenance.Annotation, 0, len(vec))
-		for k := range vec {
-			e.origKeys = append(e.origKeys, k)
+	ar := provenance.CompileArena(g)
+	if ar == nil {
+		return nil, planError("the original holds a constant outside int32 or a node the arena does not compile")
+	}
+	if !ar.Blockable() {
+		return nil, planError("the original holds a negative constant")
+	}
+	e.origArena = ar
+	return ar, nil
+}
+
+// originalRows returns the original's results under vals as dense rows
+// over the slots of its arena (origArena, compiled by originalArena),
+// row i for vals[i]: the blocked kernel evaluates 64 valuations per
+// pass, fed from the packed truth columns (truthColumn). Each row
+// equals the original's Agg.Eval under the valuation, keyed by the
+// arena's Slots. In enumeration mode vals is the run's class and the
+// rows are kept for the run; sampling mode evaluates each sweep's draws
+// afresh. It runs on the calling goroutine; the rows must not be
+// modified.
+func (e *Estimator) originalRows(vals []provenance.Valuation) [][]float64 {
+	if e.Samples <= 0 && e.origRows != nil && len(e.origRows) == len(vals) {
+		e.stats.cacheHits.Add(uint64(len(vals)))
+		return e.origRows
+	}
+	e.stats.cacheMisses.Add(uint64(len(vals)))
+	ar := e.origArena
+	n := len(ar.Slots())
+	slab := make([]float64, len(vals)*n)
+	rows := make([][]float64, len(vals))
+	for i := range rows {
+		rows[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	anns := ar.Annotations()
+	cols := make([][]uint64, len(anns))
+	for id, a := range anns {
+		cols[id] = e.truthColumn(a, vals)
+	}
+	tb := provenance.NewTruthBlock()
+	bs := ar.GetBlockScratch()
+	for lo := 0; lo < len(vals); lo += 64 {
+		lanes := min(64, len(vals)-lo)
+		tb.Reset(len(anns), lanes)
+		for id, col := range cols {
+			tb.SetWord(int32(id), col[lo>>6])
 		}
-		slices.Sort(e.origKeys)
-		e.origRows = make(map[string][]float64)
+		ar.EvalRows(tb, bs, rows[lo:lo+lanes])
 	}
-	row := make([]float64, len(e.origKeys))
-	for t, k := range e.origKeys {
-		row[t] = vec[k]
+	ar.PutBlockScratch(bs)
+	if e.Samples <= 0 {
+		e.origRows = rows
 	}
-	e.origRows[key] = row
-	return row
+	return rows
 }
 
 // useOriginal drops the original-result memo when p0 is not the original
@@ -439,7 +520,7 @@ func (e *Estimator) useOriginal(p0 provenance.Expression) {
 		if e.cachedFor != nil {
 			e.stats.cacheResets.Add(1)
 		}
-		e.origCache, e.origKeys, e.origRows = nil, nil, nil
+		e.origCache, e.origArena, e.origRows = nil, nil, nil
 		e.cachedFor = p0
 	}
 }
@@ -453,7 +534,6 @@ func (e *Estimator) ResetCache() {
 	}
 	e.origCache = nil
 	e.cachedFor = nil
-	e.origKeys, e.origRows = nil, nil
 	e.truthCols = nil
 	e.ReleasePlan()
 }
