@@ -130,20 +130,20 @@ func main() {
 	}
 
 	est := w.Estimator(kind)
+	est.Parallelism = *parallel
 	if *samples > 0 {
 		est.Samples = *samples
 		est.Rand = rand.New(rand.NewSource(*seed + 1))
 	}
 	cfg := core.Config{
-		Policy:      w.Policy,
-		Estimator:   est,
-		WDist:       *wdist,
-		WSize:       *wsize,
-		TargetSize:  *targetSize,
-		TargetDist:  *targetDist,
-		MaxSteps:    *steps,
-		MergeArity:  *arity,
-		Parallelism: *parallel,
+		Policy:     w.Policy,
+		Estimator:  est,
+		WDist:      *wdist,
+		WSize:      *wsize,
+		TargetSize: *targetSize,
+		TargetDist: *targetDist,
+		MaxSteps:   *steps,
+		MergeArity: *arity,
 	}
 	var traceClose func()
 	if *traceOut != "" {

@@ -111,7 +111,6 @@ func ExampleEstimator() {
 	audience := prox.MergeMapping("Audience", "U1", "U3")
 	female := prox.MergeMapping("Female", "U1", "U2")
 	fmt.Println(est.Distance(p, p.Apply(audience), audience, prox.GroupsOf(users, audience)))
-	est.ResetCache()
 	fmt.Printf("%.4f\n", est.Distance(p, p.Apply(female), female, prox.GroupsOf(users, female)))
 	// Output:
 	// 0

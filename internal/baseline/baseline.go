@@ -56,10 +56,11 @@ func (c *Config) normalize() error {
 // ok=false when the strategy is exhausted.
 type pairSource func(cur provenance.Expression, cum provenance.Mapping) (a, b provenance.Annotation, ok bool)
 
-// run drives the shared merge loop with the PROX stop conditions.
+// run drives the shared merge loop with the PROX stop conditions. Its
+// distances are measured on one distance.Run, dropped when it returns.
 func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, error) {
 	start := time.Now()
-	cfg.Estimator.ResetCache()
+	r := cfg.Estimator.Begin(p0)
 	res := &core.Summary{Original: p0}
 	cur := p0
 	cum := provenance.NewMapping()
@@ -70,10 +71,10 @@ func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, 
 	// refuses the others with the reason (its plan is the one Distance
 	// then sweeps).
 	distOf := func(e provenance.Expression, m provenance.Mapping) (float64, error) {
-		if err := cfg.Estimator.CheckPlan(p0, e, ""); err != nil {
+		if err := r.CheckPlan(e, ""); err != nil {
 			return 0, fmt.Errorf("baseline: %w", err)
 		}
-		return cfg.Estimator.Distance(p0, e, m, provenance.GroupsOf(origAnns, m)), nil
+		return r.Distance(e, m, provenance.GroupsOf(origAnns, m)), nil
 	}
 
 	curDist := 0.0

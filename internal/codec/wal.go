@@ -325,6 +325,10 @@ type CacheEntryRecord struct {
 	// (first-writer attribution for the cache-bytes quota); empty in
 	// single-tenant mode.
 	Tenant string `json:"tenant,omitempty"`
+	// Prefix is the hex warm-start address the entry is registered under
+	// (summarycache.Cache.PutWithPrefix), so a restored entry can still
+	// seed a warm start; empty for entries journaled without one.
+	Prefix string `json:"prefix,omitempty"`
 }
 
 // CacheDropRecord removes a single cache entry (LRU or TTL eviction) so

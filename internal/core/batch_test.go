@@ -165,7 +165,8 @@ func summaryKey(sum *Summary) string {
 func TestCohortMatchesCandidateMajorScoring(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p0, pol, est := bigFixture()
-		cfg := Config{Policy: pol, Estimator: est, WDist: 0.6, WSize: 0.4, MaxSteps: 4, Parallelism: workers}
+		est.Parallelism = workers
+		cfg := Config{Policy: pol, Estimator: est, WDist: 0.6, WSize: 0.4, MaxSteps: 4}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -190,9 +191,10 @@ func TestParallelSamplingDeterministic(t *testing.T) {
 		p0, pol, est := bigFixture()
 		est.Samples = 16
 		est.Rand = rand.New(rand.NewSource(11))
+		est.Parallelism = workers
 		s, err := New(Config{
 			Policy: pol, Estimator: est, WDist: 0.6, WSize: 0.4,
-			MaxSteps: 4, Parallelism: workers,
+			MaxSteps: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,10 +237,8 @@ func TestParallelCandidateTimeNotInflated(t *testing.T) {
 		}
 		return inner.F(v, orig, summ)
 	}}
-	s, err := New(Config{
-		Policy: pol, Estimator: est, WDist: 1, MaxSteps: 2,
-		Parallelism: 8,
-	})
+	est.Parallelism = 8
+	s, err := New(Config{Policy: pol, Estimator: est, WDist: 1, MaxSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

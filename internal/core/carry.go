@@ -4,27 +4,24 @@ import (
 	"slices"
 
 	"repro/internal/constraints"
-	"repro/internal/distance"
 	"repro/internal/provenance"
 )
 
-// stepCarry is the candidate state one run carries from one Algorithm 1
-// step to the next instead of rebuilding it: the mergeable pair list and
-// the estimator's surviving probes (distance.Carry). A committed merge
-// {a,b}→c rewrites only what mentions a or b, so everything else
-// carries. It is derived state, never checkpointed: a run's first step —
-// fresh, resumed or extended — starts from the empty carry and
-// enumerates, which is the same code path with nothing carried. It
-// lives in Summarizer.run and is released when the run returns.
+// stepCarry is the pair list one run carries from one Algorithm 1 step
+// to the next instead of rebuilding it (the run's distance.Run carries
+// the surviving probes). A committed merge {a,b}→c rewrites only what
+// mentions a or b, so everything else carries. It is derived state,
+// never checkpointed: a run's first step — fresh, resumed or extended —
+// starts from the empty carry and enumerates, which is the same code
+// path with nothing carried. It lives in Summarizer.run and is released
+// when the run returns.
 //
-// A committed merge patches the estimator's plan at once, since the
-// patch builds the next expression (Estimator.CommitMerge), but it is
-// carried into the pair list and the probes only when the next step
-// begins (flush and the estimator's next sweep): a run's last merge then
-// costs no pair update or probe rebase.
+// A committed merge is carried into the pair list only when the next
+// step begins (flush), as the distance.Run rebases its probes only at
+// its next sweep: a run's last merge then costs no pair update or probe
+// rebase.
 type stepCarry struct {
 	pairs   pairList
-	probes  distance.Carry
 	pending *committedMerge
 }
 

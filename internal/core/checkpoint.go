@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/distance"
 	"repro/internal/provenance"
 )
 
@@ -17,10 +18,10 @@ import (
 // disturbing the random stream), and the positions of the two random
 // streams (candidate-cap shuffling and Monte-Carlo sampling).
 //
-// Resume replays the trace onto p0 and continues the loop; the
-// determinism of every scoring engine (seq/batch/delta, any
-// Parallelism) makes the resumed run bit-identical to an uninterrupted
-// one.
+// Resume replays the trace onto p0 and continues the loop; the scoring
+// is deterministic at any Parallelism and sampling draws follow the
+// restored random stream, so the resumed run is bit-identical to an
+// uninterrupted one.
 type Checkpoint struct {
 	// Step is the number of committed merge steps the snapshot covers
 	// (always len(Steps); kept explicit for serialized forms).
@@ -86,8 +87,8 @@ func cloneSteps(steps []Step) []Step {
 // over p0.
 //
 // The Summarizer must be configured identically to the run that emitted
-// the checkpoint (same weights, bounds, estimator class, scoring engine
-// flags); Resume can detect only trace-level divergence (a replayed
+// the checkpoint (same weights, bounds, estimator class, φ, VAL-FUNC and
+// sampling); Resume can detect only trace-level divergence (a replayed
 // merge naming differently than recorded), which it reports as an
 // error.
 func (s *Summarizer) Resume(ctx context.Context, p0 provenance.Expression, cp *Checkpoint) (*Summary, error) {
@@ -145,13 +146,13 @@ type restoredState struct {
 // registry state cannot be replayed, so they register directly under
 // the recorded name with the members' shared attributes — the same
 // entry Universe.Merge (or the LCA branch of MergeName) wrote when the
-// group was first formed. Each merge replays through the estimator's
-// plan (distance.Estimator.Replay), which patches one compiled plan
-// step by step instead of re-simplifying the whole expression, and
-// leaves it cached for the run's CheckPlan and first step. It fills
+// group was first formed. Each merge replays through the run's plan
+// (distance.Run.Replay), which patches one compiled plan step by step
+// instead of re-simplifying the whole expression, and leaves it cached
+// for the run's CheckPlan and first step. It fills
 // res.Steps with the restored trace and returns the rebuilt loop
 // state, including the one-step-back rollback state.
-func (s *Summarizer) restore(cp *Checkpoint, cur provenance.Expression, cum provenance.Mapping, res *Summary) (restoredState, error) {
+func (s *Summarizer) restore(r *distance.Run, cp *Checkpoint, cur provenance.Expression, cum provenance.Mapping, res *Summary) (restoredState, error) {
 	cfg := s.cfg
 	if cp.ExtendFrom < 0 || cp.ExtendFrom > len(cp.Steps) {
 		return restoredState{}, fmt.Errorf("core: corrupt checkpoint: ExtendFrom = %d with %d steps", cp.ExtendFrom, len(cp.Steps))
@@ -162,7 +163,7 @@ func (s *Summarizer) restore(cp *Checkpoint, cur provenance.Expression, cum prov
 		curDist: cp.InitDist, prevDist: cp.InitDist,
 	}
 	res.Steps = cloneSteps(cp.Steps)
-	replay := cfg.Estimator.Replay
+	replay := r.Replay
 	if s.replay != nil {
 		replay = s.replay
 	}

@@ -56,13 +56,13 @@ func checkpointConfig(t *testing.T, row scoringRow) (*datasets.Workload, core.Co
 		w = negMovieLens(t)
 	}
 	est := w.Estimator(datasets.CancelSingleAnnotation)
+	est.Parallelism = row.workers
 	cfg := core.Config{
-		Policy:      w.Policy,
-		Estimator:   est,
-		WDist:       0.7,
-		WSize:       0.3,
-		MaxSteps:    6,
-		Parallelism: row.workers,
+		Policy:    w.Policy,
+		Estimator: est,
+		WDist:     0.7,
+		WSize:     0.3,
+		MaxSteps:  6,
 	}
 	if row.sampled {
 		est.Samples = 8

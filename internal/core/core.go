@@ -41,7 +41,8 @@ type Config struct {
 	// Policy decides mergeability and names summary annotations.
 	Policy *constraints.Policy
 	// Estimator computes candidate distances (it fixes the valuation
-	// class, φ and VAL-FUNC).
+	// class, φ and VAL-FUNC, and the sweeps' Parallelism). Each run
+	// begins its own distance.Run on it.
 	Estimator *distance.Estimator
 
 	WDist, WSize float64
@@ -65,13 +66,6 @@ type Config struct {
 	// (CheckpointEvery) requires RandSrc whenever Rand is in use, because
 	// a resumable snapshot must capture the random stream's position.
 	RandSrc *randx.Source
-
-	// Parallelism, when > 1, evaluates candidate merges on that many
-	// goroutines inside the estimator's cohort sweep. Sums accumulate in
-	// fixed valuation order and sampling-mode draws happen up front
-	// (common random numbers), so the chosen summaries are identical to
-	// a sequential run at any Samples; only wall time changes.
-	Parallelism int
 
 	// StepObserver, when non-nil, receives a StepEvent after every
 	// committed merge step (and never for the free Prop. 4.2.1
@@ -170,10 +164,13 @@ type Summarizer struct {
 	cfg Config
 	// checkCarry, set only by tests, inspects the carried step state
 	// after every committed step; an error aborts the run.
-	checkCarry func(cur provenance.Expression, carry *stepCarry) error
-	// replay, set only by tests, replaces the estimator's replay of a
-	// restored merge (distance.Estimator.Replay).
+	checkCarry func(cur provenance.Expression, carry *stepCarry, r *distance.Run) error
+	// replay, set only by tests, replaces the run's replay of a restored
+	// merge (distance.Run.Replay).
 	replay func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression
+	// rebegin, set only by tests, begins a new distance.Run after every
+	// committed step, so every step compiles its plan afresh.
+	rebegin bool
 }
 
 // New validates the configuration and returns a Summarizer. The defaults
@@ -220,8 +217,6 @@ func New(cfg Config) (*Summarizer, error) {
 	if err := cfg.Estimator.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The scoring workers live inside the estimator's sweeps.
-	cfg.Estimator.Parallelism = cfg.Parallelism
 	return &Summarizer{cfg: cfg}, nil
 }
 
@@ -241,12 +236,12 @@ func (s *Summarizer) SummarizeContext(ctx context.Context, p0 provenance.Express
 
 // run is the shared body of Summarize, SummarizeContext and Resume: it
 // executes Algorithm 1 starting either fresh (cp == nil) or from a
-// restored checkpoint.
+// restored checkpoint. Its scoring state is one distance.Run, begun
+// here and dropped when it returns.
 func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Checkpoint) (*Summary, error) {
 	start := time.Now()
 	cfg := s.cfg
-	cfg.Estimator.ResetCache()
-	defer cfg.Estimator.ReleasePlan()
+	r := cfg.Estimator.Begin(p0)
 
 	res := &Summary{Original: p0}
 	cur := p0
@@ -282,7 +277,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	var st restoredState
 	if cp != nil {
 		var err error
-		if st, err = s.restore(cp, cur, cum, res); err != nil {
+		if st, err = s.restore(r, cp, cur, cum, res); err != nil {
 			return nil, err
 		}
 		cur, cum = st.cur, st.cum
@@ -290,7 +285,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	// Every cohort of the run is delta-scored, so an expression the
 	// estimator cannot plan is refused before any work is journaled.
 	// The check compiles the plan the run's first scoring reuses.
-	if err := cfg.Estimator.CheckPlan(p0, cur, probeAnn); err != nil {
+	if err := r.CheckPlan(cur, probeAnn); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
@@ -301,7 +296,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	prev, prevCum := cur, cum
 	steps := 0
 	if cp == nil {
-		curDist = s.timedDistance(p0, cur, cum, origAnns, res)
+		curDist = timedDistance(r, cur, cum, origAnns, res)
 		initDist, prevDist = curDist, curDist
 		if err := s.emitCheckpoint(res, initDist); err != nil {
 			return nil, err
@@ -320,7 +315,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 			// branch — and backfill the seed trace so emitted
 			// checkpoints and the final summary never carry the NaN
 			// sentinel.
-			curDist = s.timedDistance(p0, cur, cum, origAnns, res)
+			curDist = timedDistance(r, cur, cum, origAnns, res)
 			initDist, prevDist = curDist, curDist
 			for i := range res.Steps[:extendFrom] {
 				res.Steps[i].Dist = curDist
@@ -357,7 +352,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		if cfg.StepObserver != nil {
 			before = cfg.Estimator.Stats()
 		}
-		best, ok, err := s.bestCandidate(p0, cur, cum, origAnns, origSize, carry, res)
+		best, ok, err := s.bestCandidate(r, cur, cum, origAnns, origSize, carry, res)
 		if err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", steps+1, err)
 		}
@@ -393,9 +388,12 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 			})
 		}
 		if s.checkCarry != nil {
-			if err := s.checkCarry(cur, carry); err != nil {
+			if err := s.checkCarry(cur, carry, r); err != nil {
 				return nil, fmt.Errorf("core: step %d: %w", steps, err)
 			}
+		}
+		if s.rebegin {
+			r = cfg.Estimator.Begin(p0)
 		}
 		if cfg.CheckpointEvery > 0 && steps%cfg.CheckpointEvery == 0 {
 			if err := s.emitCheckpoint(res, initDist); err != nil {
@@ -445,10 +443,10 @@ const probeAnn provenance.Annotation = "\x00probe"
 // bestCandidate enumerates (or samples) the constraint-satisfying pairs
 // of current annotations, scores each, and returns the minimal-score
 // candidate, breaking ties by taxonomy distance when available. The
-// pair list and the probes come from carry when the previous step's
-// merge left them valid, and the committed merge is recorded in it.
-// err is the scorer's refusal of a cohort.
-func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
+// pair list comes from carry when the previous step's merge left it
+// valid (the probes from the run r), and the committed merge is
+// recorded in it. err is the scorer's refusal of a cohort.
+func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
 	cfg := s.cfg
 	carry.flush(cfg.Policy)
 	anns := cur.Annotations()
@@ -468,7 +466,7 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		members[i] = []provenance.Annotation{pr[0], pr[1]}
 	}
 	base := provenance.GroupsOf(origAnns, cum)
-	cands, err := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
+	cands, err := s.probeCohort(r, cur, cum, base, origSize, members, res)
 	if err != nil {
 		return candidate{}, false, err
 	}
@@ -493,25 +491,25 @@ func (s *Summarizer) bestCandidate(p0, cur provenance.Expression, cum provenance
 		best = s.breakTies(append(ties, best))
 	}
 	if cfg.MergeArity > 2 {
-		if best, err = s.growCandidate(p0, cur, cum, base, origSize, anns, best, carry, res); err != nil {
+		if best, err = s.growCandidate(r, cur, cum, base, origSize, anns, best, res); err != nil {
 			return candidate{}, false, err
 		}
 	}
-	return s.commitCandidate(cur, cum, best, carry), true, nil
+	return s.commitCandidate(r, cur, cum, best, carry), true, nil
 }
 
 // probeCohort scores one cohort of candidate member sets through the
-// delta engine (Estimator.DistanceDelta), which probes every merge
+// delta engine (distance.Run.DistanceDelta), which probes every merge
 // against the shared current expression without materializing
 // candidates. The returned candidates carry no expression or cumulative
 // mapping — only the winner is materialized, by commitCandidate. run
-// checked that the estimator plans the input (Estimator.CheckPlan); a
+// checked that the run plans the input (distance.Run.CheckPlan); a
 // refusal here (err) fails the run instead of leaving a cohort
 // unscored.
-func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) ([]candidate, error) {
+func (s *Summarizer) probeCohort(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) ([]candidate, error) {
 	cfg := s.cfg
 	t0 := time.Now()
-	dists, sizes, err := cfg.Estimator.DistanceDelta(p0, cur, cum, base, members, probeAnn, &carry.probes)
+	dists, sizes, err := r.DistanceDelta(cur, cum, base, members, probeAnn)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +527,7 @@ func (s *Summarizer) probeCohort(p0, cur provenance.Expression, cum provenance.M
 // each growth step the constraint-compatible annotation whose absorption
 // yields the lowest candidate score joins the group. Each growth round is
 // one candidate cohort, scored with a single cohort sweep.
-func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, carry *stepCarry, res *Summary) (candidate, error) {
+func (s *Summarizer) growCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, res *Summary) (candidate, error) {
 	for len(best.members) < s.cfg.MergeArity {
 		var members [][]provenance.Annotation
 		for _, a := range anns {
@@ -538,7 +536,7 @@ func (s *Summarizer) growCandidate(p0, cur provenance.Expression, cum provenance
 			}
 			members = append(members, append(append([]provenance.Annotation(nil), best.members...), a))
 		}
-		cands, err := s.probeCohort(p0, cur, cum, base, origSize, members, carry, res)
+		cands, err := s.probeCohort(r, cur, cum, base, origSize, members, res)
 		if err != nil {
 			return candidate{}, err
 		}
@@ -578,15 +576,15 @@ func contains(list []provenance.Annotation, a provenance.Annotation) bool {
 
 // commitCandidate registers the winning merge's summary annotation and
 // builds the expression and cumulative mapping under its real name. The
-// estimator patches its cached delta plan in place and reads the next
-// expression off the patch (Estimator.CommitMerge), instead of
+// run patches its cached delta plan in place and reads the next
+// expression off the patch (distance.Run.CommitMerge), instead of
 // rebuilding the whole expression and recompiling it on the next
 // step's first probe; the next step carries the merge into the pair
 // list (stepCarry.flush).
-func (s *Summarizer) commitCandidate(cur provenance.Expression, cum provenance.Mapping, c candidate, carry *stepCarry) candidate {
+func (s *Summarizer) commitCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, c candidate, carry *stepCarry) candidate {
 	c.newAnn = s.cfg.Policy.MergeName(c.members)
 	c.cum = cum.Compose(provenance.MergeMapping(c.newAnn, c.members...))
-	c.expr = s.cfg.Estimator.CommitMerge(cur, c.members, c.newAnn, &carry.probes)
+	c.expr = r.CommitMerge(cur, c.members, c.newAnn)
 	carry.pending = &committedMerge{members: c.members, newAnn: c.newAnn}
 	return c
 }
@@ -634,17 +632,13 @@ func pairLess(x, y candidate) bool {
 	return x.members[1] < y.members[1]
 }
 
-// timedDistance measures cur against p0, counting the work in res.
-func (s *Summarizer) timedDistance(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, res *Summary) float64 {
+// timedDistance measures cur against the run's original, counting the
+// work in res.
+func timedDistance(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, res *Summary) float64 {
 	t0 := time.Now()
-	d := s.distanceFor(p0, cur, cum, origAnns)
+	d := r.Distance(cur, cum, provenance.GroupsOf(origAnns, cum))
 	res.CandidateTime += time.Since(t0)
 	return d
-}
-
-func (s *Summarizer) distanceFor(p0, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation) float64 {
-	groups := provenance.GroupsOf(origAnns, cum)
-	return s.cfg.Estimator.Distance(p0, cur, cum, groups)
 }
 
 // groupEquivalent performs the Prop. 4.2.1 pre-step: annotations that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/distance"
 	"repro/internal/provenance"
 )
 
@@ -15,7 +16,7 @@ import (
 // state. carried, when non-nil, receives the number of probes carried
 // into each step.
 func CheckCarry(s *Summarizer, carried func(probes int)) {
-	s.checkCarry = func(cur provenance.Expression, c *stepCarry) error {
+	s.checkCarry = func(cur provenance.Expression, c *stepCarry, r *distance.Run) error {
 		c.flush(s.cfg.Policy)
 		anns := cur.Annotations()
 		pl := &c.pairs
@@ -29,7 +30,7 @@ func CheckCarry(s *Summarizer, carried func(probes int)) {
 		if !slices.Equal(pl.pairs, fresh) {
 			return fmt.Errorf("carried pairs %v, want %v", pl.pairs, fresh)
 		}
-		n, err := c.probes.Check()
+		n, err := r.CheckCarry()
 		if carried != nil {
 			carried(n)
 		}
@@ -38,11 +39,18 @@ func CheckCarry(s *Summarizer, carried func(probes int)) {
 }
 
 // ReplayByApply makes s replay every restored merge — seed steps and
-// resumed steps — with a whole-expression Apply instead of the
-// estimator's plan (distance.Estimator.Replay): the oracle the plan
-// replay is held to.
+// resumed steps — with a whole-expression Apply instead of the run's
+// plan (distance.Run.Replay): the oracle the plan replay is held to.
 func ReplayByApply(s *Summarizer) {
 	s.replay = func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
 		return cur.Apply(provenance.MergeMapping(newAnn, members...))
 	}
+}
+
+// RebeginEveryStep makes s begin a new distance.Run after every
+// committed step, so every step compiles its plan and evaluates the
+// original afresh instead of patching the plan in place: the oracle the
+// merge patch is held to.
+func RebeginEveryStep(s *Summarizer) {
+	s.rebegin = true
 }

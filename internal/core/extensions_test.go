@@ -122,9 +122,10 @@ func TestKAryRespectsConstraints(t *testing.T) {
 func TestParallelismMatchesSequential(t *testing.T) {
 	run := func(par int) []Step {
 		p0, pol, est := bigFixture()
+		est.Parallelism = par
 		s, err := New(Config{
 			Policy: pol, Estimator: est, WDist: 0.5, WSize: 0.5,
-			MaxSteps: 4, Parallelism: par,
+			MaxSteps: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +155,8 @@ func TestParallelismSamplingModes(t *testing.T) {
 	_, pol, est := bigFixture()
 	est.Samples = 10
 	est.Rand = rand.New(rand.NewSource(1))
-	if _, err := New(Config{Policy: pol, Estimator: est, WDist: 1, Parallelism: 4}); err != nil {
+	est.Parallelism = 4
+	if _, err := New(Config{Policy: pol, Estimator: est, WDist: 1}); err != nil {
 		t.Fatalf("parallel sampling must be accepted, got %v", err)
 	}
 }
@@ -186,10 +188,12 @@ func TestParallelLargeWorkload(t *testing.T) {
 		Class: valuation.NewCancelSingleAnnotation(users),
 		Phi:   provenance.CombineOr,
 		VF:    distance.Euclidean(),
+
+		Parallelism: 8,
 	}
 	s, err := New(Config{
 		Policy: pol, Estimator: est,
-		WDist: 1, MaxSteps: 3, Parallelism: 8,
+		WDist: 1, MaxSteps: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // summary Algorithm 1 produces: the score weights and bounds, the step
 // budget, merge arity, tie-breaking mode, the candidate cap, and the
 // estimator's distance setup (φ, VAL-FUNC, valuation class, sampling).
-// Runtime knobs — Parallelism, observers, checkpointing — are
-// deliberately excluded: the scorers choose bit-identical summaries at
+// Runtime knobs — the estimator's Parallelism, observers,
+// checkpointing — are deliberately excluded: the scorers choose bit-identical summaries at
 // any worker count.
 //
 // Two caveats callers must own: a config with CandidateCap > 0 samples

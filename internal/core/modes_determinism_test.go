@@ -104,17 +104,17 @@ func runMovieLens(t *testing.T, workers, samples, steps int, with ...func(*core.
 	t.Helper()
 	w := movieLens(t)
 	est := w.Estimator(datasets.CancelSingleAnnotation)
+	est.Parallelism = workers
 	if samples > 0 {
 		est.Samples = samples
 		est.Rand = rand.New(rand.NewSource(21))
 	}
 	s, err := core.New(core.Config{
-		Policy:      w.Policy,
-		Estimator:   est,
-		WDist:       0.7,
-		WSize:       0.3,
-		MaxSteps:    steps,
-		Parallelism: workers,
+		Policy:    w.Policy,
+		Estimator: est,
+		WDist:     0.7,
+		WSize:     0.3,
+		MaxSteps:  steps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestMovieLensScoringModesIdentical(t *testing.T) {
 // TestMovieLensMergePatchEquivalence is the acceptance test for
 // Plan.ApplyMerge: a full seeded MovieLens run with in-place merge
 // patching must be byte-identical to the same run recompiling its plan
-// every step (the StepObserver resets the estimator after each commit,
-// dropping the patched plan) — and the default run must actually patch
+// every step (core.RebeginEveryStep begins a new distance.Run after each
+// commit, dropping the patched plan) — and the default run must actually patch
 // (MergePatches moves). Some commits may still recompile by design:
 // ApplyMerge bails when the patch would be unsound or leave the arena
 // more than half dead.
@@ -154,20 +154,19 @@ func TestMovieLensMergePatchEquivalence(t *testing.T) {
 	run := func(recompile bool, workers int) (string, uint64) {
 		w := movieLens(t)
 		est := w.Estimator(datasets.CancelSingleAnnotation)
-		cfg := core.Config{
-			Policy:      w.Policy,
-			Estimator:   est,
-			WDist:       0.7,
-			WSize:       0.3,
-			MaxSteps:    matrixSteps,
-			Parallelism: workers,
-		}
-		if recompile {
-			cfg.StepObserver = func(core.StepEvent) { est.ResetCache() }
-		}
-		s, err := core.New(cfg)
+		est.Parallelism = workers
+		s, err := core.New(core.Config{
+			Policy:    w.Policy,
+			Estimator: est,
+			WDist:     0.7,
+			WSize:     0.3,
+			MaxSteps:  matrixSteps,
+		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if recompile {
+			core.RebeginEveryStep(s)
 		}
 		sum, err := s.Summarize(w.Prov)
 		if err != nil {
@@ -211,17 +210,17 @@ func runDDP(t *testing.T, workers, samples int, prior provenance.Groups, with ..
 	t.Helper()
 	w := ddpWorkload(t)
 	est := w.Estimator(datasets.CancelSingleAttribute)
+	est.Parallelism = workers
 	if samples > 0 {
 		est.Samples = samples
 		est.Rand = rand.New(rand.NewSource(5))
 	}
 	s, err := core.New(core.Config{
-		Policy:      w.Policy,
-		Estimator:   est,
-		WDist:       0.5,
-		WSize:       0.5,
-		MaxSteps:    8,
-		Parallelism: workers,
+		Policy:    w.Policy,
+		Estimator: est,
+		WDist:     0.5,
+		WSize:     0.5,
+		MaxSteps:  8,
 	})
 	if err != nil {
 		t.Fatal(err)

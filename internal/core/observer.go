@@ -28,7 +28,7 @@ type StepEvent struct {
 	// this step (pair probes plus k-ary growth probes).
 	Candidates int
 	// CandidateTime is the wall time spent probing candidates this step
-	// (summed across workers when Parallelism > 1, so it can exceed the
+	// (summed across workers when Estimator.Parallelism > 1, so it can exceed the
 	// step's elapsed wall time).
 	CandidateTime time.Duration
 	// DeltaSkips counts candidates the delta-scoring engine pruned this

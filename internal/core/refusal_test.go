@@ -92,11 +92,12 @@ func TestInputPlansOrIsRefused(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			w := titledMovieLens(t)
 			est := w.Estimator(datasets.CancelSingleAnnotation)
+			est.Parallelism = workers
 			if samples > 0 {
 				est.Samples = samples
 				est.Rand = rand.New(rand.NewSource(17))
 			}
-			cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: 4, Parallelism: workers}
+			cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: 4}
 			s, err := core.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -198,15 +199,15 @@ func TestUnblockableOriginalIsRefused(t *testing.T) {
 	}
 	cur := provenance.NewAgg(g.Agg.Kind, plain...)
 	var pe *distance.PlanError
-	if err := est.CheckPlan(cur, cur, ""); err != nil {
+	if err := est.Begin(cur).CheckPlan(cur, ""); err != nil {
 		t.Fatalf("CheckPlan refused a plannable original: %v", err)
 	}
-	if err := est.CheckPlan(p0, cur, ""); !errors.As(err, &pe) || !strings.Contains(err.Error(), "original") {
+	if err := est.Begin(p0).CheckPlan(cur, ""); !errors.As(err, &pe) || !strings.Contains(err.Error(), "original") {
 		t.Fatalf("CheckPlan err = %v, want a *distance.PlanError naming the original", err)
 	}
 	id := provenance.NewMapping()
 	base := provenance.GroupsOf(p0.Annotations(), id)
-	if _, _, err := est.DistanceDelta(p0, cur, id, base, [][]provenance.Annotation{{"u1", "u3"}}, "Z", nil); !errors.As(err, &pe) {
+	if _, _, err := est.Begin(p0).DistanceDelta(cur, id, base, [][]provenance.Annotation{{"u1", "u3"}}, "Z"); !errors.As(err, &pe) {
 		t.Fatalf("DistanceDelta err = %v, want a *distance.PlanError", err)
 	}
 	if st := est.Stats(); st.DeltaCalls != 0 || st.Evaluations != 0 || st.CacheMisses != 0 {

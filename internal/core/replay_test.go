@@ -71,7 +71,8 @@ func replayConfig(t *testing.T, workers int, sampled bool) (*datasets.Workload, 
 	t.Helper()
 	w := movieLens(t)
 	est := w.Estimator(datasets.CancelSingleAnnotation)
-	cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: 6, Parallelism: workers}
+	est.Parallelism = workers
+	cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: 6}
 	if sampled {
 		est.Samples = 8
 		est.RandSrc = randx.NewSource(21)

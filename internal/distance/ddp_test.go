@@ -107,11 +107,11 @@ func BenchmarkSummarizeStepScoringDDP(b *testing.B) {
 	sc := ddpStep(b)
 	twin := *sc.cur.(*ddp.Expr)
 	curs := []provenance.Expression{sc.cur, &twin}
-	e := ddpEstimator(sc)
+	run := ddpEstimator(sc).Begin(sc.p0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.DistanceDelta(sc.p0, curs[i%2], sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+		if _, _, err := run.DistanceDelta(curs[i%2], sc.cum, sc.base, sc.sets, "Z"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestDistanceDeltaDDPMatchesBatch(t *testing.T) {
 	sc := ddpStep(t)
 	checkDDPScenario(t, sc)
 	st := ddpEstimator(sc)
-	st.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+	st.Begin(sc.p0).DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z")
 	if s := st.Stats(); s.DeltaSkips == 0 || s.DeltaFullEvals == 0 {
 		t.Fatalf("step neither skipped nor re-evaluated: %+v", s)
 	}
@@ -152,7 +152,7 @@ func checkDDPScenario(t *testing.T, sc ddpScenario) {
 			vals := distance.RefVals(ref.Class, samples, 7)
 			want := distance.RefDistances(ref, vals, sc.p0, sc.cands)
 			for _, workers := range []int{1, 3} {
-				got, sizes, err := est(workers).DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+				got, sizes, err := est(workers).Begin(sc.p0).DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z")
 				if err != nil {
 					t.Fatalf("DistanceDelta refused %v: %v", sc.cur, err)
 				}

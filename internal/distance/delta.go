@@ -120,23 +120,30 @@ func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
 // valuation order at any Parallelism, and sampling mode draws one
 // shared sample set up front (common random numbers).
 //
-// carry, when non-nil, is the calling run's step state: pair probes it
-// carried from the previous step are reused instead of rebuilt, and
-// this call's pair probes are recorded in it for CommitMerge to carry
-// into the next step. Carried probes equal rebuilt ones field for field
-// (provenance.MergePatch.Carry), so results do not depend on it.
-func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation, carry *Carry) (dists []float64, sizes []int, err error) {
-	plan, bplan, err := e.planOf(cur)
-	carry.use(plan, newAnn, len(cohort))
+// Pair probes the run carried from its previous step are reused
+// instead of rebuilt, and this call's pair probes are kept for
+// CommitMerge to carry into the next step. Carried probes equal rebuilt
+// ones field for field (provenance.MergePatch.Carry), so results do not
+// depend on them.
+func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, cohort [][]provenance.Annotation, newAnn provenance.Annotation) (dists []float64, sizes []int, err error) {
+	e := r.e
+	plan, bplan, err := r.planOf(cur)
 	if err != nil {
 		return nil, nil, err
 	}
-	names, annID, err := e.sweepNames(p0, plan, bplan)
+	if r.probeAnn != newAnn {
+		r.dropProbes()
+		r.probeAnn = newAnn
+	}
+	if r.step == nil {
+		r.step = make(map[[2]provenance.Annotation]*provenance.Probe, len(cohort))
+	}
+	names, annID, err := r.sweepNames(plan, bplan)
 	if err != nil {
 		return nil, nil, err
 	}
 	if _, taken := annID(newAnn); taken {
-		carry.reset(nil, "")
+		r.dropProbes()
 		return nil, nil, planError("the summary annotation %q occurs in the expression", newAnn)
 	}
 	truths := newDeltaTruths(names, base, e.Phi)
@@ -159,15 +166,18 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	for i, ms := range cohort {
 		dp := &slab[i]
 		if plan != nil {
-			pr := carry.probe(plan, ms)
-			if pr != nil {
+			k, pair := pairKey(ms)
+			pr := r.carried[k]
+			if pair && pr != nil && pr.On(plan) {
 				carried++
 			} else if pr = plan.Probe(ms, newAnn); pr == nil {
-				carry.reset(nil, "")
+				r.dropProbes()
 				return nil, nil, planError("the plan refuses the merge of %q", ms)
 			} else {
 				built++
-				carry.record(ms, pr)
+			}
+			if pair {
+				r.step[k] = pr
 			}
 			dp.pr, dp.members = pr, pr.Members
 			dp.noSkip = pr.RenamesGroup || (!plan.Exact() && pr.Reorders())
@@ -200,8 +210,8 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 			if dp.memberCols == nil {
 				dp.memberCols = make([][]int32, len(dp.members))
 				dp.memberRaw = make([]int32, len(dp.members))
-				for r := range dp.memberRaw {
-					dp.memberRaw[r] = -1
+				for j := range dp.memberRaw {
+					dp.memberRaw[j] = -1
 				}
 			}
 			if bm, grouped := base[m]; grouped && len(bm) > 0 {
@@ -226,29 +236,29 @@ func (e *Estimator) DistanceDelta(p0, cur provenance.Expression, cum provenance.
 	if len(cohort) == 0 {
 		return out, sizes, nil
 	}
-	vals := e.batchValuations()
+	vals := r.batchValuations()
 	if len(vals) == 0 {
 		return out, sizes, nil
 	}
 
-	e.stats.deltaSkips.Add(deltaBlocked(e, truths, probes, vals, out, e.laneEvals(p0, plan, bplan, cum, probes, bprobes, vals, newAnn)))
+	e.stats.deltaSkips.Add(r.deltaBlocked(truths, probes, vals, out, r.laneEvals(plan, bplan, cum, probes, bprobes, vals, newAnn)))
 	e.normalize(out, len(vals))
 	return out, sizes, nil
 }
 
 // sweepNames returns the annotations, in dense-id order, and the id
-// lookup of the plan a sweep against p0 runs on, planOf's plan of the
-// current expression. An aggregation's plan sweeps only against an
-// aggregated original the blocked kernel evaluates: the check compiles
-// the original's arena (originalArena), which the sweep's denseStep
-// then reads.
-func (e *Estimator) sweepNames(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
+// lookup of the plan a sweep against the run's original runs on,
+// planOf's plan of the current expression. An aggregation's plan
+// sweeps only against an aggregated original the blocked kernel
+// evaluates: the check compiles the original's arena (originalArena),
+// which the sweep's denseStep then reads.
+func (r *Run) sweepNames(plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
 	if plan != nil {
-		g0, ok := p0.(*provenance.Agg)
+		g0, ok := r.p0.(*provenance.Agg)
 		if !ok || g0 == nil {
-			return nil, nil, planError("an aggregation is scored against a %T original", p0)
+			return nil, nil, planError("an aggregation is scored against a %T original", r.p0)
 		}
-		if _, err := e.originalArena(g0); err != nil {
+		if _, err := r.originalArena(g0); err != nil {
 			return nil, nil, err
 		}
 		return plan.Annotations(), plan.AnnID, nil
@@ -271,37 +281,17 @@ func (e *Estimator) normalize(out []float64, n int) {
 	}
 }
 
-// batchValuations returns the sweep's valuation list: the enumerated
-// class, enumerated once per run, or — in sampling mode — one shared
-// sample set drawn up front. The list must not be modified.
-func (e *Estimator) batchValuations() []provenance.Valuation {
-	if e.Samples <= 0 {
-		if e.vals == nil {
-			e.vals = e.Class.Valuations()
-		}
-		return e.vals
-	}
-	if e.Rand == nil {
-		panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
-	}
-	vals := make([]provenance.Valuation, e.Samples)
-	for i := range vals {
-		vals[i] = e.Class.Sample(e.Rand)
-		e.stats.samples.Add(1)
-	}
-	return vals
-}
-
 // laneEvals returns the factory of a sweep's per-worker evaluators: the
 // dense rows of an aggregation's plan (denseStep), or a BlockPlan's own
 // evaluator, whose results carry no keys, so the originals compare
 // unaligned. The original's results are computed or looked up before
 // the workers fan out, so workers never touch the cache.
-func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, bplan BlockPlan, cum provenance.Mapping, probes []*deltaProbe, bprobes []BlockProbe, vals []provenance.Valuation, newAnn provenance.Annotation) func(*deltaBlockState) laneEval {
+func (r *Run) laneEvals(plan *provenance.Plan, bplan BlockPlan, cum provenance.Mapping, probes []*deltaProbe, bprobes []BlockProbe, vals []provenance.Valuation, newAnn provenance.Annotation) func(*deltaBlockState) laneEval {
+	e := r.e
 	if bplan != nil {
 		origs := make([]provenance.Result, len(vals))
 		for i, v := range vals {
-			origs[i] = e.evalOriginal(v, p0)
+			origs[i] = r.evalOriginal(v)
 		}
 		return func(st *deltaBlockState) laneEval {
 			if st.results == nil {
@@ -310,7 +300,7 @@ func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, b
 			return &blockPlanEval{e: e, origs: origs, ev: bplan.NewEvaluator(), probes: bprobes, res: st.results}
 		}
 	}
-	step := e.denseStep(plan, cum, probes, vals, newAnn)
+	step := r.denseStep(plan, cum, probes, vals, newAnn)
 	return func(st *deltaBlockState) laneEval {
 		if st.rows == nil {
 			st.rows = newLaneRows()
@@ -324,21 +314,22 @@ func (e *Estimator) laneEvals(p0 provenance.Expression, plan *provenance.Plan, b
 // in valuation order. Its skips are not delta work and are not counted.
 // The plan stays cached (planOf), so the step that scores pc's merges
 // next reuses it. err is planOf's or sweepNames' refusal.
-func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) (float64, error) {
-	plan, bplan, err := e.planOf(pc)
+func (r *Run) distanceBase(pc provenance.Expression, cum provenance.Mapping, groups provenance.Groups) (float64, error) {
+	e := r.e
+	plan, bplan, err := r.planOf(pc)
 	if err != nil {
 		return 0, err
 	}
-	names, _, err := e.sweepNames(p0, plan, bplan)
+	names, _, err := r.sweepNames(plan, bplan)
 	if err != nil {
 		return 0, err
 	}
-	vals := e.batchValuations()
+	vals := r.batchValuations()
 	if len(vals) == 0 {
 		return 0, nil
 	}
 	out := []float64{0}
-	deltaBlocked(e, newDeltaTruths(names, groups, e.Phi), []*deltaProbe{{}}, vals, out, e.laneEvals(p0, plan, bplan, cum, nil, nil, vals, ""))
+	r.deltaBlocked(newDeltaTruths(names, groups, e.Phi), []*deltaProbe{{}}, vals, out, r.laneEvals(plan, bplan, cum, nil, nil, vals, ""))
 	e.stats.evaluations.Add(uint64(len(vals)))
 	e.normalize(out, len(vals))
 	return out[0], nil
@@ -351,9 +342,9 @@ func (e *Estimator) distanceBase(p0, pc provenance.Expression, cum provenance.Ma
 // aligned original is scored against the original aligned through its
 // composed mapping, and one that renames a coordinate of cur gets its
 // candidate's slots; both block the skip.
-func (e *Estimator) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []*deltaProbe, vals []provenance.Valuation, newAnn provenance.Annotation) *denseStep {
-	origs := e.originalRows(vals)
-	origKeys := e.origArena.Slots()
+func (r *Run) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []*deltaProbe, vals []provenance.Valuation, newAnn provenance.Annotation) *denseStep {
+	origs := r.originalRows(vals)
+	origKeys := r.origArena.Slots()
 	step := &denseStep{
 		ar:     plan.Arena(),
 		agg:    plan.Expr().Agg,
@@ -509,7 +500,8 @@ func (st *deltaBlockState) combineW(ids []int32, phi provenance.Combiner, mask u
 // per-valuation sum at any worker count. Candidates are chunked when the
 // matrix would otherwise outgrow a fixed cell budget. It returns the
 // number of (candidate, valuation) pairs that skipped to the base value.
-func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, out []float64, newEval func(*deltaBlockState) laneEval) (skips uint64) {
+func (r *Run) deltaBlocked(shared *deltaTruths, probes []*deltaProbe, vals []provenance.Valuation, out []float64, newEval func(*deltaBlockState) laneEval) (skips uint64) {
+	e := r.e
 	V := len(vals)
 	nBlocks := (V + 63) / 64
 	workers := e.Parallelism
@@ -529,14 +521,14 @@ func deltaBlocked(e *Estimator, shared *deltaTruths, probes []*deltaProbe, vals 
 	baseAnns := shared.baseIn.Annotations()
 	cols := make([][]uint64, len(baseAnns))
 	for i, a := range baseAnns {
-		cols[i] = e.truthColumn(a, vals)
+		cols[i] = r.truthColumn(a, vals)
 	}
 	var skipped atomic.Uint64
 	// Every cell of the matrix is written before it is read (a lane
-	// either skips to the base value or is re-evaluated), so the
-	// estimator's matrix is reused without clearing.
-	e.vf = fit(e.vf, chunk*V)
-	vf := e.vf
+	// either skips to the base value or is re-evaluated), so the run's
+	// matrix is reused without clearing.
+	r.vf = fit(r.vf, chunk*V)
+	vf := r.vf
 	for cLo := 0; cLo < len(probes); cLo += chunk {
 		cHi := min(len(probes), cLo+chunk)
 		if workers <= 1 {

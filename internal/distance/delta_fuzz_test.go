@@ -158,7 +158,7 @@ func FuzzDistanceDelta(f *testing.F) {
 					return e
 				}
 				d := est()
-				got, sizes, err := d.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
+				got, sizes, err := d.Begin(p0).DistanceDelta(cur, cum, base, sets, "Z")
 				if err != nil {
 					t.Fatalf("DistanceDelta refused a plain aggregation: %v: %v", err, cur)
 				}

@@ -60,7 +60,7 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 	for _, maxErr := range []float64{0, 25} {
 		d := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		d.MaxError = maxErr
-		got, sizes, err := d.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		got, sizes, err := d.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z")
 		if err != nil {
 			t.Fatalf("maxErr=%g: DistanceDelta refused: %v", maxErr, err)
 		}
@@ -88,7 +88,7 @@ func TestDistanceDeltaMatchesDistanceAndBatch(t *testing.T) {
 func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 	sc := benchStep(t)
 	d := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	got, sizes, err := d.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+	got, sizes, err := d.Begin(sc.p0).DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z")
 	if err != nil {
 		t.Fatalf("DistanceDelta refused on a mid-run step: %v", err)
 	}
@@ -115,14 +115,14 @@ func TestDistanceDeltaMidRunMatchesBatch(t *testing.T) {
 func TestDistanceDeltaParallelBitIdentical(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	seq := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	want, _, err := seq.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+	want, _, err := seq.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
 		par := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 		par.Parallelism = workers
-		got, _, err := par.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		got, _, err := par.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z")
 		if err != nil {
 			t.Fatalf("parallelism %d: DistanceDelta refused: %v", workers, err)
 		}
@@ -149,7 +149,7 @@ func TestDistanceDeltaSharedSamples(t *testing.T) {
 		e.Samples = 5
 		e.Rand = rand.New(rand.NewSource(7))
 		e.Parallelism = workers
-		got, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+		got, _, err := e.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDistanceDeltaSharedSamples(t *testing.T) {
 func TestDistanceDeltaStats(t *testing.T) {
 	p0, anns, base, sets, _ := deltaFixture(8)
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	_, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil)
+	_, _, err := e.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +239,9 @@ func TestDistanceDeltaRefuses(t *testing.T) {
 			t.Fatalf("%s: err = %v, want a *PlanError", what, err)
 		}
 	}
-	_, _, err := e.DistanceDelta(opaque, opaque, provenance.NewMapping(), base, sets, "Z", nil)
+	_, _, err := e.Begin(opaque).DistanceDelta(opaque, provenance.NewMapping(), base, sets, "Z")
 	refused("non-aggregated expression", err)
-	refused("CheckPlan of a non-aggregated expression", e.CheckPlan(opaque, opaque, "Z"))
+	refused("CheckPlan of a non-aggregated expression", e.Begin(opaque).CheckPlan(opaque, "Z"))
 	func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "CheckPlan") {
@@ -252,10 +252,10 @@ func TestDistanceDeltaRefuses(t *testing.T) {
 	}()
 	// newAnn already occurs in the expression: rewritten tensor keys could
 	// collide with unaffected ones, so the probe refuses to compile.
-	_, _, err = e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, anns[0], nil)
+	_, _, err = e.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, sets, anns[0])
 	refused("newAnn in the expression", err)
-	refused("CheckPlan with newAnn in the expression", e.CheckPlan(p0, p0, anns[0]))
-	if err := e.CheckPlan(p0, p0, "Z"); err != nil {
+	refused("CheckPlan with newAnn in the expression", e.Begin(p0).CheckPlan(p0, anns[0]))
+	if err := e.Begin(p0).CheckPlan(p0, "Z"); err != nil {
 		t.Fatalf("CheckPlan refused a plannable expression: %v", err)
 	}
 	// A negative constant makes the arena unblockable: planOf refuses it.
@@ -266,7 +266,7 @@ func TestDistanceDeltaRefuses(t *testing.T) {
 	negAnns := neg.Annotations()
 	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
 	negBase := provenance.GroupsOf(negAnns, provenance.NewMapping())
-	_, _, err = ne.DistanceDelta(neg, neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z", nil)
+	_, _, err = ne.Begin(neg).DistanceDelta(neg, provenance.NewMapping(), negBase, [][]provenance.Annotation{{"a", "b"}}, "Z")
 	refused("unblockable arena", err)
 	// Names with key separators are escaped in keys, so they plan.
 	titled := provenance.NewAgg(provenance.AggMax,
@@ -277,7 +277,7 @@ func TestDistanceDeltaRefuses(t *testing.T) {
 	te := estimator(valuation.NewCancelSingleAnnotation(titledAnns), Euclidean())
 	titledBase := provenance.GroupsOf(titledAnns, provenance.NewMapping())
 	ms := []provenance.Annotation{"u1", "u2"}
-	dists, _, err := te.DistanceDelta(titled, titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{ms}, "Z", nil)
+	dists, _, err := te.Begin(titled).DistanceDelta(titled, provenance.NewMapping(), titledBase, [][]provenance.Annotation{ms}, "Z")
 	if err != nil {
 		t.Fatalf("DistanceDelta refused on names with key separators: %v", err)
 	}
@@ -295,36 +295,45 @@ func TestDistanceDeltaRefuses(t *testing.T) {
 // TestEvalOriginalNonComparableExpression is a regression test: the
 // original-expression cache used to compare p0 against its previous key
 // with !=, which panics ("comparing uncomparable type") on the second
-// valuation for any Expression with a non-comparable dynamic type. Such
-// expressions are now evaluated uncached. (A block plan's original may
-// be of any type.)
+// valuation for any Expression with a non-comparable dynamic type. A
+// run's original is fixed when the run begins, so its memo compares no
+// expressions and such an original is memoized like any other, and the
+// one-shot Distance begins a new run for it instead of comparing. (A
+// block plan's original may be of any type.)
 func TestEvalOriginalNonComparableExpression(t *testing.T) {
 	anns := []provenance.Annotation{"a1", "a2"}
 	p0 := sliceExpr{weights: []float64{1, 2}, anns: anns}
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-	for _, v := range e.Class.Valuations() {
-		first := e.evalOriginal(v, p0)
-		second := e.evalOriginal(v, p0)
+	run := e.Begin(p0)
+	vals := e.Class.Valuations()
+	for _, v := range vals {
+		first := run.evalOriginal(v)
+		second := run.evalOriginal(v)
 		if first.ResultString() != second.ResultString() {
-			t.Fatalf("uncached evaluation not deterministic: %v != %v", first, second)
+			t.Fatalf("memoized evaluation differs: %v != %v", first, second)
 		}
 	}
-	st := e.Stats()
-	if st.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d, want 0 (non-comparable expressions bypass the cache)", st.CacheHits)
+	if st := e.Stats(); st.CacheMisses != uint64(len(vals)) || st.CacheHits != uint64(len(vals)) {
+		t.Fatalf("hits/misses = %d/%d, want %d of each (evaluated once per valuation, then memoized)", st.CacheHits, st.CacheMisses, len(vals))
 	}
-	if st.CacheMisses == 0 {
-		t.Fatal("uncached evaluations must still count as cache misses")
+	// sliceExpr does not plan, so Distance panics once it has its run.
+	e.last = run
+	func() {
+		defer func() { _ = recover() }()
+		e.Distance(p0, p0, provenance.NewMapping(), nil)
+	}()
+	if e.last == run {
+		t.Fatal("Distance reused a run whose original it cannot compare")
 	}
 }
 
 func BenchmarkSummarizeStepScoringDelta(b *testing.B) {
 	sc := benchStep(b)
-	e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
+	run := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean()).Begin(sc.p0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+		if _, _, err := run.DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +350,7 @@ func TestBlockedScalarBitIdentical(t *testing.T) {
 		e := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
 		e.Parallelism = workers
 		vals := e.Class.Valuations()
-		delta, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil)
+		delta, _, err := e.Begin(sc.p0).DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z")
 		if err != nil {
 			t.Fatalf("workers=%d: DistanceDelta refused: %v", workers, err)
 		}
@@ -404,9 +413,10 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 	// and group key u) are the sweep's base annotations, so evaluating
 	// it pulls no truth of its own.
 	sets := [][]provenance.Annotation{{"S", "b"}}
+	run := e.Begin(p0)
 	for round, want := range []int{shared.baseIn.Len() * len(vals), 0} {
 		calls = 0
-		if _, _, err := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil); err != nil {
+		if _, _, err := run.DistanceDelta(cur, cum, base, sets, "Z"); err != nil {
 			t.Fatal(err)
 		}
 		if calls != want {
@@ -417,7 +427,7 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 		t.Fatalf("original rows: %d misses, %d hits; want %d of each (evaluated on the first sweep, kept for the second)", st.CacheMisses, st.CacheHits, len(vals))
 	}
 	// And the dense extension is still correct.
-	got, _, _ := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
+	got, _, _ := run.DistanceDelta(cur, cum, base, sets, "Z")
 	step := provenance.MergeMapping("Z", "S", "b")
 	g := provenance.GroupsOf(p0.Annotations(), cum.Compose(step))
 	if want := refDistance(e, vals, p0, cur.Apply(step), cum.Compose(step), g); got[0] != want {
@@ -431,7 +441,7 @@ func TestDeltaTruthsResetPullsEachRawTruthOnce(t *testing.T) {
 // begins, nothing recompiles), and
 // scoring the next step on the patched plan is bit-identical to a fresh
 // estimator that compiles the committed expression from scratch, and to
-// the same estimator recompiling after ResetCache.
+// the same estimator recompiling in a new run.
 func TestCommitMergePatchesPlan(t *testing.T) {
 	sc := benchStep(t)
 	members := sc.sets[0]
@@ -450,12 +460,13 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 
 	run := func(e *Estimator, patch bool) []float64 {
 		t.Helper()
-		if _, _, err := e.DistanceDelta(sc.p0, sc.cur, sc.cum, sc.base, sc.sets, "Z", nil); err != nil {
+		r := e.Begin(sc.p0)
+		if _, _, err := r.DistanceDelta(sc.cur, sc.cum, sc.base, sc.sets, "Z"); err != nil {
 			t.Fatalf("DistanceDelta refused on the first step: %v", err)
 		}
 		committed := next
 		if patch {
-			committed = e.CommitMerge(sc.cur, members, newAnn, nil)
+			committed = r.CommitMerge(sc.cur, members, newAnn)
 			if !reflect.DeepEqual(committed, next) {
 				t.Fatalf("CommitMerge built %v, want Apply's %v", committed, next)
 			}
@@ -465,9 +476,9 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 				t.Fatalf("commit counted before the next step: patches=%d recompiles=%d", st.MergePatches, st.MergeRecompiles)
 			}
 		} else {
-			e.ResetCache()
+			r = e.Begin(sc.p0)
 		}
-		got, _, err := e.DistanceDelta(sc.p0, committed, nextCum, nextBase, nextSets, "Z", nil)
+		got, _, err := r.DistanceDelta(committed, nextCum, nextBase, nextSets, "Z")
 		if err != nil {
 			t.Fatalf("DistanceDelta refused on the committed step: %v", err)
 		}
@@ -487,7 +498,7 @@ func TestCommitMergePatchesPlan(t *testing.T) {
 	}
 
 	fresh := estimator(valuation.NewCancelSingleAnnotation(sc.anns), Euclidean())
-	want, _, err := fresh.DistanceDelta(sc.p0, next, nextCum, nextBase, nextSets, "Z", nil)
+	want, _, err := fresh.Begin(sc.p0).DistanceDelta(next, nextCum, nextBase, nextSets, "Z")
 	if err != nil {
 		t.Fatalf("fresh DistanceDelta refused: %v", err)
 	}

@@ -128,7 +128,7 @@ func TestDeltaSkipBlockedOnInexactFolds(t *testing.T) {
 		ms := []provenance.Annotation{"#x", "a"}
 		step := provenance.MergeMapping("Z", ms...)
 		e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
-		got, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z", nil)
+		got, _, err := e.Begin(p0).DistanceDelta(p0, provenance.NewMapping(), base, [][]provenance.Annotation{ms}, "Z")
 		if err != nil {
 			t.Fatalf("values %v: DistanceDelta refused: %v", c.values, err)
 		}
@@ -228,7 +228,7 @@ func TestDistanceDeltaDenseMatchesReference(t *testing.T) {
 					if samples > 0 {
 						e.Rand = rand.New(rand.NewSource(9))
 					}
-					got, _, err := e.DistanceDelta(p0, cur, cum, base, sets, "Z", nil)
+					got, _, err := e.Begin(p0).DistanceDelta(cur, cum, base, sets, "Z")
 					if err != nil {
 						t.Fatalf("%v %s: DistanceDelta refused: %v", kind, vf.Name, err)
 					}

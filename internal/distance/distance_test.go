@@ -75,7 +75,6 @@ func TestDistanceNormalization(t *testing.T) {
 		t.Fatalf("normalized distance = %g, want 2/15", d)
 	}
 	e.MaxError = 0.1 // normalization clamps to 1
-	e.ResetCache()
 	if d := e.Distance(p0, pc, h, groups); d != 1 {
 		t.Fatalf("clamped distance = %g, want 1", d)
 	}

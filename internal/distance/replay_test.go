@@ -62,12 +62,13 @@ func TestOriginalRowsMatchTreeWalk(t *testing.T) {
 				}
 				// A sweep compiles the original's arena and keeps it.
 				id := provenance.NewMapping()
-				if d := e.Distance(p0, p0, id, provenance.GroupsOf(anns, id)); d != 0 {
+				run := e.Begin(p0)
+				if d := run.Distance(p0, id, provenance.GroupsOf(anns, id)); d != 0 {
 					t.Fatalf("%s: distance of the original from itself = %v", row, d)
 				}
-				ar := e.origArena
-				vals := e.batchValuations()
-				rows := e.originalRows(vals)
+				ar := run.origArena
+				vals := run.batchValuations()
+				rows := run.originalRows(vals)
 				seen := make(map[string]bool, len(vals))
 				repeated := false
 				for i, v := range vals {
@@ -96,7 +97,7 @@ func TestOriginalRowsMatchTreeWalk(t *testing.T) {
 	}
 }
 
-// TestReplayPatchesThePlan pins Estimator.Replay: every replayed merge
+// TestReplayPatchesThePlan pins Run.Replay: every replayed merge
 // returns Apply's next expression tensor for tensor, an aggregation's
 // plan is compiled once and patched in place (it stays cached for the
 // last expression, so CheckPlan reuses it), and nothing is counted in
@@ -119,13 +120,14 @@ func TestReplayPatchesThePlan(t *testing.T) {
 		{[]provenance.Annotation{"S1", "S3", "u12"}, "S4"},
 	}
 	e := estimator(valuation.NewCancelSingleAnnotation(p0.Annotations()), Euclidean())
+	r := e.Begin(p0)
 	var cur, want provenance.Expression = p0, p0
 	compiled := 0
 	for i, st := range steps {
-		if e.planFor != cur {
+		if r.planFor != cur {
 			compiled++
 		}
-		cur = e.Replay(cur, st.members, st.newAnn)
+		cur = r.Replay(cur, st.members, st.newAnn)
 		want = want.Apply(provenance.MergeMapping(st.newAnn, st.members...))
 		if d := aggDiff(cur.(*provenance.Agg), want.(*provenance.Agg)); d != "" {
 			t.Fatalf("step %d: replay %s", i, d)
@@ -134,12 +136,12 @@ func TestReplayPatchesThePlan(t *testing.T) {
 	if compiled != 2 {
 		t.Fatalf("replay compiled %d plans, want 2 (the first, and one after the refused merge)", compiled)
 	}
-	if e.planFor != cur || e.plan == nil || e.plan.Expr() != cur {
+	if r.planFor != cur || r.plan == nil || r.plan.Expr() != cur {
 		t.Fatal("the replay's last expression has no cached plan")
 	}
-	plan := e.plan
-	if err := e.CheckPlan(p0, cur, "\x00probe"); err != nil || e.plan != plan {
-		t.Fatalf("CheckPlan after the replay: err %v, reused plan %v", err, e.plan == plan)
+	plan := r.plan
+	if err := r.CheckPlan(cur, "\x00probe"); err != nil || r.plan != plan {
+		t.Fatalf("CheckPlan after the replay: err %v, reused plan %v", err, r.plan == plan)
 	}
 	if st := e.Stats(); st.MergePatches != 0 || st.MergeRecompiles != 0 {
 		t.Fatalf("replayed merges counted: %d patches, %d recompiles", st.MergePatches, st.MergeRecompiles)
@@ -147,25 +149,25 @@ func TestReplayPatchesThePlan(t *testing.T) {
 
 	// Sum children out of key order: the plan is not probeable, so the
 	// replay Applies from then on and compiles nothing more.
-	e.ResetCache()
 	odd := &provenance.Agg{Agg: p0.Agg, Tensors: []provenance.Tensor{
 		{Prov: provenance.Sum{Terms: []provenance.Expr{provenance.V("b"), provenance.V("a")}}, Value: 1, Count: 1, Group: "g"},
 		{Prov: provenance.V("c"), Value: 2, Count: 1, Group: "g"},
 	}}
-	next := e.Replay(odd, []provenance.Annotation{"a", "c"}, "S")
-	next2 := e.Replay(next, []provenance.Annotation{"S", "b"}, "T")
+	r = e.Begin(odd)
+	next := r.Replay(odd, []provenance.Annotation{"a", "c"}, "S")
+	next2 := r.Replay(next, []provenance.Annotation{"S", "b"}, "T")
 	if d := aggDiff(next2.(*provenance.Agg), odd.Apply(provenance.MergeMapping("S", "a", "c")).Apply(provenance.MergeMapping("T", "S", "b")).(*provenance.Agg)); d != "" {
 		t.Fatalf("out-of-order replay: %s", d)
 	}
-	if e.plan != nil || e.planFor == next || e.planFor == next2 {
+	if r.plan != nil || r.planFor == next || r.planFor == next2 {
 		t.Fatal("the replay compiled a plan after meeting an unprobeable one")
 	}
 
 	// An expression without an arena plan is Applied; no plan compiles.
-	e.ResetCache()
 	se := sliceExpr{weights: []float64{1, 2}, anns: []provenance.Annotation{"a1", "a2"}}
-	e.Replay(se, []provenance.Annotation{"a1", "a2"}, "S")
-	if e.plan != nil || e.blockPlan != nil || e.planFor != nil {
+	r = e.Begin(se)
+	r.Replay(se, []provenance.Annotation{"a1", "a2"}, "S")
+	if r.plan != nil || r.blockPlan != nil || r.planFor != nil {
 		t.Fatal("replaying a non-aggregation compiled a plan")
 	}
 }

@@ -1,0 +1,427 @@
+package distance
+
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/provenance"
+)
+
+// Run is the scoring state of one summarization run. Algorithm 1 scores
+// every candidate of a run against one original p0 under one valuation
+// class, so everything derived from them is built once per run and
+// lives here:
+//
+//   - the original's side: an aggregation's arena and, in enumeration
+//     mode, its rows under every valuation of the class; any other
+//     original's results, memoized by valuation name;
+//   - the class's side: the enumerated valuation list, the packed truth
+//     column of each annotation, and the summand matrix of the sweeps;
+//   - the step's side: the compiled plan of the expression being scored
+//     (cached by expression identity, patched in place by CommitMerge),
+//     the pair probes of the step, carried across the committed merge's
+//     patch into the next step, and the committed merge's outcome,
+//     counted when the next step begins.
+//
+// A Run belongs to one run and dies with it: the Estimator keeps no
+// reference to a Run it began. It is not safe for concurrent use.
+type Run struct {
+	e  *Estimator
+	p0 provenance.Expression
+
+	// origMemo memoizes a BlockPlanner original's result per valuation
+	// name (evalOriginal). origArena is an aggregated original's arena
+	// (originalArena) and origRows, in enumeration mode, its rows under
+	// every valuation of vals (originalRows).
+	origMemo  map[string]provenance.Result
+	origArena *provenance.Arena
+	origRows  [][]float64
+
+	// truthCols memoizes, per raw annotation, its packed truth column
+	// over the enumerated class: word b bit j is the truth under
+	// valuation 64*b+j (truthColumn). vals is the enumerated class
+	// (batchValuations) and vf the candidate × valuation summand matrix
+	// of the last sweep, reused by the next.
+	truthCols map[provenance.Annotation][]uint64
+	vals      []provenance.Valuation
+	vf        []float64
+
+	// plan and blockPlan are the compiled plan of planFor (at most one is
+	// set; planErr when neither is). A block plan is recompiled every
+	// step; only an arena plan is patched by CommitMerge.
+	plan      *provenance.Plan
+	blockPlan BlockPlan
+	planErr   error
+	planFor   provenance.Expression
+
+	// carried holds the pair probes carried into the current step and
+	// step those the current step scored, all on plan for merges into
+	// probeAnn. pending is the committed merge's patch, across which
+	// settle rebases step, and committed the counter (MergePatches or
+	// MergeRecompiles) its outcome goes to.
+	probeAnn      provenance.Annotation
+	carried, step map[[2]provenance.Annotation]*provenance.Probe
+	pending       *provenance.MergePatch
+	committed     *atomic.Uint64
+	// replayApply records that Replay met an aggregation the arena cannot
+	// plan or probe; the run's remaining replayed merges Apply.
+	replayApply bool
+}
+
+// CheckPlan reports why the run cannot score cur, as a *PlanError: cur
+// has no compiled plan (planOf), an aggregation's plan is asked to score
+// against an original that is not one or whose arena the blocked kernel
+// cannot evaluate (originalArena), an aggregation is not in Simplify
+// normal form (Probe refuses every merge of it; a Sum or Prod listing
+// its children out of key order counts, so a hand-built Agg needs
+// Simplify first), cur holds a reserved annotation (provenance.Zero or
+// One), or newAnn, the summary annotation DistanceDelta probes merges
+// into, when not empty, already occurs in cur. Distance needs only the
+// plan. The plan stays cached, so the first Distance or DistanceDelta
+// on cur reuses it instead of compiling again.
+func (r *Run) CheckPlan(cur provenance.Expression, newAnn provenance.Annotation) error {
+	plan, bplan, err := r.planOf(cur)
+	if err != nil {
+		return err
+	}
+	_, annID, err := r.sweepNames(plan, bplan)
+	if err != nil {
+		return err
+	}
+	if plan != nil && !plan.Probeable() {
+		return planError("the aggregation is not in Simplify normal form")
+	}
+	for _, a := range []provenance.Annotation{provenance.Zero, provenance.One, newAnn} {
+		if _, taken := annID(a); taken && a != "" {
+			return planError("the expression holds the reserved annotation %q", a)
+		}
+	}
+	return nil
+}
+
+// Distance computes the (possibly normalized) distance between the run's
+// original and the candidate summary pc, where cumulative is the
+// mapping with h(p0) = pc and groups is its inverse view. It is
+// DistanceDelta's sweep with no candidate: every lane is the base
+// evaluation's VAL-FUNC value, and pc's plan stays cached for the step
+// that scores pc's merges. It draws the same valuations in the same
+// order and sums them in valuation order, so the result is
+// bit-identical to scoring pc as a candidate. It is counted in the
+// Distance* statistics, Evaluations and the cache counters only.
+//
+// pc must plan against p0: Distance panics with CheckPlan's error
+// otherwise, a misconfiguration callers report up front by calling
+// CheckPlan, as batchValuations' panic is one Validate reports.
+func (r *Run) Distance(pc provenance.Expression, cumulative provenance.Mapping, groups provenance.Groups) float64 {
+	t0 := time.Now()
+	defer func() {
+		r.e.stats.distanceCalls.Add(1)
+		r.e.stats.distanceNanos.Add(int64(time.Since(t0)))
+	}()
+	d, err := r.distanceBase(pc, cumulative, groups)
+	if err != nil {
+		panic(fmt.Sprintf("distance: Distance on an expression Run.CheckPlan refuses: %v", err))
+	}
+	return d
+}
+
+// CommitMerge commits the merge of members into newAnn on cur and
+// returns the next expression, cur.Apply(MergeMapping(newAnn,
+// members...)). When the cached plan is cur's arena plan, the plan
+// builds next itself and is patched in place (provenance.Plan.ApplyMerge,
+// or ApplyProbe from the winner's probe when this step scored it), so
+// the next step's DistanceDelta reuses the compiled arena instead of
+// recompiling the whole expression, and the step's probes that survive
+// the merge are rebased onto the patch when the next step begins. A
+// patch the plan refuses falls back to Apply; it, and one refused for
+// the arena's garbage, drops the cached plan and the carried probes,
+// and the next step compiles next — either way results are unchanged.
+// The outcome counts in MergePatches or MergeRecompiles when the next
+// step begins. A block plan is never patched: the commit drops it and
+// Applies.
+func (r *Run) CommitMerge(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
+	r.settle()
+	var winner *provenance.Probe
+	if k, ok := pairKey(members); ok {
+		winner = r.step[k]
+	}
+	next, patch, onPlan := r.mergeOnPlan(cur, members, newAnn, winner)
+	if patch != nil {
+		r.pending, r.committed = patch, &r.e.stats.mergePatches
+		return next
+	}
+	r.dropProbes()
+	if onPlan {
+		r.committed = &r.e.stats.mergeRecompiles
+	}
+	return next
+}
+
+// Replay commits one merge a run replays — a seed step of
+// Summarizer.Extend or a step of a resumed checkpoint — on cur and
+// returns the next expression, cur.Apply(MergeMapping(newAnn,
+// members...)). It is CommitMerge without probes and without counting:
+// an aggregation's plan is compiled at the first replayed merge and
+// patched in place at every later one, and it stays cached, so the
+// run's CheckPlan and first step reuse it. Its fallbacks are
+// CommitMerge's: a merge the plan refuses, or one that would leave the
+// arena more than half garbage, drops the plan, and the next replayed
+// merge compiles the expression it returns. An aggregation the arena
+// cannot plan or probe makes the run Apply its remaining replayed
+// merges without compiling again, and any other expression (DDP)
+// Applies without compiling a block plan just to drop it.
+func (r *Run) Replay(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
+	if g, ok := cur.(*provenance.Agg); ok && g != nil && !r.replayApply {
+		if plan, _, err := r.planOf(cur); err != nil || !plan.Probeable() {
+			r.replayApply = true
+		}
+	}
+	next, _, _ := r.mergeOnPlan(cur, members, newAnn, nil)
+	return next
+}
+
+// mergeOnPlan is the shared body of CommitMerge and Replay. When the
+// cached plan is cur's arena plan (onPlan), it builds next by patching
+// the plan in place (ApplyProbe from pr when pr is on the plan, else
+// ApplyMerge) and keeps the patched plan cached for next; a refused
+// patch drops the plan and falls back to Apply, and one refused for
+// the arena's garbage drops it and returns the patch's next. Otherwise
+// it drops a cached block plan and Applies. patch is nil unless the
+// plan was patched.
+func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, pr *provenance.Probe) (next provenance.Expression, patch *provenance.MergePatch, onPlan bool) {
+	if r.blockPlan != nil || r.plan == nil || !comparableExpr(cur) || r.planFor != cur {
+		if r.blockPlan != nil {
+			r.blockPlan, r.planFor = nil, nil
+		}
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, false
+	}
+	var g *provenance.Agg
+	if pr != nil && pr.On(r.plan) {
+		g, patch = r.plan.ApplyProbe(pr, newAnn)
+	} else {
+		g, patch = r.plan.ApplyMerge(members, newAnn)
+	}
+	if patch != nil {
+		r.planFor = g
+		return g, patch, true
+	}
+	r.plan, r.planFor = nil, nil
+	if g == nil {
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, true
+	}
+	return g, nil, true
+}
+
+// settle carries the committed merge into the run once the next step
+// has begun: its outcome is counted, and the probes the previous step
+// scored are rebased across its patch (provenance.MergePatch.Carry) to
+// become the carried probes.
+func (r *Run) settle() {
+	if r.committed != nil {
+		r.committed.Add(1)
+		r.committed = nil
+	}
+	m := r.pending
+	if m == nil {
+		return
+	}
+	r.pending = nil
+	for k, pr := range r.step {
+		if !m.Carry(pr) {
+			delete(r.step, k)
+		}
+	}
+	clear(r.carried)
+	r.carried, r.step = r.step, r.carried
+}
+
+// dropProbes empties the carried and the step's probes, which a
+// recompiled or dropped plan shares nothing with.
+func (r *Run) dropProbes() {
+	clear(r.carried)
+	clear(r.step)
+}
+
+// pairKey is the carry's key of a member set: probes are carried for
+// pairs only.
+func pairKey(ms []provenance.Annotation) ([2]provenance.Annotation, bool) {
+	if len(ms) != 2 {
+		return [2]provenance.Annotation{}, false
+	}
+	return [2]provenance.Annotation{ms[0], ms[1]}, true
+}
+
+// CheckCarry settles the committed merge and holds every probe carried
+// into the next step to one built afresh on the same plan state
+// (provenance.Probe.Diff). It returns how many it checked, or the first
+// mismatch. Differential tests call it between steps.
+func (r *Run) CheckCarry() (int, error) {
+	r.settle()
+	for k, pr := range r.carried {
+		if !pr.On(r.plan) {
+			return 0, fmt.Errorf("carried probe %v is not on the run's plan", k)
+		}
+		fresh := r.plan.Probe(pr.Members, pr.NewAnn)
+		if fresh == nil {
+			return 0, fmt.Errorf("carried probe %v: the plan refuses it", k)
+		}
+		if d := pr.Diff(fresh); d != "" {
+			return 0, fmt.Errorf("carried probe %v: %s", k, d)
+		}
+	}
+	return len(r.carried), nil
+}
+
+// planOf returns the compiled evaluation plan for cur, cached by
+// expression identity across the calls of one summarization step (a step
+// scores its pair cohort and any k-ary growth rounds against the same
+// cur): the arena plan of an aggregation, or the block plan of an
+// expression implementing BlockPlanner. When cur has neither, err (a
+// *PlanError) names why — an aggregation whose arena the blocked kernel
+// refuses (provenance.Arena.Blockable) included, so a refused plan is
+// never swept or patched. It settles the committed merge first, and a
+// compiled plan drops the carried probes.
+func (r *Run) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan, error) {
+	r.settle()
+	if comparableExpr(cur) && r.planFor == cur {
+		return r.plan, r.blockPlan, r.planErr
+	}
+	r.dropProbes()
+	plan, bplan, err := compilePlan(cur)
+	if comparableExpr(cur) {
+		r.plan, r.blockPlan, r.planErr, r.planFor = plan, bplan, err, cur
+	}
+	return plan, bplan, err
+}
+
+// evalOriginal evaluates an original that is not an aggregation (a
+// BlockPlanner's) under v, memoized by valuation name; an aggregated
+// original is evaluated on its arena instead (originalRows).
+func (r *Run) evalOriginal(v provenance.Valuation) provenance.Result {
+	key := v.Name()
+	if res, ok := r.origMemo[key]; ok {
+		r.e.stats.cacheHits.Add(1)
+		return res
+	}
+	r.e.stats.cacheMisses.Add(1)
+	res := r.p0.Eval(v)
+	if r.origMemo == nil {
+		r.origMemo = make(map[string]provenance.Result)
+	}
+	r.origMemo[key] = res
+	return res
+}
+
+// originalArena returns the aggregated original g's compiled arena,
+// compiled once per run, or a *PlanError when the blocked kernel cannot
+// evaluate g: a polynomial does not compile, or the arena is not
+// Blockable.
+func (r *Run) originalArena(g *provenance.Agg) (*provenance.Arena, error) {
+	if r.origArena != nil {
+		return r.origArena, nil
+	}
+	ar := provenance.CompileArena(g)
+	if ar == nil {
+		return nil, planError("the original holds a constant outside int32 or a node the arena does not compile")
+	}
+	if !ar.Blockable() {
+		return nil, planError("the original holds a negative constant")
+	}
+	r.origArena = ar
+	return ar, nil
+}
+
+// originalRows returns the original's results under vals as dense rows
+// over the slots of its arena (origArena, compiled by originalArena),
+// row i for vals[i]: the blocked kernel evaluates 64 valuations per
+// pass, fed from the packed truth columns (truthColumn). Each row
+// equals the original's Agg.Eval under the valuation, keyed by the
+// arena's Slots. In enumeration mode vals is the run's class and the
+// rows are kept for the run; sampling mode evaluates each sweep's draws
+// afresh. It runs on the calling goroutine; the rows must not be
+// modified.
+func (r *Run) originalRows(vals []provenance.Valuation) [][]float64 {
+	e := r.e
+	if e.Samples <= 0 && r.origRows != nil && len(r.origRows) == len(vals) {
+		e.stats.cacheHits.Add(uint64(len(vals)))
+		return r.origRows
+	}
+	e.stats.cacheMisses.Add(uint64(len(vals)))
+	ar := r.origArena
+	n := len(ar.Slots())
+	slab := make([]float64, len(vals)*n)
+	rows := make([][]float64, len(vals))
+	for i := range rows {
+		rows[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	anns := ar.Annotations()
+	cols := make([][]uint64, len(anns))
+	for id, a := range anns {
+		cols[id] = r.truthColumn(a, vals)
+	}
+	tb := provenance.NewTruthBlock()
+	bs := ar.GetBlockScratch()
+	for lo := 0; lo < len(vals); lo += 64 {
+		lanes := min(64, len(vals)-lo)
+		tb.Reset(len(anns), lanes)
+		for id, col := range cols {
+			tb.SetWord(int32(id), col[lo>>6])
+		}
+		ar.EvalRows(tb, bs, rows[lo:lo+lanes])
+	}
+	ar.PutBlockScratch(bs)
+	if e.Samples <= 0 {
+		r.origRows = rows
+	}
+	return rows
+}
+
+// truthColumn returns annotation a's packed truth column over vals
+// (word j>>6, bit j&63 = vals[j].Truth(a)), memoized for the run in
+// enumeration mode. Sampling mode redraws valuations per sweep, so its
+// columns are computed fresh and never cached.
+func (r *Run) truthColumn(a provenance.Annotation, vals []provenance.Valuation) []uint64 {
+	words := (len(vals) + 63) / 64
+	enum := r.e.Samples <= 0
+	if enum {
+		if col, ok := r.truthCols[a]; ok && len(col) == words {
+			return col
+		}
+	}
+	col := make([]uint64, words)
+	for j, v := range vals {
+		if v.Truth(a) {
+			col[j>>6] |= 1 << uint(j&63)
+		}
+	}
+	if enum {
+		if r.truthCols == nil {
+			r.truthCols = make(map[provenance.Annotation][]uint64)
+		}
+		r.truthCols[a] = col
+	}
+	return col
+}
+
+// batchValuations returns the sweep's valuation list: the enumerated
+// class, enumerated once per run, or — in sampling mode — one shared
+// sample set drawn up front. The list must not be modified.
+func (r *Run) batchValuations() []provenance.Valuation {
+	e := r.e
+	if e.Samples <= 0 {
+		if r.vals == nil {
+			r.vals = e.Class.Valuations()
+		}
+		return r.vals
+	}
+	if e.Rand == nil {
+		panic("distance: Estimator.Samples > 0 requires Estimator.Rand (see Estimator.Validate)")
+	}
+	vals := make([]provenance.Valuation, e.Samples)
+	for i := range vals {
+		vals[i] = e.Class.Sample(e.Rand)
+		e.stats.samples.Add(1)
+	}
+	return vals
+}

@@ -44,14 +44,15 @@ func TestStatsCountsCacheAndEvaluations(t *testing.T) {
 	if e.Stats().CacheResets != 0 {
 		t.Fatalf("resets = %d before any reset", e.Stats().CacheResets)
 	}
-	e.ResetCache()
+	// A run begun after the first is a reset, and drops the run the
+	// one-shot Distance kept: its next call evaluates the original again.
+	e.Begin(p0)
 	if got := e.Stats().CacheResets; got != 1 {
 		t.Fatalf("CacheResets = %d, want 1", got)
 	}
-	// Resetting an already-empty cache is not a reset.
-	e.ResetCache()
-	if got := e.Stats().CacheResets; got != 1 {
-		t.Fatalf("CacheResets after idempotent reset = %d, want 1", got)
+	e.Distance(p0, pc, h, groups)
+	if st = e.Stats(); st.CacheResets != 2 || st.CacheMisses != 6 || st.CacheHits != 3 {
+		t.Fatalf("after Begin: resets/misses/hits = %d/%d/%d, want 2/6/3", st.CacheResets, st.CacheMisses, st.CacheHits)
 	}
 }
 
@@ -67,9 +68,10 @@ func TestPrewarmMakesParallelLookupsHits(t *testing.T) {
 	e := estimator(valuation.NewCancelSingleAnnotation(anns), Euclidean())
 	e.Parallelism = 4
 	vals := uint64(len(e.Class.Valuations()))
+	run := e.Begin(p0)
 	sweep := func() {
 		t.Helper()
-		if _, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Z", nil); err != nil {
+		if _, _, err := run.DistanceDelta(p0, provenance.NewMapping(), base, sets, "Z"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,11 +132,12 @@ func TestDistanceRouting(t *testing.T) {
 	if st.DeltaCalls != 0 || st.DeltaSkips != 0 || st.DeltaFullEvals != 0 || st.DeltaSubtreeEvals != 0 || st.BatchTime != 0 {
 		t.Fatalf("Distance counted as a sweep: %+v", st)
 	}
-	if e.plan == nil || e.planFor != pc {
+	run := e.last
+	if run.plan == nil || run.planFor != pc {
 		t.Fatal("Distance did not leave pc's plan cached")
 	}
-	plan := e.plan
-	if _, _, err := e.DistanceDelta(p0, p0, provenance.NewMapping(), base, sets, "Y", nil); err != nil || e.plan == plan {
+	plan := run.plan
+	if _, _, err := run.DistanceDelta(p0, provenance.NewMapping(), base, sets, "Y"); err != nil || run.plan == plan {
 		t.Fatal("DistanceDelta on another expression did not replan")
 	}
 
@@ -146,7 +149,7 @@ func TestDistanceRouting(t *testing.T) {
 	ne := estimator(valuation.NewCancelSingleAnnotation(negAnns), Euclidean())
 	id := provenance.NewMapping()
 	var pe *PlanError
-	if err := ne.CheckPlan(neg, neg, ""); !errors.As(err, &pe) {
+	if err := ne.Begin(neg).CheckPlan(neg, ""); !errors.As(err, &pe) {
 		t.Fatalf("CheckPlan of a negative constant: %v, want a *PlanError", err)
 	}
 	func() {

@@ -148,12 +148,13 @@ func ParallelSpeedup(o Options, workers []int, maxSteps int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			est := w.Estimator(o.Class)
+			est.Parallelism = wk
 			s, err := core.New(core.Config{
-				Policy:      w.Policy,
-				Estimator:   w.Estimator(o.Class),
-				WDist:       1,
-				MaxSteps:    maxSteps,
-				Parallelism: wk,
+				Policy:    w.Policy,
+				Estimator: est,
+				WDist:     1,
+				MaxSteps:  maxSteps,
 			})
 			if err != nil {
 				return nil, err

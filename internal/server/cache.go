@@ -88,6 +88,7 @@ func (s *Server) serveFromCache(sess *session, entry *codec.CacheEntryRecord) (*
 // request made after the expression grows by ingest (exact key miss)
 // can still find it as an Extend seed.
 func (s *Server) publishToCache(sess *session, key summarycache.Key, params codec.JobParams, sum *core.Summary) {
+	prefix := s.warmPrefixFor(sess, params)
 	rec := &codec.CacheEntryRecord{
 		Key:        key.String(),
 		Class:      params.Class,
@@ -96,6 +97,7 @@ func (s *Server) publishToCache(sess *session, key summarycache.Key, params code
 		StopReason: sum.StopReason,
 		CreatedMS:  time.Now().UnixMilli(),
 		Tenant:     sess.tenant,
+		Prefix:     prefix.String(),
 	}
 	// The publishing tenant owns the entry's bytes until eviction; a
 	// tenant past its MaxCacheBytes quota keeps its result but stops
@@ -106,7 +108,7 @@ func (s *Server) publishToCache(sess *session, key summarycache.Key, params code
 		s.log.Warn("cache publish denied by tenant quota", "tenant", sess.tenant, "key", rec.Key)
 		return
 	}
-	if !s.cache.PutWithPrefix(key, s.warmPrefixFor(sess, params), rec) {
+	if !s.cache.PutWithPrefix(key, prefix, rec) {
 		// Journaling a rejected entry would resurrect it on replay (or
 		// grow the WAL for an entry the cache never held): count it and
 		// skip the store.

@@ -831,7 +831,8 @@ func (s *Server) restoreFromStore() error {
 
 	// Warm-start the summary cache from its journaled entries (in
 	// first-append order, so replayed LRU displacement keeps the most
-	// recently journaled entries when bounds shrank across the restart).
+	// recently journaled entries when bounds shrank across the restart),
+	// each under its journaled warm-start prefix when it has one.
 	if s.cache != nil {
 		for _, rec := range state.CacheEntries {
 			k, err := summarycache.ParseKey(rec.Key)
@@ -839,7 +840,13 @@ func (s *Server) restoreFromStore() error {
 				s.log.Error("dropping unparseable cache key from store", "key", rec.Key, "err", err)
 				continue
 			}
-			if !s.cache.Put(k, rec) {
+			var ok bool
+			if prefix, perr := summarycache.ParseKey(rec.Prefix); rec.Prefix != "" && perr == nil {
+				ok = s.cache.PutWithPrefix(k, prefix, rec)
+			} else {
+				ok = s.cache.Put(k, rec)
+			}
+			if !ok {
 				s.met.cacheRejected.Inc()
 				s.log.Warn("cache rejected journaled entry on restore", "key", rec.Key)
 			} else if s.tenants != nil && rec.Tenant != "" {

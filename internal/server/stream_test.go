@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/datasets"
+	"repro/internal/store"
 )
 
 // customUniverse is the request shape of custom/ingest universe entries.
@@ -197,6 +199,56 @@ func TestStreamIngestExtendFlow(t *testing.T) {
 	}
 	if len(v3.Groups[group]) != 4 {
 		t.Fatalf("v3 group %s = %v, want U5 folded in", group, v3.Groups[group])
+	}
+}
+
+// TestWarmStartSurvivesRestart: a summary journaled before a restart
+// keeps its warm-start prefix, so after the restart a session that grows
+// by ingest is re-summarized from it — X-Prox-Cache: warm, and the new
+// version is a warm-started child of v1 — instead of from scratch.
+func TestWarmStartSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := jobsServer(t, jobsWorkload(), WithStore(st1))
+	id := streamSession(t, ts1)
+	params := summarizeRequest{SessionID: id, WDist: 1, Steps: 2, ValuationClass: "annotation"}
+	if res := post(t, ts1.URL+"/api/summarize", params, nil); res.StatusCode != http.StatusOK {
+		t.Fatalf("summarize status = %d", res.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	_, ts2 := jobsServer(t, jobsWorkload(), WithStore(st2))
+	ing := ingestRequest{SessionID: id, Expression: "U4 (x) (2,1)@MP"}
+	ing.Universe = customUniverse{{Ann: "U4", Table: "users", Attrs: map[string]string{"gender": "M"}}}
+	if res := post(t, ts2.URL+"/api/ingest", ing, nil); res.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", res.StatusCode)
+	}
+	res := post(t, ts2.URL+"/api/summarize", params, nil)
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("restarted summarize status = %d", res.StatusCode)
+	}
+	if got := res.Header.Get("X-Prox-Cache"); got != "warm" {
+		t.Fatalf("X-Prox-Cache after restart and ingest = %q, want warm", got)
+	}
+	var vs versionsResponse
+	getJSON(t, ts2.URL+"/api/sessions/"+id+"/versions", &vs)
+	if n := len(vs.Versions); n != 2 || vs.Versions[1].Parent != 1 || vs.Versions[1].ExtendedFrom == 0 {
+		t.Fatalf("versions after restart = %+v, want v2 a warm-started child of v1", vs.Versions)
 	}
 }
 

@@ -69,7 +69,15 @@ JOB=$(echo "$SUBMIT" | jq -r .id)
 TRACE=$(echo "$SUBMIT" | jq -r .trace)
 echo "submitted job $JOB on session $SESSION (trace $TRACE)"
 
-sleep 0.5            # let the merge loop take a few checkpoints
+# Kill as soon as the worker picks the job up (the 60-step run takes a
+# fraction of a second, so a fixed sleep lets it finish first): with
+# -checkpoint-every 1 the merge loop journals from its first step.
+for _ in $(seq 1 200); do
+  case "$(curl -sf "$BASE/api/jobs/$JOB" | jq -r .state)" in
+    running|done) break ;;
+  esac
+  sleep 0.02
+done
 kill -9 "$PID"       # simulated crash
 wait "$PID" 2>/dev/null || true
 PID=""
