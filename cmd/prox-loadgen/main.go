@@ -71,9 +71,9 @@ type routeSLO struct {
 
 // config is the workload shape loaded from -config.
 type config struct {
-	Tenants       []tenantConfig      `json:"tenants"`
-	Mix           map[string]float64  `json:"mix"`
-	CacheHitRatio float64             `json:"cacheHitRatio"`
+	Tenants       []tenantConfig     `json:"tenants"`
+	Mix           map[string]float64 `json:"mix"`
+	CacheHitRatio float64            `json:"cacheHitRatio"`
 	// Steps fixes the merge-step budget of every summarize/bulk/extend
 	// request; 0 picks small per-request budgets (1-4 steps). Large
 	// values make each request expensive — useful for flood scenarios.

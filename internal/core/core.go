@@ -449,7 +449,7 @@ const probeAnn provenance.Annotation = "\x00probe"
 func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
 	cfg := s.cfg
 	carry.flush(cfg.Policy)
-	anns := cur.Annotations()
+	anns := r.Annotations(cur)
 	pairs := carry.pairs.forAnns(cfg.Policy, anns)
 	if len(pairs) == 0 {
 		return candidate{}, false, nil

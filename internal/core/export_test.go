@@ -9,16 +9,20 @@ import (
 )
 
 // CheckCarry makes s carry every committed merge into its step state
-// right away and verify that the state equals a rebuild: the carried
-// pair list must be the one the merge predicted for exactly the next
-// step's annotation set, and equal a fresh enumeration over it, and
-// every carried probe must equal one built afresh on the same plan
-// state. carried, when non-nil, receives the number of probes carried
-// into each step.
+// right away and verify that the state equals a rebuild: the run's
+// annotation set (read off the patched plan) must be the expression's,
+// the carried pair list must be the one the merge predicted for exactly
+// the next step's annotation set, and equal a fresh enumeration over
+// it, and every carried probe must equal one built afresh on the same
+// plan state. carried, when non-nil, receives the number of probes
+// carried into each step.
 func CheckCarry(s *Summarizer, carried func(probes int)) {
 	s.checkCarry = func(cur provenance.Expression, c *stepCarry, r *distance.Run) error {
 		c.flush(s.cfg.Policy)
 		anns := cur.Annotations()
+		if live := r.Annotations(cur); !slices.Equal(live, anns) {
+			return fmt.Errorf("the run's annotation set %v, want %v", live, anns)
+		}
 		pl := &c.pairs
 		if !pl.ok {
 			return fmt.Errorf("pair list not carried")

@@ -181,6 +181,17 @@ func (r *Run) Replay(cur provenance.Expression, members []provenance.Annotation,
 	return next
 }
 
+// Annotations returns cur.Annotations(), read off the plan's indexes
+// (provenance.Plan.LiveAnnotations) when the run holds cur's arena plan,
+// as it does from CheckPlan on and after every patched merge; any other
+// expression, DDP's included, collects them from its tree.
+func (r *Run) Annotations(cur provenance.Expression) []provenance.Annotation {
+	if r.plan != nil && comparableExpr(cur) && r.planFor == cur {
+		return r.plan.LiveAnnotations()
+	}
+	return cur.Annotations()
+}
+
 // mergeOnPlan is the shared body of CommitMerge and Replay. When the
 // cached plan is cur's arena plan (onPlan), it builds next by patching
 // the plan in place (ApplyProbe from pr when pr is on the plan, else

@@ -22,7 +22,7 @@ type RuntimeCollector struct {
 	heapAlloc  *Gauge
 	gcPause    *Histogram
 
-	mu       sync.Mutex
+	mu        sync.Mutex
 	lastNumGC uint32
 }
 

@@ -41,9 +41,9 @@ type SLOConfig struct {
 // The burn rate is (bad fraction) / (error budget): 1.0 means the error
 // budget is being consumed exactly as fast as the objective allows.
 type SLO struct {
-	cfg  SLOConfig
-	good *Counter
-	bad  *Counter
+	cfg   SLOConfig
+	good  *Counter
+	bad   *Counter
 	short *Gauge
 	long  *Gauge
 

@@ -43,19 +43,19 @@ func TestParseTraceparentAcceptsFutureVersion(t *testing.T) {
 
 func TestParseTraceparentRejects(t *testing.T) {
 	cases := map[string]string{
-		"empty":              "",
-		"short":              "00-abc",
-		"bad separators":     "00_4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7_01",
-		"uppercase hex":      "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
-		"non-hex trace id":   "00-4bf92f3577b34da6a3ce929d0e0e473z-00f067aa0ba902b7-01",
-		"non-hex span id":    "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bz-01",
-		"non-hex flags":      "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",
-		"version ff":         "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		"zero trace id":      "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
-		"zero span id":       "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
-		"v00 extra field":    "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x",
-		"trailing garbage":   "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
-		"garbage":            "not a traceparent at all, definitely not one",
+		"empty":            "",
+		"short":            "00-abc",
+		"bad separators":   "00_4bf92f3577b34da6a3ce929d0e0e4736_00f067aa0ba902b7_01",
+		"uppercase hex":    "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"non-hex trace id": "00-4bf92f3577b34da6a3ce929d0e0e473z-00f067aa0ba902b7-01",
+		"non-hex span id":  "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bz-01",
+		"non-hex flags":    "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",
+		"version ff":       "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"zero trace id":    "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"zero span id":     "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+		"v00 extra field":  "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x",
+		"trailing garbage": "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
+		"garbage":          "not a traceparent at all, definitely not one",
 	}
 	for name, h := range cases {
 		if _, err := ParseTraceparent(h); err == nil {

@@ -177,11 +177,12 @@ func requirePlansEquivalentBase(t *testing.T, label string, got, want *Plan) {
 // fold into them), polynomials that simplify to 0 (which drop), sums
 // listed out of key order (which Simplify sorts), and fresh products in
 // groups that sort between cur's (m15 between m1 and m2) or in the
-// scalar coordinate. Values are SUM-order-sensitive.
+// scalar coordinate. Values are SUM-order-sensitive, and two of 2^52
+// reach the bound of exact SUM folds.
 func appendFixture(next func() byte, cur *Agg) []Tensor {
 	users := []Annotation{"u1", "u2", "u6", "p*q", "b+v:c"}
 	groups := []Annotation{"m1", "m15", "m5", "x (1)", "r|s", ""}
-	values := []float64{0.1, 0.7, 1e16, 1, 3}
+	values := []float64{0.1, 0.7, 1e16, 1, 3, 1 << 52}
 	pick := func(as []Annotation) Annotation { return as[int(next())%len(as)] }
 	added := make([]Tensor, int(next())%6+1)
 	for i := range added {
@@ -216,12 +217,18 @@ func appendFixture(next func() byte, cur *Agg) []Tensor {
 // expression each builds must equal NewAgg over the current tensors
 // plus the batch, tensor for tensor in polynomial structure and value
 // bits, so the combine order of folded duplicates shows under SUM. The
-// patched plan must hold the tensors, size, flags and indexes a fresh
+// patched plan must equal a full rebuild over its own tensors
+// (requireRebuilt), hold the tensors, size, flags and indexes a fresh
 // plan of that expression has, and evaluate like it bit for bit.
 func FuzzPlanAppend(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 2, 0, 1, 1, 1, 2, 2, 1, 3, 0, 5, 2, 0, 0, 1, 2, 3, 1, 0, 4, 2, 1, 1}, uint64(7), uint8(0))
 	f.Add([]byte{11, 1, 2, 0, 1, 4, 2, 3, 3, 1, 2, 2, 0, 3, 0, 4, 1, 1, 2, 0, 3, 1, 2, 2, 1, 0, 1, 5, 0, 0, 1, 1, 0, 2, 2}, uint64(99), uint8(1))
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, uint64(1<<40|3), uint8(2))
+	// The first batch opens the groups m15 and r|s.
+	f.Add([]byte{1, 4, 1, 0, 1, 5, 2, 1, 0, 6, 6, 1, 5, 6, 4, 6, 2, 3, 5, 4, 5, 0, 3, 0, 1, 4, 6, 3, 2, 4, 2, 4, 6, 0, 6, 6}, uint64(11), uint8(0))
+	// Under SUM the second batch's values of 2^52 take the integral
+	// magnitudes to 2^53, so the plan stops being exact.
+	f.Add([]byte{0, 0, 1, 4, 5, 0, 1, 1, 2, 1, 2, 3, 7, 0, 7, 1, 6, 7, 5, 5, 0, 6, 4, 3, 0, 5, 4, 4, 7, 6, 1, 5, 6, 5, 1, 4, 1, 4}, uint64(13), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kindByte uint8) {
 		pos := 0
 		next := func() byte {
@@ -248,6 +255,7 @@ func FuzzPlanAppend(f *testing.F) {
 			if !patched {
 				t.Fatalf("batch %d %v onto %s: ApplyAppend refused a compilable batch", batch, added, cur)
 			}
+			requireRebuilt(t, fmt.Sprintf("batch %d", batch), plan)
 			requirePlanLike(t, fmt.Sprintf("batch %d", batch), plan, NewPlan(want), seed+uint64(batch))
 			cur = got
 		}

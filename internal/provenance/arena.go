@@ -125,9 +125,11 @@ type Arena struct {
 
 	tensors []arenaTensor
 	// groupKeys are the distinct tensor groups in sorted order: the
-	// coordinate slots of the dense rows EvalRows writes. A patch
-	// installs a fresh slice, so a caller may keep the one Slots
-	// returned across patches.
+	// coordinate slots of the dense rows EvalRows writes. It is
+	// copy-on-write: a patch that adds or removes a group installs a
+	// fresh slice, so a caller (a carried probe's slots, a merge patch
+	// comparing old and new) may keep the one Slots returned across
+	// patches.
 	groupKeys []Annotation
 
 	agg Aggregator
@@ -145,7 +147,8 @@ type Arena struct {
 	// tensor fold or by a cone parent. coneSlot maps a node id to its
 	// dense row in the block scratch's numeric slab (-1 outside the
 	// cone); coneNodes lists the cone ascending (children before
-	// parents). Recomputed by ApplyMerge when the tensor set changes.
+	// parents). extendCone extends it over appended spans; a merge keeps
+	// the nodes of the spans it drops in the cone, as garbage.
 	coneSlot  []int32
 	coneNodes []int32
 
@@ -168,7 +171,7 @@ func CompileArena(g *Agg) *Arena {
 	a := &Arena{
 		in:      NewInternerSize(len(g.Tensors)),
 		kidOff:  []int32{0},
-		tensors: make([]arenaTensor, len(g.Tensors)),
+		tensors: make([]arenaTensor, len(g.Tensors), len(g.Tensors)+len(g.Tensors)/4), // room for appends
 		agg:     g.Agg,
 	}
 	groups := make([]Annotation, len(g.Tensors))
@@ -184,7 +187,7 @@ func CompileArena(g *Agg) *Arena {
 		return nil
 	}
 	a.setSlots(groups)
-	a.computeCone()
+	a.extendCone()
 	return a
 }
 
@@ -213,6 +216,36 @@ func (a *Arena) setSlots(groups []Annotation) {
 	a.groupKeys = keys
 }
 
+// moveSlots removes the groups gone from the slots and inserts the
+// groups came, each by binary search, into a fresh groupKeys (the slots
+// are copy-on-write), and returns where each old slot moved (-1 for a
+// removed one), or nil when neither lists a group.
+func (a *Arena) moveSlots(gone, came []Annotation) []int32 {
+	if len(gone)+len(came) == 0 {
+		return nil
+	}
+	old := a.groupKeys
+	keys := make([]Annotation, 0, len(old)-len(gone)+len(came))
+	for _, g := range old {
+		if !slices.Contains(gone, g) {
+			keys = append(keys, g)
+		}
+	}
+	for _, g := range came {
+		at, _ := slices.BinarySearch(keys, g)
+		keys = slices.Insert(keys, at, g)
+	}
+	remap := make([]int32, len(old))
+	for s, g := range old {
+		remap[s] = -1
+		if ns, ok := slices.BinarySearch(keys, g); ok {
+			remap[s] = int32(ns)
+		}
+	}
+	a.groupKeys = keys
+	return remap
+}
+
 // Slots returns the arena's coordinate slots, the distinct tensor groups
 // in sorted order: slot i of a dense row holds group Slots()[i]. The
 // slice must not be modified.
@@ -224,47 +257,45 @@ func (a *Arena) Slots() []Annotation { return a.groupKeys }
 // per-word nonzero masks of the guard sweep are exact.
 func (a *Arena) Blockable() bool { return !a.bad && !a.negConst }
 
-// computeCone marks the numeric cone: Sum/Prod nodes whose natural value
-// feeds a tensor fold (SUM/COUNT scale by it) or a cone parent, so the
-// blocked sweep must materialize their per-lane values. Everything else
-// is fully determined by the word-level nonzero masks: Var/Cmp values
-// are their 0/1 mask bit, Const values are compile-time constants, and a
-// Sum/Prod outside the cone is only ever consumed in zero-testing
-// contexts (a Cmp guard or a MAX/MIN fold). MAX/MIN aggregations scale
-// idempotently, so their cone is empty.
-func (a *Arena) computeCone() {
-	n := len(a.kind)
+// extendCone extends the numeric cone over the nodes compiled since it
+// was last extended (all of them, for a fresh arena): the Sum/Prod nodes
+// whose natural value feeds a tensor fold (SUM/COUNT scale by it) or a
+// cone parent, so the blocked sweep must materialize their per-lane
+// values. Everything else is fully determined by the word-level nonzero
+// masks: Var/Cmp values are their 0/1 mask bit, Const values are
+// compile-time constants, and a Sum/Prod outside the cone is only ever
+// consumed in zero-testing contexts (a Cmp guard or a MAX/MIN fold).
+// MAX/MIN aggregations scale idempotently, so their cone is empty. A
+// span's nodes reach only its own, so the new nodes' cone is seeded by
+// the new roots (the nodes without a parent) and leaves the older
+// nodes' alone.
+func (a *Arena) extendCone() {
+	from, n := len(a.coneSlot), len(a.kind)
 	if cap(a.coneSlot) < n {
-		a.coneSlot = make([]int32, n)
+		// Room for a quarter more nodes, as appends will compile.
+		a.coneSlot = append(make([]int32, 0, n+n/4), a.coneSlot...)
 	}
-	a.coneSlot = a.coneSlot[:n]
-	for i := range a.coneSlot {
-		a.coneSlot[i] = -1
+	for len(a.coneSlot) < n {
+		a.coneSlot = append(a.coneSlot, -1)
 	}
-	a.coneNodes = a.coneNodes[:0]
-	numeric := a.agg.Kind == AggSum || a.agg.Kind == AggCount
-	if !numeric {
+	if a.agg.Kind != AggSum && a.agg.Kind != AggCount {
 		return
 	}
-	need := make([]bool, n)
-	for i := range a.tensors {
-		r := a.tensors[i].root
-		if a.kind[r] == nodeSum || a.kind[r] == nodeProd {
-			need[r] = true
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		if !need[i] {
+	const marked = -2
+	arith := func(id int32) bool { return a.kind[id] == nodeSum || a.kind[id] == nodeProd }
+	for i := n - 1; i >= from; i-- {
+		if a.coneSlot[i] != marked && (a.parent[i] != -1 || !arith(int32(i))) {
 			continue
 		}
+		a.coneSlot[i] = marked
 		for _, k := range a.kids[a.kidOff[i]:a.kidOff[i+1]] {
-			if a.kind[k] == nodeSum || a.kind[k] == nodeProd {
-				need[k] = true
+			if arith(k) {
+				a.coneSlot[k] = marked
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if need[i] {
+	for i := from; i < n; i++ {
+		if a.coneSlot[i] == marked {
 			a.coneSlot[i] = int32(len(a.coneNodes))
 			a.coneNodes = append(a.coneNodes, int32(i))
 		}
@@ -349,46 +380,20 @@ func fit[T any](s []T, n int) []T {
 }
 
 // Retarget patches a committed merge into the live arena in place
-// instead of recompiling: member Var occurrences are retargeted to
-// newAnn's dense id (allocated here) and the caller then refolds the
-// post-merge tensor list with SetTensors. Node ids stay stable, so
+// instead of recompiling: the member Var occurrences varNodes lists for
+// memberIDs (the plan's rows of live Var nodes) are retargeted to
+// newAnn's dense id, interned here. Node ids stay stable, so
 // node-indexed state — plan indexes, scratch tables, dirty spans —
-// survives the step. Nodes whose spans no longer back any tensor become
-// garbage: they are still swept by EvalBlock (reading well-defined
-// truths) but never folded.
-func (a *Arena) Retarget(memberIDs []int32, newAnn Annotation) {
+// survives the step. Garbage spans keep their member ids: they are
+// still swept by EvalBlock (reading well-defined truths) but never
+// folded.
+func (a *Arena) Retarget(memberIDs []int32, newAnn Annotation, varNodes [][]int32) {
 	newID := a.in.Intern(newAnn)
-	for id := range a.kind {
-		if a.kind[id] != nodeVar {
-			continue
-		}
-		for _, m := range memberIDs {
-			if a.ann[id] == m {
-				a.ann[id] = newID
-				break
-			}
+	for _, m := range memberIDs {
+		for _, id := range varNodes[m] {
+			a.ann[id] = newID
 		}
 	}
-}
-
-// SetTensors rebuilds the tensor fold table and the sorted group-key
-// slots from the given fold order (parallel roots/values/groups; every
-// root an existing node id), updates the garbage count from liveNodes,
-// and re-derives the numeric cone (liveNodes lets the arena track the
-// garbage fraction so callers can decide when to recompile). It is the
-// shared tail of the in-place patches (Plan.ApplyMerge and
-// Plan.ApplyAppend).
-func (a *Arena) SetTensors(roots []int32, values []float64, groups []Annotation, liveNodes int) {
-	a.tensors = a.tensors[:0]
-	for i := range roots {
-		a.tensors = append(a.tensors, arenaTensor{root: roots[i], value: values[i]})
-		if groups[i] != "" {
-			a.in.Intern(groups[i])
-		}
-	}
-	a.setSlots(groups)
-	a.deadNodes = len(a.kind) - liveNodes
-	a.computeCone()
 }
 
 // Appendable reports whether e consists solely of nodes the arena can
@@ -428,11 +433,11 @@ func (a *Arena) Appendable(e Expr) bool {
 // child or parent), existing node ids stay stable, and new annotations
 // intern onto the append-only dense id space — but truth bitsets created
 // before the append are too small for the new ids, so callers must
-// rebuild cached truths (and re-fit pooled scratches, which GetScratch /
-// GetBlockScratch do) after patching. The caller is responsible for
-// installing the new tensor through SetTensors; until then the span is
-// unreferenced garbage, which a failed patch simply leaves behind for
-// the next recompile to drop.
+// rebuild cached truths (and re-fit pooled scratches, which
+// GetBlockScratch does) after patching. The caller is responsible for
+// installing the new tensor (Plan.ApplyAppend does); until then the
+// span is unreferenced garbage, which a failed patch simply leaves
+// behind for the next recompile to drop.
 func (a *Arena) AppendSpan(e Expr) (lo, root int32) {
 	lo = int32(len(a.kind))
 	root = a.compile(e)

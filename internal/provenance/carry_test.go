@@ -54,12 +54,20 @@ func carryFixture(next func() byte, kind AggKind) *Agg {
 // the patched plan in every compiled field (Probe.Diff: Members, Size,
 // RenamesGroup, Slots, Reorders, the fold programs, the dirty closure),
 // and its CandEvalBlock rows must match the fresh probe's bit for bit.
+// The patched plan itself must equal a full rebuild over its tensors
+// (requireRebuilt).
 // Some probes are compiled before the merge and some are not, so both
 // kept and lazily rebuilt programs are checked.
 func FuzzPlanCarry(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 2, 0, 1, 1, 1, 2, 2, 1, 3, 0, 0, 1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 0}, uint64(7), uint8(0))
 	f.Add([]byte{11, 1, 2, 0, 1, 4, 2, 3, 3, 1, 2, 2, 0, 3, 0, 4, 1, 1, 2, 0, 3, 1, 2, 2, 1, 0, 1}, uint64(99), uint8(1))
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint64(1<<40|3), uint8(1))
+	// The first merge empties two groups: m1 and {a+b} merge into S0.
+	f.Add([]byte{0, 4, 0, 7, 1, 3, 7, 5, 5, 0, 4, 6, 2, 4, 0, 2, 3, 1, 3, 2, 6, 7, 3, 0, 3, 4, 4, 1, 4, 2}, uint64(5), uint8(1))
+	// The first merge renames a group without changing the slot count:
+	// b+v:c absorbs the group m1 under its own name, so the slots keep
+	// their length and a carried probe must not see the old slice change.
+	f.Add([]byte("001000010020"), uint64(4), uint8(25))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kindByte uint8) {
 		pos := 0
 		next := func() byte {
@@ -115,6 +123,7 @@ func FuzzPlanCarry(f *testing.F) {
 				probes = pairProbes(plan, cur, next)
 				continue
 			}
+			requireRebuilt(t, fmt.Sprintf("step %d: %v→%s", step, members, newAnn), plan)
 			var kept []*Probe
 			for _, pr := range probes {
 				if !patch.Carry(pr) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -11,9 +12,11 @@ import (
 )
 
 // This file implements the incremental candidate-evaluation engine: a
-// Plan compiles an aggregated expression once per summarization step
-// into the flat arena (arena.go) with annotation→node and
-// annotation→tensor dependency indexes in CSR form, and a Probe
+// Plan compiles an aggregated expression once into the flat arena
+// (arena.go) with annotation→node and annotation→tensor dependency
+// indexes, one ascending row per annotation, which every committed
+// merge or ingest batch then patches in place (ApplyMerge, ApplyAppend),
+// and a Probe
 // compiles the structural delta of one candidate merge (members ↦ fresh
 // annotation) without materializing the candidate expression: the
 // tensors the merge rewrites, each identified by its candidate Simplify
@@ -28,41 +31,118 @@ import (
 // path to a member occurrence and re-evaluates only those, reading every
 // clean sibling from the tables (Probe.CandEvalBlock).
 
-// annIndex is a CSR index from dense annotation ids to int32 spans
-// (node ids or tensor ids).
-type annIndex struct {
-	off  []int32 // len = numAnns+1
-	flat []int32
-}
+// annIndex maps dense annotation ids to ascending int32 lists (node ids
+// or tensor ids), one row per id. NewPlan builds the rows over one
+// backing array, each capped at its own region, so a patch that grows
+// a row past its region moves that row alone. Each region leaves room
+// for the row to grow by a quarter, and the index for 8 more ids, since
+// patches add entries and intern annotations.
+type annIndex [][]int32
 
 // span returns the ids indexed under annotation id.
-func (ix *annIndex) span(id int32) []int32 {
-	return ix.flat[ix.off[id]:ix.off[id+1]]
+func (ix annIndex) span(id int32) []int32 {
+	if int(id) < len(ix) {
+		return ix[id]
+	}
+	return nil
 }
 
-// buildIndex builds the CSR index over n ids of the (id, v) entries each
+// buildIndex builds the index over n ids of the (id, v) entries each
 // adds, which it must add in ascending v order per id. each runs twice:
 // once to count the entries and once to place them.
 func buildIndex(n int, each func(add func(id, v int32))) annIndex {
-	ix := annIndex{off: make([]int32, n+1)}
-	each(func(id, _ int32) { ix.off[id+1]++ })
+	off := make([]int32, n+1)
+	each(func(id, _ int32) { off[id+1]++ })
 	for i := 0; i < n; i++ {
-		ix.off[i+1] += ix.off[i]
+		off[i+1] += off[i] + off[i+1]/4 + 1
 	}
-	ix.flat = make([]int32, ix.off[n])
-	at := slices.Clone(ix.off[:n])
-	each(func(id, v int32) {
-		ix.flat[at[id]] = v
-		at[id]++
-	})
+	flat := make([]int32, off[n])
+	ix := make(annIndex, n, n+8)
+	for id := range ix {
+		ix[id] = flat[off[id]:off[id]:off[id+1]]
+	}
+	each(func(id, v int32) { ix[id] = append(ix[id], v) })
 	return ix
 }
 
+// grow extends ix with empty rows up to n ids.
+func (ix annIndex) grow(n int) annIndex {
+	for len(ix) < n {
+		ix = append(ix, nil)
+	}
+	return ix
+}
+
+// insertID inserts v into the ascending row. A full row moves to one
+// with room for half its length more, and at least 4, so a row a patch
+// fills one id at a time (a new annotation's) moves rarely.
+func insertID(row []int32, v int32) []int32 {
+	if len(row) == cap(row) {
+		row = append(make([]int32, 0, len(row)+len(row)/2+4), row...)
+	}
+	i := len(row)
+	if i > 0 && row[i-1] > v {
+		i, _ = slices.BinarySearch(row, v)
+	}
+	row = row[:len(row)+1]
+	copy(row[i+1:], row[i:])
+	row[i] = v
+	return row
+}
+
+// deleteIDs deletes the ids in [lo, hi] from the ascending row.
+func deleteIDs(row []int32, lo, hi int32) []int32 {
+	i, _ := slices.BinarySearch(row, lo)
+	j := i
+	for j < len(row) && row[j] <= hi {
+		j++
+	}
+	return append(row[:i], row[j:]...)
+}
+
+// renumber maps every id of the ascending row from on through remap,
+// in place; remap must be monotone over the row's ids.
+func renumber(row []int32, remap []int32, from int32) {
+	for i := len(row) - 1; i >= 0 && row[i] >= from; i-- {
+		row[i] = remap[row[i]]
+	}
+}
+
+// magnitude is what a SUM or COUNT plan's exact flag derives from: the
+// exact sum of |v| over the tensor values that are integers below 2^53
+// in magnitude, as a 128-bit integer (hi, lo), and the count of the
+// other values (wide). Every fold is exact when no value is wide and
+// the sum is below 2^53: integers below 2^53 then add exactly in any
+// order. A patch adds and subtracts the values it changes.
+type magnitude struct {
+	hi, lo uint64
+	wide   int
+}
+
+// add adds v to the sum (sign 1) or subtracts it (sign -1).
+func (m *magnitude) add(v float64, sign int) {
+	a := math.Abs(v)
+	if v != math.Trunc(v) || a >= 1<<53 {
+		m.wide += sign
+		return
+	}
+	var c uint64
+	if sign > 0 {
+		m.lo, c = bits.Add64(m.lo, uint64(a), 0)
+		m.hi += c
+	} else {
+		m.lo, c = bits.Sub64(m.lo, uint64(a), 0)
+		m.hi -= c
+	}
+}
+
+// exact reports whether the sum is below 2^53 with no wide value.
+func (m *magnitude) exact() bool { return m.wide == 0 && m.hi == 0 && m.lo < 1<<53 }
+
 // planTensor mirrors one tensor of the planned expression with its
 // compiled polynomial root and the Simplify merge key. lo is the first
-// node id of the tensor's contiguous arena span [lo, root]; ApplyMerge
-// uses the spans to re-derive the live node set after tensors are
-// dropped or merged in place.
+// node id of the tensor's contiguous arena span [lo, root]; a patch
+// adds and drops the Var nodes of whole spans in the varNodes index.
 type planTensor struct {
 	root  int32
 	lo    int32
@@ -70,7 +150,8 @@ type planTensor struct {
 	value float64
 	count int
 	group Annotation
-	gid   int32  // group's dense id, -1 for the scalar ("") coordinate, gidUnknown until reindex resolves it
+	gid   int32  // group's dense id, -1 for the scalar ("") coordinate, gidUnknown until install or reindex resolves it
+	slot  int32  // group's slot among the arena's (Arena.Slots), resolved with gid
 	key   string // tensorKey(prov, group), Simplify's merge key
 	size  int    // prov.Size()
 	// anns are the ascending dense ids of the annotations prov mentions,
@@ -79,8 +160,9 @@ type planTensor struct {
 	anns []int32
 }
 
-// gidUnknown is the gid of a tensor new to the plan, which reindex
-// resolves once: dense ids never change, so a tensor keeps its gid.
+// gidUnknown is the gid of a tensor new to the plan, which install (or
+// reindex) resolves once: dense ids never change, so a tensor keeps its
+// gid.
 const gidUnknown int32 = -2
 
 // Plan is a compiled evaluation structure over one aggregated expression
@@ -92,7 +174,10 @@ type Plan struct {
 	ar      *Arena
 	tensors []planTensor
 
-	varNodes      annIndex // ann id → ascending Var node ids
+	// The dependency indexes, kept over the live spans and tensors only
+	// (garbage spans left behind by ApplyMerge never enter a dirty set).
+	// reindex builds them, and install patches the rows a patch touches.
+	varNodes      annIndex // ann id → ascending live Var node ids
 	annTensors    annIndex // ann id → ascending tensor ids whose polynomial mentions it
 	groupTensors  annIndex // ann id → ascending tensor ids with that group
 	scalarTensors []int32  // ascending tensor ids of the scalar ("") coordinate
@@ -103,16 +188,19 @@ type Plan struct {
 	// order or grouping of its contributions: MAX/MIN always are, and
 	// SUM/COUNT are when every tensor value is an integer and their
 	// magnitudes sum below 2^53 (a bound on the values, not on the
-	// polynomial multiplicities that scale them). reindex maintains it.
+	// polynomial multiplicities that scale them). mag holds what it
+	// derives from; reindex and install maintain both.
 	exact bool
+	mag   magnitude
 
 	// probeable reports that the plan's tensors are exactly Simplify's:
 	// every live span is in SimplifyExpr normal form (see normalNode)
 	// with its Sum and Prod children in key order, and tensor keys
 	// ascend strictly. Probe's id-level rewrite is exact for such a
 	// plan, and the patches build the next expression from it. reindex
-	// maintains it; the child order is checked once, by NewPlan, since a
-	// patch adds only SimplifyExpr output.
+	// derives it; install checks what a patch adds. The child order is
+	// checked once, by NewPlan, since a patch adds only SimplifyExpr
+	// output, and normal form survives the renaming of a merge.
 	probeable bool
 	// ordered records that NewPlan found every Sum and Prod listing its
 	// children in key order.
@@ -170,8 +258,8 @@ func NewPlan(e Expression) *Plan {
 		start := len(anns)
 		anns = ar.appendSpanAnns(anns, lo, root)
 		p.tensors[i] = planTensor{
-			root: root, lo: lo, prov: t.Prov, value: t.Value, count: t.Count,
-			group: t.Group, gid: gidUnknown, key: string(key), size: t.Prov.Size(), anns: anns[start:len(anns):len(anns)],
+			root: root, lo: lo, prov: t.Prov, value: t.Value, count: t.Count, group: t.Group,
+			gid: gidUnknown, slot: ar.tensors[i].slot, key: string(key), size: t.Prov.Size(), anns: anns[start:len(anns):len(anns)],
 		}
 		p.size += p.tensors[i].size
 	}
@@ -192,18 +280,20 @@ func (a *Arena) appendSpanAnns(dst []int32, lo, root int32) []int32 {
 	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
-// reindex rebuilds the plan's dependency indexes from its tensor list:
-// the annotation→Var-node index from the live tensor spans (so garbage
-// spans left behind by ApplyMerge never enter future dirty sets) and
+// reindex builds the plan's dependency indexes from its tensor list in
+// full: the annotation→Var-node index from the live tensor spans and
 // the annotation→tensor and group→tensor indexes from the tensors'
 // annotation and group ids. Per-annotation lists come out ascending,
-// which Probe relies on. It also re-derives probeable.
+// which Probe relies on. It also derives probeable and exact. NewPlan
+// runs it once; every in-place patch updates the same state from the
+// patch instead (install), and the tests hold that to reindex.
 func (p *Plan) reindex() {
 	ar := p.ar
 	numAnns := ar.NumAnns()
 	p.probeable = p.ordered
 	live := make([]bool, ar.NumNodes())
-	p.scalarTensors = p.scalarTensors[:0]
+	p.scalarTensors = nil
+	p.mag = magnitude{}
 	for i := range p.tensors {
 		t := &p.tensors[i]
 		for id := t.lo; id <= t.root; id++ {
@@ -215,15 +305,13 @@ func (p *Plan) reindex() {
 		if ar.kind[t.root] == nodeConst && ar.constN[t.root] == 0 {
 			p.probeable = false
 		}
-		switch {
-		case t.group == "":
-			t.gid = -1
-		case t.gid == gidUnknown:
+		t.gid = -1
+		if t.group != "" {
 			t.gid, _ = ar.AnnID(t.group)
-		}
-		if t.gid < 0 {
+		} else {
 			p.scalarTensors = append(p.scalarTensors, int32(i))
 		}
+		p.mag.add(t.value, 1)
 	}
 	for id, l := range live {
 		if l && ar.kind[id] != nodeVar && !ar.normalNode(int32(id)) {
@@ -252,17 +340,14 @@ func (p *Plan) reindex() {
 			}
 		}
 	})
+	p.exact = !p.numeric() || p.mag.exact()
+}
 
-	p.exact = true
-	if k := p.agg.Agg.Kind; k == AggSum || k == AggCount {
-		total := 0.0
-		for i := range p.tensors {
-			v := p.tensors[i].value
-			p.exact = p.exact && v == math.Trunc(v)
-			total += math.Abs(v)
-		}
-		p.exact = p.exact && total < 1<<53
-	}
+// numeric reports whether the plan folds by SUM or COUNT, whose
+// exactness depends on the tensor values.
+func (p *Plan) numeric() bool {
+	k := p.agg.Agg.Kind
+	return k == AggSum || k == AggCount
 }
 
 // Probeable reports whether Probe's id-level rewrite is exact for the
@@ -297,13 +382,16 @@ func (p *Plan) AnnID(a Annotation) (int32, bool) { return p.ar.AnnID(a) }
 // tensors the merge leaves alone keep their Tensor and key, and only
 // the rewritten ones, which Probe's id-level rewrite already keyed, are
 // simplified, then the two key-ascending streams merge in key order.
-// The arena is patched in place instead of recompiled: member Var nodes
-// are retargeted to newAnn's dense id and the dependency indexes are
-// rebuilt over the surviving spans — node ids stay stable, so pooled
-// scratches and the arena's compiled structure survive the step. The
-// patched plan is observationally identical to NewPlan(next) up to
-// garbage spans, and the returned MergePatch carries the step's probes
-// onto it.
+// The arena is patched in place instead of recompiled: the member Var
+// nodes the plan indexes are retargeted to newAnn's dense id, and
+// install moves the rewritten tensors' index entries, the members' Var
+// rows into newAnn's, and the slots of member groups into newAnn's, at
+// the cost of the tensors the merge touched plus one renumbering pass.
+// Node ids stay stable, so pooled scratches and the arena's compiled
+// structure survive the step; the spans of the tensors the merge
+// collapsed become garbage. The patched plan is observationally
+// identical to NewPlan(next) up to garbage spans, and the returned
+// MergePatch carries the step's probes onto it.
 //
 // When the merge Probe refuses (the plan is not probeable, newAnn
 // already occurs without being a member, or a reserved annotation is
@@ -422,12 +510,12 @@ func (p *Plan) applyProbe(pr *Probe) (*Agg, *MergePatch) {
 	m.touched = slices.Compact(m.touched)
 	oldSlots := p.ar.groupKeys
 
-	p.ar.Retarget(pr.memberIDs, newAnn)
+	p.ar.Retarget(pr.memberIDs, newAnn, p.varNodes)
 	for _, i := range rewAt {
 		t := &newTensors[i]
 		t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
 	}
-	p.install(next, newTensors, liveNodes)
+	p.install(next, newTensors, liveNodes, planDelta{remap: remap, dropped: pr.affected, added: rewAt})
 	m.gen, m.newFresh = p.gen, int32(p.ar.NumAnns())
 	m.slotsChanged = !slices.Equal(oldSlots, p.ar.groupKeys)
 	return next, m
@@ -442,7 +530,11 @@ func (p *Plan) applyProbe(pr *Probe) (*Agg, *MergePatch) {
 // among themselves the same way, merge into the key-ascending current
 // ones in key order. The new tensors compile as fresh arena spans after
 // every existing node, so node ids stay stable and pooled scratches
-// re-fit. patched reports that the plan now holds next.
+// re-fit, and install adds their Var nodes at the end of their
+// annotations' rows, their ids to their annotations' and groups' rows,
+// their groups to the slots and their spans to the numeric cone, at the
+// cost of the batch plus one renumbering pass. patched reports that the
+// plan now holds next.
 //
 // It returns nil, false when the plan is not probeable, so its tensors
 // are not Simplify's and the caller must build next itself, or when
@@ -503,6 +595,7 @@ func (p *Plan) ApplyAppend(added []Tensor) (next *Agg, patched bool) {
 	n := len(p.tensors) + len(fresh)
 	next = &Agg{Agg: p.agg.Agg, Tensors: make([]Tensor, 0, n)}
 	newTensors := make([]planTensor, 0, n)
+	d := planDelta{remap: make([]int32, len(p.tensors)), added: make([]int32, 0, len(fresh))}
 	liveNodes := 0
 	emit := func(t planTensor) {
 		next.Tensors = append(next.Tensors, Tensor{Prov: t.prov, Value: t.value, Count: t.count, Group: t.group})
@@ -512,6 +605,7 @@ func (p *Plan) ApplyAppend(added []Tensor) (next *Agg, patched bool) {
 	emitFresh := func(j int32) {
 		f := &folds[j]
 		appendable = appendable && p.ar.Appendable(f.prov)
+		d.added = append(d.added, int32(len(newTensors)))
 		emit(planTensor{
 			root: -1, lo: -1, prov: f.prov, value: f.value, count: f.count,
 			group: f.group, gid: gidUnknown, key: f.key, size: f.prov.Size(),
@@ -526,8 +620,10 @@ func (p *Plan) ApplyAppend(added []Tensor) (next *Agg, patched bool) {
 		if len(grown) > 0 && folds[grown[0]].tid == int32(tid) {
 			t.value, t.count = folds[grown[0]].value, folds[grown[0]].count
 			grown = grown[1:]
+			d.grown = append(d.grown, int32(tid))
 		}
 		liveNodes += int(t.root - t.lo + 1)
+		d.remap[tid] = int32(len(newTensors))
 		emit(t)
 	}
 	for ; fi < len(fresh); fi++ {
@@ -539,34 +635,202 @@ func (p *Plan) ApplyAppend(added []Tensor) (next *Agg, patched bool) {
 		return next, false
 	}
 
-	for i := range newTensors {
-		if t := &newTensors[i]; t.root < 0 {
-			t.lo, t.root = p.ar.AppendSpan(t.prov)
-			t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
-			liveNodes += int(t.root - t.lo + 1)
-		}
+	for _, i := range d.added {
+		t := &newTensors[i]
+		t.lo, t.root = p.ar.AppendSpan(t.prov)
+		t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
+		liveNodes += int(t.root - t.lo + 1)
 	}
-	p.install(next, newTensors, liveNodes)
+	p.install(next, newTensors, liveNodes, d)
 	return next, true
 }
 
+// planDelta is what an in-place patch changed in the plan's tensor
+// list, in the terms install updates the plan from.
+type planDelta struct {
+	// remap maps each old tensor id to its new one, -1 for a dropped
+	// tensor; it is monotone over the kept tensors.
+	remap []int32
+	// dropped lists the ascending old ids of the tensors the patch
+	// removed, and added the ascending new ids of the tensors it added:
+	// their spans are live and their anns set, but their gid and slot
+	// are unresolved. A merge drops the tensors it rewrites and adds
+	// the rewritten ones, an append adds the new tensors.
+	dropped, added []int32
+	// grown lists the old ids of the kept tensors whose value changed.
+	grown []int32
+}
+
 // install makes next, compiled as the plan tensors ts, the plan's
-// expression after an in-place patch: the arena folds ts in order
-// (liveNodes of its nodes back them), the indexes are rebuilt, and the
-// generation advances.
-func (p *Plan) install(next *Agg, ts []planTensor, liveNodes int) {
-	roots := make([]int32, len(ts))
-	values := make([]float64, len(ts))
-	groups := make([]Annotation, len(ts))
-	size := 0
-	for i := range ts {
-		roots[i], values[i], groups[i] = ts[i].root, ts[i].value, ts[i].group
-		size += ts[i].size
+// expression after an in-place patch (liveNodes of the arena's nodes
+// back ts), and advances the generation. It updates the plan from the
+// patch d alone: the index rows of the annotations and groups the
+// dropped and added tensors mention (patchIndexes), the slots of the
+// groups that appear or vanish (Arena.moveSlots), the cone over
+// appended nodes, and the flags of the added tensors. Beyond that it
+// makes one pass over ts, which refolds the arena's tensor table, and
+// one over the index entries of the tensors that moved, which
+// renumbers them in place.
+func (p *Plan) install(next *Agg, ts []planTensor, liveNodes int, d planDelta) {
+	ar := p.ar
+	for _, i := range d.added {
+		t := &ts[i]
+		t.gid = -1
+		if t.group != "" {
+			t.gid = ar.in.Intern(t.group)
+		}
 	}
-	p.ar.SetTensors(roots, values, groups, liveNodes)
-	p.agg, p.tensors, p.size = next, ts, size
-	p.reindex()
+	n := ar.NumAnns()
+	p.varNodes, p.annTensors, p.groupTensors = p.varNodes.grow(n), p.annTensors.grow(n), p.groupTensors.grow(n)
+
+	// The groups the patch touches, and whether each had tensors before.
+	type touched struct {
+		gid int32
+		had bool
+	}
+	groups := make([]touched, 0, len(d.dropped)+len(d.added))
+	for _, tid := range d.dropped {
+		groups = append(groups, touched{gid: p.tensors[tid].gid})
+	}
+	for _, i := range d.added {
+		groups = append(groups, touched{gid: ts[i].gid})
+	}
+	slices.SortFunc(groups, func(a, b touched) int { return cmp.Compare(a.gid, b.gid) })
+	groups = slices.CompactFunc(groups, func(a, b touched) bool { return a.gid == b.gid })
+	for k := range groups {
+		groups[k].had = len(p.tensorsOfGID(groups[k].gid)) > 0
+	}
+
+	p.patchIndexes(ts, d)
+
+	var gone, came []Annotation
+	for _, tg := range groups {
+		if has := len(p.tensorsOfGID(tg.gid)) > 0; has != tg.had {
+			g := Annotation("")
+			if tg.gid >= 0 {
+				g = ar.in.Ann(tg.gid)
+			}
+			if has {
+				came = append(came, g)
+			} else {
+				gone = append(gone, g)
+			}
+		}
+	}
+	slotRemap := ar.moveSlots(gone, came)
+	if cap(ar.tensors) < len(ts) {
+		ar.tensors = make([]arenaTensor, len(ts), len(ts)+len(ts)/4)
+	}
+	ar.tensors = ar.tensors[:len(ts)]
+	added := d.added
+	for i := range ts {
+		t := &ts[i]
+		switch {
+		case len(added) > 0 && added[0] == int32(i):
+			added = added[1:]
+			s, _ := slices.BinarySearch(ar.groupKeys, t.group)
+			t.slot = int32(s)
+		case slotRemap != nil:
+			t.slot = slotRemap[t.slot]
+		}
+		ar.tensors[i] = arenaTensor{root: t.root, value: t.value, slot: t.slot}
+	}
+	ar.deadNodes = ar.NumNodes() - liveNodes
+	ar.extendCone()
+
+	if p.numeric() {
+		p.exact = p.mag.exact()
+	}
+	p.agg, p.tensors = next, ts
 	p.gen++
+}
+
+// patchIndexes moves the plan's indexes, size and value magnitudes from
+// its tensors to ts through the patch d: the dropped tensors leave every
+// row that lists them, in old ids, the kept ones move to their new ids,
+// and the added ones join their rows in new ids. It checks the added
+// tensors' spans and key neighbours for probeable.
+func (p *Plan) patchIndexes(ts []planTensor, d planDelta) {
+	ar, old := p.ar, p.tensors
+	groupRow := func(gid int32) *[]int32 {
+		if gid < 0 {
+			return &p.scalarTensors
+		}
+		return &p.groupTensors[gid]
+	}
+	for _, tid := range d.dropped {
+		t := &old[tid]
+		for _, a := range t.anns {
+			p.varNodes[a] = deleteIDs(p.varNodes[a], t.lo, t.root)
+			p.annTensors[a] = deleteIDs(p.annTensors[a], tid, tid)
+		}
+		row := groupRow(t.gid)
+		*row = deleteIDs(*row, tid, tid)
+		p.size -= t.size
+		p.mag.add(t.value, -1)
+	}
+	if from, ok := firstMoved(d); ok {
+		for _, row := range p.annTensors {
+			renumber(row, d.remap, from)
+		}
+		for _, row := range p.groupTensors {
+			renumber(row, d.remap, from)
+		}
+		renumber(p.scalarTensors, d.remap, from)
+	}
+	for _, tid := range d.grown {
+		p.mag.add(old[tid].value, -1)
+		p.mag.add(ts[d.remap[tid]].value, 1)
+	}
+	for _, i := range d.added {
+		t := &ts[i]
+		for id := t.lo; id <= t.root; id++ {
+			if ar.kind[id] == nodeVar {
+				p.varNodes[ar.ann[id]] = insertID(p.varNodes[ar.ann[id]], id)
+			} else if !ar.normalNode(id) {
+				p.probeable = false
+			}
+		}
+		for _, a := range t.anns {
+			p.annTensors[a] = insertID(p.annTensors[a], i)
+		}
+		row := groupRow(t.gid)
+		*row = insertID(*row, i)
+		p.size += t.size
+		p.mag.add(t.value, 1)
+		if (i > 0 && ts[i-1].key >= t.key) || (int(i)+1 < len(ts) && t.key >= ts[i+1].key) ||
+			(ar.kind[t.root] == nodeConst && ar.constN[t.root] == 0) {
+			p.probeable = false
+		}
+	}
+}
+
+// firstMoved returns the first old tensor id a patch moves, if any: every
+// tensor before the first dropped and the first added one keeps its id.
+func firstMoved(d planDelta) (int32, bool) {
+	from, ok := int32(math.MaxInt32), false
+	if len(d.dropped) > 0 {
+		from, ok = d.dropped[0], true
+	}
+	if len(d.added) > 0 {
+		from, ok = min(from, d.added[0]), true
+	}
+	return from, ok
+}
+
+// LiveAnnotations returns the annotations the plan's expression
+// mentions, as a polynomial variable or a group coordinate, in sorted
+// order: Expr().Annotations() read off the indexes. A merged-away
+// member stays interned but has no live node or tensor left.
+func (p *Plan) LiveAnnotations() []Annotation {
+	var out []Annotation
+	for id, a := range p.ar.Annotations() {
+		if len(p.varNodes.span(int32(id))) > 0 || len(p.groupTensors.span(int32(id))) > 0 {
+			out = append(out, a)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // tensorsOfGID returns the ascending tensor ids whose group has dense

@@ -135,3 +135,22 @@ func BenchmarkPlanProbeCarried(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanApplyMerge times one committed merge on the mid-run
+// MovieLens plan: ApplyMerge of a user pair, which builds the next
+// expression from the patch and installs the patch into the plan's
+// indexes, slots and fold table. Each op plans a fresh fixture,
+// untimed.
+func BenchmarkPlanApplyMerge(b *testing.B) {
+	members, newAnn := []Annotation{"UID007", "UID008"}, Annotation("age:35-44")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan, _ := movieLensPlanFixture()
+		b.StartTimer()
+		if _, patch := plan.ApplyMerge(members, newAnn); patch == nil {
+			b.Fatal("ApplyMerge refused the fixture's user merge")
+		}
+	}
+}

@@ -48,6 +48,9 @@ run_bench 'AggEval|EvalBlock|EvalRows' 20000x ./internal/provenance/
 # one op of PlanProbeCarried is the next step's cohort, carried across
 # one merge (each op also builds its fixture, untimed, ~3 ms).
 run_bench 'PlanProbe$|PlanProbeCarried$' 500x ./internal/provenance/
+# One op of PlanApplyMerge is one committed merge, ~30 µs, on a fixture
+# planned untimed (~0.2 ms each).
+run_bench 'PlanApplyMerge$' 2000x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
 # DDP on its tropical block plan (SummarizeStepScoringDDP).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
