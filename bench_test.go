@@ -380,8 +380,8 @@ func BenchmarkHAC(b *testing.B) {
 	}
 }
 
-// BenchmarkEquivalenceClasses measures the Prop. 4.2.1 partition
-// refinement pre-step.
+// BenchmarkEquivalenceClasses measures the Prop. 4.2.1 pre-step's
+// classes: one hash pass over the annotations' truth columns.
 func BenchmarkEquivalenceClasses(b *testing.B) {
 	w := benchWorkload(b)
 	anns := w.Prov.Annotations()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/distance"
 	"repro/internal/randx"
 )
 
@@ -67,6 +68,50 @@ func TestCarryStatsMovieLens(t *testing.T) {
 	}
 	if stepCarried != st.ProbesCarried {
 		t.Fatalf("StepEvent.ProbesCarried sums to %d, Stats.ProbesCarried is %d", stepCarried, st.ProbesCarried)
+	}
+}
+
+// TestRecycledProbesCarry is the differential test of probe recycling
+// under four sweep workers (CI runs it with -race): every probe a
+// MovieLens run builds after its first step refills one the run dropped
+// (distance.Stats.ProbesRecycled), and after every step core.CheckCarry
+// holds the carried probes, pair list, base groups and truth table to a
+// rebuild on the same plan state. The summary must stay the
+// determinism matrix's. At merge arity 3 the growth rounds' probes,
+// which no step keeps, are recycled too.
+func TestRecycledProbesCarry(t *testing.T) {
+	var afterFirst, firstBuilt uint64
+	var est *distance.Estimator
+	observe := func(ev core.StepEvent) {
+		if ev.Step == 1 {
+			firstBuilt = est.Stats().ProbesBuilt
+		}
+	}
+	key := runMovieLens(t, 4, 0, matrixSteps, func(s *core.Summarizer) {
+		est = core.EstimatorOf(s)
+		core.ObserveSteps(s, observe)
+		core.CheckCarry(s, nil)
+	})
+	checkMatrixKey(t, "movielens recycled workers=4", key, mlEnumKey)
+	st := est.Stats()
+	afterFirst = st.ProbesBuilt - firstBuilt
+	if afterFirst == 0 || st.ProbesRecycled != afterFirst {
+		t.Fatalf("%d probes built after the first step, %d of them recycled; want all of them", afterFirst, st.ProbesRecycled)
+	}
+
+	w := movieLens(t)
+	est = w.Estimator(datasets.CancelSingleAnnotation)
+	est.Parallelism = 4
+	s, err := core.New(core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: 5, MergeArity: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.CheckCarry(s, nil)
+	if _, err := s.Summarize(w.Prov); err != nil {
+		t.Fatal(err)
+	}
+	if st := est.Stats(); st.ProbesRecycled == 0 {
+		t.Fatalf("arity 3: no probe recycled (%d built)", st.ProbesBuilt)
 	}
 }
 

@@ -164,9 +164,9 @@ type Summarizer struct {
 	cfg Config
 	// checkCarry, set only by tests, inspects the carried step state
 	// after every committed step; an error aborts the run.
-	checkCarry func(cur provenance.Expression, carry *stepCarry, r *distance.Run) error
+	checkCarry func(cur provenance.Expression, cum provenance.Mapping, carry *stepCarry, r *distance.Run) error
 	// replay, set only by tests, replaces the run's replay of a restored
-	// merge (distance.Run.Replay).
+	// or Prop. 4.2.1 merge (distance.Run.Replay).
 	replay func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression
 	// rebegin, set only by tests, begins a new distance.Run after every
 	// committed step, so every step compiles its plan afresh.
@@ -271,7 +271,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	// partition already reflects the class's equivalences, and an
 	// equivalence merge would race the seed replay for the same members.
 	if extendFrom == 0 {
-		cur, cum = s.groupEquivalent(cur, cum)
+		cur, cum = s.groupEquivalent(r, cur, cum)
 	}
 
 	var st restoredState
@@ -289,6 +289,10 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
+	// The candidate state carried from step to step lives and dies with
+	// this run.
+	carry := &stepCarry{origAnns: origAnns, base: provenance.GroupsOf(origAnns, cum)}
+
 	// prev tracks the state before the latest merge, for the post-loop
 	// TARGET-DIST rollback (lines 11–13 of Algorithm 1). A checkpoint
 	// restore rebuilds it from the recorded trace.
@@ -296,7 +300,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	prev, prevCum := cur, cum
 	steps := 0
 	if cp == nil {
-		curDist = timedDistance(r, cur, cum, origAnns, res)
+		curDist = timedDistance(r, cur, cum, carry.base, res)
 		initDist, prevDist = curDist, curDist
 		if err := s.emitCheckpoint(res, initDist); err != nil {
 			return nil, err
@@ -315,7 +319,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 			// branch — and backfill the seed trace so emitted
 			// checkpoints and the final summary never carry the NaN
 			// sentinel.
-			curDist = timedDistance(r, cur, cum, origAnns, res)
+			curDist = timedDistance(r, cur, cum, carry.base, res)
 			initDist, prevDist = curDist, curDist
 			for i := range res.Steps[:extendFrom] {
 				res.Steps[i].Dist = curDist
@@ -326,9 +330,6 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		}
 	}
 
-	// The candidate state carried from step to step lives and dies with
-	// this run.
-	carry := &stepCarry{}
 	res.StopReason = "no-candidates"
 	for {
 		if err := ctx.Err(); err != nil {
@@ -352,7 +353,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 		if cfg.StepObserver != nil {
 			before = cfg.Estimator.Stats()
 		}
-		best, ok, err := s.bestCandidate(r, cur, cum, origAnns, origSize, carry, res)
+		best, ok, err := s.bestCandidate(r, cur, cum, origSize, carry, res)
 		if err != nil {
 			return nil, fmt.Errorf("core: step %d: %w", steps+1, err)
 		}
@@ -388,7 +389,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 			})
 		}
 		if s.checkCarry != nil {
-			if err := s.checkCarry(cur, carry, r); err != nil {
+			if err := s.checkCarry(cur, cum, carry, r); err != nil {
 				return nil, fmt.Errorf("core: step %d: %w", steps, err)
 			}
 		}
@@ -443,10 +444,11 @@ const probeAnn provenance.Annotation = "\x00probe"
 // bestCandidate enumerates (or samples) the constraint-satisfying pairs
 // of current annotations, scores each, and returns the minimal-score
 // candidate, breaking ties by taxonomy distance when available. The
-// pair list comes from carry when the previous step's merge left it
-// valid (the probes from the run r), and the committed merge is
-// recorded in it. err is the scorer's refusal of a cohort.
-func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
+// pair list and the base groups come from carry, which the previous
+// step's merge left valid (the probes from the run r), and the
+// committed merge is recorded in it. err is the scorer's refusal of a
+// cohort.
+func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origSize int, carry *stepCarry, res *Summary) (candidate, bool, error) {
 	cfg := s.cfg
 	carry.flush(cfg.Policy)
 	anns := r.Annotations(cur)
@@ -456,23 +458,19 @@ func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, c
 	}
 	if cfg.CandidateCap > 0 && len(pairs) > cfg.CandidateCap {
 		// Shuffle a copy: the carried list keeps enumeration order.
-		pairs = slices.Clone(pairs)
+		pairs = append(carry.shuffled[:0], pairs...)
+		carry.shuffled = pairs
 		cfg.Rand.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 		pairs = pairs[:cfg.CandidateCap]
 	}
 
-	members := make([][]provenance.Annotation, len(pairs))
-	for i, pr := range pairs {
-		members[i] = []provenance.Annotation{pr[0], pr[1]}
-	}
-	base := provenance.GroupsOf(origAnns, cum)
-	cands, err := s.probeCohort(r, cur, cum, base, origSize, members, res)
+	cands, err := s.probeCohort(r, cur, cum, origSize, carry.memberSets(pairs), carry, res)
 	if err != nil {
 		return candidate{}, false, err
 	}
 
 	var best candidate
-	var ties []candidate
+	ties := carry.ties[:0]
 	found := false
 	for _, cand := range cands {
 		switch {
@@ -484,6 +482,7 @@ func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, c
 			ties = append(ties, cand)
 		}
 	}
+	carry.ties = ties
 	if !found {
 		return candidate{}, false, nil
 	}
@@ -491,7 +490,7 @@ func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, c
 		best = s.breakTies(append(ties, best))
 	}
 	if cfg.MergeArity > 2 {
-		if best, err = s.growCandidate(r, cur, cum, base, origSize, anns, best, res); err != nil {
+		if best, err = s.growCandidate(r, cur, cum, origSize, anns, best, carry, res); err != nil {
 			return candidate{}, false, err
 		}
 	}
@@ -501,19 +500,21 @@ func (s *Summarizer) bestCandidate(r *distance.Run, cur provenance.Expression, c
 // probeCohort scores one cohort of candidate member sets through the
 // delta engine (distance.Run.DistanceDelta), which probes every merge
 // against the shared current expression without materializing
-// candidates. The returned candidates carry no expression or cumulative
-// mapping — only the winner is materialized, by commitCandidate. run
-// checked that the run plans the input (distance.Run.CheckPlan); a
-// refusal here (err) fails the run instead of leaving a cohort
-// unscored.
-func (s *Summarizer) probeCohort(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, members [][]provenance.Annotation, res *Summary) ([]candidate, error) {
+// candidates. The returned candidates, in carry's buffer until the next
+// cohort, carry no expression or cumulative mapping — only the winner
+// is materialized, by commitCandidate — and share the cohort's member
+// sets. run checked that the run plans the input
+// (distance.Run.CheckPlan); a refusal here (err) fails the run instead
+// of leaving a cohort unscored.
+func (s *Summarizer) probeCohort(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origSize int, members [][]provenance.Annotation, carry *stepCarry, res *Summary) ([]candidate, error) {
 	cfg := s.cfg
 	t0 := time.Now()
-	dists, sizes, err := r.DistanceDelta(cur, cum, base, members, probeAnn)
+	dists, sizes, err := r.DistanceDelta(cur, cum, carry.base, members, probeAnn)
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]candidate, len(members))
+	cands := fitSlice(carry.cands, len(members))
+	carry.cands = cands
 	for i, ms := range members {
 		rSize := float64(sizes[i]) / float64(origSize)
 		cands[i] = candidate{members: ms, dist: dists[i], score: cfg.WDist*dists[i] + cfg.WSize*rSize}
@@ -526,17 +527,26 @@ func (s *Summarizer) probeCohort(r *distance.Run, cur provenance.Expression, cum
 // growCandidate extends the winning pair towards MergeArity members: at
 // each growth step the constraint-compatible annotation whose absorption
 // yields the lowest candidate score joins the group. Each growth round is
-// one candidate cohort, scored with a single cohort sweep.
-func (s *Summarizer) growCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, origSize int, anns []provenance.Annotation, best candidate, res *Summary) (candidate, error) {
+// one candidate cohort, scored with a single cohort sweep; its member
+// sets share carry's growth slab, so the group a round grows is copied
+// out of it first.
+func (s *Summarizer) growCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origSize int, anns []provenance.Annotation, best candidate, carry *stepCarry, res *Summary) (candidate, error) {
 	for len(best.members) < s.cfg.MergeArity {
-		var members [][]provenance.Annotation
+		group := append(carry.growing[:0], best.members...)
+		carry.growing = group
+		k := len(group) + 1
+		members, slab := carry.grown[:0], carry.growSlab[:0]
 		for _, a := range anns {
-			if contains(best.members, a) || !s.compatibleWithAll(a, best.members) {
+			if contains(group, a) || !s.compatibleWithAll(a, group) {
 				continue
 			}
-			members = append(members, append(append([]provenance.Annotation(nil), best.members...), a))
+			slab = append(append(slab, group...), a)
 		}
-		cands, err := s.probeCohort(r, cur, cum, base, origSize, members, res)
+		for at := 0; at < len(slab); at += k {
+			members = append(members, slab[at:at+k:at+k])
+		}
+		carry.grown, carry.growSlab = members, slab
+		cands, err := s.probeCohort(r, cur, cum, origSize, members, carry, res)
 		if err != nil {
 			return candidate{}, err
 		}
@@ -582,10 +592,12 @@ func contains(list []provenance.Annotation, a provenance.Annotation) bool {
 // step's first probe; the next step carries the merge into the pair
 // list (stepCarry.flush).
 func (s *Summarizer) commitCandidate(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, c candidate, carry *stepCarry) candidate {
+	// The winner's members leave the step's slab: the trace keeps them.
+	c.members = slices.Clone(c.members)
 	c.newAnn = s.cfg.Policy.MergeName(c.members)
 	c.cum = cum.Compose(provenance.MergeMapping(c.newAnn, c.members...))
 	c.expr = r.CommitMerge(cur, c.members, c.newAnn)
-	carry.pending = &committedMerge{members: c.members, newAnn: c.newAnn}
+	carry.pending = committedMerge{members: c.members, newAnn: c.newAnn}
 	return c
 }
 
@@ -633,10 +645,10 @@ func pairLess(x, y candidate) bool {
 }
 
 // timedDistance measures cur against the run's original, counting the
-// work in res.
-func timedDistance(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, origAnns []provenance.Annotation, res *Summary) float64 {
+// work in res; base is GroupsOf(origAnns, cum).
+func timedDistance(r *distance.Run, cur provenance.Expression, cum provenance.Mapping, base provenance.Groups, res *Summary) float64 {
 	t0 := time.Now()
-	d := r.Distance(cur, cum, provenance.GroupsOf(origAnns, cum))
+	d := r.Distance(cur, cum, base)
 	res.CandidateTime += time.Since(t0)
 	return d
 }
@@ -645,17 +657,22 @@ func timedDistance(r *distance.Run, cur provenance.Expression, cum provenance.Ma
 // receive the same truth value under every valuation of the class are
 // merged (a free simplification — their evaluations can never be told
 // apart). Only groups whose members the policy allows to merge pairwise
-// are collapsed, so semantic constraints are never violated.
-func (s *Summarizer) groupEquivalent(cur provenance.Expression, cum provenance.Mapping) (provenance.Expression, provenance.Mapping) {
-	classes := EquivalenceClasses(cur.Annotations(), s.cfg.Estimator.Class)
-	for _, cls := range classes {
+// are collapsed, so semantic constraints are never violated. The classes
+// come from the run's truth columns (distance.Run.EquivalenceClasses),
+// and each merge replays on the run's plan (distance.Run.Replay), which
+// the run's CheckPlan and first step then reuse.
+func (s *Summarizer) groupEquivalent(r *distance.Run, cur provenance.Expression, cum provenance.Mapping) (provenance.Expression, provenance.Mapping) {
+	replay := r.Replay
+	if s.replay != nil {
+		replay = s.replay
+	}
+	for _, cls := range r.EquivalenceClasses(r.Annotations(cur)) {
 		if len(cls) < 2 || !s.allMergeable(cls) {
 			continue
 		}
 		newAnn := s.cfg.Policy.MergeName(cls)
-		step := provenance.MergeMapping(newAnn, cls...)
-		cur = cur.Apply(step)
-		cum = cum.Compose(step)
+		cur = replay(cur, cls, newAnn)
+		cum = cum.Compose(provenance.MergeMapping(newAnn, cls...))
 	}
 	return cur, cum
 }
@@ -671,33 +688,12 @@ func (s *Summarizer) allMergeable(cls []provenance.Annotation) bool {
 	return true
 }
 
-// EquivalenceClasses partitions anns into classes of annotations that
-// agree under every valuation of the class, by the partition-refinement
-// procedure of Prop. 4.2.1 (polynomial in |anns| and |class|). Classes
-// are returned in deterministic order with sorted members (the input
-// order of anns is preserved within classes; callers pass sorted
+// EquivalenceClasses partitions anns into the classes of annotations
+// that agree under every valuation of class (Prop. 4.2.1): those whose
+// truth columns over the class are equal (distance.EquivalenceClasses).
+// Classes come in the order the proposition's partition refinement
+// yields, with members in the input order of anns (callers pass sorted
 // annotation sets).
 func EquivalenceClasses(anns []provenance.Annotation, class valuation.Class) [][]provenance.Annotation {
-	classes := [][]provenance.Annotation{append([]provenance.Annotation(nil), anns...)}
-	for _, v := range class.Valuations() {
-		next := make([][]provenance.Annotation, 0, len(classes))
-		for _, c := range classes {
-			var trues, falses []provenance.Annotation
-			for _, a := range c {
-				if v.Truth(a) {
-					trues = append(trues, a)
-				} else {
-					falses = append(falses, a)
-				}
-			}
-			if len(trues) > 0 {
-				next = append(next, trues)
-			}
-			if len(falses) > 0 {
-				next = append(next, falses)
-			}
-		}
-		classes = next
-	}
-	return classes
+	return distance.EquivalenceClasses(anns, class.Valuations())
 }

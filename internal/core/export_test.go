@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/distance"
@@ -13,12 +14,17 @@ import (
 // annotation set (read off the patched plan) must be the expression's,
 // the carried pair list must be the one the merge predicted for exactly
 // the next step's annotation set, and equal a fresh enumeration over
-// it, and every carried probe must equal one built afresh on the same
-// plan state. carried, when non-nil, receives the number of probes
-// carried into each step.
+// it, the carried base groups must equal GroupsOf over the cumulative
+// mapping, and every carried probe and the carried truth table must
+// equal ones built afresh on the same plan state
+// (distance.Run.CheckCarry). carried, when non-nil, receives the number
+// of probes carried into each step.
 func CheckCarry(s *Summarizer, carried func(probes int)) {
-	s.checkCarry = func(cur provenance.Expression, c *stepCarry, r *distance.Run) error {
+	s.checkCarry = func(cur provenance.Expression, cum provenance.Mapping, c *stepCarry, r *distance.Run) error {
 		c.flush(s.cfg.Policy)
+		if want := provenance.GroupsOf(c.origAnns, cum); !maps.EqualFunc(c.base, want, slices.Equal) {
+			return fmt.Errorf("carried base groups %v, want %v", c.base, want)
+		}
 		anns := cur.Annotations()
 		if live := r.Annotations(cur); !slices.Equal(live, anns) {
 			return fmt.Errorf("the run's annotation set %v, want %v", live, anns)
@@ -34,7 +40,7 @@ func CheckCarry(s *Summarizer, carried func(probes int)) {
 		if !slices.Equal(pl.pairs, fresh) {
 			return fmt.Errorf("carried pairs %v, want %v", pl.pairs, fresh)
 		}
-		n, err := r.CheckCarry()
+		n, err := r.CheckCarry(c.base)
 		if carried != nil {
 			carried(n)
 		}
@@ -58,3 +64,9 @@ func ReplayByApply(s *Summarizer) {
 func RebeginEveryStep(s *Summarizer) {
 	s.rebegin = true
 }
+
+// EstimatorOf returns the estimator s scores with.
+func EstimatorOf(s *Summarizer) *distance.Estimator { return s.cfg.Estimator }
+
+// ObserveSteps makes s report every committed step to observe.
+func ObserveSteps(s *Summarizer, observe StepObserver) { s.cfg.StepObserver = observe }

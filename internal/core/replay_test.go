@@ -263,3 +263,52 @@ func checkResumes(t *testing.T, cps []core.Checkpoint, want *core.Summary, worke
 		}
 	}
 }
+
+// TestGroupEquivalentReplayMatchesApply holds the Prop. 4.2.1 pre-step,
+// which commits each class of equivalent annotations through the run's
+// plan (distance.Run.Replay), to the Apply oracle (core.ReplayByApply)
+// under Cancel Single Attribute, where users with one attribute profile
+// are equivalent: the pre-step alone (no scored step) and a run that
+// goes on scoring on the plan the replay left must both equal the
+// oracle's summaries, at Parallelism 1 and 4.
+func TestGroupEquivalentReplayMatchesApply(t *testing.T) {
+	for _, workers := range matrixWorkers {
+		for _, steps := range []int{-1, 4} {
+			run := func(with ...func(*core.Summarizer)) *core.Summary {
+				t.Helper()
+				w := movieLens(t)
+				est := w.Estimator(datasets.CancelSingleAttribute)
+				est.Parallelism = workers
+				cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.7, WSize: 0.3, MaxSteps: steps}
+				if steps < 0 {
+					cfg.MaxSteps, cfg.TargetSize = 0, w.Prov.Size()
+				}
+				s, err := core.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range with {
+					f(s)
+				}
+				sum, err := s.Summarize(w.Prov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum
+			}
+			got, want := run(), run(core.ReplayByApply)
+			if d := summaryDiff(got, want); d != "" {
+				t.Fatalf("workers=%d steps=%d: replayed pre-step differs from Apply: %s", workers, steps, d)
+			}
+			merged := 0
+			for _, ms := range got.Groups {
+				if len(ms) > 1 {
+					merged++
+				}
+			}
+			if steps < 0 && merged == 0 {
+				t.Fatalf("workers=%d: the pre-step merged no class; groups %v", workers, got.Groups)
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package distance
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +31,10 @@ type deltaProbe struct {
 	memberRaw  []int32
 	// flatIDs are the base-interner ids of the union of the base groups
 	// of the probed members: the original annotations whose φ-combined
-	// truth the merged group gets.
-	flatIDs []int32
+	// truth the merged group gets. flatSpan is their span in the run's
+	// slab while DistanceDelta fills it.
+	flatIDs  []int32
+	flatSpan [2]int32
 	// noSkip blocks the truth-delta short-circuit: the candidate's
 	// result can differ from the base even when no truth changes. It
 	// renames a vector coordinate or an aligned original coordinate,
@@ -50,42 +54,186 @@ type deltaProbe struct {
 // raw plan ids into it), so each raw truth column is pulled from the
 // valuations exactly once — a raw annotation that is also some group's
 // member is not read twice — and every per-candidate φ-combine is pure
-// array indexing, no string hashing on the hot path. It is built once
-// per DistanceDelta call and shared read-only across workers.
+// array indexing, no string hashing on the hot path. It is shared
+// read-only across a sweep's workers.
+//
+// An arena plan's table lives on the Run and is carried from step to
+// step (Run.stepTruths): a committed merge changes the base groups only
+// at its members and its summary annotation, so only their ids (stale)
+// are derived again, from the next step's base, and the ids the merge
+// interned are added. The interner keeps its ids, so the packed truth
+// columns of enumeration mode (cols) carry too.
 type deltaTruths struct {
 	names   []provenance.Annotation // interned annotations in id order
 	members [][]int32               // per id: baseIn ids of its base-group members, nil → raw truth
 	rawID   []int32                 // per id: baseIn id of its raw truth (-1 when grouped)
 	baseIn  *provenance.Interner    // interned base members and raw plan annotations
 	phi     provenance.Combiner
+
+	// cols holds, per baseIn id, its packed truth column over the
+	// sweep's valuations (columns); in enumeration mode the first ncols
+	// are the run's memoized columns and stay valid. colSlab backs
+	// sampling mode's columns, packed afresh every sweep.
+	cols    [][]uint64
+	ncols   int
+	colSlab []uint64
+
+	// The carry: the table is plan's at generation gen, derived from the
+	// base groups base, except at the ids in stale, which merges
+	// committed since changed.
+	plan  *provenance.Plan
+	gen   uint64
+	base  provenance.Groups
+	stale []int32
 }
 
 func newDeltaTruths(names []provenance.Annotation, base provenance.Groups, phi provenance.Combiner) *deltaTruths {
-	baseIn := provenance.NewInternerSize(len(names))
-	members := make([][]int32, len(names))
-	rawID := make([]int32, len(names))
-	for id, ann := range names {
-		rawID[id] = -1
-		if ms, ok := base[ann]; ok && len(ms) > 0 {
-			ids := make([]int32, len(ms))
-			for i, m := range ms {
-				ids[i] = baseIn.Intern(m)
-			}
-			members[id] = ids
-		} else {
-			rawID[id] = baseIn.Intern(ann)
-		}
+	t := &deltaTruths{
+		baseIn:  provenance.NewInternerSize(len(names)),
+		phi:     phi,
+		members: make([][]int32, 0, len(names)),
+		rawID:   make([]int32, 0, len(names)),
+		base:    base,
 	}
-	return &deltaTruths{names: names, members: members, rawID: rawID, baseIn: baseIn, phi: phi}
+	t.extend(names)
+	return t
 }
 
-// internFlat interns the flattened member list of one probe.
-func (d *deltaTruths) internFlat(flat []provenance.Annotation) []int32 {
-	ids := make([]int32, len(flat))
-	for i, m := range flat {
-		ids[i] = d.baseIn.Intern(m)
+// extend adds the ids of names beyond the table's (names extends the
+// table's own), each derived from the table's base groups.
+func (t *deltaTruths) extend(names []provenance.Annotation) {
+	t.names = names
+	for id := len(t.members); id < len(names); id++ {
+		t.members = append(t.members, nil)
+		t.rawID = append(t.rawID, -1)
+		t.derive(int32(id))
 	}
-	return ids
+}
+
+// derive sets how annotation id's extended truth derives from the base
+// groups: the φ-combine of its group's members, or its raw truth.
+func (t *deltaTruths) derive(id int32) {
+	ann := t.names[id]
+	if ms, ok := t.base[ann]; ok && len(ms) > 0 {
+		ids := make([]int32, len(ms))
+		for i, m := range ms {
+			ids[i] = t.baseIn.Intern(m)
+		}
+		t.members[id], t.rawID[id] = ids, -1
+		return
+	}
+	t.members[id], t.rawID[id] = nil, t.baseIn.Intern(ann)
+}
+
+// appendFlat appends the baseIn ids of annotation id's base group: the
+// original annotations whose φ-combined truth is its extended truth,
+// internFlat(base.Members(names[id])) without the interning.
+func (t *deltaTruths) appendFlat(dst []int32, id int32) []int32 {
+	if ms := t.members[id]; ms != nil {
+		return append(dst, ms...)
+	}
+	return append(dst, t.rawID[id])
+}
+
+// flatNames returns the annotations whose truths annotation id's
+// extended truth φ-combines: its base group, or itself.
+func (t *deltaTruths) flatNames(id int32) []provenance.Annotation {
+	var out []provenance.Annotation
+	for _, b := range t.appendFlat(nil, id) {
+		out = append(out, t.baseIn.Ann(b))
+	}
+	return out
+}
+
+// internFlat interns a flattened member list, appending its ids to dst.
+func (t *deltaTruths) internFlat(dst []int32, flat []provenance.Annotation) []int32 {
+	for _, m := range flat {
+		dst = append(dst, t.baseIn.Intern(m))
+	}
+	return dst
+}
+
+// columns returns the packed truth column over vals of every interned
+// base annotation, in baseIn id order: the run's memoized columns in
+// enumeration mode, added for the ids interned since the last sweep,
+// and columns packed afresh over this sweep's draws in sampling mode.
+// It runs before a sweep fans out, so workers only read them.
+func (t *deltaTruths) columns(r *Run, vals []provenance.Valuation) [][]uint64 {
+	anns := t.baseIn.Annotations()
+	if cap(t.cols) < len(anns) {
+		t.cols = append(t.cols[:t.ncols], make([][]uint64, len(anns)-t.ncols)...)
+	}
+	t.cols = t.cols[:len(anns)]
+	if r.e.Samples <= 0 {
+		for i := t.ncols; i < len(anns); i++ {
+			t.cols[i] = r.truthColumn(anns[i], vals)
+		}
+		t.ncols = len(anns)
+		return t.cols
+	}
+	words := (len(vals) + 63) / 64
+	t.colSlab = fit(t.colSlab, words*len(anns))
+	clear(t.colSlab)
+	for i, a := range anns {
+		t.cols[i] = t.colSlab[i*words : (i+1)*words : (i+1)*words]
+		packColumn(t.cols[i], a, vals)
+	}
+	return t.cols
+}
+
+// stepTruths returns the truth table of a sweep on plan (names, its
+// annotations) for the base groups base. An arena plan's table is the
+// run's, carried across the merges committed on the plan since the last
+// sweep (noteMerge): it is kept as it is for the same base on the same
+// plan state, and its stale ids are derived again from base after a
+// merge. Any other table is built afresh, and a block plan's is never
+// kept, since the block plan is recompiled every step.
+func (r *Run) stepTruths(plan *provenance.Plan, names []provenance.Annotation, base provenance.Groups) *deltaTruths {
+	if plan == nil {
+		return newDeltaTruths(names, base, r.e.Phi)
+	}
+	t := r.truths
+	if t == nil || t.plan != plan || t.gen != plan.Generation() || (len(t.stale) == 0 && !sameGroups(t.base, base)) {
+		t = newDeltaTruths(names, base, r.e.Phi)
+		t.plan, t.gen = plan, plan.Generation()
+		r.truths = t
+		return t
+	}
+	if len(t.stale) > 0 {
+		t.base = base
+		t.extend(names)
+		for _, id := range t.stale {
+			t.derive(id)
+		}
+		t.stale = t.stale[:0]
+	}
+	return t
+}
+
+// noteMerge records a merge of members into newAnn just patched into
+// the cached plan: a table carried to the plan's previous generation
+// moves to the new one, with the ids whose derivation the merge changed
+// marked stale; any other table is dropped.
+func (r *Run) noteMerge(members []provenance.Annotation, newAnn provenance.Annotation) {
+	t := r.truths
+	if t == nil || t.plan != r.plan || t.gen+1 != r.plan.Generation() {
+		r.truths = nil
+		return
+	}
+	t.gen++
+	for _, a := range members {
+		if id, ok := r.plan.AnnID(a); ok {
+			t.stale = append(t.stale, id)
+		}
+	}
+	if id, ok := r.plan.AnnID(newAnn); ok {
+		t.stale = append(t.stale, id)
+	}
+}
+
+// sameGroups reports whether a and b are the same map.
+func sameGroups(a, b provenance.Groups) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // DistanceDelta scores a cohort of candidate merges over the shared
@@ -131,6 +279,8 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 	if err != nil {
 		return nil, nil, err
 	}
+	r.recycle(r.loose...)
+	r.loose = refit(r.loose, 0)
 	if r.probeAnn != newAnn {
 		r.dropProbes()
 		r.probeAnn = newAnn
@@ -146,37 +296,45 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 		r.dropProbes()
 		return nil, nil, planError("the summary annotation %q occurs in the expression", newAnn)
 	}
-	truths := newDeltaTruths(names, base, e.Phi)
-	// The probes, their member ids, and the φ-member scratch share a few
-	// slabs instead of allocating per candidate.
-	probes := make([]*deltaProbe, len(cohort))
-	slab := make([]deltaProbe, len(cohort))
+	truths := r.stepTruths(plan, names, base)
+	// The probes, their member ids and their flattened base groups live
+	// in the run's slabs, refilled by every call.
+	n := len(cohort)
+	r.dps, r.dpp = refit(r.dps, n), refit(r.dpp, n)
 	nMembers := 0
 	for _, ms := range cohort {
 		nMembers += len(ms)
 	}
-	idSlab := make([]int32, 0, nMembers)
-	var flat []provenance.Annotation
+	r.ids = fit(r.ids, nMembers)
+	ids, flat := r.ids, r.flat[:0]
 	var bprobes []BlockProbe
 	if bplan != nil {
-		bprobes = make([]BlockProbe, len(cohort))
+		r.bprobes = refit(r.bprobes, n)
+		bprobes = r.bprobes
 	}
-	sizes = make([]int, len(cohort))
+	sizes = fit(r.sizes, n)
+	r.sizes = sizes
 	var carried, built uint64
 	for i, ms := range cohort {
-		dp := &slab[i]
+		dp := &r.dps[i]
+		*dp = deltaProbe{}
 		if plan != nil {
 			k, pair := pairKey(ms)
 			pr := r.carried[k]
 			if pair && pr != nil && pr.On(plan) {
 				carried++
-			} else if pr = plan.Probe(ms, newAnn); pr == nil {
+			} else if pr = r.probe(plan, ms, newAnn); pr == nil {
 				r.dropProbes()
 				return nil, nil, planError("the plan refuses the merge of %q", ms)
 			} else {
 				built++
 			}
-			if pair {
+			if !pair {
+				r.loose = append(r.loose, pr)
+			} else {
+				if old := r.step[k]; old != nil && old != pr && old != r.carried[k] {
+					r.loose = append(r.loose, old)
+				}
 				r.step[k] = pr
 			}
 			dp.pr, dp.members = pr, pr.Members
@@ -192,20 +350,18 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 			dp.members, dp.noSkip = ms, bp.Reshapes()
 			sizes[i] = bp.Size()
 		}
-		flat = flat[:0]
-		for _, m := range ms {
-			flat = append(flat, base.Members(m)...)
-		}
-		dp.flatIDs = truths.internFlat(flat)
-		dp.memberIDs = idSlab[len(idSlab) : len(idSlab)+len(dp.members) : len(idSlab)+len(dp.members)]
-		idSlab = idSlab[:len(idSlab)+len(dp.members)]
+		dp.memberIDs, ids = ids[:len(dp.members):len(dp.members)], ids[len(dp.members):]
+		flatLo := len(flat)
 		for k, m := range dp.members {
-			if id, ok := annID(m); ok {
+			id, ok := annID(m)
+			if ok {
 				dp.memberIDs[k] = id
+				flat = truths.appendFlat(flat, id)
 				continue
 			}
 			// An uninterned member's truth column is the φ-combine of its
 			// base group, or its raw truth.
+			flat = truths.internFlat(flat, base.Members(m))
 			dp.memberIDs[k] = -1
 			if dp.memberCols == nil {
 				dp.memberCols = make([][]int32, len(dp.members))
@@ -215,13 +371,21 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 				}
 			}
 			if bm, grouped := base[m]; grouped && len(bm) > 0 {
-				dp.memberCols[k] = truths.internFlat(bm)
+				dp.memberCols[k] = truths.internFlat(nil, bm)
 			} else {
 				dp.memberRaw[k] = truths.baseIn.Intern(m)
 			}
 		}
-		probes[i] = dp
+		dp.flatSpan = [2]int32{int32(flatLo), int32(len(flat))}
+		r.dpp[i] = dp
 	}
+	// The free probes this cohort did not reuse are let go.
+	r.free = refit(r.free, 0)
+	// flat is complete: point every probe at its span.
+	for _, dp := range r.dpp[:n] {
+		dp.flatIDs = flat[dp.flatSpan[0]:dp.flatSpan[1]:dp.flatSpan[1]]
+	}
+	r.flat = flat
 
 	t0 := time.Now()
 	defer func() {
@@ -232,7 +396,9 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 		e.stats.deltaNanos.Add(int64(time.Since(t0)))
 	}()
 
-	out := make([]float64, len(cohort))
+	out := fit(r.out, n)
+	r.out = out
+	clear(out)
 	if len(cohort) == 0 {
 		return out, sizes, nil
 	}
@@ -241,6 +407,7 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 		return out, sizes, nil
 	}
 
+	probes := r.dpp[:n]
 	e.stats.deltaSkips.Add(r.deltaBlocked(truths, probes, vals, out, r.laneEvals(plan, bplan, cum, probes, bprobes, vals, newAnn)))
 	e.normalize(out, len(vals))
 	return out, sizes, nil
@@ -329,7 +496,7 @@ func (r *Run) distanceBase(pc provenance.Expression, cum provenance.Mapping, gro
 		return 0, nil
 	}
 	out := []float64{0}
-	r.deltaBlocked(newDeltaTruths(names, groups, e.Phi), []*deltaProbe{{}}, vals, out, r.laneEvals(plan, bplan, cum, nil, nil, vals, ""))
+	r.deltaBlocked(r.stepTruths(plan, names, groups), []*deltaProbe{{}}, vals, out, r.laneEvals(plan, bplan, cum, nil, nil, vals, ""))
 	e.stats.evaluations.Add(uint64(len(vals)))
 	e.normalize(out, len(vals))
 	return out[0], nil
@@ -339,9 +506,9 @@ func (r *Run) distanceBase(pc provenance.Expression, cum provenance.Mapping, gro
 // original's rows over its arena's slots (originalRows, on the arena
 // sweepNames compiled), the step's space, and the own space of every
 // probe that needs one. A probe whose merge renames a coordinate of the
-// aligned original is scored against the original aligned through its
-// composed mapping, and one that renames a coordinate of cur gets its
-// candidate's slots; both block the skip.
+// aligned original is scored against the original aligned through cum
+// followed by its merge, and one that renames a coordinate of cur gets
+// its candidate's slots; both block the skip.
 func (r *Run) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []*deltaProbe, vals []provenance.Valuation, newAnn provenance.Annotation) *denseStep {
 	origs := r.originalRows(vals)
 	origKeys := r.origArena.Slots()
@@ -349,7 +516,7 @@ func (r *Run) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []
 		ar:     plan.Arena(),
 		agg:    plan.Expr().Agg,
 		origs:  origs,
-		space:  newDenseSpace(origKeys, cum, plan.Arena().Slots()),
+		space:  newDenseSpace(origKeys, cum.Rename, plan.Arena().Slots()),
 		probes: probes,
 	}
 	for _, dp := range probes {
@@ -359,8 +526,13 @@ func (r *Run) denseStep(plan *provenance.Plan, cum provenance.Mapping, probes []
 		}
 		if touched || dp.pr.RenamesGroup {
 			dp.noSkip = true
-			composed := cum.Compose(provenance.MergeMapping(newAnn, dp.members...))
-			sp := newDenseSpace(origKeys, composed, dp.pr.Slots())
+			merged := func(k provenance.Annotation) provenance.Annotation {
+				if nk := cum.Rename(k); !slices.Contains(dp.members, nk) {
+					return nk
+				}
+				return newAnn
+			}
+			sp := newDenseSpace(origKeys, merged, dp.pr.Slots())
 			dp.space = &sp
 		}
 	}
@@ -517,12 +689,8 @@ func (r *Run) deltaBlocked(shared *deltaTruths, probes []*deltaProbe, vals []pro
 		}
 	}
 	// Prewarm the packed truth column of every raw annotation before
-	// fanning out, so sweep workers only read the memo.
-	baseAnns := shared.baseIn.Annotations()
-	cols := make([][]uint64, len(baseAnns))
-	for i, a := range baseAnns {
-		cols[i] = r.truthColumn(a, vals)
-	}
+	// fanning out, so sweep workers only read them.
+	cols := shared.columns(r, vals)
 	var skipped atomic.Uint64
 	// Every cell of the matrix is written before it is read (a lane
 	// either skips to the base value or is re-evaluated), so the run's
@@ -647,4 +815,14 @@ func fit[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// refit is fit for a slab whose entries hold references: the entries a
+// shrink drops are zeroed first, so the slab keeps nothing they pointed
+// at alive.
+func refit[T any](s []T, n int) []T {
+	if n < len(s) {
+		clear(s[n:])
+	}
+	return fit(s, n)
 }

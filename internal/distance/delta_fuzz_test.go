@@ -136,7 +136,10 @@ func fuzzScenario(r *fuzzReader) (p0 *provenance.Agg, cur provenance.Expression,
 // DistanceDelta and per-candidate Distance must both be bitwise equal
 // to refDistance — in enumeration mode and in
 // seeded sampling mode — and the incremental sizes must equal the
-// materialized candidates' sizes.
+// materialized candidates' sizes. The run then commits the cohort's
+// first merge and scores the next step's cohort on the patched plan,
+// with the probes it dropped recycled and its truth table carried
+// (checkNextStep).
 func FuzzDistanceDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -158,7 +161,8 @@ func FuzzDistanceDelta(f *testing.F) {
 					return e
 				}
 				d := est()
-				got, sizes, err := d.Begin(p0).DistanceDelta(cur, cum, base, sets, "Z")
+				run := d.Begin(p0)
+				got, sizes, err := run.DistanceDelta(cur, cum, base, sets, "Z")
 				if err != nil {
 					t.Fatalf("DistanceDelta refused a plain aggregation: %v: %v", err, cur)
 				}
@@ -175,7 +179,43 @@ func FuzzDistanceDelta(f *testing.F) {
 						t.Fatalf("φ=%s candidate %d (%v): incremental size %d != Apply size %d", phi.Name(), i, sets[i], sizes[i], want)
 					}
 				}
+				checkNextStep(t, run, p0, cur, cum, anns, sets[0], refVals(d.Class, 2*samples, 3)[samples:])
 			}
 		}
 	})
+}
+
+// checkNextStep commits the merge of ms on run's plan of cur and holds
+// the next step's scores — every pair of the next expression's first
+// annotations, on the patched plan, with the probes the merge dropped
+// recycled and the truth table carried — to refDistance over vals, the
+// next sweep's valuations.
+func checkNextStep(t *testing.T, run *Run, p0 *provenance.Agg, cur provenance.Expression, cum provenance.Mapping, anns, ms []provenance.Annotation, vals []provenance.Valuation) {
+	t.Helper()
+	step := provenance.MergeMapping("M", ms...)
+	next := run.CommitMerge(cur, ms, "M")
+	nextCum := cum.Compose(step)
+	base := provenance.GroupsOf(anns, nextCum)
+	nextAnns := next.Annotations()
+	var sets [][]provenance.Annotation
+	for i := 0; i < len(nextAnns) && i < 3; i++ {
+		for j := i + 1; j < len(nextAnns); j++ {
+			sets = append(sets, []provenance.Annotation{nextAnns[i], nextAnns[j]})
+		}
+	}
+	if len(sets) == 0 {
+		return
+	}
+	got, _, err := run.DistanceDelta(next, nextCum, base, sets, "Z")
+	if err != nil {
+		t.Fatalf("next step: DistanceDelta refused %v: %v", next, err)
+	}
+	for i, c := range sets {
+		h := provenance.MergeMapping("Z", c...)
+		candCum := nextCum.Compose(h)
+		want := refDistance(run.e, vals, p0, next.Apply(h), candCum, provenance.GroupsOf(anns, candCum))
+		if got[i] != want {
+			t.Fatalf("next step after %v→M, candidate %v: delta %v != reference %v\nnext=%v", ms, c, got[i], want, next)
+		}
+	}
 }

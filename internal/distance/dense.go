@@ -41,13 +41,13 @@ type denseSpace struct {
 
 // newDenseSpace lays out the space of a summary with coordinates
 // summKeys (sorted) against the original's coordinates origKeys (sorted)
-// aligned through m (provenance.AlignedKey).
-func newDenseSpace(origKeys []provenance.Annotation, m provenance.Mapping, summKeys []provenance.Annotation) denseSpace {
+// aligned through the mapping image renames by (provenance.AlignRenamed).
+func newDenseSpace(origKeys []provenance.Annotation, image func(provenance.Annotation) provenance.Annotation, summKeys []provenance.Annotation) denseSpace {
 	// The space is the summary's own when it has every aligned key (the
 	// common case): then it shares summKeys.
 	keys := summKeys
 	for _, k := range origKeys {
-		nk, ok := provenance.AlignedKey(k, m)
+		nk, ok := provenance.AlignRenamed(k, image(k))
 		if _, found := slices.BinarySearch(summKeys, nk); ok && !found {
 			if len(keys) == len(summKeys) {
 				keys = slices.Clone(summKeys)
@@ -75,7 +75,7 @@ func newDenseSpace(origKeys []provenance.Annotation, m provenance.Mapping, summK
 	targets := csr[n+1 : n+1+len(origKeys)]
 	for i, k := range origKeys {
 		targets[i] = -1
-		if nk, ok := provenance.AlignedKey(k, m); ok {
+		if nk, ok := provenance.AlignRenamed(k, image(k)); ok {
 			targets[i] = slotOf(nk)
 			sp.origOff[targets[i]+1]++
 		}

@@ -80,7 +80,7 @@ func TestDenseSpaceMatchesAlignResult(t *testing.T) {
 	for _, kind := range []provenance.AggKind{provenance.AggSum, provenance.AggMax} {
 		g := provenance.NewAgg(kind)
 		want := g.AlignResult(vec, m).(provenance.Vector)
-		sp := newDenseSpace(origKeys, m, summKeys)
+		sp := newDenseSpace(origKeys, m.Rename, summKeys)
 		var scr []float64
 		row := sp.alignRow(&scr, orig, g.Agg)
 		if got := len(sp.keys); got != 4 { // "", S, e, x

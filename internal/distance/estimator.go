@@ -91,8 +91,9 @@ type estimatorCounters struct {
 	mergePatches    atomic.Uint64
 	mergeRecompiles atomic.Uint64
 
-	probesCarried atomic.Uint64
-	probesBuilt   atomic.Uint64
+	probesCarried  atomic.Uint64
+	probesBuilt    atomic.Uint64
+	probesRecycled atomic.Uint64
 }
 
 // Stats is a snapshot of the estimator's instrumentation counters: the
@@ -142,8 +143,10 @@ type Stats struct {
 	MergePatches, MergeRecompiles uint64
 	// ProbesCarried counts DeltaCandidates whose probe a run carried
 	// over from its previous step, ProbesBuilt those whose probe was
-	// compiled afresh; the two sum to DeltaCandidates.
-	ProbesCarried, ProbesBuilt uint64
+	// compiled afresh; the two sum to DeltaCandidates. ProbesRecycled
+	// counts the built probes compiled into the buffers of a probe the
+	// run dropped earlier (provenance.Plan.Reprobe).
+	ProbesCarried, ProbesBuilt, ProbesRecycled uint64
 }
 
 // Stats returns a snapshot of the estimator's counters, accumulated over
@@ -172,8 +175,9 @@ func (e *Estimator) Stats() Stats {
 		MergePatches:    e.stats.mergePatches.Load(),
 		MergeRecompiles: e.stats.mergeRecompiles.Load(),
 
-		ProbesCarried: e.stats.probesCarried.Load(),
-		ProbesBuilt:   e.stats.probesBuilt.Load(),
+		ProbesCarried:  e.stats.probesCarried.Load(),
+		ProbesBuilt:    e.stats.probesBuilt.Load(),
+		ProbesRecycled: e.stats.probesRecycled.Load(),
 	}
 }
 

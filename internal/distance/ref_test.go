@@ -78,3 +78,36 @@ var (
 )
 
 type RefCandidate = refCandidate
+
+// refineClasses is the test-only oracle of EquivalenceClasses: the
+// partition refinement of Prop. 4.2.1, which splits every class into
+// its annotations true and false under each valuation of vals in turn,
+// trues first. A class that would be empty is dropped, so no
+// annotations give no classes.
+func refineClasses(anns []provenance.Annotation, vals []provenance.Valuation) [][]provenance.Annotation {
+	if len(anns) == 0 {
+		return nil
+	}
+	classes := [][]provenance.Annotation{append([]provenance.Annotation(nil), anns...)}
+	for _, v := range vals {
+		next := make([][]provenance.Annotation, 0, len(classes))
+		for _, c := range classes {
+			var trues, falses []provenance.Annotation
+			for _, a := range c {
+				if v.Truth(a) {
+					trues = append(trues, a)
+				} else {
+					falses = append(falses, a)
+				}
+			}
+			if len(trues) > 0 {
+				next = append(next, trues)
+			}
+			if len(falses) > 0 {
+				next = append(next, falses)
+			}
+		}
+		classes = next
+	}
+	return classes
+}

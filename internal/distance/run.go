@@ -2,6 +2,7 @@ package distance
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -64,6 +65,30 @@ type Run struct {
 	carried, step map[[2]provenance.Annotation]*provenance.Probe
 	pending       *provenance.MergePatch
 	committed     *atomic.Uint64
+	// free is the run's free list of probes (recycle): those settle
+	// drops, the committed winner among them, and every probe of a
+	// dropped plan. loose holds the probes of the last DistanceDelta
+	// call that no step map keeps (k-ary growth probes, and pair probes
+	// a later call of the step replaced), which the next call recycles.
+	// A free probe that call does not reuse is let go, so the run's live
+	// heap still shrinks with its cohorts.
+	free, loose []*provenance.Probe
+
+	// truths is the sweeps' truth table, carried across the merges
+	// patched into plan (stepTruths). The rest is DistanceDelta's
+	// scratch, refilled by every call: its probes and their slab, the
+	// probes' member ids and flattened base groups, a block plan's
+	// probes, and the sizes and distances it returns, which stay valid
+	// until the next call. anns is Annotations' result.
+	truths  *deltaTruths
+	dps     []deltaProbe
+	dpp     []*deltaProbe
+	ids     []int32
+	flat    []int32
+	bprobes []BlockProbe
+	sizes   []int
+	out     []float64
+	anns    []provenance.Annotation
 	// replayApply records that Replay met an aggregation the arena cannot
 	// plan or probe; the run's remaining replayed merges Apply.
 	replayApply bool
@@ -182,12 +207,14 @@ func (r *Run) Replay(cur provenance.Expression, members []provenance.Annotation,
 }
 
 // Annotations returns cur.Annotations(), read off the plan's indexes
-// (provenance.Plan.LiveAnnotations) when the run holds cur's arena plan,
-// as it does from CheckPlan on and after every patched merge; any other
+// (provenance.Plan.AppendLiveAnnotations) into a slice the run reuses,
+// valid until the next call, when the run holds cur's arena plan, as it
+// does from CheckPlan on and after every patched merge; any other
 // expression, DDP's included, collects them from its tree.
 func (r *Run) Annotations(cur provenance.Expression) []provenance.Annotation {
 	if r.plan != nil && comparableExpr(cur) && r.planFor == cur {
-		return r.plan.LiveAnnotations()
+		r.anns = r.plan.AppendLiveAnnotations(r.anns[:0])
+		return r.anns
 	}
 	return cur.Annotations()
 }
@@ -215,6 +242,7 @@ func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annota
 	}
 	if patch != nil {
 		r.planFor = g
+		r.noteMerge(members, newAnn)
 		return g, patch, true
 	}
 	r.plan, r.planFor = nil, nil
@@ -227,7 +255,9 @@ func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annota
 // settle carries the committed merge into the run once the next step
 // has begun: its outcome is counted, and the probes the previous step
 // scored are rebased across its patch (provenance.MergePatch.Carry) to
-// become the carried probes.
+// become the carried probes. The probes that do not survive are
+// recycled: the patch, which shares the winner's Members, is dropped by
+// then, and the step's sweeps are over.
 func (r *Run) settle() {
 	if r.committed != nil {
 		r.committed.Add(1)
@@ -238,20 +268,62 @@ func (r *Run) settle() {
 		return
 	}
 	r.pending = nil
+	r.dropCarried()
 	for k, pr := range r.step {
 		if !m.Carry(pr) {
 			delete(r.step, k)
+			r.recycle(pr)
 		}
 	}
-	clear(r.carried)
 	r.carried, r.step = r.step, r.carried
 }
 
-// dropProbes empties the carried and the step's probes, which a
-// recompiled or dropped plan shares nothing with.
+// dropProbes recycles the carried, the step's and the loose probes,
+// which a recompiled or dropped plan shares nothing with.
 func (r *Run) dropProbes() {
-	clear(r.carried)
+	r.dropCarried()
+	for _, pr := range r.step {
+		r.recycle(pr)
+	}
 	clear(r.step)
+	r.recycle(r.loose...)
+	r.loose = refit(r.loose, 0)
+}
+
+// dropCarried recycles the carried probes the step did not score, which
+// no merge rebases, and empties the carried map; the others are the
+// step's.
+func (r *Run) dropCarried() {
+	for k, pr := range r.carried {
+		if r.step[k] != pr {
+			r.recycle(pr)
+		}
+	}
+	clear(r.carried)
+}
+
+// recycle puts probes no step map, sweep or patch refers to any more on
+// the run's free list.
+func (r *Run) recycle(probes ...*provenance.Probe) {
+	r.free = append(r.free, probes...)
+}
+
+// probe builds the probe of the merge of ms into newAnn on plan into a
+// recycled probe when the free list has one (provenance.Plan.Reprobe).
+// It returns nil when the plan refuses the merge.
+func (r *Run) probe(plan *provenance.Plan, ms []provenance.Annotation, newAnn provenance.Annotation) *provenance.Probe {
+	n := len(r.free)
+	if n == 0 {
+		return plan.Probe(ms, newAnn)
+	}
+	old := r.free[n-1]
+	pr := plan.Reprobe(old, ms, newAnn)
+	if pr != nil {
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		r.e.stats.probesRecycled.Add(1)
+	}
+	return pr
 }
 
 // pairKey is the carry's key of a member set: probes are carried for
@@ -263,11 +335,13 @@ func pairKey(ms []provenance.Annotation) ([2]provenance.Annotation, bool) {
 	return [2]provenance.Annotation{ms[0], ms[1]}, true
 }
 
-// CheckCarry settles the committed merge and holds every probe carried
-// into the next step to one built afresh on the same plan state
-// (provenance.Probe.Diff). It returns how many it checked, or the first
-// mismatch. Differential tests call it between steps.
-func (r *Run) CheckCarry() (int, error) {
+// CheckCarry settles the committed merge and holds the state the run
+// carries into the next step to a rebuild on the same plan state: every
+// carried probe to one built afresh (provenance.Probe.Diff), and the
+// truth table, carried to base, the next step's base groups, to one
+// derived from base in full. It returns how many probes it checked, or
+// the first mismatch. Differential tests call it between steps.
+func (r *Run) CheckCarry(base provenance.Groups) (int, error) {
 	r.settle()
 	for k, pr := range r.carried {
 		if !pr.On(r.plan) {
@@ -279,6 +353,15 @@ func (r *Run) CheckCarry() (int, error) {
 		}
 		if d := pr.Diff(fresh); d != "" {
 			return 0, fmt.Errorf("carried probe %v: %s", k, d)
+		}
+	}
+	if r.plan != nil && r.truths != nil && r.truths.plan == r.plan {
+		names := r.plan.Annotations()
+		got, want := r.stepTruths(r.plan, names, base), newDeltaTruths(names, base, r.e.Phi)
+		for id := range names {
+			if g, w := got.flatNames(int32(id)), want.flatNames(int32(id)); !slices.Equal(g, w) {
+				return 0, fmt.Errorf("carried truth of %q derives from %v, want %v", names[id], g, w)
+			}
 		}
 	}
 	return len(r.carried), nil
@@ -401,11 +484,7 @@ func (r *Run) truthColumn(a provenance.Annotation, vals []provenance.Valuation) 
 		}
 	}
 	col := make([]uint64, words)
-	for j, v := range vals {
-		if v.Truth(a) {
-			col[j>>6] |= 1 << uint(j&63)
-		}
-	}
+	packColumn(col, a, vals)
 	if enum {
 		if r.truthCols == nil {
 			r.truthCols = make(map[provenance.Annotation][]uint64)
@@ -413,6 +492,15 @@ func (r *Run) truthColumn(a provenance.Annotation, vals []provenance.Valuation) 
 		r.truthCols[a] = col
 	}
 	return col
+}
+
+// packColumn sets the bits of a's truths over vals in the zeroed col.
+func packColumn(col []uint64, a provenance.Annotation, vals []provenance.Valuation) {
+	for j, v := range vals {
+		if v.Truth(a) {
+			col[j>>6] |= 1 << uint(j&63)
+		}
+	}
 }
 
 // batchValuations returns the sweep's valuation list: the enumerated

@@ -80,7 +80,7 @@ func (m *MergePatch) Carry(pr *Probe) bool {
 		if f.gid == m.oldFresh {
 			f.gid = m.newFresh
 		} else if _, hit := slices.BinarySearch(m.touched, f.gid); hit {
-			f.entries = nil
+			f.stale = true
 			refold = true
 		}
 	}

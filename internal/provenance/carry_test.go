@@ -57,7 +57,10 @@ func carryFixture(next func() byte, kind AggKind) *Agg {
 // The patched plan itself must equal a full rebuild over its tensors
 // (requireRebuilt).
 // Some probes are compiled before the merge and some are not, so both
-// kept and lazily rebuilt programs are checked.
+// kept and lazily rebuilt programs are checked. The probes a merge
+// drops are recycled (Plan.Reprobe) into the next state's new pair
+// probes, as a scoring run recycles them, and each recycled probe must
+// equal a fresh one too.
 func FuzzPlanCarry(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 2, 0, 1, 1, 1, 2, 2, 1, 3, 0, 0, 1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 0}, uint64(7), uint8(0))
 	f.Add([]byte{11, 1, 2, 0, 1, 4, 2, 3, 3, 1, 2, 2, 0, 3, 0, 4, 1, 1, 2, 0, 3, 1, 2, 2, 1, 0, 1}, uint64(99), uint8(1))
@@ -87,7 +90,8 @@ func FuzzPlanCarry(f *testing.F) {
 		if plan == nil || !plan.probeable {
 			t.Skipf("fixture does not plan: %s", cur)
 		}
-		probes := pairProbes(plan, cur, next)
+		var free []*Probe
+		probes := pairProbes(t, plan, cur, next, &free)
 
 		for step := 0; step < 4; step++ {
 			anns := cur.Annotations()
@@ -120,13 +124,14 @@ func FuzzPlanCarry(f *testing.F) {
 				if plan == nil || !plan.probeable {
 					return
 				}
-				probes = pairProbes(plan, cur, next)
+				probes = pairProbes(t, plan, cur, next, &free)
 				continue
 			}
 			requireRebuilt(t, fmt.Sprintf("step %d: %v→%s", step, members, newAnn), plan)
-			var kept []*Probe
+			var kept, dropped []*Probe
 			for _, pr := range probes {
 				if !patch.Carry(pr) {
+					dropped = append(dropped, pr)
 					continue
 				}
 				fresh := plan.Probe(pr.Members, pr.NewAnn)
@@ -141,7 +146,8 @@ func FuzzPlanCarry(f *testing.F) {
 			}
 			// Carried probes stay in the cohort next to fresh ones for
 			// the pairs the merge created or invalidated.
-			probes = append(kept, pairProbes(plan, cur, next)...)
+			free = append(free, dropped...)
+			probes = append(kept, pairProbes(t, plan, cur, next, &free)...)
 		}
 	})
 }
@@ -158,18 +164,33 @@ func probeOf(probes []*Probe, ms []Annotation) *Probe {
 }
 
 // pairProbes probes every pair of cur's annotations into "Z",
-// compiling a decoded subset of them.
-func pairProbes(plan *Plan, cur *Agg, next func() byte) []*Probe {
+// compiling a decoded subset of them. It refills the probes of *free
+// first (Plan.Reprobe), and holds the refilled probes it compiles to
+// fresh ones.
+func pairProbes(t *testing.T, plan *Plan, cur *Agg, next func() byte, free *[]*Probe) []*Probe {
+	t.Helper()
 	anns := cur.Annotations()
 	var probes []*Probe
 	for i := range anns {
 		for j := i + 1; j < len(anns); j++ {
-			pr := plan.Probe([]Annotation{anns[i], anns[j]}, "Z")
+			ms := []Annotation{anns[i], anns[j]}
+			var old *Probe
+			if n := len(*free); n > 0 {
+				old, *free = (*free)[n-1], (*free)[:n-1]
+			}
+			pr := plan.Reprobe(old, ms, "Z")
 			if pr == nil {
+				if old != nil {
+					*free = append(*free, old)
+				}
 				continue
 			}
 			if next()%2 == 0 {
-				pr.compileEval()
+				if old == nil {
+					pr.compileEval()
+				} else if d := pr.Diff(plan.Probe(ms, "Z")); d != "" {
+					t.Fatalf("recycled probe of %v differs from a fresh probe: %s", ms, d)
+				}
 			}
 			probes = append(probes, pr)
 		}

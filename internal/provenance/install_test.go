@@ -132,7 +132,7 @@ func requireRebuilt(t *testing.T, label string, p *Plan) {
 	if p.probeable != q.probeable || p.exact != q.exact || p.exact != exact {
 		t.Fatalf("%s: probeable/exact %v/%v, a full rebuild has %v/%v (float sum: exact %v)", label, p.probeable, p.exact, q.probeable, q.exact, exact)
 	}
-	if got, want := p.LiveAnnotations(), p.agg.Annotations(); !slices.Equal(got, want) {
+	if got, want := p.AppendLiveAnnotations(nil), p.agg.Annotations(); !slices.Equal(got, want) {
 		t.Fatalf("%s: live annotations %v, the expression's are %v", label, got, want)
 	}
 }

@@ -515,7 +515,17 @@ func (p *Plan) applyProbe(pr *Probe) (*Agg, *MergePatch) {
 		t := &newTensors[i]
 		t.anns = p.ar.appendSpanAnns(nil, t.lo, t.root)
 	}
-	p.install(next, newTensors, liveNodes, planDelta{remap: remap, dropped: pr.affected, added: rewAt})
+	// order is spent: it takes the representatives, which ascend since
+	// affected does and a class's is its first tensor.
+	reused := order
+	for i := range rews {
+		reused[i] = rews[i].tid
+	}
+	newID, _ := p.ar.AnnID(newAnn)
+	p.install(next, newTensors, liveNodes, planDelta{
+		remap: remap, dropped: pr.affected, added: rewAt,
+		reused: reused, memberIDs: pr.memberIDs, newID: newID,
+	})
 	m.gen, m.newFresh = p.gen, int32(p.ar.NumAnns())
 	m.slotsChanged = !slices.Equal(oldSlots, p.ar.groupKeys)
 	return next, m
@@ -659,6 +669,13 @@ type planDelta struct {
 	dropped, added []int32
 	// grown lists the old ids of the kept tensors whose value changed.
 	grown []int32
+	// reused lists the ascending old ids of the dropped tensors whose
+	// span an added tensor keeps (a merge's rewritten representatives).
+	// Such a span's Var nodes stay in the rows of the annotations the
+	// merge leaves alone; only the merge's memberIDs lose them, to newID,
+	// the summary annotation's dense id (Arena.Retarget moved them).
+	reused, memberIDs []int32
+	newID             int32
 }
 
 // install makes next, compiled as the plan tensors ts, the plan's
@@ -758,10 +775,17 @@ func (p *Plan) patchIndexes(ts []planTensor, d planDelta) {
 		}
 		return &p.groupTensors[gid]
 	}
+	reused := d.reused
 	for _, tid := range d.dropped {
 		t := &old[tid]
+		kept := len(reused) > 0 && reused[0] == tid
+		if kept {
+			reused = reused[1:]
+		}
 		for _, a := range t.anns {
-			p.varNodes[a] = deleteIDs(p.varNodes[a], t.lo, t.root)
+			if !kept || slices.Contains(d.memberIDs, a) {
+				p.varNodes[a] = deleteIDs(p.varNodes[a], t.lo, t.root)
+			}
 			p.annTensors[a] = deleteIDs(p.annTensors[a], tid, tid)
 		}
 		row := groupRow(t.gid)
@@ -784,10 +808,18 @@ func (p *Plan) patchIndexes(ts []planTensor, d planDelta) {
 	}
 	for _, i := range d.added {
 		t := &ts[i]
+		// A merge adds only rewrittens, each on its representative's live
+		// span: the span's retargeted Var nodes join newID's row, the
+		// others never left theirs, and its nodes are in normal form
+		// already.
+		kept := len(d.reused) > 0
 		for id := t.lo; id <= t.root; id++ {
-			if ar.kind[id] == nodeVar {
-				p.varNodes[ar.ann[id]] = insertID(p.varNodes[ar.ann[id]], id)
-			} else if !ar.normalNode(id) {
+			switch {
+			case ar.kind[id] == nodeVar:
+				if a := ar.ann[id]; !kept || a == d.newID {
+					p.varNodes[a] = insertID(p.varNodes[a], id)
+				}
+			case !kept && !ar.normalNode(id):
 				p.probeable = false
 			}
 		}
@@ -818,20 +850,25 @@ func firstMoved(d planDelta) (int32, bool) {
 	return from, ok
 }
 
-// LiveAnnotations returns the annotations the plan's expression
-// mentions, as a polynomial variable or a group coordinate, in sorted
-// order: Expr().Annotations() read off the indexes. A merged-away
-// member stays interned but has no live node or tensor left.
-func (p *Plan) LiveAnnotations() []Annotation {
-	var out []Annotation
+// AppendLiveAnnotations appends to dst the annotations the plan's
+// expression mentions, as a polynomial variable or a group coordinate,
+// in sorted order: Expr().Annotations() read off the indexes. A
+// merged-away member stays interned but has no live node or tensor
+// left.
+func (p *Plan) AppendLiveAnnotations(dst []Annotation) []Annotation {
+	start := len(dst)
 	for id, a := range p.ar.Annotations() {
 		if len(p.varNodes.span(int32(id))) > 0 || len(p.groupTensors.span(int32(id))) > 0 {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
+
+// Generation counts the in-place patches the plan has taken since
+// NewPlan compiled it.
+func (p *Plan) Generation() uint64 { return p.gen }
 
 // tensorsOfGID returns the ascending tensor ids whose group has dense
 // id gid (-1 for the scalar coordinate).
@@ -855,8 +892,9 @@ type foldEntry struct {
 
 // groupFold is the re-fold program of one coordinate a probe touches:
 // the group's tensors that the merge leaves alone (survivors) and the
-// rewrittens that land in it. entries is nil until compileFolds builds
-// it, and again after a carry whose merge changed the group's tensors.
+// rewrittens that land in it. stale is set until compileFolds builds
+// entries, and again after a carry whose merge changed the group's
+// tensors, when the refold reuses the entries' room if they fit.
 type groupFold struct {
 	group Annotation
 	gid   int32 // group's dense id (the plan's NumAnns for NewAnn, -1 for the scalar coordinate)
@@ -868,6 +906,7 @@ type groupFold struct {
 	// reorders reports that the entries list their tensors in another
 	// order than the plan folds them.
 	reorders bool
+	stale    bool
 	entries  []foldEntry
 }
 
@@ -907,13 +946,14 @@ type Probe struct {
 	// when the merge touched one of its coordinates or changed the plan's
 	// slots, and the next compileEval rebuilds what dropped. compiled is
 	// set once the program is complete; compileMu serializes the
-	// evaluators that find it unset.
-	compileMu        sync.Mutex
-	compiled         atomic.Bool
-	foldsOK, slotsOK bool
-	memberIDs        []int32 // dense ids of the interned members
-	affected         []int32 // ascending ids of the tensors the merge rewrites
-	rews             []probeRewritten
+	// evaluators that find it unset. Every slice below is refilled in
+	// place when Reprobe recycles the probe.
+	compileMu                 sync.Mutex
+	compiled                  atomic.Bool
+	dirtyOK, foldsOK, slotsOK bool
+	memberIDs                 []int32 // dense ids of the interned members
+	affected                  []int32 // ascending ids of the tensors the merge rewrites
+	rews                      []probeRewritten
 	// rewKeys holds the candidate keys of the rewrittens back to back,
 	// rendered once by the eager pass and never changed after it (rewKey).
 	// A key does not depend on the plan's other tensors, so the keys
@@ -924,13 +964,18 @@ type Probe struct {
 	dirtyNodes []int32      // ascending dirty node ids (children before parents)
 	removed    []Annotation // coordinates that disappear (member groups)
 	folds      []groupFold  // re-fold programs for the affected coordinates
+	// foldBuf backs the folds' entries (compileFolds).
+	foldBuf []foldEntry
 
 	// slots are the candidate's coordinates in sorted order: the plan's
 	// slots minus removed, plus NewAnn when a member group moves into it.
 	// baseSlot maps each plan slot to its candidate slot (-1 when
-	// removed); it is nil when the two coincide.
-	slots    []Annotation
-	baseSlot []int32
+	// removed); it is nil when the two coincide. slotBuf and baseSlotBuf
+	// back them when they are the probe's own.
+	slots       []Annotation
+	baseSlot    []int32
+	slotBuf     []Annotation
+	baseSlotBuf []int32
 
 	// reorders reports that some re-fold lists its tensors in another
 	// order than the plan does (compileEval).
@@ -977,16 +1022,32 @@ func (pr *Probe) rewEntry(i int32) foldEntry {
 // group that absorbs another annotation) is sound: every tensor that
 // mentions newAnn is then rewritten too.
 func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
+	return p.Reprobe(nil, members, newAnn)
+}
+
+// Reprobe is Probe compiled into the buffers of old, a probe of any plan
+// that nothing evaluates, carries or refers to any more: old is
+// overwritten and returned, and its slices are refilled in place, so a
+// scorer that recycles the probes it drops builds its next probes
+// without allocating. A nil old allocates a new probe. When the plan
+// refuses the merge, Reprobe returns nil and leaves old unchanged.
+func (p *Plan) Reprobe(old *Probe, members []Annotation, newAnn Annotation) *Probe {
 	if p.refuses(members, newAnn) {
 		return nil
 	}
-
-	// The probe, its member copies and its interned member ids share one
-	// allocation at merge arity.
-	pa := &probeAlloc{}
-	pr := &pa.Probe
-	pr.Members = append(pa.members[:0:len(pa.members)], members...)
-	pr.memberIDs = pa.ids[:0:len(pa.ids)]
+	pr := old
+	if pr == nil {
+		// The probe, its member copies and its interned member ids share
+		// one allocation at merge arity.
+		pa := &probeAlloc{}
+		pr = &pa.Probe
+		pr.Members, pr.memberIDs = pa.members[:0:len(pa.members)], pa.ids[:0:len(pa.ids)]
+	}
+	pr.compiled.Store(false)
+	pr.dirtyOK, pr.foldsOK, pr.slotsOK, pr.reorders = false, false, false, false
+	pr.folds = pr.folds[:0]
+	pr.Members = append(pr.Members[:0], members...)
+	pr.memberIDs = pr.memberIDs[:0]
 	affectedLen := 0
 	for _, m := range members {
 		if id, ok := p.ar.AnnID(m); ok {
@@ -1000,8 +1061,8 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	// member. Ascending tensor ids preserve the expression's tensor order
 	// for value merging below. Coordinates that disappear: member groups
 	// lose all their tensors to NewAnn.
-	affected := make([]int32, 0, affectedLen)
-	var removed []Annotation
+	affected := slices.Grow(pr.affected[:0], affectedLen)
+	removed := pr.removed[:0]
 	for _, id := range memberIDs {
 		grp := p.groupTensors.span(id)
 		if len(grp) > 0 {
@@ -1023,7 +1084,7 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 	fresh := int32(p.ar.NumAnns())
 	ps := probeScratchPool.Get().(*probeScratch)
 	keys := ps.key[:0]
-	rews := make([]probeRewritten, 0, len(affected))
+	rews := slices.Grow(pr.rews[:0], len(affected))
 	size := p.size
 	for _, tid := range affected {
 		t := &p.tensors[tid]
@@ -1053,7 +1114,8 @@ func (p *Plan) Probe(members []Annotation, newAnn Annotation) *Probe {
 			})
 		}
 	}
-	pr.rewKeys = bytes.Clone(keys)
+
+	pr.rewKeys = append(pr.rewKeys[:0], keys...)
 	ps.key = keys
 	probeScratchPool.Put(ps)
 
@@ -1100,8 +1162,9 @@ func (pr *Probe) compileEval() {
 }
 
 func (pr *Probe) compileEvalSlow() {
-	if pr.dirty == nil {
+	if !pr.dirtyOK {
 		pr.compileDirty()
+		pr.dirtyOK = true
 	}
 	if !pr.foldsOK {
 		pr.compileFolds()
@@ -1114,13 +1177,18 @@ func (pr *Probe) compileEvalSlow() {
 }
 
 // compileFolds builds the re-fold programs of every coordinate the
-// probe touches whose entries are missing: on first use all of them,
-// after a carry those whose group the merge changed.
+// probe touches that are stale: on first use all of them, after a carry
+// those whose group the merge changed. The entries live in foldBuf,
+// refilled from its start on first use. A refold after a carry rewrites
+// a program in place when it fits in its old entries' room, and appends
+// it behind the others otherwise, or to a buffer of its own when
+// foldBuf has no room left.
 func (pr *Probe) compileFolds() {
 	p := pr.plan
 	fresh := int32(p.ar.NumAnns())
-	if pr.folds == nil {
-		pr.folds = pr.foldGroups()
+	first := len(pr.folds) == 0
+	if first {
+		pr.folds = pr.foldGroups(slices.Grow(pr.folds[:0], len(pr.rews)))
 	}
 	survivors := func(f *groupFold) int32 {
 		if f.gid == fresh {
@@ -1128,39 +1196,56 @@ func (pr *Probe) compileFolds() {
 		}
 		return int32(len(p.tensorsOfGID(f.gid))) - f.affected
 	}
-	total := 0
+	buf := pr.foldBuf
+	if first {
+		buf = buf[:0]
+	}
+	inPlace := func(f *groupFold) bool { return !first && int(survivors(f)+f.rews) <= cap(f.entries) }
+	need := 0
 	for i := range pr.folds {
-		if f := &pr.folds[i]; f.entries == nil {
-			total += int(survivors(f) + f.rews)
+		f := &pr.folds[i]
+		if f.stale && !inPlace(f) {
+			need += int(survivors(f) + f.rews)
 		}
+	}
+	own := true
+	if cap(buf)-len(buf) < need {
+		own = first
+		buf = make([]foldEntry, 0, need)
 	}
 	ps := probeScratchPool.Get().(*probeScratch)
 	defer probeScratchPool.Put(ps)
-	buf := make([]foldEntry, 0, total)
 	pr.reorders = false
 	for i := range pr.folds {
 		f := &pr.folds[i]
-		if f.entries == nil {
-			start := len(buf)
-			buf = pr.appendFold(buf, f, survivors(f), ps)
-			f.entries = buf[start:len(buf):len(buf)]
+		if f.stale {
+			if inPlace(f) {
+				f.entries = pr.appendFold(f.entries[:0], f, survivors(f), ps)
+			} else {
+				start := len(buf)
+				buf = pr.appendFold(buf, f, survivors(f), ps)
+				f.entries = buf[start:len(buf):len(buf)]
+			}
+			f.stale = false
 		}
 		pr.reorders = pr.reorders || f.reorders
 	}
+	if own {
+		pr.foldBuf = buf
+	}
 }
 
-// foldGroups lists the coordinates the probe re-folds, in first-touch
-// order, with their counts and no entries yet.
-func (pr *Probe) foldGroups() []groupFold {
+// foldGroups appends to folds the coordinates the probe re-folds, in
+// first-touch order, with their counts and no entries yet.
+func (pr *Probe) foldGroups(folds []groupFold) []groupFold {
 	p := pr.plan
-	folds := make([]groupFold, 0, len(pr.rews))
 	find := func(g Annotation, gid int32) *groupFold {
 		for i := range folds {
 			if folds[i].gid == gid {
 				return &folds[i]
 			}
 		}
-		folds = append(folds, groupFold{group: g, gid: gid})
+		folds = append(folds, groupFold{group: g, gid: gid, stale: true})
 		return &folds[len(folds)-1]
 	}
 	for _, tid := range pr.affected {
@@ -1239,12 +1324,19 @@ func (pr *Probe) appendFold(buf []foldEntry, f *groupFold, survivors int32, ps *
 // parents).
 func (pr *Probe) compileDirty() {
 	p := pr.plan
-	dirty := NewBitset(p.ar.NumNodes())
+	words := (p.ar.NumNodes() + 63) / 64
+	dirty := pr.dirty
+	if cap(dirty) < words {
+		dirty = NewBitset(p.ar.NumNodes())
+	} else {
+		dirty = dirty[:words]
+		clear(dirty)
+	}
 	live := 0
 	for _, tid := range pr.affected {
 		live += int(p.tensors[tid].root - p.tensors[tid].lo + 1)
 	}
-	dirtyNodes := make([]int32, 0, live) // member occurrences live in affected spans
+	dirtyNodes := slices.Grow(pr.dirtyNodes[:0], live) // member occurrences live in affected spans
 	for _, id := range pr.memberIDs {
 		for _, nd := range p.varNodes.span(id) {
 			for n := nd; n != -1 && !dirty.Get(n); n = p.ar.parent[n] {
@@ -1266,7 +1358,7 @@ func (pr *Probe) compileSlots() {
 	base := pr.plan.ar.groupKeys
 	pr.slots, pr.baseSlot = base, nil
 	if len(pr.removed) > 0 {
-		slots := make([]Annotation, 0, len(base)-len(pr.removed)+1)
+		slots := slices.Grow(pr.slotBuf[:0], len(base)-len(pr.removed)+1)
 		for _, g := range base {
 			if !slices.Contains(pr.removed, g) {
 				slots = append(slots, g)
@@ -1274,7 +1366,9 @@ func (pr *Probe) compileSlots() {
 		}
 		at, _ := slices.BinarySearch(slots, pr.NewAnn)
 		pr.slots = slices.Insert(slots, at, pr.NewAnn)
-		pr.baseSlot = make([]int32, len(base))
+		pr.slotBuf = pr.slots
+		pr.baseSlot = fit(pr.baseSlotBuf, len(base))
+		pr.baseSlotBuf = pr.baseSlot
 		for i, g := range base {
 			pr.baseSlot[i] = -1
 			if !slices.Contains(pr.removed, g) {

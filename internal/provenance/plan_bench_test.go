@@ -81,19 +81,23 @@ func fixtureCohort(cur *Agg) [][]Annotation {
 // BenchmarkPlanProbe times the candidate work of one Algorithm 1 step
 // on the mid-run MovieLens plan: Probe plus compileEval for every
 // pair merge of two current annotations of the same kind, with
-// -benchmem's allocs/op counting the whole cohort.
+// -benchmem's allocs/op counting the whole cohort. Each op after the
+// first rebuilds the cohort into the previous op's probes
+// (Plan.Reprobe), as a scoring run recycles the probes it drops.
 func BenchmarkPlanProbe(b *testing.B) {
 	plan, cur := movieLensPlanFixture()
 	cohort := fixtureCohort(cur)
+	probes := make([]*Probe, len(cohort))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, ms := range cohort {
-			pr := plan.Probe(ms, "S")
+		for k, ms := range cohort {
+			pr := plan.Reprobe(probes[k], ms, "S")
 			if pr == nil {
 				b.Fatalf("Probe(%v) refused", ms)
 			}
 			pr.compileEval()
+			probes[k] = pr
 		}
 	}
 }
@@ -103,8 +107,8 @@ func BenchmarkPlanProbe(b *testing.B) {
 // and compiled, a user merge is committed through ApplyMerge (untimed),
 // and the next step's cohort is probed by carrying every probe the
 // merge left valid (MergePatch.Carry) and building only the others,
-// each then compiled. Compare with BenchmarkPlanProbe, which builds the
-// whole cohort.
+// each then compiled, into the probes the merge dropped (Plan.Reprobe).
+// Compare with BenchmarkPlanProbe, which builds the whole cohort.
 func BenchmarkPlanProbeCarried(b *testing.B) {
 	members, newAnn := []Annotation{"UID007", "UID008"}, Annotation("age:35-44")
 	b.ReportAllocs()
@@ -124,10 +128,21 @@ func BenchmarkPlanProbeCarried(b *testing.B) {
 		}
 		cohort := fixtureCohort(next)
 		b.StartTimer()
+		var free []*Probe
+		for k, pr := range carried {
+			if !patch.Carry(pr) {
+				delete(carried, k)
+				free = append(free, pr)
+			}
+		}
 		for _, ms := range cohort {
 			pr := carried[[2]Annotation{ms[0], ms[1]}]
-			if pr == nil || !patch.Carry(pr) {
-				if pr = plan.Probe(ms, "S"); pr == nil {
+			if pr == nil {
+				var old *Probe
+				if n := len(free); n > 0 {
+					old, free = free[n-1], free[:n-1]
+				}
+				if pr = plan.Reprobe(old, ms, "S"); pr == nil {
 					b.Fatalf("Probe(%v) refused", ms)
 				}
 			}

@@ -304,16 +304,22 @@ func (g *Agg) AlignResult(orig Result, m Mapping) Result {
 // m: the scalar coordinate "" stays, a coordinate m sends to One keeps
 // its key, and kept is false for one m sends to Zero, which drops.
 func AlignedKey(k Annotation, m Mapping) (nk Annotation, kept bool) {
+	return AlignRenamed(k, m.Rename(k))
+}
+
+// AlignRenamed is AlignedKey of k through a mapping that sends k to
+// image.
+func AlignRenamed(k, image Annotation) (nk Annotation, kept bool) {
 	if k == "" {
 		return k, true
 	}
-	switch nk = m.Rename(k); nk {
+	switch image {
 	case Zero:
 		return "", false
 	case One:
 		return k, true
 	default:
-		return nk, true
+		return image, true
 	}
 }
 

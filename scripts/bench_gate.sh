@@ -86,7 +86,9 @@ done < <(jq -r '.benchmarks[] | [.name, (.ns_per_op | tostring)] | @tsv' "$BASEL
 # it catches a hot path silently losing its pooled/zero-alloc property.
 ALLOC_FACTOR="${ALLOC_FACTOR:-1.5}"
 while IFS=$'\t' read -r name baseline; do
-  measured=$(awk -v b="$name" '$1 ~ "^"b"(-[0-9]+)?$" && $8 == "allocs/op" { print $7; exit }' "$BENCH_OUT")
+  # allocs/op is the last field, behind any custom metric the benchmark
+  # reports (b.ReportMetric), so find it by its unit.
+  measured=$(awk -v b="$name" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit } }' "$BENCH_OUT")
   if [ -z "$measured" ]; then
     echo "WARN  $name: allocs_per_op in $BASELINE but not measured"
     continue
