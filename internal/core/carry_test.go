@@ -20,8 +20,8 @@ import (
 // step holds the carried pair list to a fresh enumeration and every
 // carried probe to one built afresh on the same plan state, field by
 // field. The pinned summaries must not move. MovieLens runs must carry
-// probes; DDP's block plan is rebuilt every step, so only its pair list
-// carries.
+// probes; DDP's block-plan probes are built afresh every step, so its
+// pair list and truth table carry.
 func TestCarryMatchesRebuild(t *testing.T) {
 	prior := ddpPrior(t)
 	for _, workers := range matrixWorkers {

@@ -171,6 +171,10 @@ type Summarizer struct {
 	// rebegin, set only by tests, begins a new distance.Run after every
 	// committed step, so every step compiles its plan afresh.
 	rebegin bool
+	// applyCommits, set only by tests, commits every winning merge with
+	// a whole-expression Apply instead of the run's plan
+	// (distance.Run.CommitMerge).
+	applyCommits bool
 }
 
 // New validates the configuration and returns a Summarizer. The defaults
@@ -596,7 +600,11 @@ func (s *Summarizer) commitCandidate(r *distance.Run, cur provenance.Expression,
 	c.members = slices.Clone(c.members)
 	c.newAnn = s.cfg.Policy.MergeName(c.members)
 	c.cum = cum.Compose(provenance.MergeMapping(c.newAnn, c.members...))
-	c.expr = r.CommitMerge(cur, c.members, c.newAnn)
+	if s.applyCommits {
+		c.expr = cur.Apply(provenance.MergeMapping(c.newAnn, c.members...))
+	} else {
+		c.expr = r.CommitMerge(cur, c.members, c.newAnn)
+	}
 	carry.pending = committedMerge{members: c.members, newAnn: c.newAnn}
 	return c
 }

@@ -57,6 +57,15 @@ func ReplayByApply(s *Summarizer) {
 	}
 }
 
+// ApplyEveryMerge makes s commit every winning merge and replay every
+// restored or Prop. 4.2.1 merge with a whole-expression Apply instead
+// of the run's plan (distance.Run.CommitMerge, distance.Run.Replay): the
+// oracle a run that patches its plan at every merge is held to.
+func ApplyEveryMerge(s *Summarizer) {
+	ReplayByApply(s)
+	s.applyCommits = true
+}
+
 // RebeginEveryStep makes s begin a new distance.Run after every
 // committed step, so every step compiles its plan and evaluates the
 // original afresh instead of patching the plan in place: the oracle the

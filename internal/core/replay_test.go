@@ -109,7 +109,8 @@ func garbageCapStep(t *testing.T, p0 provenance.Expression, seed []core.Step) in
 // mapping, groups and distance bits. The priors cover members absent
 // from the expression, a group named after one of its members, and a
 // seed long enough to trip the arena's garbage cap mid-replay; DDP
-// replays through Apply. Resuming from every checkpoint of a plain and
+// replays on its block plan (TestDDPMergePatchMatchesApply holds whole
+// DDP runs to Apply). Resuming from every checkpoint of a plain and
 // of a seeded run must equal the uninterrupted run.
 func TestSeedReplayMatchesApply(t *testing.T) {
 	users := movieLens(t).Universe.InTable(datasets.MLUsersTable)
@@ -309,6 +310,103 @@ func TestGroupEquivalentReplayMatchesApply(t *testing.T) {
 			if steps < 0 && merged == 0 {
 				t.Fatalf("workers=%d: the pre-step merged no class; groups %v", workers, got.Groups)
 			}
+		}
+	}
+}
+
+// ddpReplayConfig is the DDP configuration of TestDDPMergePatchMatchesApply
+// on a fresh workload: enumeration, or sampling with candidate capping,
+// so both random streams ride through the checkpoints.
+func ddpReplayConfig(t *testing.T, workers int, sampled bool) (*datasets.Workload, core.Config) {
+	t.Helper()
+	w := ddpWorkload(t)
+	est := w.Estimator(datasets.CancelSingleAttribute)
+	est.Parallelism = workers
+	cfg := core.Config{Policy: w.Policy, Estimator: est, WDist: 0.5, WSize: 0.5, MaxSteps: 8}
+	if sampled {
+		est.Samples = 40
+		est.RandSrc = randx.NewSource(23)
+		cfg.CandidateCap = 20
+		cfg.RandSrc = randx.NewSource(35)
+	}
+	return w, cfg
+}
+
+// TestDDPMergePatchMatchesApply holds a DDP run that patches its block
+// plan at every merge (ddp.Plan.ApplyMerge through
+// distance.Run.CommitMerge and Replay) to the run that commits and
+// replays every merge by Apply (core.ApplyEveryMerge): Summarize, an
+// Extend seeded from a prior summary, and a Resume from every
+// checkpoint of both must produce the same summaries — the trace with
+// its sizes and float bits, the expression, the mapping and the groups
+// — at Parallelism 1 and 4, in enumeration and in sampling mode. The
+// patched runs must patch every own merge but the last and fall back on
+// none.
+func TestDDPMergePatchMatchesApply(t *testing.T) {
+	prior := ddpPrior(t)
+	for _, workers := range matrixWorkers {
+		for _, sampled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/sampled=%v", workers, sampled), func(t *testing.T) {
+				for _, seeded := range []bool{false, true} {
+					var cps []core.Checkpoint
+					run := func(byApply bool, cp *core.Checkpoint) *core.Summary {
+						t.Helper()
+						w, cfg := ddpReplayConfig(t, workers, sampled)
+						if !byApply && cp == nil {
+							cfg.CheckpointSink = func(c core.Checkpoint) error {
+								cps = append(cps, c)
+								return nil
+							}
+						}
+						s, err := core.New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if byApply {
+							core.ApplyEveryMerge(s)
+						}
+						var sum *core.Summary
+						switch {
+						case cp != nil:
+							sum, err = s.Resume(context.Background(), w.Prov, cp)
+						case seeded:
+							sum, err = s.Extend(context.Background(), w.Prov, prior)
+						default:
+							sum, err = s.Summarize(w.Prov)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						st := cfg.Estimator.Stats()
+						own := len(sum.Steps) - sum.ExtendedFrom
+						switch {
+						case byApply && st.MergePatches+st.MergeRecompiles != 0:
+							t.Fatalf("the Apply run counted %d patches and %d recompiles", st.MergePatches, st.MergeRecompiles)
+						case !byApply && cp == nil && (st.MergeRecompiles != 0 || st.MergePatches != uint64(own-1)):
+							t.Fatalf("%d patches and %d recompiles for %d own merges, want %d patches", st.MergePatches, st.MergeRecompiles, own, own-1)
+						}
+						return sum
+					}
+					want := run(true, nil)
+					got := run(false, nil)
+					if d := summaryDiff(got, want); d != "" {
+						t.Fatalf("seeded=%v: the patched run diverged from the Apply run: %s", seeded, d)
+					}
+					if len(got.Steps)-got.ExtendedFrom < 3 {
+						t.Fatalf("seeded=%v: only %d own merges", seeded, len(got.Steps)-got.ExtendedFrom)
+					}
+					if len(cps) == 0 {
+						t.Fatalf("seeded=%v: the run emitted no checkpoints", seeded)
+					}
+					for _, cp := range cps {
+						for _, byApply := range []bool{false, true} {
+							if d := summaryDiff(run(byApply, &cp), want); d != "" {
+								t.Fatalf("seeded=%v: resume at step %d (by Apply %v) diverged: %s", seeded, cp.Step, byApply, d)
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

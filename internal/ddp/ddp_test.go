@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -320,6 +321,13 @@ func TestSimplifyExactCongruence(t *testing.T) {
 		"user split":       {[]Execution{{User("a", 1), User("b", 2)}, {User("a:1*u:b", 2)}}, 2},
 		"one execution":    {[]Execution{{Cond("a:b", "c", true), Cond("a", "b:c", true)}}, 1},
 		"congruent merges": {[]Execution{{Cond("a:b", "c", true)}, {Cond("c", "a:b", true)}, {Cond("a", "b:c", true)}}, 2},
+		// Fields a transition's kind does not read: a condition's cost
+		// (a cost variable renamed to "" reads as a condition), a user
+		// transition's operator.
+		"unread fields": {[]Execution{
+			{{D1: "d1", D2: "d2", NonZero: true, Cost: 2}}, {Cond("d1", "d2", true)},
+			{{CostVar: "c1", Cost: 1, NonZero: true}}, {User("c1", 1)},
+		}, 2},
 	} {
 		e := NewExpr(c.execs...)
 		if len(e.Execs) != c.want {
@@ -347,4 +355,51 @@ func TestSimplifyExactCongruence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunCompilesOnce holds a default DDP Summarize and an Extend from
+// its summary to one compile per run of the expression being scored —
+// the run patches that plan at every merge it commits or replays — plus
+// the one compile of the original the run evaluates, and to no
+// whole-expression Apply: the run takes no fallback (MergeRecompiles
+// stays 0) and every commit but the last patches.
+func TestRunCompilesOnce(t *testing.T) {
+	e, u := Generate(DefaultGenConfig(), rand.New(rand.NewSource(13)))
+	pol := constraints.NewPolicy(u,
+		constraints.SameTable(),
+		constraints.TableScoped(TableCost, constraints.NumericWithin("cost", CostTolerance)),
+		constraints.TableScoped(TableDB, constraints.SharedAttr("relation")),
+	)
+	est := &distance.Estimator{
+		Class:    valuation.NewCancelSingleAttribute(u, e.Annotations(), "cost", "relation", "tuple"),
+		Phi:      provenance.CombineOr,
+		VF:       ValFunc(e.Penalty()),
+		MaxError: e.Penalty(),
+	}
+	s, err := core.New(core.Config{Policy: pol, Estimator: est, WDist: 0.5, WSize: 0.5, MaxSteps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, f func() (*core.Summary, error)) *core.Summary {
+		t.Helper()
+		compiles, applies := planCompiles.Load(), exprApplies.Load()
+		before := est.Stats()
+		sum, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := est.Stats()
+		own := len(sum.Steps) - sum.ExtendedFrom
+		switch {
+		case own < 3:
+			t.Fatalf("%s: only %d own merges", name, own)
+		case planCompiles.Load()-compiles != 2 || exprApplies.Load() != applies:
+			t.Fatalf("%s: %d plan compiles and %d Applies, want 2 (the original and the expression scored) and none", name, planCompiles.Load()-compiles, exprApplies.Load()-applies)
+		case st.MergeRecompiles != before.MergeRecompiles || st.MergePatches-before.MergePatches != uint64(own-1):
+			t.Fatalf("%s: %d patches and %d recompiles for %d own merges", name, st.MergePatches-before.MergePatches, st.MergeRecompiles-before.MergeRecompiles, own)
+		}
+		return sum
+	}
+	sum := run("summarize", func() (*core.Summary, error) { return s.Summarize(e) })
+	run("extend", func() (*core.Summary, error) { return s.Extend(context.Background(), e, sum.Groups) })
 }

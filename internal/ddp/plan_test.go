@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -75,6 +76,47 @@ func TestCanonicalKeyMatchesFmt(t *testing.T) {
 		if slim.String() != ref.String() {
 			t.Fatalf("slim %s, want %s", slim, ref)
 		}
+	}
+}
+
+// TestAppendCostMatchesAppendFloat holds appendCost's integer fast path
+// to strconv's shortest 'g' form byte for byte, at its edges (zero,
+// negative zero, 999999, 1e6) and off them (fractions, large and
+// subnormal values, NaN, infinities, negatives), and on random integers
+// and reals.
+func TestAppendCostMatchesAppendFloat(t *testing.T) {
+	costs := []float64{
+		0, math.Copysign(0, -1), 0.5, 1, 7, 10, 999999, 999999.5, 1e6, 1e6 + 1, 1e21,
+		5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64 * 3,
+		math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5, 123456, 0.1,
+	}
+	r := rand.New(rand.NewSource(8))
+	for i := 0; i < 2000; i++ {
+		costs = append(costs, float64(r.Intn(1_000_000)), r.Float64()*1e7, float64(r.Intn(3_000_000))/4)
+	}
+	for _, c := range costs {
+		if got, want := string(appendCost([]byte("u:c1:"), c)), string(strconv.AppendFloat([]byte("u:c1:"), c, 'g', -1, 64)); got != want {
+			t.Fatalf("cost %v (bits %x): %q, AppendFloat %q", c, math.Float64bits(c), got, want)
+		}
+	}
+}
+
+// TestCanonicalKeepsCanonicalExecution pins canonical's slim: an
+// execution whose conditions are distinct comes back as itself, one
+// with a repeated condition as a fresh slice without the repeat, and
+// an empty one as an empty, non-nil execution.
+func TestCanonicalKeepsCanonicalExecution(t *testing.T) {
+	ex := Execution{User("c1", 1), Cond("d1", "d2", true), User("c1", 1), Cond("d2", "d1", false)}
+	if slim, _ := ex.canonical(); &slim[0] != &ex[0] || len(slim) != len(ex) {
+		t.Fatalf("canonical execution copied: %v", slim)
+	}
+	rep := Execution{User("c1", 1), Cond("d1", "d2", true), Cond("d2", "d1", true), User("c2", 2)}
+	slim, _ := rep.canonical()
+	if &slim[0] == &rep[0] || slim.String() != (Execution{User("c1", 1), Cond("d1", "d2", true), User("c2", 2)}).String() {
+		t.Fatalf("repeated condition: slim %v", slim)
+	}
+	if slim, key := Execution(nil).canonical(); slim == nil || len(slim) != 0 || key != "" {
+		t.Fatalf("empty execution: slim %#v key %q", slim, key)
 	}
 }
 

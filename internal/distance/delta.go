@@ -57,12 +57,13 @@ type deltaProbe struct {
 // array indexing, no string hashing on the hot path. It is shared
 // read-only across a sweep's workers.
 //
-// An arena plan's table lives on the Run and is carried from step to
-// step (Run.stepTruths): a committed merge changes the base groups only
-// at its members and its summary annotation, so only their ids (stale)
-// are derived again, from the next step's base, and the ids the merge
-// interned are added. The interner keeps its ids, so the packed truth
-// columns of enumeration mode (cols) carry too.
+// The table of a run's plan, arena or block plan, lives on the Run and
+// is carried from step to step (Run.stepTruths): a committed merge
+// changes the base groups only at its members and its summary
+// annotation, so only their ids (stale) are derived again, from the
+// next step's base, and the ids the merge interned are added. The
+// interner keeps its ids, so the packed truth columns of enumeration
+// mode (cols) carry too.
 type deltaTruths struct {
 	names   []provenance.Annotation // interned annotations in id order
 	members [][]int32               // per id: baseIn ids of its base-group members, nil → raw truth
@@ -81,7 +82,7 @@ type deltaTruths struct {
 	// The carry: the table is plan's at generation gen, derived from the
 	// base groups base, except at the ids in stale, which merges
 	// committed since changed.
-	plan  *provenance.Plan
+	plan  patchablePlan
 	gen   uint64
 	base  provenance.Groups
 	stale []int32
@@ -181,14 +182,13 @@ func (t *deltaTruths) columns(r *Run, vals []provenance.Valuation) [][]uint64 {
 	return t.cols
 }
 
-// stepTruths returns the truth table of a sweep on plan (names, its
-// annotations) for the base groups base. An arena plan's table is the
-// run's, carried across the merges committed on the plan since the last
-// sweep (noteMerge): it is kept as it is for the same base on the same
-// plan state, and its stale ids are derived again from base after a
-// merge. Any other table is built afresh, and a block plan's is never
-// kept, since the block plan is recompiled every step.
-func (r *Run) stepTruths(plan *provenance.Plan, names []provenance.Annotation, base provenance.Groups) *deltaTruths {
+// stepTruths returns the truth table of a sweep on plan, the run's
+// cached plan (names, its annotations), for the base groups base. The
+// table is the run's, carried across the merges committed on the plan
+// since the last sweep (noteMerge): it is kept as it is for the same
+// base on the same plan state, and its stale ids are derived again from
+// base after a merge.
+func (r *Run) stepTruths(plan patchablePlan, names []provenance.Annotation, base provenance.Groups) *deltaTruths {
 	if plan == nil {
 		return newDeltaTruths(names, base, r.e.Phi)
 	}
@@ -210,23 +210,20 @@ func (r *Run) stepTruths(plan *provenance.Plan, names []provenance.Annotation, b
 	return t
 }
 
-// noteMerge records a merge of members into newAnn just patched into
-// the cached plan: a table carried to the plan's previous generation
-// moves to the new one, with the ids whose derivation the merge changed
-// marked stale; any other table is dropped.
-func (r *Run) noteMerge(members []provenance.Annotation, newAnn provenance.Annotation) {
+// noteMerge records a merge into newAnn just patched into the cached
+// plan, whose members had the ids r.mids before the patch: a table
+// carried to the plan's previous generation moves to the new one, with
+// the ids whose derivation the merge changed marked stale; any other
+// table is dropped.
+func (r *Run) noteMerge(plan patchablePlan, newAnn provenance.Annotation) {
 	t := r.truths
-	if t == nil || t.plan != r.plan || t.gen+1 != r.plan.Generation() {
+	if t == nil || t.plan != plan || t.gen+1 != plan.Generation() {
 		r.truths = nil
 		return
 	}
 	t.gen++
-	for _, a := range members {
-		if id, ok := r.plan.AnnID(a); ok {
-			t.stale = append(t.stale, id)
-		}
-	}
-	if id, ok := r.plan.AnnID(newAnn); ok {
+	t.stale = append(t.stale, r.mids...)
+	if id, ok := plan.AnnID(newAnn); ok {
 		t.stale = append(t.stale, id)
 	}
 }
@@ -296,7 +293,7 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 		r.dropProbes()
 		return nil, nil, planError("the summary annotation %q occurs in the expression", newAnn)
 	}
-	truths := r.stepTruths(plan, names, base)
+	truths := r.stepTruths(patchableOf(plan, bplan), names, base)
 	// The probes, their member ids and their flattened base groups live
 	// in the run's slabs, refilled by every call.
 	n := len(cohort)
@@ -418,7 +415,9 @@ func (r *Run) DistanceDelta(cur provenance.Expression, cum provenance.Mapping, b
 // planOf's plan of the current expression. An aggregation's plan
 // sweeps only against an aggregated original the blocked kernel
 // evaluates: the check compiles the original's arena (originalArena),
-// which the sweep's denseStep then reads.
+// which the sweep's denseStep then reads. A block plan sweeps only
+// against a BlockPlanner original: the check compiles the original's
+// block plan (originalBlockPlan), which originalResults evaluates.
 func (r *Run) sweepNames(plan *provenance.Plan, bplan BlockPlan) (names []provenance.Annotation, annID func(provenance.Annotation) (int32, bool), err error) {
 	if plan != nil {
 		g0, ok := r.p0.(*provenance.Agg)
@@ -429,6 +428,9 @@ func (r *Run) sweepNames(plan *provenance.Plan, bplan BlockPlan) (names []proven
 			return nil, nil, err
 		}
 		return plan.Annotations(), plan.AnnID, nil
+	}
+	if _, err := r.originalBlockPlan(); err != nil {
+		return nil, nil, err
 	}
 	return bplan.Annotations(), bplan.AnnID, nil
 }
@@ -456,10 +458,7 @@ func (e *Estimator) normalize(out []float64, n int) {
 func (r *Run) laneEvals(plan *provenance.Plan, bplan BlockPlan, cum provenance.Mapping, probes []*deltaProbe, bprobes []BlockProbe, vals []provenance.Valuation, newAnn provenance.Annotation) func(*deltaBlockState) laneEval {
 	e := r.e
 	if bplan != nil {
-		origs := make([]provenance.Result, len(vals))
-		for i, v := range vals {
-			origs[i] = r.evalOriginal(v)
-		}
+		origs := r.originalResults(vals)
 		return func(st *deltaBlockState) laneEval {
 			if st.results == nil {
 				st.results = newLaneResults()
@@ -496,7 +495,7 @@ func (r *Run) distanceBase(pc provenance.Expression, cum provenance.Mapping, gro
 		return 0, nil
 	}
 	out := []float64{0}
-	r.deltaBlocked(r.stepTruths(plan, names, groups), []*deltaProbe{{}}, vals, out, r.laneEvals(plan, bplan, cum, nil, nil, vals, ""))
+	r.deltaBlocked(r.stepTruths(patchableOf(plan, bplan), names, groups), []*deltaProbe{{}}, vals, out, r.laneEvals(plan, bplan, cum, nil, nil, vals, ""))
 	e.stats.evaluations.Add(uint64(len(vals)))
 	e.normalize(out, len(vals))
 	return out[0], nil

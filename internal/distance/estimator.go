@@ -134,7 +134,8 @@ type Stats struct {
 	// merge touched, per re-evaluated lane).
 	DeltaSkips, DeltaSubtreeEvals, DeltaFullEvals uint64
 	// MergePatches counts committed merges that Run.CommitMerge patched
-	// into the cached plan's arena in place (provenance.Plan.ApplyMerge);
+	// into the cached plan in place (provenance.Plan.ApplyMerge for an
+	// arena plan, BlockPlan.ApplyMerge for a block plan);
 	// MergeRecompiles counts commits where the patch was refused and the
 	// next step recompiles the plan from scratch. Both count a commit
 	// when the next step begins, so a run's last merge, which no step

@@ -111,3 +111,16 @@ func refineClasses(anns []provenance.Annotation, vals []provenance.Valuation) []
 	}
 	return classes
 }
+
+// OriginalResults checks that r plans its BlockPlanner original, which
+// compiles the original's block plan and keeps it, and returns the
+// valuations of a sweep (batchValuations: the class, or fresh draws in
+// sampling mode) with the original's results under them
+// (originalResults). External tests hold the results to Eval.
+func OriginalResults(r *Run) ([]provenance.Valuation, []provenance.Result, error) {
+	if err := r.CheckPlan(r.p0, ""); err != nil {
+		return nil, nil, err
+	}
+	vals := r.batchValuations()
+	return vals, r.originalResults(vals), nil
+}

@@ -15,12 +15,14 @@ import (
 // lives here:
 //
 //   - the original's side: an aggregation's arena and, in enumeration
-//     mode, its rows under every valuation of the class; any other
-//     original's results, memoized by valuation name;
+//     mode, its rows under every valuation of the class; a
+//     BlockPlanner original's block plan and, in enumeration mode, its
+//     results under every valuation of the class;
 //   - the class's side: the enumerated valuation list, the packed truth
 //     column of each annotation, and the summand matrix of the sweeps;
-//   - the step's side: the compiled plan of the expression being scored
-//     (cached by expression identity, patched in place by CommitMerge),
+//   - the step's side: the compiled plan of the expression being scored,
+//     an arena or a block plan (cached by expression identity, patched
+//     in place by CommitMerge and Replay),
 //     the pair probes of the step, carried across the committed merge's
 //     patch into the next step, and the committed merge's outcome,
 //     counted when the next step begins.
@@ -31,13 +33,15 @@ type Run struct {
 	e  *Estimator
 	p0 provenance.Expression
 
-	// origMemo memoizes a BlockPlanner original's result per valuation
-	// name (evalOriginal). origArena is an aggregated original's arena
-	// (originalArena) and origRows, in enumeration mode, its rows under
-	// every valuation of vals (originalRows).
-	origMemo  map[string]provenance.Result
-	origArena *provenance.Arena
-	origRows  [][]float64
+	// origArena is an aggregated original's arena (originalArena) and
+	// origRows, in enumeration mode, its rows under every valuation of
+	// vals (originalRows). origBlock is a BlockPlanner original's block
+	// plan (originalBlockPlan) and origResults, in enumeration mode, its
+	// results under every valuation of vals (originalResults).
+	origArena   *provenance.Arena
+	origRows    [][]float64
+	origBlock   BlockPlan
+	origResults []provenance.Result
 
 	// truthCols memoizes, per raw annotation, its packed truth column
 	// over the enumerated class: word b bit j is the truth under
@@ -49,8 +53,8 @@ type Run struct {
 	vf        []float64
 
 	// plan and blockPlan are the compiled plan of planFor (at most one is
-	// set; planErr when neither is). A block plan is recompiled every
-	// step; only an arena plan is patched by CommitMerge.
+	// set; planErr when neither is), patched in place by every merge
+	// CommitMerge or Replay commits on it.
 	plan      *provenance.Plan
 	blockPlan BlockPlan
 	planErr   error
@@ -75,12 +79,14 @@ type Run struct {
 	free, loose []*provenance.Probe
 
 	// truths is the sweeps' truth table, carried across the merges
-	// patched into plan (stepTruths). The rest is DistanceDelta's
+	// patched into the plan (stepTruths), and mids the member ids of the
+	// merge being patched (noteMerge). The rest is DistanceDelta's
 	// scratch, refilled by every call: its probes and their slab, the
 	// probes' member ids and flattened base groups, a block plan's
 	// probes, and the sizes and distances it returns, which stay valid
 	// until the next call. anns is Annotations' result.
 	truths  *deltaTruths
+	mids    []int32
 	dps     []deltaProbe
 	dpp     []*deltaProbe
 	ids     []int32
@@ -153,86 +159,127 @@ func (r *Run) Distance(pc provenance.Expression, cumulative provenance.Mapping, 
 
 // CommitMerge commits the merge of members into newAnn on cur and
 // returns the next expression, cur.Apply(MergeMapping(newAnn,
-// members...)). When the cached plan is cur's arena plan, the plan
-// builds next itself and is patched in place (provenance.Plan.ApplyMerge,
-// or ApplyProbe from the winner's probe when this step scored it), so
-// the next step's DistanceDelta reuses the compiled arena instead of
-// recompiling the whole expression, and the step's probes that survive
-// the merge are rebased onto the patch when the next step begins. A
-// patch the plan refuses falls back to Apply; it, and one refused for
-// the arena's garbage, drops the cached plan and the carried probes,
-// and the next step compiles next — either way results are unchanged.
-// The outcome counts in MergePatches or MergeRecompiles when the next
-// step begins. A block plan is never patched: the commit drops it and
-// Applies.
+// members...)). When the cached plan is cur's, the plan builds next
+// itself and is patched in place, so the next step's DistanceDelta
+// reuses it instead of recompiling the whole expression: an arena plan
+// by provenance.Plan.ApplyMerge, or ApplyProbe from the winner's probe
+// when this step scored it, and the step's probes that survive the
+// merge are rebased onto the patch when the next step begins; a block
+// plan by BlockPlan.ApplyMerge, handed the winner's probe when this
+// step scored it. A patch the plan refuses falls back to Apply; it, and
+// an arena patch refused for the arena's garbage, drops the cached plan
+// and the carried probes, and the next step compiles next — either way
+// results are unchanged. The outcome counts in MergePatches or
+// MergeRecompiles when the next step begins.
 func (r *Run) CommitMerge(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
 	r.settle()
 	var winner *provenance.Probe
 	if k, ok := pairKey(members); ok {
 		winner = r.step[k]
 	}
-	next, patch, onPlan := r.mergeOnPlan(cur, members, newAnn, winner)
+	next, patch, how := r.mergeOnPlan(cur, members, newAnn, winner, r.blockProbeOf(members))
 	if patch != nil {
-		r.pending, r.committed = patch, &r.e.stats.mergePatches
-		return next
+		r.pending = patch
+	} else {
+		r.dropProbes()
 	}
-	r.dropProbes()
-	if onPlan {
+	switch how {
+	case mergePatched:
+		r.committed = &r.e.stats.mergePatches
+	case mergeRefused:
 		r.committed = &r.e.stats.mergeRecompiles
 	}
 	return next
 }
 
 // Replay commits one merge a run replays — a seed step of
-// Summarizer.Extend or a step of a resumed checkpoint — on cur and
-// returns the next expression, cur.Apply(MergeMapping(newAnn,
-// members...)). It is CommitMerge without probes and without counting:
-// an aggregation's plan is compiled at the first replayed merge and
-// patched in place at every later one, and it stays cached, so the
-// run's CheckPlan and first step reuse it. Its fallbacks are
-// CommitMerge's: a merge the plan refuses, or one that would leave the
-// arena more than half garbage, drops the plan, and the next replayed
-// merge compiles the expression it returns. An aggregation the arena
-// cannot plan or probe makes the run Apply its remaining replayed
-// merges without compiling again, and any other expression (DDP)
-// Applies without compiling a block plan just to drop it.
+// Summarizer.Extend, a step of a resumed checkpoint or a Prop. 4.2.1
+// class — on cur and returns the next expression,
+// cur.Apply(MergeMapping(newAnn, members...)). It is CommitMerge
+// without probes and without counting: the plan, an arena or a block
+// plan, is compiled at the first replayed merge and patched in place at
+// every later one, and it stays cached, so the run's CheckPlan and
+// first step reuse it. Its fallbacks are CommitMerge's: a merge the
+// plan refuses, or one that would leave an arena more than half
+// garbage, drops the plan, and the next replayed merge compiles the
+// expression it returns. An expression the estimator cannot plan (or
+// an aggregation it cannot probe) makes the run Apply its remaining
+// replayed merges without compiling again.
 func (r *Run) Replay(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression {
-	if g, ok := cur.(*provenance.Agg); ok && g != nil && !r.replayApply {
-		if plan, _, err := r.planOf(cur); err != nil || !plan.Probeable() {
+	if !r.replayApply && plannable(cur) {
+		if plan, _, err := r.planOf(cur); err != nil || plan != nil && !plan.Probeable() {
 			r.replayApply = true
 		}
 	}
-	next, _, _ := r.mergeOnPlan(cur, members, newAnn, nil)
+	next, _, _ := r.mergeOnPlan(cur, members, newAnn, nil, nil)
 	return next
 }
 
+// plannable reports whether cur is an expression kind planOf compiles.
+func plannable(cur provenance.Expression) bool {
+	switch c := cur.(type) {
+	case *provenance.Agg:
+		return c != nil
+	case BlockPlanner:
+		return true
+	}
+	return false
+}
+
 // Annotations returns cur.Annotations(), read off the plan's indexes
-// (provenance.Plan.AppendLiveAnnotations) into a slice the run reuses,
-// valid until the next call, when the run holds cur's arena plan, as it
-// does from CheckPlan on and after every patched merge; any other
-// expression, DDP's included, collects them from its tree.
+// (provenance.Plan.AppendLiveAnnotations, BlockPlan's) into a slice the
+// run reuses, valid until the next call, when the run holds cur's plan,
+// as it does from CheckPlan on and after every patched merge; any other
+// expression collects them from its tree.
 func (r *Run) Annotations(cur provenance.Expression) []provenance.Annotation {
-	if r.plan != nil && comparableExpr(cur) && r.planFor == cur {
-		r.anns = r.plan.AppendLiveAnnotations(r.anns[:0])
+	if pl := r.cachedPlan(); pl != nil && comparableExpr(cur) && r.planFor == cur {
+		r.anns = pl.AppendLiveAnnotations(r.anns[:0])
 		return r.anns
 	}
 	return cur.Annotations()
 }
 
+// mergeOutcome is how mergeOnPlan committed a merge.
+type mergeOutcome int
+
+const (
+	// mergeOffPlan: the run held no plan of cur, and the merge Applied.
+	mergeOffPlan mergeOutcome = iota
+	// mergePatched: the plan was patched in place and is cached for next.
+	mergePatched
+	// mergeRefused: the plan refused the patch and was dropped; next
+	// comes from Apply, or from an arena patch refused for its garbage.
+	mergeRefused
+)
+
 // mergeOnPlan is the shared body of CommitMerge and Replay. When the
-// cached plan is cur's arena plan (onPlan), it builds next by patching
-// the plan in place (ApplyProbe from pr when pr is on the plan, else
-// ApplyMerge) and keeps the patched plan cached for next; a refused
-// patch drops the plan and falls back to Apply, and one refused for
-// the arena's garbage drops it and returns the patch's next. Otherwise
-// it drops a cached block plan and Applies. patch is nil unless the
-// plan was patched.
-func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, pr *provenance.Probe) (next provenance.Expression, patch *provenance.MergePatch, onPlan bool) {
-	if r.blockPlan != nil || r.plan == nil || !comparableExpr(cur) || r.planFor != cur {
-		if r.blockPlan != nil {
-			r.blockPlan, r.planFor = nil, nil
+// cached plan is cur's, it builds next by patching the plan in place —
+// an arena plan by ApplyProbe from pr when pr is on the plan, else
+// ApplyMerge; a block plan by its ApplyMerge, handed bp — and keeps the
+// patched plan cached for next, with the truth table carried across
+// the merge (noteMerge). A refused patch drops the plan and falls back
+// to Apply, and an arena patch refused for the arena's garbage drops it
+// and returns the patch's next. Otherwise it Applies. patch is the
+// arena plan's patch, nil unless an arena plan was patched.
+func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation, pr *provenance.Probe, bp BlockProbe) (next provenance.Expression, patch *provenance.MergePatch, how mergeOutcome) {
+	pl := r.cachedPlan()
+	if pl == nil || !comparableExpr(cur) || r.planFor != cur {
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, mergeOffPlan
+	}
+	r.mids = r.mids[:0]
+	for _, m := range members {
+		if id, ok := pl.AnnID(m); ok {
+			r.mids = append(r.mids, id)
 		}
-		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, false
+	}
+	if r.blockPlan != nil {
+		if next, ok := r.blockPlan.ApplyMerge(members, newAnn, bp); ok {
+			r.planFor = next
+			r.noteMerge(pl, newAnn)
+			return next, nil, mergePatched
+		}
+		r.blockPlan, r.planFor = nil, nil
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, mergeRefused
 	}
 	var g *provenance.Agg
 	if pr != nil && pr.On(r.plan) {
@@ -242,14 +289,54 @@ func (r *Run) mergeOnPlan(cur provenance.Expression, members []provenance.Annota
 	}
 	if patch != nil {
 		r.planFor = g
-		r.noteMerge(members, newAnn)
-		return g, patch, true
+		r.noteMerge(pl, newAnn)
+		return g, patch, mergePatched
 	}
 	r.plan, r.planFor = nil, nil
 	if g == nil {
-		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, true
+		return cur.Apply(provenance.MergeMapping(newAnn, members...)), nil, mergeRefused
 	}
-	return g, nil, true
+	return g, nil, mergeRefused
+}
+
+// cachedPlan returns the run's cached plan, an arena or a block plan,
+// or nil when it holds neither.
+func (r *Run) cachedPlan() patchablePlan { return patchableOf(r.plan, r.blockPlan) }
+
+// patchableOf returns the one of plan and bplan that is set, or nil.
+func patchableOf(plan *provenance.Plan, bplan BlockPlan) patchablePlan {
+	switch {
+	case plan != nil:
+		return plan
+	case bplan != nil:
+		return bplan
+	}
+	return nil
+}
+
+// patchablePlan is what the run reads of a plan that merges patch in
+// place, provenance.Plan or BlockPlan: the truth-table carry's ids and
+// generation, and the live annotations.
+type patchablePlan interface {
+	Annotations() []provenance.Annotation
+	AnnID(a provenance.Annotation) (int32, bool)
+	AppendLiveAnnotations(dst []provenance.Annotation) []provenance.Annotation
+	Generation() uint64
+}
+
+// blockProbeOf returns the block-plan probe the run's last
+// DistanceDelta call built for exactly members, or nil. The plan's
+// ApplyMerge checks it is the probe of the merge on its current state.
+func (r *Run) blockProbeOf(members []provenance.Annotation) BlockProbe {
+	if r.blockPlan == nil {
+		return nil
+	}
+	for i, bp := range r.bprobes {
+		if i < len(r.dps) && slices.Equal(r.dps[i].members, members) {
+			return bp
+		}
+	}
+	return nil
 }
 
 // settle carries the committed merge into the run once the next step
@@ -355,10 +442,14 @@ func (r *Run) CheckCarry(base provenance.Groups) (int, error) {
 			return 0, fmt.Errorf("carried probe %v: %s", k, d)
 		}
 	}
-	if r.plan != nil && r.truths != nil && r.truths.plan == r.plan {
-		names := r.plan.Annotations()
-		got, want := r.stepTruths(r.plan, names, base), newDeltaTruths(names, base, r.e.Phi)
-		for id := range names {
+	if pl := r.cachedPlan(); pl != nil && r.truths != nil && r.truths.plan == pl {
+		names := pl.Annotations()
+		got, want := r.stepTruths(pl, names, base), newDeltaTruths(names, base, r.e.Phi)
+		for id, a := range names {
+			if live, ok := pl.AnnID(a); !ok || live != int32(id) {
+				// A block plan's merged-away id: no execution reads it.
+				continue
+			}
 			if g, w := got.flatNames(int32(id)), want.flatNames(int32(id)); !slices.Equal(g, w) {
 				return 0, fmt.Errorf("carried truth of %q derives from %v, want %v", names[id], g, w)
 			}
@@ -389,22 +480,23 @@ func (r *Run) planOf(cur provenance.Expression) (*provenance.Plan, BlockPlan, er
 	return plan, bplan, err
 }
 
-// evalOriginal evaluates an original that is not an aggregation (a
-// BlockPlanner's) under v, memoized by valuation name; an aggregated
-// original is evaluated on its arena instead (originalRows).
-func (r *Run) evalOriginal(v provenance.Valuation) provenance.Result {
-	key := v.Name()
-	if res, ok := r.origMemo[key]; ok {
-		r.e.stats.cacheHits.Add(1)
-		return res
+// originalBlockPlan returns the block plan of a BlockPlanner original,
+// compiled once per run, or a *PlanError when the original is not one
+// or its plan does not compile.
+func (r *Run) originalBlockPlan() (BlockPlan, error) {
+	if r.origBlock != nil {
+		return r.origBlock, nil
 	}
-	r.e.stats.cacheMisses.Add(1)
-	res := r.p0.Eval(v)
-	if r.origMemo == nil {
-		r.origMemo = make(map[string]provenance.Result)
+	bp, ok := r.p0.(BlockPlanner)
+	if !ok {
+		return nil, planError("a block plan is scored against a %T original", r.p0)
 	}
-	r.origMemo[key] = res
-	return res
+	plan, err := bp.BlockPlan()
+	if err != nil {
+		return nil, planError("the original: %v", err)
+	}
+	r.origBlock = plan
+	return plan, nil
 }
 
 // originalArena returns the aggregated original g's compiled arena,
@@ -469,6 +561,45 @@ func (r *Run) originalRows(vals []provenance.Valuation) [][]float64 {
 		r.origRows = rows
 	}
 	return rows
+}
+
+// originalResults returns the original's results under vals, result i
+// for vals[i], evaluated on its block plan (origBlock, compiled by
+// originalBlockPlan) 64 valuations per pass from the packed truth
+// columns (truthColumn). Each equals the original's Eval under the
+// valuation. In enumeration mode vals is the run's class and the
+// results are kept for the run; sampling mode evaluates each sweep's
+// draws afresh. It runs on the calling goroutine; the results must not
+// be modified.
+func (r *Run) originalResults(vals []provenance.Valuation) []provenance.Result {
+	e := r.e
+	if e.Samples <= 0 && r.origResults != nil && len(r.origResults) == len(vals) {
+		e.stats.cacheHits.Add(uint64(len(vals)))
+		return r.origResults
+	}
+	e.stats.cacheMisses.Add(uint64(len(vals)))
+	bp := r.origBlock
+	anns := bp.Annotations()
+	cols := make([][]uint64, len(anns))
+	for id, a := range anns {
+		cols[id] = r.truthColumn(a, vals)
+	}
+	out := make([]provenance.Result, len(vals))
+	tb := provenance.NewTruthBlock()
+	ev := bp.NewEvaluator()
+	for lo := 0; lo < len(vals); lo += 64 {
+		lanes := min(64, len(vals)-lo)
+		tb.Reset(len(anns), lanes)
+		for id, col := range cols {
+			tb.SetWord(int32(id), col[lo>>6])
+		}
+		ev.EvalBlock(tb, out[lo:lo+lanes])
+	}
+	ev.Release()
+	if e.Samples <= 0 {
+		r.origResults = out
+	}
+	return out
 }
 
 // truthColumn returns annotation a's packed truth column over vals

@@ -54,6 +54,9 @@ run_bench 'PlanApplyMerge$' 2000x ./internal/provenance/
 # The step pair covers both plan kinds: MovieLens on the arena plan and
 # DDP on its tropical block plan (SummarizeStepScoringDDP).
 run_bench 'SummarizeStepScoring' 50x ./internal/distance/
+# One op of DDPPlanMerge is one committed merge on the DDP block plan,
+# ~30 µs, on a plan compiled untimed (~20 µs each).
+run_bench 'DDPPlanMerge$' 2000x ./internal/distance/
 run_bench 'SummarizeScoringDelta$' 5x .
 run_bench 'SummarizeExtend(Cold|Warm)$' 10x .
 # One op of DistanceEstimation is one baseline distance, ~40 µs.
