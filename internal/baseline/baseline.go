@@ -56,8 +56,8 @@ func (c *Config) normalize() error {
 // ok=false when the strategy is exhausted.
 type pairSource func(cur provenance.Expression, cum provenance.Mapping) (a, b provenance.Annotation, ok bool)
 
-// run drives the shared merge loop with the PROX stop conditions. Its
-// distances are measured on one distance.Run, dropped when it returns.
+// run drives the shared merge loop with the PROX stop conditions on one
+// distance.Run, whose plan every merge patches (Run.CommitMerge).
 func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, error) {
 	start := time.Now()
 	r := cfg.Estimator.Begin(p0)
@@ -105,11 +105,11 @@ func run(cfg Config, p0 provenance.Expression, next pairSource) (*core.Summary, 
 			res.StopReason = "no-candidates"
 			break
 		}
-		newAnn := cfg.Policy.MergeName([]provenance.Annotation{a, b})
-		step := provenance.MergeMapping(newAnn, a, b)
+		members := []provenance.Annotation{a, b}
+		newAnn := cfg.Policy.MergeName(members)
 		prev, prevCum, prevDist = cur, cum, curDist
-		cum = cum.Compose(step)
-		cur = cur.Apply(step)
+		cum = cum.Compose(provenance.MergeMapping(newAnn, a, b))
+		cur = r.CommitMerge(cur, members, newAnn)
 		var err error
 		if curDist, err = distOf(cur, cum); err != nil {
 			return nil, err

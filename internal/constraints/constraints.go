@@ -86,13 +86,7 @@ func (p *Policy) MergeName(members []provenance.Annotation) provenance.Annotatio
 		if lca != "" {
 			// Register the LCA as the summary annotation, carrying the
 			// members' shared attributes.
-			var attrSets []provenance.Attrs
-			for _, m := range members {
-				if a := p.Universe.AttrsOf(m); a != nil {
-					attrSets = append(attrSets, a)
-				}
-			}
-			p.Universe.Add(lca, p.Universe.Table(members[0]), provenance.Shared(attrSets))
+			p.Universe.AddMerged(lca, members)
 			return lca
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/distance"
 	"repro/internal/provenance"
@@ -79,6 +80,30 @@ func cloneSteps(steps []Step) []Step {
 	return out
 }
 
+// ReplayTrace replays merge traces onto cur in order on the run r
+// (distance.Run.Replay, one plan patched across the steps), composing
+// each merge into cum. A recorded name the universe lacks, or one its
+// own step regrows, is registered as Policy.MergeName registered it
+// (provenance.Universe.AddMerged). Resume, Extend seeds, the Prop. 4.2.1
+// pre-step and every rebuild of a summary from its trace replay here.
+func ReplayTrace(r *distance.Run, u *provenance.Universe, cur provenance.Expression, cum provenance.Mapping, traces ...[]Step) (provenance.Expression, provenance.Mapping) {
+	return replayTrace(r.Replay, u, cur, cum, traces...)
+}
+
+// replayTrace is ReplayTrace on a given merge replay (Summarizer.replayOn).
+func replayTrace(replay replayFunc, u *provenance.Universe, cur provenance.Expression, cum provenance.Mapping, traces ...[]Step) (provenance.Expression, provenance.Mapping) {
+	for _, steps := range traces {
+		for _, st := range steps {
+			if !u.Known(st.New) || slices.Contains(st.Members, st.New) {
+				u.AddMerged(st.New, st.Members)
+			}
+			cur = replay(cur, st.Members, st.New)
+			cum = cum.Compose(provenance.MergeMapping(st.New, st.Members...))
+		}
+	}
+	return cur, cum
+}
+
 // Resume continues a run snapshotted by CheckpointSink: it replays the
 // checkpoint's merge trace onto p0 (re-registering the summary
 // annotations through the policy, exactly as the original run did),
@@ -138,18 +163,12 @@ type restoredState struct {
 }
 
 // restore replays a checkpoint's merge trace onto the post-pre-step
-// state (cur, cum), re-registering each step's summary annotation via
-// Policy.MergeName — the same registrations the original run performed,
-// so subsequent merge naming (attribute-name disambiguation, LCA
-// lookups) behaves identically. The leading cp.ExtendFrom seed steps
-// are an exception: their names were chosen by an earlier run whose
-// registry state cannot be replayed, so they register directly under
-// the recorded name with the members' shared attributes — the same
-// entry Universe.Merge (or the LCA branch of MergeName) wrote when the
-// group was first formed. Each merge replays through the run's plan
-// (distance.Run.Replay), which patches one compiled plan step by step
-// instead of re-simplifying the whole expression, and leaves it cached
-// for the run's CheckPlan and first step. It fills
+// state (cur, cum) through replayTrace. Each step's name is registered
+// first via Policy.MergeName, as the original run did, so later naming
+// behaves identically and a diverging name is caught; the leading
+// cp.ExtendFrom seed steps, named by an earlier run whose registry
+// state cannot be replayed, are registered by replayTrace. The patched
+// plan stays cached for the run's CheckPlan and first step. It fills
 // res.Steps with the restored trace and returns the rebuilt loop
 // state, including the one-step-back rollback state.
 func (s *Summarizer) restore(r *distance.Run, cp *Checkpoint, cur provenance.Expression, cum provenance.Mapping, res *Summary) (restoredState, error) {
@@ -163,32 +182,17 @@ func (s *Summarizer) restore(r *distance.Run, cp *Checkpoint, cur provenance.Exp
 		curDist: cp.InitDist, prevDist: cp.InitDist,
 	}
 	res.Steps = cloneSteps(cp.Steps)
-	replay := r.Replay
-	if s.replay != nil {
-		replay = s.replay
-	}
 	for i, rec := range cp.Steps {
 		if len(rec.Members) < 2 {
 			return restoredState{}, fmt.Errorf("core: corrupt checkpoint: step %d has %d members", i+1, len(rec.Members))
 		}
-		if i < cp.ExtendFrom {
-			u := cfg.Policy.Universe
-			attrSets := make([]provenance.Attrs, 0, len(rec.Members))
-			for _, m := range rec.Members {
-				if a := u.AttrsOf(m); a != nil {
-					attrSets = append(attrSets, a)
-				}
-			}
-			u.Add(rec.New, u.Table(rec.Members[0]), provenance.Shared(attrSets))
-		} else {
-			name := cfg.Policy.MergeName(rec.Members)
-			if name != rec.New {
+		if i >= cp.ExtendFrom {
+			if name := cfg.Policy.MergeName(rec.Members); name != rec.New {
 				return restoredState{}, fmt.Errorf("core: checkpoint replay diverged at step %d: merge of %v named %q, recorded %q (was the run configured differently?)", i+1, rec.Members, name, rec.New)
 			}
 		}
 		st.prev, st.prevCum, st.prevDist = st.cur, st.cum, st.curDist
-		st.cur = replay(st.cur, rec.Members, rec.New)
-		st.cum = st.cum.Compose(provenance.MergeMapping(rec.New, rec.Members...))
+		st.cur, st.cum = replayTrace(s.replayOn(r), cfg.Policy.Universe, st.cur, st.cum, cp.Steps[i:i+1])
 		st.curDist = rec.Dist
 		if i < cp.ExtendFrom && res.Steps[i].Size == 0 {
 			res.Steps[i].Size = st.cur.Size()

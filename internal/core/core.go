@@ -167,7 +167,7 @@ type Summarizer struct {
 	checkCarry func(cur provenance.Expression, cum provenance.Mapping, carry *stepCarry, r *distance.Run) error
 	// replay, set only by tests, replaces the run's replay of a restored
 	// or Prop. 4.2.1 merge (distance.Run.Replay).
-	replay func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression
+	replay replayFunc
 	// rebegin, set only by tests, begins a new distance.Run after every
 	// committed step, so every step compiles its plan afresh.
 	rebegin bool
@@ -175,6 +175,17 @@ type Summarizer struct {
 	// a whole-expression Apply instead of the run's plan
 	// (distance.Run.CommitMerge).
 	applyCommits bool
+}
+
+// replayFunc replays the merge of members into newAnn on cur.
+type replayFunc func(cur provenance.Expression, members []provenance.Annotation, newAnn provenance.Annotation) provenance.Expression
+
+// replayOn returns the run's merge replay, or the tests' replacement.
+func (s *Summarizer) replayOn(r *distance.Run) replayFunc {
+	if s.replay != nil {
+		return s.replay
+	}
+	return r.Replay
 }
 
 // New validates the configuration and returns a Summarizer. The defaults
@@ -275,7 +286,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	// partition already reflects the class's equivalences, and an
 	// equivalence merge would race the seed replay for the same members.
 	if extendFrom == 0 {
-		cur, cum = s.groupEquivalent(r, cur, cum)
+		cur, cum, _ = s.groupEquivalent(r, cur, cum)
 	}
 
 	var st restoredState
@@ -666,23 +677,19 @@ func timedDistance(r *distance.Run, cur provenance.Expression, cum provenance.Ma
 // merged (a free simplification — their evaluations can never be told
 // apart). Only groups whose members the policy allows to merge pairwise
 // are collapsed, so semantic constraints are never violated. The classes
-// come from the run's truth columns (distance.Run.EquivalenceClasses),
-// and each merge replays on the run's plan (distance.Run.Replay), which
-// the run's CheckPlan and first step then reuse.
-func (s *Summarizer) groupEquivalent(r *distance.Run, cur provenance.Expression, cum provenance.Mapping) (provenance.Expression, provenance.Mapping) {
-	replay := r.Replay
-	if s.replay != nil {
-		replay = s.replay
-	}
+// come from the run's truth columns (distance.Run.EquivalenceClasses);
+// each is named by Policy.MergeName and the merges replay through
+// replayTrace on the run's plan, which the run's CheckPlan and first
+// step then reuse. It returns the merges in commit order.
+func (s *Summarizer) groupEquivalent(r *distance.Run, cur provenance.Expression, cum provenance.Mapping) (provenance.Expression, provenance.Mapping, []Step) {
+	var eqs []Step
 	for _, cls := range r.EquivalenceClasses(r.Annotations(cur)) {
-		if len(cls) < 2 || !s.allMergeable(cls) {
-			continue
+		if len(cls) >= 2 && s.allMergeable(cls) {
+			eqs = append(eqs, Step{A: cls[0], B: cls[1], Members: cls, New: s.cfg.Policy.MergeName(cls)})
 		}
-		newAnn := s.cfg.Policy.MergeName(cls)
-		cur = replay(cur, cls, newAnn)
-		cum = cum.Compose(provenance.MergeMapping(newAnn, cls...))
 	}
-	return cur, cum
+	cur, cum = replayTrace(s.replayOn(r), s.cfg.Policy.Universe, cur, cum, eqs)
+	return cur, cum, eqs
 }
 
 func (s *Summarizer) allMergeable(cls []provenance.Annotation) bool {

@@ -182,13 +182,7 @@ func (u *Universe) Merge(members []Annotation, fallback Annotation) Annotation {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	table := u.table[members[0]]
-	attrSets := make([]Attrs, 0, len(members))
-	for _, m := range members {
-		if a, ok := u.attrs[m]; ok {
-			attrSets = append(attrSets, a)
-		}
-	}
-	shared := Shared(attrSets)
+	shared := u.shared(members)
 	known := func(a Annotation) bool { _, ok := u.attrs[a]; return ok }
 	name := fallback
 	if len(shared) > 0 {
@@ -209,6 +203,28 @@ func (u *Universe) Merge(members []Annotation, fallback Annotation) Annotation {
 	u.attrs[name] = shared
 	u.table[name] = table
 	return name
+}
+
+// AddMerged registers a as the summary annotation of members, with the
+// entry Merge writes under the name it picks: in the first member's
+// table, carrying the attributes the registered members share.
+func (u *Universe) AddMerged(a Annotation, members []Annotation) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.attrs[a] = u.shared(members)
+	u.table[a] = u.table[members[0]]
+}
+
+// shared returns the attributes every registered member agrees on.
+// u.mu must be held.
+func (u *Universe) shared(members []Annotation) Attrs {
+	attrSets := make([]Attrs, 0, len(members))
+	for _, m := range members {
+		if a, ok := u.attrs[m]; ok {
+			attrSets = append(attrSets, a)
+		}
+	}
+	return Shared(attrSets)
 }
 
 // disambiguate returns name#i for the smallest i >= 2 such that name#i

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/distance"
 	"repro/internal/provenance"
 	"repro/internal/summarycache"
 )
@@ -28,8 +29,9 @@ import (
 // another workload sharing the store directory) must not share
 // entries. The seed fingerprint keeps seeded and unseeded runs apart:
 // a seeded summary carries its seed prefix, so it is not the summary a
-// from-scratch run of the same expression produces.
-func (s *Server) cacheKeyFor(sess *session, params codec.JobParams, seed provenance.Groups) summarycache.Key {
+// from-scratch run of the same expression produces. The key's estimator
+// comes back too: a hit replays its trace on a run of it.
+func (s *Server) cacheKeyFor(sess *session, params codec.JobParams, seed provenance.Groups) (summarycache.Key, *distance.Estimator) {
 	s.mu.Lock()
 	prov := sess.prov
 	s.mu.Unlock()
@@ -47,15 +49,15 @@ func (s *Server) cacheKeyFor(sess *session, params codec.JobParams, seed provena
 	annFP := provenance.UniverseFingerprint(s.workload.Universe, prov.Annotations())
 	if len(seed) > 0 {
 		seedFP := seedFingerprint(seed)
-		return summarycache.KeyFrom(exprFP[:], cfgFP[:], s.policyFP[:], annFP[:], seedFP[:])
+		return summarycache.KeyFrom(exprFP[:], cfgFP[:], s.policyFP[:], annFP[:], seedFP[:]), cfg.Estimator
 	}
-	return summarycache.KeyFrom(exprFP[:], cfgFP[:], s.policyFP[:], annFP[:])
+	return summarycache.KeyFrom(exprFP[:], cfgFP[:], s.policyFP[:], annFP[:]), cfg.Estimator
 }
 
-// serveFromCache replays a cached merge trace into a summary for sess,
-// publishing it on the session (and journaling it, with a store) just
-// as a completed job would — minus the run itself.
-func (s *Server) serveFromCache(sess *session, entry *codec.CacheEntryRecord) (*core.Summary, error) {
+// serveFromCache replays a cached merge trace into a summary for sess on
+// est (cacheKeyFor's), publishing it on the session (and journaling it,
+// with a store) just as a completed job would — minus the run itself.
+func (s *Server) serveFromCache(sess *session, est *distance.Estimator, entry *codec.CacheEntryRecord) (*core.Summary, error) {
 	sumRec := &codec.SummaryRecord{
 		SessionID:  sess.id,
 		Class:      entry.Class,
@@ -63,7 +65,7 @@ func (s *Server) serveFromCache(sess *session, entry *codec.CacheEntryRecord) (*
 		Dist:       entry.Dist,
 		StopReason: entry.StopReason,
 	}
-	sum, err := s.rebuildSummary(sess, sumRec)
+	sum, err := s.rebuildSummary(sess, est, sumRec)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/distance"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -109,10 +110,10 @@ func (s *Server) submitSummarize(ctx context.Context, req *summarizeRequest, ext
 
 	var key *summarycache.Key
 	if s.cache != nil {
-		k := s.cacheKeyFor(sess, params, seed)
+		k, est := s.cacheKeyFor(sess, params, seed)
 		key = &k
 		if entry, ok := s.cache.Get(k); ok {
-			sum, err := s.serveFromCache(sess, entry)
+			sum, err := s.serveFromCache(sess, est, entry)
 			if err == nil {
 				out.cached, out.cacheState = sum, "hit"
 				return out, 0, nil
@@ -143,7 +144,7 @@ func (s *Server) submitSummarize(ctx context.Context, req *summarizeRequest, ext
 						params.ExtendFromVersion = v
 						out.params = params
 						seed = warmSeed
-						k2 := s.cacheKeyFor(sess, params, seed)
+						k2, est2 := s.cacheKeyFor(sess, params, seed)
 						key = &k2
 						out.cacheState = "warm"
 						s.met.cacheWarmHits.Inc()
@@ -151,7 +152,7 @@ func (s *Server) submitSummarize(ctx context.Context, req *summarizeRequest, ext
 							"session", sess.id, "version", v)
 						if entry2, ok := s.cache.Get(k2); ok {
 							// The seeded run itself has already been computed.
-							if sum, err := s.serveFromCache(sess, entry2); err == nil {
+							if sum, err := s.serveFromCache(sess, est2, entry2); err == nil {
 								out.cached, out.cacheState = sum, "hit"
 								return out, 0, nil
 							}
@@ -814,7 +815,7 @@ func (s *Server) restoreFromStore() error {
 		// requeued extend job rebuilds its seed from its parent version.
 		sess.versions = append([]*codec.SummaryVersionRecord(nil), state.Versions[rec.ID]...)
 		if sumRec, ok := state.Summaries[rec.ID]; ok {
-			sum, err := s.rebuildSummary(sess, sumRec)
+			sum, err := s.rebuildSummary(sess, new(distance.Estimator), sumRec)
 			if err != nil {
 				return fmt.Errorf("server: restoring session %s summary: %w", rec.ID, err)
 			}
@@ -898,7 +899,7 @@ func (s *Server) restoreFromStore() error {
 		}
 		var key *summarycache.Key
 		if s.cache != nil {
-			k := s.cacheKeyFor(sess, rec.Params, seed)
+			k, _ := s.cacheKeyFor(sess, rec.Params, seed)
 			key = &k
 		}
 		// Resume under the interrupted run's trace: prefer the
@@ -947,27 +948,15 @@ func (s *Server) restoreFromStore() error {
 }
 
 // rebuildSummary reconstructs a core.Summary from its journaled merge
-// trace by replaying the trace over the session's provenance. Summary
-// annotations are re-registered in the universe directly under their
-// recorded names (not via Policy.MergeName, whose #N disambiguation
-// depends on cross-session registration order the journal does not
-// preserve).
-func (s *Server) rebuildSummary(sess *session, rec *codec.SummaryRecord) (*core.Summary, error) {
+// trace by replaying the trace over the session's provenance
+// (core.ReplayTrace) on a run begun on est; a replay reads no valuation
+// class, so any estimator serves.
+func (s *Server) rebuildSummary(sess *session, est *distance.Estimator, rec *codec.SummaryRecord) (*core.Summary, error) {
 	steps, err := codec.StepsToCore(rec.Steps)
 	if err != nil {
 		return nil, err
 	}
-	u := s.workload.Universe
-	var expr provenance.Expression = sess.prov
-	cum := provenance.NewMapping()
-	for _, st := range steps {
-		if u.Table(st.New) == "" {
-			u.Add(st.New, u.Table(st.Members[0]), nil)
-		}
-		m := provenance.MergeMapping(st.New, st.Members...)
-		expr = expr.Apply(m)
-		cum = cum.Compose(m)
-	}
+	expr, cum := core.ReplayTrace(est.Begin(sess.prov), s.workload.Universe, sess.prov, provenance.NewMapping(), steps)
 	return &core.Summary{
 		Original:   sess.prov,
 		Expr:       expr,

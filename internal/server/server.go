@@ -994,8 +994,9 @@ type stepResponse struct {
 }
 
 // handleStep replays the stored summary's merge trace up to step n
-// (0 ≤ n ≤ len(steps); 0 is the original selection) and returns the
-// intermediate expression.
+// (0 ≤ n ≤ len(steps); 0 is the original selection) onto the summary's
+// original through core.ReplayTrace, on a run of its own (a replay
+// reads no valuation class), and returns the intermediate expression.
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessionFor(r.Context(), r.URL.Query().Get("sessionId"))
 	if !ok {
@@ -1013,10 +1014,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var expr provenance.Expression = sess.prov
-	for _, st := range summary.Steps[:n] {
-		expr = expr.Apply(provenance.MergeMapping(st.New, st.Members...))
-	}
+	expr, _ := core.ReplayTrace(new(distance.Estimator).Begin(summary.Original), s.workload.Universe, summary.Original, provenance.NewMapping(), summary.Steps[:n])
 	resp := stepResponse{
 		Step:       n,
 		Steps:      len(summary.Steps),
