@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"repro"
 )
@@ -41,20 +42,24 @@ func main() {
 		fmt.Printf("%3d. %s + %s -> %s\n", i+1, st.A, st.B, st.New)
 	}
 
+	names := make([]prox.Annotation, 0, len(sum.Groups))
+	for name := range sum.Groups {
+		names = append(names, name)
+	}
+	slices.Sort(names) // map order differs from run to run
+
 	// Page groups are named by taxonomy concepts: inspect them.
 	fmt.Println("\npage groups (named by LCA concept):")
-	for name, members := range sum.Groups {
-		if len(members) < 2 || w.Universe.Table(name) != "wikipages" {
-			continue
+	for _, name := range names {
+		if members := sum.Groups[name]; len(members) >= 2 && w.Universe.Table(name) == "wikipages" {
+			fmt.Printf("  <%s> = %v (depth %d)\n", name, members, w.Tax.Depth(name))
 		}
-		fmt.Printf("  <%s> = %v (depth %d)\n", name, members, w.Tax.Depth(name))
 	}
 	fmt.Println("\nuser groups (named by shared attribute):")
-	for name, members := range sum.Groups {
-		if len(members) < 2 || w.Universe.Table(name) != "wikiusers" {
-			continue
+	for _, name := range names {
+		if members := sum.Groups[name]; len(members) >= 2 && w.Universe.Table(name) == "wikiusers" {
+			fmt.Printf("  %s = %v\n", name, members)
 		}
-		fmt.Printf("  %s = %v\n", name, members)
 	}
 
 	// Taxonomy-consistent provisioning: cancelling a concept cancels its

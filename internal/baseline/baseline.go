@@ -154,22 +154,26 @@ func NewRandom(cfg Config, rnd *rand.Rand) (*Random, error) {
 
 // Summarize runs the random-merge loop on p0.
 func (r *Random) Summarize(p0 provenance.Expression) (*core.Summary, error) {
-	return run(r.cfg, p0, func(cur provenance.Expression, _ provenance.Mapping) (provenance.Annotation, provenance.Annotation, bool) {
-		anns := cur.Annotations()
-		var pairs [][2]provenance.Annotation
-		for i := 0; i < len(anns); i++ {
-			for j := i + 1; j < len(anns); j++ {
-				if r.cfg.Policy.CanMerge(anns[i], anns[j]) {
-					pairs = append(pairs, [2]provenance.Annotation{anns[i], anns[j]})
-				}
+	return run(r.cfg, p0, r.next)
+}
+
+// next draws a uniformly random constraint-satisfying pair of cur's
+// annotations.
+func (r *Random) next(cur provenance.Expression, _ provenance.Mapping) (provenance.Annotation, provenance.Annotation, bool) {
+	anns := cur.Annotations()
+	var pairs [][2]provenance.Annotation
+	for i := 0; i < len(anns); i++ {
+		for j := i + 1; j < len(anns); j++ {
+			if r.cfg.Policy.CanMerge(anns[i], anns[j]) {
+				pairs = append(pairs, [2]provenance.Annotation{anns[i], anns[j]})
 			}
 		}
-		if len(pairs) == 0 {
-			return "", "", false
-		}
-		p := pairs[r.rnd.Intn(len(pairs))]
-		return p[0], p[1], true
-	})
+	}
+	if len(pairs) == 0 {
+		return "", "", false
+	}
+	p := pairs[r.rnd.Intn(len(pairs))]
+	return p[0], p[1], true
 }
 
 // MergeStep is one dendrogram agglomeration translated to annotations:
@@ -199,8 +203,14 @@ func NewClustering(cfg Config) (*Clustering, error) {
 // fires. Each step merges the current summary annotations standing for
 // the two sides.
 func (c *Clustering) Summarize(p0 provenance.Expression, steps []MergeStep) (*core.Summary, error) {
+	return run(c.cfg, p0, dendrogram(steps))
+}
+
+// dendrogram yields the merges of steps in order, skipping those whose
+// sides are already one summary annotation.
+func dendrogram(steps []MergeStep) pairSource {
 	i := 0
-	return run(c.cfg, p0, func(_ provenance.Expression, cum provenance.Mapping) (provenance.Annotation, provenance.Annotation, bool) {
+	return func(_ provenance.Expression, cum provenance.Mapping) (provenance.Annotation, provenance.Annotation, bool) {
 		for i < len(steps) {
 			s := steps[i]
 			i++
@@ -215,5 +225,5 @@ func (c *Clustering) Summarize(p0 provenance.Expression, steps []MergeStep) (*co
 			return a, b, true
 		}
 		return "", "", false
-	})
+	}
 }

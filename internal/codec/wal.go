@@ -175,14 +175,16 @@ func StepsToCore(recs []StepRecord) ([]core.Step, error) {
 }
 
 // SummaryRecord persists a session's completed summarization: the merge
-// trace (from which the summary expression and mapping are replayed),
-// the final distance and the stop reason.
+// trace (from which the summary expression and mapping are replayed,
+// the Prop. 4.2.1 pre-step's merges first), the final distance and the
+// stop reason.
 type SummaryRecord struct {
-	SessionID  string       `json:"sessionId"`
-	Class      string       `json:"class"`
-	Steps      []StepRecord `json:"steps"`
-	Dist       float64      `json:"dist"`
-	StopReason string       `json:"stopReason"`
+	SessionID    string       `json:"sessionId"`
+	Class        string       `json:"class"`
+	Equivalences []StepRecord `json:"equivalences,omitempty"`
+	Steps        []StepRecord `json:"steps"`
+	Dist         float64      `json:"dist"`
+	StopReason   string       `json:"stopReason"`
 	// ExtendedFrom is the seeded-prefix length of Steps when the summary
 	// came from a warm-started Extend run (core.Summary.ExtendedFrom);
 	// 0 for from-scratch summaries.
@@ -199,6 +201,7 @@ type SummaryVersionRecord struct {
 	Version      int          `json:"version"`
 	Parent       int          `json:"parent,omitempty"`
 	Class        string       `json:"class"`
+	Equivalences []StepRecord `json:"equivalences,omitempty"`
 	Steps        []StepRecord `json:"steps"`
 	ExtendedFrom int          `json:"extendedFrom,omitempty"`
 	Dist         float64      `json:"dist"`
@@ -312,15 +315,17 @@ func (r *CheckpointRecord) UnmarshalJSON(data []byte) error {
 
 // CacheEntryRecord persists one summary-cache entry: the content
 // address it is stored under (hex of the 32-byte cache key) and the
-// merge trace needed to rebuild the summary on a hit. Replay keeps the
-// last record per key, so re-putting a key refreshes its entry.
+// merge trace needed to rebuild the summary on a hit, the Prop. 4.2.1
+// pre-step's merges first. Replay keeps the last record per key, so
+// re-putting a key refreshes its entry.
 type CacheEntryRecord struct {
-	Key        string       `json:"key"`
-	Class      string       `json:"class"`
-	Steps      []StepRecord `json:"steps"`
-	Dist       float64      `json:"dist"`
-	StopReason string       `json:"stopReason"`
-	CreatedMS  int64        `json:"createdMs"`
+	Key          string       `json:"key"`
+	Class        string       `json:"class"`
+	Equivalences []StepRecord `json:"equivalences,omitempty"`
+	Steps        []StepRecord `json:"steps"`
+	Dist         float64      `json:"dist"`
+	StopReason   string       `json:"stopReason"`
+	CreatedMS    int64        `json:"createdMs"`
 	// Tenant is the id of the tenant whose run published the entry
 	// (first-writer attribution for the cache-bytes quota); empty in
 	// single-tenant mode.

@@ -134,6 +134,10 @@ type Summary struct {
 	Mapping provenance.Mapping
 	// Groups is the inverse view of Mapping over the original annotations.
 	Groups provenance.Groups
+	// Equivalences are the merges of the free Prop. 4.2.1 pre-step, in
+	// commit order; they carry A, B, Members and New only. Expr and
+	// Mapping compose them before Steps. Seeded runs (Extend) have none.
+	Equivalences []Step
 	// Steps is the merge trace, in order.
 	Steps []Step
 	// Dist is the final (approximated, normalized) distance from Original.
@@ -286,7 +290,7 @@ func (s *Summarizer) run(ctx context.Context, p0 provenance.Expression, cp *Chec
 	// partition already reflects the class's equivalences, and an
 	// equivalence merge would race the seed replay for the same members.
 	if extendFrom == 0 {
-		cur, cum, _ = s.groupEquivalent(r, cur, cum)
+		cur, cum, res.Equivalences = s.groupEquivalent(r, cur, cum)
 	}
 
 	var st restoredState

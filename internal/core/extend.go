@@ -86,9 +86,10 @@ func SeedSteps(prior provenance.Groups) []Step {
 // GroupsFromSteps rebuilds the cumulative partition a merge trace ends
 // at: each step gathers its members' current groups (or the members
 // themselves when still singletons) into the step's summary annotation,
-// exactly as composing the trace's mappings would. Feeding a completed
-// summary's steps through it yields that summary's non-singleton
-// Groups, which is the prior a later Extend seeds from.
+// exactly as composing the trace's mappings would. Fed a summary's
+// Equivalences followed by its Steps, it yields that summary's
+// non-singleton Groups, the prior a later Extend seeds from; its Steps
+// alone leave out the Prop. 4.2.1 pre-step's merges.
 func GroupsFromSteps(steps []Step) provenance.Groups {
 	groups := make(provenance.Groups)
 	for _, st := range steps {

@@ -45,7 +45,9 @@ func (c Config) Fingerprint() [32]byte {
 		}
 	}
 
-	writeStr("core.Config/v1")
+	// v2: cached traces carry the Prop. 4.2.1 pre-step's merges, which
+	// v1 entries lack, so those miss instead of replaying short.
+	writeStr("core.Config/v2")
 	writeF64(c.WDist)
 	writeF64(c.WSize)
 	writeU64(uint64(c.TargetSize))

@@ -59,11 +59,12 @@ func (s *Server) cacheKeyFor(sess *session, params codec.JobParams, seed provena
 // with a store) just as a completed job would — minus the run itself.
 func (s *Server) serveFromCache(sess *session, est *distance.Estimator, entry *codec.CacheEntryRecord) (*core.Summary, error) {
 	sumRec := &codec.SummaryRecord{
-		SessionID:  sess.id,
-		Class:      entry.Class,
-		Steps:      entry.Steps,
-		Dist:       entry.Dist,
-		StopReason: entry.StopReason,
+		SessionID:    sess.id,
+		Class:        entry.Class,
+		Equivalences: entry.Equivalences,
+		Steps:        entry.Steps,
+		Dist:         entry.Dist,
+		StopReason:   entry.StopReason,
 	}
 	sum, err := s.rebuildSummary(sess, est, sumRec)
 	if err != nil {
@@ -92,14 +93,15 @@ func (s *Server) serveFromCache(sess *session, est *distance.Estimator, entry *c
 func (s *Server) publishToCache(sess *session, key summarycache.Key, params codec.JobParams, sum *core.Summary) {
 	prefix := s.warmPrefixFor(sess, params)
 	rec := &codec.CacheEntryRecord{
-		Key:        key.String(),
-		Class:      params.Class,
-		Steps:      codec.StepsFromCore(sum.Steps),
-		Dist:       sum.Dist,
-		StopReason: sum.StopReason,
-		CreatedMS:  time.Now().UnixMilli(),
-		Tenant:     sess.tenant,
-		Prefix:     prefix.String(),
+		Key:          key.String(),
+		Class:        params.Class,
+		Equivalences: codec.StepsFromCore(sum.Equivalences),
+		Steps:        codec.StepsFromCore(sum.Steps),
+		Dist:         sum.Dist,
+		StopReason:   sum.StopReason,
+		CreatedMS:    time.Now().UnixMilli(),
+		Tenant:       sess.tenant,
+		Prefix:       prefix.String(),
 	}
 	// The publishing tenant owns the entry's bytes until eviction; a
 	// tenant past its MaxCacheBytes quota keeps its result but stops

@@ -312,6 +312,10 @@ func TestCacheWarmStartAcrossRestart(t *testing.T) {
 	if warm.Expression != base.Expression || !reflect.DeepEqual(warm.Steps, base.Steps) {
 		t.Fatalf("warm-start summary diverges:\nwas: %s\nnow: %s", base.Expression, warm.Expression)
 	}
+	// The groups keep the attributes their names were registered with.
+	if !reflect.DeepEqual(warm.Groups, base.Groups) {
+		t.Fatalf("warm-start groups diverge:\nwas: %+v\nnow: %+v", base.Groups, warm.Groups)
+	}
 	out := scrape(t, ts2)
 	if steps := metricValue(t, out, "prox_summarize_steps_total"); steps != 0 {
 		t.Fatalf("restarted server ran %v merge steps, want 0", steps)

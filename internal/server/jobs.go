@@ -543,6 +543,7 @@ func (s *Server) onJobTransition(tr jobs.Transition) {
 				rec := &codec.SummaryRecord{
 					SessionID:    sid,
 					Class:        meta.params.Class,
+					Equivalences: codec.StepsFromCore(sum.Equivalences),
 					Steps:        codec.StepsFromCore(sum.Steps),
 					Dist:         sum.Dist,
 					StopReason:   sum.StopReason,
@@ -952,19 +953,24 @@ func (s *Server) restoreFromStore() error {
 // (core.ReplayTrace) on a run begun on est; a replay reads no valuation
 // class, so any estimator serves.
 func (s *Server) rebuildSummary(sess *session, est *distance.Estimator, rec *codec.SummaryRecord) (*core.Summary, error) {
+	eqs, err := codec.StepsToCore(rec.Equivalences)
+	if err != nil {
+		return nil, err
+	}
 	steps, err := codec.StepsToCore(rec.Steps)
 	if err != nil {
 		return nil, err
 	}
-	expr, cum := core.ReplayTrace(est.Begin(sess.prov), s.workload.Universe, sess.prov, provenance.NewMapping(), steps)
+	expr, cum := core.ReplayTrace(est.Begin(sess.prov), s.workload.Universe, sess.prov, provenance.NewMapping(), eqs, steps)
 	return &core.Summary{
-		Original:   sess.prov,
-		Expr:       expr,
-		Mapping:    cum,
-		Groups:     provenance.GroupsOf(sess.prov.Annotations(), cum),
-		Steps:      steps,
-		Dist:       rec.Dist,
-		StopReason: rec.StopReason,
+		Original:     sess.prov,
+		Expr:         expr,
+		Mapping:      cum,
+		Groups:       provenance.GroupsOf(sess.prov.Annotations(), cum),
+		Equivalences: eqs,
+		Steps:        steps,
+		Dist:         rec.Dist,
+		StopReason:   rec.StopReason,
 	}, nil
 }
 

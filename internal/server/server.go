@@ -997,6 +997,8 @@ type stepResponse struct {
 // (0 ≤ n ≤ len(steps); 0 is the original selection) onto the summary's
 // original through core.ReplayTrace, on a run of its own (a replay
 // reads no valuation class), and returns the intermediate expression.
+// Step n ≥ 1 includes the Prop. 4.2.1 pre-step's merges, which the run
+// made before its first step.
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessionFor(r.Context(), r.URL.Query().Get("sessionId"))
 	if !ok {
@@ -1014,7 +1016,10 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	expr, _ := core.ReplayTrace(new(distance.Estimator).Begin(summary.Original), s.workload.Universe, summary.Original, provenance.NewMapping(), summary.Steps[:n])
+	expr := summary.Original
+	if n > 0 {
+		expr, _ = core.ReplayTrace(new(distance.Estimator).Begin(expr), s.workload.Universe, expr, provenance.NewMapping(), summary.Equivalences, summary.Steps[:n])
+	}
 	resp := stepResponse{
 		Step:       n,
 		Steps:      len(summary.Steps),

@@ -202,7 +202,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 }
 
 // seedForVersion rebuilds the warm-start partition of sess's version n
-// (1-based) by replaying the version's merge trace.
+// (1-based) from the version's merge trace (versionGroups).
 func (s *Server) seedForVersion(sess *session, n int) (provenance.Groups, error) {
 	s.mu.Lock()
 	if n < 1 || n > len(sess.versions) {
@@ -211,11 +211,11 @@ func (s *Server) seedForVersion(sess *session, n int) (provenance.Groups, error)
 	}
 	rec := sess.versions[n-1]
 	s.mu.Unlock()
-	steps, err := codec.StepsToCore(rec.Steps)
+	groups, err := versionGroups(rec)
 	if err != nil {
 		return nil, fmt.Errorf("session %s version %d: %w", sess.id, n, err)
 	}
-	return core.GroupsFromSteps(steps), nil
+	return groups, nil
 }
 
 // seedFingerprint hashes the canonical seed trace of a warm-start
@@ -306,6 +306,7 @@ func (s *Server) appendVersion(meta *jobMeta, sum *core.Summary) {
 		Version:      len(sess.versions) + 1,
 		Parent:       meta.params.ExtendFromVersion,
 		Class:        meta.params.Class,
+		Equivalences: codec.StepsFromCore(sum.Equivalences),
 		Steps:        codec.StepsFromCore(sum.Steps),
 		ExtendedFrom: sum.ExtendedFrom,
 		Dist:         sum.Dist,
@@ -402,16 +403,29 @@ func parseVersionID(id string) (string, int, error) {
 	return id[:i], n, nil
 }
 
-// groupsOfRecord replays a version's trace into its non-singleton
-// partition.
+// groupsOfRecord is versionGroups for the API views.
 func groupsOfRecord(rec *codec.SummaryVersionRecord) provenance.Groups {
-	steps, err := codec.StepsToCore(rec.Steps)
+	groups, err := versionGroups(rec)
 	if err != nil {
 		// Records are validated on write and on WAL replay; an
 		// unreplayable trace here means in-memory corruption.
 		return provenance.Groups{}
 	}
-	return core.GroupsFromSteps(steps)
+	return groups
+}
+
+// versionGroups composes a version's trace, the Prop. 4.2.1 pre-step's
+// merges first, into its non-singleton partition.
+func versionGroups(rec *codec.SummaryVersionRecord) (provenance.Groups, error) {
+	eqs, err := codec.StepsToCore(rec.Equivalences)
+	if err != nil {
+		return nil, err
+	}
+	steps, err := codec.StepsToCore(rec.Steps)
+	if err != nil {
+		return nil, err
+	}
+	return core.GroupsFromSteps(append(eqs, steps...)), nil
 }
 
 // diffGroup is one entry of a structural version diff.
